@@ -32,10 +32,10 @@ def show(title, omega0, beta, init_sp, tau_end):
     print(f"{'tau':>8} {'sigma+':>10} {'sigma-':>10} {'closed-form defect':>20}")
     n = len(traj.taus)
     for i in range(0, n, max(1, n // 8)):
-        tau, s = traj.taus[i], traj.states[i]
+        tau, sp = float(traj.taus[i]), float(traj.sigma_plus[i])
         ref = closed_form(init, omega0, beta, tau)
-        print(f"{tau:8.2f} {s.sigma_plus:10.6f} {s.sigma_minus:10.6f} "
-              f"{abs(s.sigma_plus - ref.sigma_plus):20.2e}")
+        print(f"{tau:8.2f} {sp:10.6f} {1.0 - sp:10.6f} "
+              f"{abs(sp - ref.sigma_plus):20.2e}")
     print(f"conservation defect along the run: {traj.max_defect:.2e}")
 
 

@@ -124,11 +124,21 @@ def _set_dotted(config: dict, dotted: str, value) -> None:
     node[parts[-1]] = value
 
 
+def _read_json(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DomainError(f"{path} is not valid JSON: {exc}") from None
+
+
 def load_config(path: str | None, overrides: list[str]) -> dict:
     config = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            config = _deep_merge(config, json.load(fh))
+        doc = _read_json(path)
+        if not isinstance(doc, dict):
+            raise DomainError(f"config {path} must be a JSON object")
+        config = _deep_merge(config, doc)
     i = 0
     while i < len(overrides):
         arg = overrides[i]
@@ -203,11 +213,30 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def emit(header: list[str], rows: list[list], config: dict) -> None:
+def _write(text: str, config: dict) -> None:
+    path = config["output"]["path"]
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
+def emit(header: list[str], rows, config: dict) -> None:
+    """Write rows as CSV or JSON.  ``rows`` is a list of rows or a 2-D float
+    array; an array's CSV rows use one format string ("%.11e" prints nan,
+    inf and -inf as _fmt does)."""
     fmt = config["output"]["format"]
+    is_array = isinstance(rows, np.ndarray)
+    if is_array:
+        rows = rows.tolist()
     if fmt == "csv":
         lines = [",".join(header)]
-        lines += [",".join(_fmt(x) for x in row) for row in rows]
+        if is_array:
+            row_fmt = ",".join(["%.11e"] * len(header))
+            lines += [row_fmt % tuple(row) for row in rows]
+        else:
+            lines += [",".join(_fmt(x) for x in row) for row in rows]
         text = "\n".join(lines) + "\n"
     elif fmt == "json":
         records = [
@@ -218,19 +247,19 @@ def emit(header: list[str], rows: list[list], config: dict) -> None:
         text = json.dumps(records, sort_keys=True, indent=2, default=str) + "\n"
     else:
         raise DomainError(f"unknown output format '{fmt}'")
-    path = config["output"]["path"]
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _write(text, config)
 
 
 def _thread_cap() -> int:
     raw = os.environ.get("UNRUH_KINETICS_THREADS")
     if raw is None:
         return os.cpu_count() or 1
-    cap = int(raw)
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise DomainError(
+            f"UNRUH_KINETICS_THREADS must be an integer, got {raw!r}"
+        ) from None
     if cap < 1:
         raise DomainError(f"UNRUH_KINETICS_THREADS must be >= 1, got {raw}")
     return cap
@@ -274,24 +303,18 @@ def cmd_populations(config: dict) -> int:
     sp = pcfg["sigma_plus"]
     init = M.PopulationState(sp, 1.0 - sp)
     w0, beta = cfg.detector.omega0, cfg.thermal.beta
-    traj = M.evolve(init, w0, beta, pcfg["tau_end"], pcfg["steps"])
     samples = max(1, int(pcfg["samples"]))
-    idx = np.unique(
-        np.linspace(0, len(traj.taus) - 1, samples).round().astype(int)
+    traj = M.evolve(init, w0, beta, pcfg["tau_end"], pcfg["steps"], samples)
+    tau, num = traj.taus, traj.sigma_plus
+    # closed_form, vectorised: exact at tau = 0
+    sp_inf = M.steady_state(w0, beta).sigma_plus
+    decay = np.exp(-M.relaxation_rate(w0, beta) * tau)
+    ref = np.where(
+        tau == 0.0, init.sigma_plus, sp_inf + (init.sigma_plus - sp_inf) * decay
     )
-    rows = []
-    for i in idx:
-        tau = traj.taus[i]
-        num = traj.states[i]
-        ref = M.closed_form(init, w0, beta, tau)
-        rows.append([
-            tau,
-            num.sigma_plus,
-            ref.sigma_plus,
-            num.sigma_minus,
-            ref.sigma_minus,
-            abs(num.sigma_plus - ref.sigma_plus),
-        ])
+    table = np.column_stack(
+        [tau, num, ref, 1.0 - num, 1.0 - ref, np.abs(num - ref)]
+    )
     emit(
         [
             "tau",
@@ -301,7 +324,7 @@ def cmd_populations(config: dict) -> int:
             "sigma_minus_closed",
             "defect",
         ],
-        rows,
+        table,
         config,
     )
     return 0
@@ -374,11 +397,15 @@ def cmd_fermion(config: dict) -> int:
     fcfg = config["fermion"]
     beta = cfg.thermal.beta
     if fcfg["spectrum"] is not None:
-        with open(fcfg["spectrum"], "r", encoding="utf-8") as fh:
-            modes = json.load(fh)
-        spectrum = F.BathSpectrum(
-            tuple((m["omega"], m["g"]) for m in modes), beta
-        )
+        modes = _read_json(fcfg["spectrum"])
+        try:
+            pairs = tuple((m["omega"], m["g"]) for m in modes)
+        except (KeyError, TypeError):
+            raise DomainError(
+                f"spectrum {fcfg['spectrum']} must be a JSON array of "
+                '{"omega": ..., "g": ...} objects'
+            ) from None
+        spectrum = F.BathSpectrum(pairs, beta)
     else:
         spectrum = F.default_bath(cfg.detector.omega0, beta)
     rates = F.fermion_rates(spectrum, cfg.detector.omega0, fcfg["dt"])
@@ -548,13 +575,7 @@ def cmd_verify(config: dict) -> int:
         "passed": sum(r["status"] == "pass" for r in results),
         "total": len(results),
     }
-    path = config["output"]["path"]
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _write(json.dumps(report, sort_keys=True, indent=2) + "\n", config)
     if nonconverged:
         return 2
     return 0 if report["passed"] == report["total"] else 1

@@ -232,12 +232,13 @@ def derivative_coupling_rates(
 
     The n-fold proper-time derivatives act on each image term analytically:
     (u + ic)^-2 -> (-1)^n (2n+1)! (u + ic)^-(2n+2); the interaction carries a
-    compensating omega0^-2n so all orders share the same dimensions.
+    compensating omega0^-2n so all orders share the same dimensions.  n is
+    limited to 0..2, the orders whose image sums have closed forms.
     """
     if alpha <= 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
-    if n < 0:
-        raise DomainError(f"coupling order must be >= 0, got {n}")
+    if not 0 <= n <= 2:
+        raise DomainError(f"coupling order n must be in 0..2, got {n}")
     del reg
     w0, mu = params.omega0, params.mu
     m = 2 * n + 2

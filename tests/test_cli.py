@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from unruh_kinetics.cli import main
+from unruh_kinetics.cli import emit, main
 
 
 def run(capsys, *args):
@@ -64,6 +64,15 @@ def test_populations_defect_column(capsys):
     assert code == 0
     rows = [line.split(",") for line in out.strip().splitlines()[1:]]
     assert all(float(r[5]) < 1e-8 for r in rows)
+
+
+def test_emit_array_rows_match_list_rows(capsys):
+    rows = [[0.0, -0.0, 1.5e-300, 123456.789], [math.nan, math.inf, -math.inf, -2.5]]
+    config = {"output": {"format": "csv", "path": None}}
+    emit(["a", "b", "c", "d"], rows, config)
+    from_list = capsys.readouterr().out
+    emit(["a", "b", "c", "d"], np.array(rows), config)
+    assert capsys.readouterr().out == from_list
 
 
 def test_rates_json_record(capsys):
@@ -141,6 +150,51 @@ def test_unknown_override_is_domain_error(capsys):
 def test_invalid_parameter_exit_code(capsys):
     code, _, _ = run(capsys, "steady", "--thermal.beta", "0")
     assert code == 1
+
+
+def test_malformed_config_json_is_domain_error(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"detector": {"omega0": 2.0')
+    code, _, err = run(capsys, "steady", "--config", str(cfg))
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_non_integer_thread_env_is_domain_error(capsys, monkeypatch):
+    monkeypatch.setenv("UNRUH_KINETICS_THREADS", "abc")
+    code, _, err = run(capsys, "sweep", "--sweep.count", "2")
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode", [{"omega": 1.0}, {"g": 1.0}])
+def test_spectrum_mode_missing_key_is_domain_error(tmp_path, capsys, mode):
+    spec = tmp_path / "modes.json"
+    spec.write_text(json.dumps([mode]))
+    code, _, err = run(capsys, "fermion", "--fermion.spectrum", str(spec))
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_coupling_order_out_of_range_names_n(capsys):
+    code, _, err = run(capsys, "rates", "--rates.n", "40")
+    assert code == 1
+    assert "coupling order n must be in 0..2, got 40" in err
+
+
+def test_populations_cost_follows_samples_not_steps(capsys):
+    # ~9e9 RK4 steps; only the 3 sampled steps are evaluated
+    code, out, _ = run(
+        capsys,
+        "populations",
+        "--populations.tau_end", "1e9",
+        "--populations.samples", "3",
+    )
+    assert code == 0
+    rows = [[float(x) for x in line.split(",")] for line in out.strip().splitlines()[1:]]
+    assert len(rows) == 3
+    assert rows[-1][0] == pytest.approx(1e9, rel=1e-12)
+    assert all(r[5] < 1e-8 for r in rows)
 
 
 def test_output_file_determinism(tmp_path, capsys):

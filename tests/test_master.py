@@ -2,8 +2,9 @@
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from unruh_kinetics.core import DomainError, StepSizeError
 from unruh_kinetics import master as M
@@ -141,3 +142,80 @@ def test_evolve_closed_form_agreement_random(sp, w0, beta):
     traj = M.evolve(init, w0, beta, 10.0)
     ref = M.closed_form(init, w0, beta, 10.0)
     assert traj.final.sigma_plus == pytest.approx(ref.sigma_plus, abs=1e-8)
+
+
+def _rk4_loop(init, w0, beta, tau_end, steps):
+    """Reference: RK4 stepped one step at a time on rate_rhs, conservation
+    re-imposed after every step."""
+    h = tau_end / steps
+    w = 1.0 if math.isinf(beta) else 1.0 / -math.expm1(-w0 * beta)
+    sp, sm = init.sigma_plus, init.sigma_minus
+    out = [sp]
+
+    def f(p, m):
+        return -(w0 / (8.0 * math.pi)) * (m + w * (p - m))
+
+    for _ in range(steps):
+        k1 = f(sp, sm)
+        k2 = f(sp + 0.5 * h * k1, sm - 0.5 * h * k1)
+        k3 = f(sp + 0.5 * h * k2, sm - 0.5 * h * k2)
+        k4 = f(sp + h * k3, sm - h * k3)
+        dp = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        sp, sm = sp + dp, sm - dp
+        total = sp + sm
+        sp, sm = sp / total, sm / total
+        out.append(sp)
+    return np.array(out)
+
+
+@given(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=0.3, max_value=3.0),
+    st.one_of(st.floats(min_value=0.05, max_value=10.0), st.just(math.inf)),
+    st.floats(min_value=0.5, max_value=20.0),
+    st.one_of(st.none(), st.integers(min_value=50, max_value=3000)),
+)
+@example(0.9, 1.0, math.inf, 10.0, None)
+@example(0.2, 2.0, 0.5, 5.0, 2000)
+@settings(max_examples=40, deadline=None)
+def test_evolve_matches_stepwise_rk4(sp, w0, beta, tau_end, steps):
+    init = M.PopulationState(sp, 1.0 - sp)
+    try:
+        traj = M.evolve(init, w0, beta, tau_end, steps)
+    except StepSizeError:
+        return  # explicit step count too coarse; covered elsewhere
+    n = len(traj.taus) - 1
+    h = tau_end / n
+    ref = _rk4_loop(init, w0, beta, tau_end, n)
+    assert traj.sigma_plus[0] == init.sigma_plus
+    assert np.max(np.abs(traj.sigma_plus - ref)) < 1e-13
+    assert np.array_equal(traj.taus, np.arange(n + 1) * h)
+    assert traj.max_defect < 1e-15
+
+
+@pytest.mark.parametrize("samples", [1, 2, 7, 101, 5000])
+def test_evolve_samples_are_rows_of_full_trajectory(samples):
+    init = M.PopulationState(0.8, 0.2)
+    full = M.evolve(init, 1.3, 0.7, 60.0)
+    part = M.evolve(init, 1.3, 0.7, 60.0, samples=samples)
+    steps = len(full.taus) - 1
+    idx = np.unique(np.linspace(0, steps, samples).round().astype(int))
+    assert np.array_equal(part.taus, full.taus[idx])
+    assert np.array_equal(part.sigma_plus, full.sigma_plus[idx])
+
+
+def test_evolve_rejects_bad_span_and_samples():
+    init = M.PopulationState(1.0, 0.0)
+    for tau_end in (-1.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            M.evolve(init, 1.0, 1.0, tau_end)
+    with pytest.raises(DomainError):
+        M.evolve(init, 1.0, 1.0, 10.0, samples=0)
+
+
+def test_trajectory_invariants_are_checked():
+    with pytest.raises(DomainError):
+        M.PopulationTrajectory([0.0, 1.0], [1.0], 1.0, 1.0)
+    for taus in ([0.0, 1.0, 1.0], [0.0, math.nan]):
+        with pytest.raises(DomainError):
+            M.PopulationTrajectory(taus, [1.0] * len(taus), 1.0, 1.0)

@@ -13,7 +13,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unruh_kinetics.core import AtomState, DetectorParams, OrderingParam
+from unruh_kinetics.core import AtomState, DetectorParams, DomainError, OrderingParam
 from unruh_kinetics import rates as R
 from unruh_kinetics.response import response_accelerated
 
@@ -142,6 +142,13 @@ def test_derivative_coupling_order_invariance():
         rep = R.derivative_coupling_rates(p, 1.0, PLUS, n=n)
         assert abs(rep.vf - base.vf) / abs(base.vf) < 1e-3
         assert abs(rep.rr - base.rr) / abs(base.rr) < 1e-3
+
+
+def test_derivative_coupling_order_out_of_range():
+    p = DetectorParams(1.0, 1.0)
+    for n in (-1, 3, 40):
+        with pytest.raises(DomainError, match=f"coupling order n must be in 0..2, got {n}"):
+            R.derivative_coupling_rates(p, 1.0, PLUS, n=n)
 
 
 def test_field_vf_balances_atom_vf():
