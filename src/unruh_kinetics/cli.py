@@ -13,9 +13,7 @@ import argparse
 import copy
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -93,19 +91,7 @@ DEFAULT_CONFIG: dict = {
 # config plumbing
 # ---------------------------------------------------------------------------
 
-def _deep_merge(base: dict, override: dict) -> dict:
-    out = copy.deepcopy(base)
-    for key, val in override.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], val)
-        else:
-            out[key] = copy.deepcopy(val)
-    return out
-
-
 def _coerce(text: str):
-    if text.lower() in ("inf", "+inf", "infinity"):
-        return math.inf
     try:
         return json.loads(text)
     except json.JSONDecodeError:
@@ -113,6 +99,10 @@ def _coerce(text: str):
 
 
 def _set_dotted(config: dict, dotted: str, value) -> None:
+    if isinstance(value, dict):  # an object sets each of its fields
+        for key, val in value.items():
+            _set_dotted(config, f"{dotted}.{key}", val)
+        return
     parts = dotted.split(".")
     node = config
     for part in parts[:-1]:
@@ -121,6 +111,8 @@ def _set_dotted(config: dict, dotted: str, value) -> None:
         node = node[part]
     if parts[-1] not in node:
         raise DomainError(f"unknown config field '{dotted}'")
+    if isinstance(node[parts[-1]], dict):
+        raise DomainError(f"config section '{dotted}' must be an object")
     node[parts[-1]] = value
 
 
@@ -138,7 +130,8 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
         doc = _read_json(path)
         if not isinstance(doc, dict):
             raise DomainError(f"config {path} must be a JSON object")
-        config = _deep_merge(config, doc)
+        for key, val in doc.items():
+            _set_dotted(config, key, val)
     i = 0
     while i < len(overrides):
         arg = overrides[i]
@@ -153,20 +146,70 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
             i += 1
         _set_dotted(config, name, _coerce(raw))
         i += 1
-    beta = config["thermal"]["beta"]
-    if isinstance(beta, str):
-        config["thermal"]["beta"] = _coerce(beta)
+    _check_types(config, DEFAULT_CONFIG)
     return config
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+_INF_WORDS = ("inf", "+inf", "infinity")
+# What a field of each kind accepts, keyed by the kind's description.
+_KINDS = {
+    "a number": _is_number,
+    "an integer": lambda x: _is_number(x) and x % 1 == 0,
+    "a boolean": lambda x: isinstance(x, bool),
+    "a string": lambda x: isinstance(x, str),
+    "a list of numbers": lambda x: (
+        isinstance(x, list) and all(map(_is_number, x))
+    ),
+    "null": lambda x: x is None,
+    "'inf'": lambda x: isinstance(x, str) and x.lower() in _INF_WORDS,
+}
+_KIND_OF_DEFAULT = {
+    bool: "a boolean",
+    int: "an integer",
+    float: "a number",
+    str: "a string",
+    list: "a list of numbers",
+}
+# Fields that accept more than the type of their default shows.
+_FIELD_KINDS = {
+    "thermal.beta": ("a number", "'inf'"),
+    "output.path": ("a string", "null"),
+    "populations.steps": ("an integer", "null"),
+    "rates.atom": ("a string", "a number"),  # plus, minus or <R3>
+    "fermion.spectrum": ("a string", "null"),
+}
+
+
+def _check_types(config: dict, defaults: dict, prefix: str = "") -> None:
+    """Check each field of config against the type of its default, in place.
+
+    'inf' becomes math.inf and an integral float in an integer field an int.
+    """
+    for key, default in defaults.items():
+        name = prefix + key
+        if isinstance(default, dict):
+            _check_types(config[key], default, name + ".")
+            continue
+        kinds = _FIELD_KINDS.get(name) or (_KIND_OF_DEFAULT[type(default)],)
+        value = config[key]
+        kind = next((k for k in kinds if _KINDS[k](value)), None)
+        if kind is None:
+            raise DomainError(
+                f"{name} must be {' or '.join(kinds)}, got {value!r}"
+            )
+        if kind == "'inf'":
+            config[key] = math.inf
+        elif kind == "an integer":
+            config[key] = int(value)
 
 
 def _build(config: dict):
     det = DetectorParams(**config["detector"])
-    beta = config["thermal"]["beta"]
-    try:
-        beta = float(beta)
-    except (TypeError, ValueError):
-        raise DomainError(f"beta must be a number or 'inf', got {beta!r}") from None
-    thermal = ThermalState(beta)
+    thermal = ThermalState(float(config["thermal"]["beta"]))
     traj_cfg = config["trajectory"]
     if traj_cfg["kind"] == "accelerated":
         traj = UniformAcceleration(traj_cfg["alpha"])
@@ -179,12 +222,20 @@ def _build(config: dict):
 
 
 def _grid(spec: dict) -> np.ndarray:
-    count = int(spec["count"])
+    start, stop, count = spec["start"], spec["stop"], spec["count"]
     if count < 1:
         raise DomainError(f"grid count must be >= 1, got {count}")
-    if spec.get("scale", "linear") == "log":
-        return np.geomspace(spec["start"], spec["stop"], count)
-    return np.linspace(spec["start"], spec["stop"], count)
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise DomainError(f"grid ends must be finite, got {start} and {stop}")
+    if spec["scale"] == "linear":
+        return np.linspace(start, stop, count)
+    if spec["scale"] != "log":
+        raise DomainError(
+            f"grid scale must be linear or log, got {spec['scale']!r}"
+        )
+    if min(start, stop) <= 0:
+        raise DomainError(f"log grid ends must be > 0, got {start} and {stop}")
+    return np.geomspace(start, stop, count)
 
 
 def _atom(name) -> AtomState:
@@ -250,21 +301,6 @@ def emit(header: list[str], rows, config: dict) -> None:
     _write(text, config)
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("UNRUH_KINETICS_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise DomainError(
-            f"UNRUH_KINETICS_THREADS must be an integer, got {raw!r}"
-        ) from None
-    if cap < 1:
-        raise DomainError(f"UNRUH_KINETICS_THREADS must be >= 1, got {raw}")
-    return cap
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -303,7 +339,7 @@ def cmd_populations(config: dict) -> int:
     sp = pcfg["sigma_plus"]
     init = M.PopulationState(sp, 1.0 - sp)
     w0, beta = cfg.detector.omega0, cfg.thermal.beta
-    samples = max(1, int(pcfg["samples"]))
+    samples = pcfg["samples"]
     traj = M.evolve(init, w0, beta, pcfg["tau_end"], pcfg["steps"], samples)
     tau, num = traj.taus, traj.sigma_plus
     # closed_form, vectorised: exact at tau = 0
@@ -351,12 +387,10 @@ def cmd_rates(config: dict) -> int:
     rcfg = config["rates"]
     atom = _atom(rcfg["atom"])
     lam = OrderingParam(rcfg["lam"])
-    n = int(rcfg["n"])
+    n = rcfg["n"]
     alpha = getattr(cfg.trajectory, "alpha", 0.0)
     if rcfg["numeric"] or n > 0:
-        report = R.derivative_coupling_rates(
-            cfg.detector, alpha, atom, n, cfg.regularization
-        )
+        report = R.derivative_coupling_rates(cfg.detector, alpha, atom, n)
     else:
         report = R.atom_total_rate(cfg.detector, alpha, atom, lam)
     record = {
@@ -368,7 +402,7 @@ def cmd_rates(config: dict) -> int:
         "coupling_order": report.coupling_order,
     }
     if rcfg["field"]:
-        vf_f, rr_f = R.field_rates(cfg.detector, alpha, atom, cfg.regularization)
+        vf_f, rr_f = R.field_rates(cfg.detector, alpha, atom)
         record["vf_field"] = vf_f
         record["rr_field"] = rr_f
     header = list(record)
@@ -430,15 +464,15 @@ def cmd_fermion(config: dict) -> int:
 
 
 def _sweep_point(config: dict, param: str, value: float) -> list:
-    local = copy.deepcopy(config)
-    _set_dotted(local, param, float(value))
-    cfg = _build(local)
-    quantity = local["sweep"]["quantity"]
+    """Set param to value in config (in place) and evaluate one sweep row."""
+    _set_dotted(config, param, float(value))
+    cfg = _build(config)
+    quantity = config["sweep"]["quantity"]
     if quantity == "steady":
         st = M.steady_state(cfg.detector.omega0, cfg.thermal.beta)
         return [float(value), st.sigma_plus, st.sigma_minus]
     if quantity == "rates":
-        atom = _atom(local["rates"]["atom"])
+        atom = _atom(config["rates"]["atom"])
         alpha = getattr(cfg.trajectory, "alpha", 0.0)
         rep = R.atom_total_rate(cfg.detector, alpha, atom)
         return [float(value), rep.vf, rep.rr, rep.total]
@@ -460,11 +494,8 @@ def cmd_sweep(config: dict) -> int:
     }
     if quantity not in headers:
         raise DomainError(f"unknown sweep quantity '{quantity}'")
-    with ThreadPoolExecutor(max_workers=_thread_cap()) as pool:
-        futures = [
-            pool.submit(_sweep_point, config, scfg["param"], v) for v in values
-        ]
-        rows = [f.result() for f in futures]  # grid order, not completion order
+    local = copy.deepcopy(config)
+    rows = [_sweep_point(local, scfg["param"], v) for v in values]
     emit(headers[quantity], rows, config)
     return 0
 

@@ -20,13 +20,12 @@ from .core import (
     AtomState,
     DomainError,
     Inertial,
-    NonConvergence,
     Regularization,
     SingularInput,
     Trajectory,
     UniformAcceleration,
 )
-from .numerics import extrapolate_to_zero, halving_ladder, neville
+from .numerics import extrapolate_to_zero, halving_ladder
 
 __all__ = [
     "KernelValue",
@@ -168,10 +167,7 @@ def wightman_vacuum_accelerated_sum(
         )
 
     ladder = halving_ladder(reg.epsilon, reg.extrap_steps)
-    vals = [at_eps(e) for e in ladder]
-    re, _ = neville(ladder, [v.real for v in vals])
-    im, _ = neville(ladder, [v.imag for v in vals])
-    return KernelValue(complex(re, im), regularized=False)
+    return KernelValue(extrapolate_to_zero(at_eps, ladder), regularized=False)
 
 
 # ---------------------------------------------------------------------------
@@ -205,14 +201,7 @@ def thermal_image_sum(
         return complex(total + tail)
 
     ladder = halving_ladder(reg.epsilon, reg.extrap_steps)
-    vals = [at_eps(e) for e in ladder]
-    re, dre = neville(ladder, [v.real for v in vals])
-    im, _ = neville(ladder, [v.imag for v in vals])
-    value = complex(re, im)
-    if dre > reg.quad_tol * max(abs(value), 1e-300):
-        raise NonConvergence(
-            f"eps ladder contracted to {dre:.3e}, above quad_tol {reg.quad_tol:.3e}"
-        )
+    value = extrapolate_to_zero(at_eps, ladder, reg.quad_tol)
     return -(1.0 / _FOUR_PI_SQ) * value
 
 
@@ -277,15 +266,8 @@ def g_thermal_inertial_sum(
         return complex(total + tail)
 
     ladder = halving_ladder(reg.epsilon, reg.extrap_steps)
-    vals = [at_eps(e) for e in ladder]
-    re, dre = neville(ladder, [x.real for x in vals])
-    im, _ = neville(ladder, [x.imag for x in vals])
-    value = complex(re, im) / _FOUR_PI_SQ
-    if dre / _FOUR_PI_SQ > reg.quad_tol * max(abs(value), 1e-300):
-        raise NonConvergence(
-            f"eps ladder failed to contract below quad_tol={reg.quad_tol:.3e}"
-        )
-    return KernelValue(value, regularized=False)
+    value = extrapolate_to_zero(at_eps, ladder, reg.quad_tol)
+    return KernelValue(value / _FOUR_PI_SQ, regularized=False)
 
 
 # ---------------------------------------------------------------------------

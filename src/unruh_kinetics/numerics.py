@@ -46,26 +46,26 @@ def neville(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
 
 
 def extrapolate_to_zero(
-    f: Callable[[float], float],
-    x0: float,
-    steps: int,
-    quad_tol: float | None = None,
-) -> float:
-    """Evaluate f on a halving ladder and Neville-extrapolate to x = 0.
+    f: Callable[[float], float | complex],
+    xs: Sequence[float],
+    tol: float | None = None,
+    scale: float = 1e-300,
+) -> float | complex:
+    """Evaluate f on the regulator ladder xs and Neville-extrapolate to x = 0.
 
-    If quad_tol is given, raise NonConvergence when the ladder fails to
-    contract to that relative tolerance.
+    A complex f is extrapolated part by part and gives a complex value.  If
+    tol is given, raise NonConvergence unless the real part's contraction is
+    within tol * max(|value|, scale); a NaN value or contraction fails too.
     """
-    xs = halving_ladder(x0, steps)
     ys = [f(x) for x in xs]
-    value, contraction = neville(xs, ys)
-    if quad_tol is not None:
-        scale = max(abs(value), 1e-300)
-        if contraction > quad_tol * scale:
-            raise NonConvergence(
-                f"extrapolation contracted only to {contraction / scale:.3e} "
-                f"(required {quad_tol:.3e})"
-            )
+    value, contraction = neville(xs, [y.real for y in ys])
+    if isinstance(ys[0], complex):
+        value = complex(value, neville(xs, [y.imag for y in ys])[0])
+    if tol is not None and not contraction <= tol * max(abs(value), scale):
+        raise NonConvergence(
+            f"regulator ladder contracted only to {contraction:.3e} for a "
+            f"value of magnitude {abs(value):.3e} (tolerance {tol:.1e})"
+        )
     return value
 
 

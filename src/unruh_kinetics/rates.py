@@ -19,13 +19,11 @@ from .core import (
     AtomState,
     DetectorParams,
     DomainError,
-    NonConvergence,
     OrderingParam,
-    Regularization,
     SYMMETRIC_ORDERING,
 )
-from .kernels import image_sum_inverse_power
-from .numerics import half_line_cos_sin_integral, neville
+from .kernels import _FOUR_PI_SQ, image_sum_inverse_power
+from .numerics import extrapolate_to_zero, half_line_cos_sin_integral
 
 __all__ = [
     "EnergyRateReport",
@@ -36,8 +34,6 @@ __all__ = [
     "field_rates",
     "derivative_coupling_rates",
 ]
-
-_FOUR_PI_SQ = 4.0 * math.pi**2
 
 # Regulator ladder for the eps -> 0+ extrapolation of the rate integrals.
 # Smaller ladders push the m = 6 kernels (~ c^-5 at the origin) into round-off
@@ -170,25 +166,18 @@ def _extrapolated(
     make_kernel, trig: str, omega0: float, alpha: float, scale: float
 ) -> float:
     """Neville-extrapolate the rate integral over the regulator ladder."""
-    eps = list(_EPS_LADDER)
-    vals = [
-        _rate_integral(make_kernel(2.0 * e), trig, omega0, alpha, 2.0 * e)
-        for e in eps
-    ]
-    value, contraction = neville(eps, vals)
-    if contraction > _CONTRACTION_TOL * max(abs(value), scale):
-        raise NonConvergence(
-            f"regulator ladder contracted only to {contraction:.3e} "
-            f"for a rate of magnitude {abs(value):.3e}"
-        )
-    return value
+
+    def at_eps(e: float) -> float:
+        c = 2.0 * e
+        return _rate_integral(make_kernel(c), trig, omega0, alpha, c)
+
+    return extrapolate_to_zero(at_eps, _EPS_LADDER, _CONTRACTION_TOL, scale)
 
 
 def field_rates(
     params: DetectorParams,
     alpha: float,
     atom: AtomState,
-    reg: Regularization = Regularization(),
 ) -> tuple[float, float]:
     """(vf_field, rr_field): energy-variation rates on the field side.
 
@@ -197,7 +186,6 @@ def field_rates(
     """
     if alpha <= 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
-    del reg  # regulator ladder is fixed internally; see _EPS_LADDER
     w0, mu = params.omega0, params.mu
     scale = w0**2 * mu**2 / (16.0 * math.pi)
 
@@ -226,7 +214,6 @@ def derivative_coupling_rates(
     alpha: float,
     atom: AtomState,
     n: int = 0,
-    reg: Regularization = Regularization(),
 ) -> EnergyRateReport:
     """Numeric VF/RR rates for the n-th derivative coupling, symmetric ordering.
 
@@ -239,7 +226,6 @@ def derivative_coupling_rates(
         raise DomainError(f"alpha must be positive, got {alpha}")
     if not 0 <= n <= 2:
         raise DomainError(f"coupling order n must be in 0..2, got {n}")
-    del reg
     w0, mu = params.omega0, params.mu
     m = 2 * n + 2
     sign_fact = (-1.0) ** n * math.factorial(2 * n + 1)

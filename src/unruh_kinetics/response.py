@@ -11,7 +11,8 @@ import math
 from dataclasses import dataclass
 
 from .core import DomainError, Inertial, Trajectory, UniformAcceleration
-from .numerics import damped_line_integral, halving_ladder, neville
+from .kernels import _FOUR_PI_SQ
+from .numerics import damped_line_integral, extrapolate_to_zero, halving_ladder
 
 __all__ = [
     "ResponseResult",
@@ -21,8 +22,6 @@ __all__ = [
     "inertial_silence_oracle",
     "planck_response_oracle",
 ]
-
-_FOUR_PI_SQ = 4.0 * math.pi**2
 
 
 @dataclass(frozen=True)
@@ -107,16 +106,13 @@ def planck_response_oracle(
     deltas = halving_ladder(delta0, delta_steps)
 
     def at_eps(eps: float) -> float:
-        vals = []
-        for d in deltas:
+        def at_delta(d: float) -> float:
             total = sum(
                 damped_line_integral(deltaE, period * n - 2.0 * eps, d, u_max)
                 for n in range(n_lo, n_hi + 1)
             )
-            vals.append(-total / _FOUR_PI_SQ)
-        value, _ = neville(deltas, vals)
-        return value
+            return -total / _FOUR_PI_SQ
 
-    eps_vals = [at_eps(e) for e in eps_ladder]
-    value, _ = neville(list(eps_ladder), eps_vals)
-    return value
+        return extrapolate_to_zero(at_delta, deltas)
+
+    return extrapolate_to_zero(at_eps, eps_ladder)

@@ -2,7 +2,6 @@
 
 import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -121,8 +120,7 @@ def test_fermion_invalid_coarse_graining_warns(capsys):
     assert "warning" in err
 
 
-def test_sweep_respects_thread_env(capsys, monkeypatch):
-    monkeypatch.setenv("UNRUH_KINETICS_THREADS", "1")
+def test_sweep_rows_in_grid_order(capsys):
     code, out, _ = run(capsys, "sweep", "--sweep.count", "5")
     assert code == 0
     params = [float(l.split(",")[0]) for l in out.strip().splitlines()[1:]]
@@ -160,13 +158,6 @@ def test_malformed_config_json_is_domain_error(tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
-def test_non_integer_thread_env_is_domain_error(capsys, monkeypatch):
-    monkeypatch.setenv("UNRUH_KINETICS_THREADS", "abc")
-    code, _, err = run(capsys, "sweep", "--sweep.count", "2")
-    assert code == 1
-    assert err.startswith("error:") and "Traceback" not in err
-
-
 @pytest.mark.parametrize("mode", [{"omega": 1.0}, {"g": 1.0}])
 def test_spectrum_mode_missing_key_is_domain_error(tmp_path, capsys, mode):
     spec = tmp_path / "modes.json"
@@ -174,6 +165,95 @@ def test_spectrum_mode_missing_key_is_domain_error(tmp_path, capsys, mode):
     code, _, err = run(capsys, "fermion", "--fermion.spectrum", str(spec))
     assert code == 1
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("populations.samples", "abc"),
+        ("populations.samples", "2.5"),
+        ("kernel.sweep.count", "x"),
+        ("populations.tau_end", "abc"),
+        ("populations.steps", "abc"),
+        ("detector.omega0", "abc"),
+        ("detector.omega0", "true"),
+        ("rates.numeric", "1"),
+        ("fermion.init", "[1, \"a\"]"),
+        ("kernel.sweep", "5"),
+    ],
+)
+def test_non_numeric_config_value_is_domain_error(capsys, field, value):
+    code, out, err = run(capsys, "populations", f"--{field}", value)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert field in err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"populations": {"samples": "abc"}},
+        {"thermal": {"beta": "ln2"}},
+        {"detector": {"omega0": 1.0, "spin": 1}},
+        {"detector": 5},
+    ],
+)
+def test_config_file_type_errors_are_domain_errors(tmp_path, capsys, doc):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "steady", "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_config_accepts_inf_null_integral_floats_and_numeric_atom(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "thermal": {"beta": "Infinity"},
+        "populations": {"steps": None, "samples": 3.0},
+        "output": {"path": None},
+    }))
+    code, out, _ = run(capsys, "populations", "--config", str(cfg))
+    assert code == 0 and len(out.strip().splitlines()) == 4
+    code, out, _ = run(capsys, "rates", "--rates.atom", "0.25", "--rates.n", "1.0")
+    assert code == 0
+    assert out.strip().splitlines()[1].endswith(",1")  # coupling_order 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sweep", "--sweep.scale", "lgo"],
+        ["sweep", "--sweep.scale", "log", "--sweep.start", "0"],
+        ["response", "--response.deltaE.scale", "log", "--response.deltaE.stop", "NaN"],
+        ["kernel", "--kernel.sweep.scale", "log", "--kernel.sweep.start", "-1"],
+        ["kernel", "--kernel.sweep.stop", "Infinity"],
+        ["populations", "--populations.samples", "0"],
+    ],
+)
+def test_bad_grid_or_sample_count_is_domain_error(capsys, args):
+    code, out, err = run(capsys, *args)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_log_grid_is_geometric(capsys):
+    code, out, _ = run(
+        capsys, "sweep", "--sweep.scale", "log",
+        "--sweep.start", "0.5", "--sweep.stop", "2.0", "--sweep.count", "3",
+    )
+    assert code == 0
+    params = [float(l.split(",")[0]) for l in out.strip().splitlines()[1:]]
+    assert params == pytest.approx([0.5, 1.0, 2.0], rel=1e-12)
+
+
+def test_nan_numeric_rate_is_numeric_failure(capsys):
+    # np.sinh overflows at alpha = 50 and the regulator ladder turns NaN
+    code, out, err = run(
+        capsys, "rates", "--rates.numeric", "true", "--trajectory.alpha", "50"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("numeric failure:") and "Traceback" not in err
 
 
 def test_coupling_order_out_of_range_names_n(capsys):
