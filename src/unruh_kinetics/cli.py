@@ -315,20 +315,13 @@ def cmd_kernel(config: dict) -> int:
         raise DomainError(f"kernel sweep parameter must be alpha or beta, got {param}")
     values = _grid(sweep)
     rows = []
-    failures = 0
     for val in values:
         alpha = float(val) if param == "alpha" else getattr(
             cfg.trajectory, "alpha", 1.0
         )
         beta = cfg.thermal.beta if param == "alpha" else float(val)
-        try:
-            g = K.g_thermal_accelerated(u, 0.0, beta, alpha, cfg.regularization)
-            rows.append([u, float(val), g.value.real, g.value.imag])
-        except (DomainError, NonConvergence):
-            failures += 1
-            rows.append([u, float(val), math.nan, math.nan])
-    if failures:
-        print(f"warning: {failures} grid point(s) failed", file=sys.stderr)
+        g = K.g_thermal_accelerated(u, 0.0, beta, alpha, cfg.regularization)
+        rows.append([u, float(val), g.value.real, g.value.imag])
     emit(["tau_diff", param, "re_g", "im_g"], rows, config)
     return 0
 
@@ -571,6 +564,15 @@ def _verify_checks(config: dict):
         closed = RS.response_accelerated(1.0, 2.0).rate
         return abs(oracle - closed) / closed, 1e-4
 
+    def response_energy_rate():
+        # ground-state total energy rate = mu^2 omega0 F / 4
+        worst = 0.0
+        for w0, a in [(1.0, 1.0), (1.0, 2.0), (0.5, 3.0)]:
+            total = R.atom_total_rate(DetectorParams(w0), a, AtomState.minus()).total
+            want = w0 * RS.response_accelerated(w0, a).rate / 4.0
+            worst = max(worst, abs(total - want) / want)
+        return worst, 1e-12
+
     return [
         ("lattice_sum", lattice_sum),
         ("accelerated_image_sum", accelerated_image_sum),
@@ -582,6 +584,7 @@ def _verify_checks(config: dict):
         ("energy_decomposition", energy_decomposition),
         ("fermion_limits", fermion_limits),
         ("planck_response", planck_response),
+        ("response_energy_rate", response_energy_rate),
     ]
 
 

@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .core import DomainError
+from .numerics import fermi
 
 __all__ = [
     "BathSpectrum",
@@ -84,13 +84,6 @@ def _window_weight(detuning: float, dt: float) -> float:
     return (1.0 - math.cos(x)) / (detuning * detuning * dt)
 
 
-def _fermi_occupancy(omega: float, beta: float) -> float:
-    """[e^{beta omega} + 1]^-1; 0 at beta = +inf."""
-    if math.isinf(beta):
-        return 0.0
-    return float(expit(-beta * omega))
-
-
 def fermion_rates(
     spectrum: BathSpectrum, omega0: float, dt: float
 ) -> FermionRates:
@@ -105,7 +98,7 @@ def fermion_rates(
     for w, g in spectrum.modes:
         term = 2.0 * g * g * _window_weight(omega0 - w, dt)
         c += term
-        tf += term * _fermi_occupancy(w, spectrum.beta)
+        tf += term * fermi(spectrum.beta * w)  # modes have w > 0
     return FermionRates(C=c, T_F=tf, dt=dt)
 
 

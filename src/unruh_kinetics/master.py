@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .core import DomainError, StepSizeError
+from .numerics import fermi
 
 __all__ = [
     "PopulationState",
@@ -131,7 +131,7 @@ def rate_rhs(
 def steady_state(omega0: float, beta: float) -> PopulationState:
     """Fermi-Dirac pair (1/(1+e^{omega0 beta}), e^{omega0 beta}/(1+e^{omega0 beta}))."""
     _check_params(omega0, beta)
-    sp = 0.0 if math.isinf(beta) else float(expit(-omega0 * beta))
+    sp = fermi(omega0 * beta)  # 0.0 at beta = +inf
     return PopulationState(sp, 1.0 - sp)
 
 

@@ -1,22 +1,34 @@
-"""Shared numerical machinery: extrapolation ladders and oscillatory quadrature."""
+"""Shared numerical machinery: extrapolation ladders and panel quadrature.
+
+Integrals run on one composite 24-point Gauss-Legendre rule (Davis &
+Rabinowitz, *Methods of Numerical Integration*, ch. 2) over [0, u_max], for
+kernels that spike on a scale |c| at u = 0 and oscillate at a frequency omega:
+panel widths double from |c|/100 up to h = min(1, 1/|omega|), then stay h.
+"""
 
 from __future__ import annotations
 
-import warnings
+import math
 from collections.abc import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
-from .core import NonConvergence
+from .core import DomainError, NonConvergence
 
 __all__ = [
     "halving_ladder",
     "neville",
     "extrapolate_to_zero",
+    "fermi",
+    "panel_rule",
+    "panel_integral",
     "damped_line_integral",
     "half_line_cos_sin_integral",
 ]
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+# 10^4 panels are 2.4e5 nodes, ~4 MB per complex array.
+MAX_PANELS = 10_000
 
 
 def halving_ladder(x0: float, steps: int) -> list[float]:
@@ -69,21 +81,53 @@ def extrapolate_to_zero(
     return value
 
 
+def fermi(x: float) -> float:
+    """1 / (1 + e^x), 0.0 once e^x overflows."""
+    return 0.0 if x > 709.782712893384 else 1.0 / (1.0 + math.exp(x))
+
+
+def panel_rule(c: float, omega: float, u_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) of the composite rule on [0, u_max].
+
+    c = 0 has no doubling panels.  A rule of more than MAX_PANELS panels, or
+    a u_max that is not finite, raises DomainError before any allocation.
+    """
+    h = 1.0 / max(1.0, abs(omega))
+    knee = min(h, u_max)
+    edges = [0.0]
+    x = abs(c) / 100.0
+    while 0.0 < x < knee:
+        edges.append(x)
+        x *= 2.0
+    uniform = (u_max - knee) / h
+    if not uniform + len(edges) <= MAX_PANELS:
+        raise DomainError(
+            f"quadrature at omega = {omega}, u_max = {u_max} needs more than "
+            f"{MAX_PANELS} panels"
+        )
+    edges = np.append(edges, np.linspace(knee, u_max, math.ceil(uniform) + 1))
+    half = 0.5 * np.diff(edges)[:, None]
+    nodes = 0.5 * (edges[1:] + edges[:-1])[:, None] + half * _GL_NODES
+    return nodes.ravel(), (half * _GL_WEIGHTS).ravel()
+
+
+def panel_integral(f: Callable, c: float, omega: float, u_max: float) -> float:
+    """int_0^{u_max} f(u) du, f evaluated once on the whole node array."""
+    u, w = panel_rule(c, omega, u_max)
+    return float(w @ f(u))
+
+
 def damped_line_integral(
     omega: float, c: float, delta: float, u_max: float
 ) -> float:
     """Real part of int_{-u_max}^{u_max} e^{-i omega u} e^{-delta |u|} (u + ic)^-2 du.
 
-    Folded onto [0, u_max] via u -> -u and evaluated with QUADPACK's
-    oscillatory-weight rule, which is the only stable option at large u_max.
+    Folded onto [0, u_max] via u -> -u; c = 0 raises DomainError.
     """
-    f_re = lambda u: 2.0 * np.exp(-delta * u) * ((u + 1j * c) ** -2).real
-    f_im = lambda u: 2.0 * np.exp(-delta * u) * ((u + 1j * c) ** -2).imag
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        vr, _ = quad(f_re, 0.0, u_max, weight="cos", wvar=omega, limit=4000)
-        vi, _ = quad(f_im, 0.0, u_max, weight="sin", wvar=omega, limit=4000)
-    return vr + vi
+    if c == 0.0:
+        raise DomainError("c = 0 puts a non-integrable pole on the line")
+    f = lambda u: 2.0 * (np.exp(-(delta + 1j * omega) * u) * (u + 1j * c) ** -2).real
+    return panel_integral(f, c, omega, u_max)
 
 
 def half_line_cos_sin_integral(
@@ -91,16 +135,8 @@ def half_line_cos_sin_integral(
     u_max: float,
     breakpoints: Sequence[float] = (),
 ) -> float:
-    """int_0^{u_max} f(u) du for kernels that are spiky near u = 0.
-
-    The caller folds the trigonometric weight into f; breakpoints mark the
-    spike scales so the adaptive rule resolves them.
-    """
-    pts = sorted({p for p in breakpoints if 0.0 < p < u_max})
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, _ = quad(
-            f, 0.0, u_max, points=pts or None, limit=800,
-            epsabs=1e-13, epsrel=1e-12,
-        )
-    return val
+    """int_0^{u_max} f(u) du on unit-width panels, f called with one float per
+    node; the smallest positive breakpoint is the spike scale c."""
+    c = min((p for p in breakpoints if 0.0 < p < u_max), default=0.0)
+    scalar_calls = lambda u: np.array([f(x) for x in u.tolist()])
+    return panel_integral(scalar_calls, c, 1.0, u_max)

@@ -1,8 +1,8 @@
 """First-order detector response on inertial and accelerated worldlines.
 
 The transition probability per unit (coupling)^2 x (matrix-element sum): zero
-for inertial motion, Planckian for uniform acceleration.  Both closed forms
-come with damped oscillatory-quadrature oracles.
+for inertial motion, Planckian for uniform acceleration; their oracles are a
+damped quadrature and the numeric ground-state energy rate.
 """
 
 from __future__ import annotations
@@ -10,9 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import DomainError, Inertial, Trajectory, UniformAcceleration
+from .core import AtomState, DetectorParams, DomainError, Inertial, Trajectory
+from .core import UniformAcceleration
 from .kernels import _FOUR_PI_SQ
-from .numerics import damped_line_integral, extrapolate_to_zero, halving_ladder
+from .numerics import damped_line_integral
+from .rates import derivative_coupling_rates
 
 __all__ = [
     "ResponseResult",
@@ -82,37 +84,11 @@ def inertial_silence_oracle(
     return -damped_line_integral(deltaE, -eps, eps, u_max) / _FOUR_PI_SQ
 
 
-def planck_response_oracle(
-    deltaE: float,
-    alpha: float,
-    n_lo: int = -4,
-    n_hi: int = 8,
-    delta0: float = 1.0e-2,
-    delta_steps: int = 4,
-    eps_ladder: tuple[float, ...] = (1.0e-3, 5.0e-4, 2.5e-4),
-    u_max: float = 1.0e3,
-) -> float:
-    """Sum-and-quadrature oracle for the accelerated Planck response.
-
-    Each image term -(1/4 pi^2)(u + i c_n)^-2 with c_n = 2 pi n / alpha - 2 eps
-    is integrated against e^{-i deltaE u} under an e^{-delta |u|} damping
-    window; delta -> 0+ by a Neville ladder, then eps -> 0+ by a second ladder
-    (a finite eps shifts every residue by the factor e^{2 deltaE eps}).
-    """
+def planck_response_oracle(deltaE: float, alpha: float) -> float:
+    """F = 4 total / deltaE from the numeric ground-state energy rate at mu = 1,
+    which is mu^2 deltaE F / 4 (Audretsch & Mueller, PRA 50, 1755 (1994))."""
     _check_gap(deltaE)
-    if alpha <= 0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
-    period = 2.0 * math.pi / alpha
-    deltas = halving_ladder(delta0, delta_steps)
-
-    def at_eps(eps: float) -> float:
-        def at_delta(d: float) -> float:
-            total = sum(
-                damped_line_integral(deltaE, period * n - 2.0 * eps, d, u_max)
-                for n in range(n_lo, n_hi + 1)
-            )
-            return -total / _FOUR_PI_SQ
-
-        return extrapolate_to_zero(at_delta, deltas)
-
-    return extrapolate_to_zero(at_eps, eps_ladder)
+    report = derivative_coupling_rates(
+        DetectorParams(deltaE, 1.0), alpha, AtomState.minus(), 0
+    )
+    return 4.0 * report.total / deltaE

@@ -2,6 +2,9 @@
 
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -254,6 +257,42 @@ def test_nan_numeric_rate_is_numeric_failure(capsys):
     )
     assert code == 2 and out == ""
     assert err.startswith("numeric failure:") and "Traceback" not in err
+
+
+def test_unresolved_omega0_is_numeric_failure(capsys):
+    # used to print vf = 1.6e-3 with exit 0 against a closed form of -1.99e4
+    code, out, err = run(
+        capsys, "rates", "--rates.numeric", "true", "--detector.omega0", "1000"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("numeric failure: omega0 = 1000 is beyond")
+
+
+def test_singular_kernel_point_is_domain_error(capsys):
+    code, out, err = run(
+        capsys, "kernel", "--kernel.u", "0", "--kernel.sweep.count", "2"
+    )
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: tau1 = tau2 is singular"]
+
+
+def test_cli_and_numeric_rates_load_only_numpy_and_the_standard_library():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, numpy\n"
+        "before = {m.split('.')[0] for m in sys.modules}\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import unruh_kinetics.cli as cli\n"
+        "assert cli.main(['rates', '--rates.numeric', 'true']) == 0\n"
+        "loaded = {m.split('.')[0] for m in sys.modules} - before\n"
+        "print(sorted(loaded - set(sys.stdlib_module_names) - {'unruh_kinetics'}))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(src)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_coupling_order_out_of_range_names_n(capsys):

@@ -13,7 +13,13 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unruh_kinetics.core import AtomState, DetectorParams, DomainError, OrderingParam
+from unruh_kinetics.core import (
+    AtomState,
+    DetectorParams,
+    DomainError,
+    NonConvergence,
+    OrderingParam,
+)
 from unruh_kinetics import rates as R
 from unruh_kinetics.response import response_accelerated
 
@@ -149,6 +155,19 @@ def test_derivative_coupling_order_out_of_range():
     for n in (-1, 3, 40):
         with pytest.raises(DomainError, match=f"coupling order n must be in 0..2, got {n}"):
             R.derivative_coupling_rates(p, 1.0, PLUS, n=n)
+
+
+@pytest.mark.parametrize("omega0", [5.5, 1e3, 1e9])
+def test_unresolved_omega0_is_nonconvergence_before_quadrature(monkeypatch, omega0):
+    def no_quadrature(*args):
+        raise AssertionError("quadrature nodes built")
+
+    monkeypatch.setattr(R, "panel_integral", no_quadrature)
+    p = DetectorParams(omega0, 1.0)
+    with pytest.raises(NonConvergence, match="regulator ladder resolves"):
+        R.derivative_coupling_rates(p, 1.0, PLUS, 0)
+    with pytest.raises(NonConvergence, match="regulator ladder resolves"):
+        R.field_rates(p, 1.0, PLUS)
 
 
 def test_field_vf_balances_atom_vf():

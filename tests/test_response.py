@@ -73,3 +73,11 @@ def test_planck_oracle_matches_closed_form():
     oracle = RS.planck_response_oracle(1.0, 2.0)
     closed = RS.response_accelerated(1.0, 2.0).rate
     assert abs(oracle - closed) / closed < 1e-4
+
+
+@pytest.mark.parametrize("de, alpha", [(1.0, 1.0), (0.5, 3.0), (2.0, 0.5)])
+def test_planck_oracle_where_the_image_sum_oracle_failed(de, alpha):
+    # the old image-sum oracle was off by 1.7e-3, 2.2e-4 and 7.2e4 here
+    oracle = RS.planck_response_oracle(de, alpha)
+    closed = RS.response_accelerated(de, alpha).rate
+    assert abs(oracle - closed) / closed < 1e-4
