@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import json
 import math
 import sys
@@ -87,6 +88,18 @@ DEFAULT_CONFIG: dict = {
 }
 
 
+# Largest row count a grid or a populations run may ask for.  kernel and
+# response evaluate the whole grid as arrays at once; 10^6 rows are ~50 MB of
+# CSV.
+MAX_COUNT = 1_000_000
+_COUNT_FIELDS = (
+    "kernel.sweep.count",
+    "response.deltaE.count",
+    "sweep.count",
+    "populations.samples",
+)
+
+
 # ---------------------------------------------------------------------------
 # config plumbing
 # ---------------------------------------------------------------------------
@@ -147,6 +160,10 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
         _set_dotted(config, name, _coerce(raw))
         i += 1
     _check_types(config, DEFAULT_CONFIG)
+    for name in _COUNT_FIELDS:
+        count = functools.reduce(dict.__getitem__, name.split("."), config)
+        if count > MAX_COUNT:
+            raise DomainError(f"{name} must be <= {MAX_COUNT}, got {count}")
     return config
 
 
@@ -273,23 +290,34 @@ def _write(text: str, config: dict) -> None:
             fh.write(text)
 
 
+def _csv_rows(table: np.ndarray) -> str:
+    """CSV rows of a 2-D float array, every cell "%.11e" (which prints nan,
+    inf and -inf as _fmt does).  A column whose cells are bit-identical is
+    formatted once and written into the one row format as text."""
+    table = np.ascontiguousarray(table, dtype=float)
+    bits = table.view(np.uint64)
+    const = (bits == bits[:1]).all(axis=0) & (len(table) > 0)
+    row_fmt = ",".join(
+        "%.11e" % table[0, j] if const[j] else "%.11e"
+        for j in range(table.shape[1])
+    )
+    cells = tuple(table[:, ~const].ravel().tolist())
+    return "\n".join([row_fmt] * len(table)) % cells
+
+
 def emit(header: list[str], rows, config: dict) -> None:
     """Write rows as CSV or JSON.  ``rows`` is a list of rows or a 2-D float
-    array; an array's CSV rows use one format string ("%.11e" prints nan,
-    inf and -inf as _fmt does)."""
+    array (see _csv_rows)."""
     fmt = config["output"]["format"]
-    is_array = isinstance(rows, np.ndarray)
-    if is_array:
-        rows = rows.tolist()
     if fmt == "csv":
-        lines = [",".join(header)]
-        if is_array:
-            row_fmt = ",".join(["%.11e"] * len(header))
-            lines += [row_fmt % tuple(row) for row in rows]
+        if isinstance(rows, np.ndarray):
+            body = _csv_rows(rows)
         else:
-            lines += [",".join(_fmt(x) for x in row) for row in rows]
-        text = "\n".join(lines) + "\n"
+            body = "\n".join(",".join(_fmt(x) for x in row) for row in rows)
+        text = ",".join(header) + "\n" + body + "\n"
     elif fmt == "json":
+        if isinstance(rows, np.ndarray):
+            rows = rows.tolist()
         records = [
             {k: (None if isinstance(v, float) and math.isnan(v) else v)
              for k, v in zip(header, row)}
@@ -308,21 +336,23 @@ def emit(header: list[str], rows, config: dict) -> None:
 def cmd_kernel(config: dict) -> int:
     cfg = _build(config)
     kcfg = config["kernel"]
-    u = kcfg["u"]
+    u = float(kcfg["u"])
     sweep = kcfg["sweep"]
     param = sweep["param"]
     if param not in ("alpha", "beta"):
         raise DomainError(f"kernel sweep parameter must be alpha or beta, got {param}")
-    values = _grid(sweep)
-    rows = []
-    for val in values:
-        alpha = float(val) if param == "alpha" else getattr(
-            cfg.trajectory, "alpha", 1.0
+    if not isinstance(cfg.trajectory, UniformAcceleration):
+        raise DomainError(
+            "kernel is the accelerated-frame kernel; it needs "
+            "trajectory.kind accelerated, got inertial"
         )
-        beta = cfg.thermal.beta if param == "alpha" else float(val)
-        g = K.g_thermal_accelerated(u, 0.0, beta, alpha, cfg.regularization)
-        rows.append([u, float(val), g.value.real, g.value.imag])
-    emit(["tau_diff", param, "re_g", "im_g"], rows, config)
+    values = _grid(sweep)
+    if param == "alpha":
+        g = K.g_thermal_accelerated(u, 0.0, cfg.thermal.beta, values).value
+    else:
+        g = K.g_thermal_accelerated(u, 0.0, values, cfg.trajectory.alpha).value
+    table = np.column_stack([np.full(len(values), u), values, g.real, g.imag])
+    emit(["tau_diff", param, "re_g", "im_g"], table, config)
     return 0
 
 
@@ -406,16 +436,13 @@ def cmd_rates(config: dict) -> int:
 def cmd_response(config: dict) -> int:
     cfg = _build(config)
     grid = _grid(config["response"]["deltaE"])
-    rows = []
-    for de in grid:
-        if isinstance(cfg.trajectory, Inertial):
-            res = RS.response_inertial(float(de))
-            alpha = 0.0
-        else:
-            alpha = cfg.trajectory.alpha
-            res = RS.response_accelerated(float(de), alpha)
-        rows.append([float(de), alpha, res.rate])
-    emit(["deltaE", "alpha", "rate"], rows, config)
+    if isinstance(cfg.trajectory, Inertial):
+        res, alpha = RS.response_inertial(grid), 0.0
+    else:
+        alpha = float(cfg.trajectory.alpha)
+        res = RS.response_accelerated(grid, alpha)
+    table = np.column_stack([grid, np.full(len(grid), alpha), res.rate])
+    emit(["deltaE", "alpha", "rate"], table, config)
     return 0
 
 

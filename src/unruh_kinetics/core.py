@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 class DomainError(ValueError):
     """A parameter violates a model invariant."""
@@ -30,6 +32,15 @@ class StepSizeError(RuntimeError):
 def _require_finite(name: str, x: float) -> None:
     if not math.isfinite(x):
         raise DomainError(f"{name} must be finite, got {x}")
+
+
+def require_all(ok, values, what: str) -> None:
+    """Raise DomainError(f"{what}, got {v}") for the first v of the array
+    ``values`` at which the same-shaped mask ``ok`` is false."""
+    if not (ok.all() if isinstance(ok, np.ndarray) else ok):
+        ok = np.asarray(ok)
+        bad = np.broadcast_to(values, ok.shape)[~ok]
+        raise DomainError(f"{what}, got {bad.flat[0]}")
 
 
 @dataclass(frozen=True)

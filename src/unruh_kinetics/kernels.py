@@ -24,6 +24,7 @@ from .core import (
     SingularInput,
     Trajectory,
     UniformAcceleration,
+    require_all,
 )
 from .numerics import extrapolate_to_zero, halving_ladder
 
@@ -49,16 +50,24 @@ __all__ = [
 # Below this speed the finite-v coth closed form loses ~all significant digits
 # to cancellation; switch to the v -> 0 csch^2 limit.
 V_CROSSOVER = 1e-6
-# Below this acceleration the accelerated thermal kernel is evaluated through
-# its inertial limit.
-ALPHA_CROSSOVER = 1e-6
+# |Re w| beyond which coth w and csch^2 w are evaluated from their value at
+# Re w = +-W_CLIP (see _coth_csch2).
+W_CLIP = 20.0
+# |tau1 - tau2| below which the accelerated kernel, ~ -1/(4 pi^2 u^2), is
+# treated as singular: below ~1e-154 its value overflows a double.
+U_MIN = 1e-150
+# Bound on alpha, |tau1| and |tau2| in the accelerated kernel, so that
+# alpha (|tau1| + |tau2|) cannot overflow.
+ARG_MAX = 1e150
 
 _FOUR_PI_SQ = 4.0 * math.pi**2
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
 class KernelValue:
-    """Complex kernel value; regularized=True marks finite-eps evaluation."""
+    """Complex kernel value (a complex array for array arguments);
+    regularized=True marks finite-eps evaluation."""
 
     value: complex
     regularized: bool = False
@@ -72,13 +81,39 @@ class KernelValue:
         return self.value.imag
 
 
-def _check_nonsingular(u: float, eps: float) -> None:
-    if u == 0.0 and eps == 0.0:
+def _check_nonsingular(u, eps: float) -> None:
+    if eps == 0.0 and np.any(np.equal(u, 0.0)):
         raise SingularInput("kernel evaluated at u = 0 with eps = 0")
 
 
-def _csch2(x: complex) -> complex:
-    return 1.0 / np.sinh(x) ** 2
+def _complex(x):
+    """A scalar result as a Python complex; an array as a complex array."""
+    return complex(x) if isinstance(x, np.generic) else x + 0j
+
+
+def _coth_csch2(w):
+    """(coth w, csch^2 w) for any w, without overflow.
+
+    Re w is clipped to +-W_CLIP and the excess carried as e^{-2|excess|}:
+    beyond the clip sinh(w) = sinh(w_clipped) e^{+-excess} and coth(w) =
+    coth(w_clipped) to within e^{-2 W_CLIP} ~ 4e-18 relative, below double
+    rounding.  Inside it this is 1 / sinh^2 and cosh / sinh exactly.
+    """
+    a = w.real
+    excess = a - np.clip(a, -W_CLIP, W_CLIP)
+    w = w - excess
+    sh = np.sinh(w)
+    return np.cosh(w) / sh, np.exp(-2.0 * np.abs(excess)) / sh**2
+
+
+def _exprel_neg(z):
+    """(1 - e^{-z}) / z for z >= 0, 1 at z = 0, without cancellation.
+
+    Adding the smallest normal double leaves z >= 1e-291 unchanged and keeps
+    z = 0 off 0 / 0; below that the value is 1 to double precision.
+    """
+    z = z + _TINY
+    return -np.expm1(-z) / z
 
 
 def _coth(x: float) -> float:
@@ -94,10 +129,10 @@ def image_sum_inverse_power(m: int, z: complex, alpha: float) -> complex:
 
     Obtained by repeated differentiation of the m = 2 lattice identity
     S_2(z) = (alpha/2)^2 csch^2(alpha z / 2) via S_{m+1} = -S_m' / m.
+    z may be an array.
     """
     h = alpha / 2.0
-    s2 = _csch2(h * z)
-    c = np.cosh(h * z) / np.sinh(h * z)
+    c, s2 = _coth_csch2(h * z)
     if m == 2:
         return h**2 * s2
     if m == 3:
@@ -134,18 +169,16 @@ def wightman_vacuum_inertial(u: float, eps: float = 0.0) -> KernelValue:
     return KernelValue(-1.0 / (_FOUR_PI_SQ * (u - 1j * eps) ** 2), regularized=eps > 0)
 
 
-def wightman_vacuum_accelerated(
-    u: float, alpha: float, eps: float = 0.0
-) -> KernelValue:
-    """Closed form -(alpha^2 / 16 pi^2) csch^2(alpha (u - 2 i eps) / 2)."""
-    if alpha <= 0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
+def wightman_vacuum_accelerated(u, alpha, eps: float = 0.0) -> KernelValue:
+    """Closed form -(alpha^2 / 16 pi^2) csch^2(alpha (u - 2 i eps) / 2).
+
+    u and alpha broadcast as arrays; eps is one regulator.
+    """
+    u, alpha = np.float64(u), np.float64(alpha)
+    require_all(alpha > 0, alpha, "alpha must be positive")
     _check_nonsingular(u, eps)
-    z = u - 2j * eps
-    return KernelValue(
-        complex(-(1.0 / _FOUR_PI_SQ) * image_sum_inverse_power(2, z, alpha)),
-        regularized=eps > 0,
-    )
+    w = -(1.0 / _FOUR_PI_SQ) * image_sum_inverse_power(2, u - 2j * eps, alpha)
+    return KernelValue(_complex(w), regularized=eps > 0)
 
 
 def wightman_vacuum_accelerated_sum(
@@ -174,11 +207,16 @@ def wightman_vacuum_accelerated_sum(
 # thermal kernels, inertial frame
 # ---------------------------------------------------------------------------
 
-def thermal_image_closed(u: float, beta: float) -> complex:
-    """-(1 / 4 beta^2) csch^2(pi u / beta), the v -> 0 thermal kernel."""
-    if u == 0.0:
+def thermal_image_closed(u, beta) -> complex:
+    """-(1 / 4 beta^2) csch^2(pi u / beta), the v -> 0 thermal kernel.
+
+    u and beta broadcast as arrays; the value is real, returned as complex.
+    """
+    u, beta = np.float64(u), np.float64(beta)
+    if np.any(u == 0.0):
         raise SingularInput("u = 0 is singular")
-    return -(1.0 / (4.0 * beta**2)) * _csch2(np.pi * u / beta + 0j)
+    _, s2 = _coth_csch2(np.pi * u / beta + 0j)
+    return _complex(-(1.0 / (4.0 * beta**2)) * s2)
 
 
 def thermal_image_sum(
@@ -274,45 +312,56 @@ def g_thermal_inertial_sum(
 # thermal kernel, accelerated frame
 # ---------------------------------------------------------------------------
 
-def g_thermal_accelerated(
-    tau1: float,
-    tau2: float,
-    beta: float,
-    alpha: float,
-    reg: Regularization = Regularization(),
-) -> KernelValue:
+def g_thermal_accelerated(tau1, tau2, beta, alpha) -> KernelValue:
     """Accelerated-frame thermal kernel; depends on tau1 and tau2 separately.
 
-    g = alpha [coth(pi (e^{a t1} - e^{a t2}) / (a beta))
-               - coth(2 pi e^{-a (t1+t2)/2} sinh(a (t1-t2)/2) / (a beta))]
-        / (8 pi beta [cosh(a t1) - cosh(a t2)])
+    g = alpha [coth A1 - coth A2] / (8 pi beta [cosh(a t1) - cosh(a t2)]),
+    A1 = pi (e^{a t1} - e^{a t2}) / (a beta),
+    A2 = 2 pi e^{-a (t1+t2)/2} sinh(a (t1-t2)/2) / (a beta).
 
-    beta = +inf returns the zero-temperature csch^2 closed form; alpha below
-    the crossover returns the inertial thermal kernel.
+    Every argument broadcasts as an array; beta = +inf is zero temperature;
+    alpha, |t1| and |t2| are at most ARG_MAX.
+    g is symmetric under t1 <-> t2 and under (t1, t2) -> (-t2, -t1), so with
+    x = a |t1 - t2| / 2 and c = a |t1 + t2| / 2 >= 0, A1 >= A2 >= 0 and
+    D = A1 - A2 = A1 (1 - e^{-2c}).  The exact identity
+        coth A1 - coth A2 = 2 e^{-2 A2} expm1(-2 D) / (expm1(-2 A1) expm1(-2 A2))
+    and cosh(a t1) - cosh(a t2) = 2 sinh c sinh x turn g into
+        g = -[e^{-x} / (2 pi u F(2x))]^2 e^{-2 A2} F(2D) / (F(2 A1) F(2 A2))
+    with u = |t1 - t2| and F(z) = (1 - e^{-z}) / z (F(0) = 1).  Every
+    exponential decays and nothing cancels, so the one formula covers
+    beta = +inf (A1 = A2 = 0: the csch^2 vacuum form), alpha -> 0 (the
+    inertial thermal kernel), t1 = -t2 (D = 0: -csch^2(A1) / 4 beta^2) and
+    large a t without overflow.  A1 and A2 are capped at ~e^700, where every
+    F and exponential of them has saturated.
     """
-    if alpha <= 0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
-    if math.isnan(beta) or beta <= 0:
-        raise DomainError(f"beta must be positive (or +inf), got {beta}")
-    u = tau1 - tau2
-    if u == 0.0:
-        raise SingularInput("tau1 = tau2 is singular")
-    if math.isinf(beta):
-        return wightman_vacuum_accelerated(u, alpha)
-    if alpha < ALPHA_CROSSOVER:
-        return KernelValue(thermal_image_closed(u, beta), regularized=False)
-    a = alpha
-    arg1 = math.pi * (math.exp(a * tau1) - math.exp(a * tau2)) / (a * beta)
-    arg2 = (
-        2.0
-        * math.pi
-        * math.exp(-0.5 * a * (tau1 + tau2))
-        * math.sinh(0.5 * a * u)
-        / (a * beta)
+    tau1, tau2, beta, alpha = map(np.float64, (tau1, tau2, beta, alpha))
+    require_all((alpha > 0.0) & (alpha <= ARG_MAX), alpha,
+                f"alpha must lie in (0, {ARG_MAX:g}]")
+    require_all(beta > 0.0, beta, "beta must be positive (or +inf)")
+    t_max = np.maximum(abs(tau1), abs(tau2))
+    require_all(t_max <= ARG_MAX, t_max, f"|tau1| and |tau2| must be <= {ARG_MAX:g}")
+    s = tau1 + tau2
+    u, sa = abs(tau1 - tau2), abs(s)
+    if np.any(u < U_MIN):
+        if np.any(u == 0.0):
+            raise SingularInput("tau1 = tau2 is singular")
+        raise SingularInput(f"|tau1 - tau2| < {U_MIN:g} is singular")
+    x = 0.5 * alpha * u
+    f = _exprel_neg(2.0 * x)
+    # A1,2 = F(2x) exp(log_r + x +- c) with log_r = ln(pi u / beta), -inf at
+    # beta = +inf; x + c = a (u + |s|) / 2 and, free of the cancellation of
+    # x against c, x - c = -2 a t1 t2 / (u + |s|).
+    log_r = np.log(np.pi * u) - np.log(beta)
+    a1 = f * np.exp(np.minimum(log_r + 0.5 * alpha * (u + sa), 700.0))
+    a2 = f * np.exp(
+        np.minimum(log_r - 2.0 * alpha * (tau1 * (tau2 / (u + sa))), 700.0)
     )
-    den = 8.0 * math.pi * beta * (math.cosh(a * tau1) - math.cosh(a * tau2))
-    val = a * (_coth(arg1) - _coth(arg2)) / den
-    return KernelValue(complex(val), regularized=False)
+    d = a1 * -np.expm1(-alpha * sa)
+    q = np.exp(-x) / (2.0 * np.pi * u * f)
+    g = -(q * q) * (np.exp(-2.0 * a2) / _exprel_neg(2.0 * a2)) * (
+        _exprel_neg(2.0 * d) / _exprel_neg(2.0 * a1)
+    )
+    return KernelValue(_complex(g), regularized=False)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import AtomState, DetectorParams, DomainError, Inertial, Trajectory
-from .core import UniformAcceleration
+from .core import UniformAcceleration, require_all
 from .kernels import _FOUR_PI_SQ
 from .numerics import damped_line_integral
 from .rates import derivative_coupling_rates
@@ -28,37 +30,58 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ResponseResult:
-    """Transition rate per unit mu^2 * sum of squared matrix elements."""
+    """Transition rate per unit mu^2 * sum of squared matrix elements.
+
+    rate and deltaE are floats, or arrays of one shape for an array of gaps.
+    """
 
     rate: float
     deltaE: float
     trajectory: Trajectory
 
     def __post_init__(self) -> None:
-        if self.rate < 0:
-            raise DomainError(f"rate must be non-negative, got {self.rate}")
+        require_all(np.float64(self.rate) >= 0.0, self.rate,
+                    "rate must be non-negative")
 
 
-def _check_gap(deltaE: float) -> None:
-    if not deltaE > 0:
-        raise DomainError(f"deltaE must be positive, got {deltaE}")
+def _check_gap(deltaE) -> None:
+    require_all((deltaE > 0.0) & (deltaE < np.inf), deltaE,
+                "deltaE must be positive and finite")
 
 
-def response_inertial(deltaE: float) -> ResponseResult:
-    """Inertial detectors never excite: the rate is exactly zero."""
+def _plain(x):
+    """A numpy scalar as a Python float; an array passes through."""
+    return float(x) if isinstance(x, np.generic) else x
+
+
+def response_inertial(deltaE) -> ResponseResult:
+    """Inertial detectors never excite: the rate is exactly zero.
+
+    deltaE may be an array; the rate is then an array of zeros.
+    """
+    deltaE = np.float64(deltaE)
     _check_gap(deltaE)
-    return ResponseResult(rate=0.0, deltaE=deltaE, trajectory=Inertial())
-
-
-def response_accelerated(deltaE: float, alpha: float) -> ResponseResult:
-    """Planck-distributed rate (1/2 pi) deltaE / (e^{2 pi deltaE / alpha} - 1)."""
-    _check_gap(deltaE)
-    if alpha <= 0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
-    x = 2.0 * math.pi * deltaE / alpha
-    rate = 0.0 if x > 700.0 else deltaE / (2.0 * math.pi * math.expm1(x))
     return ResponseResult(
-        rate=rate, deltaE=deltaE, trajectory=UniformAcceleration(alpha)
+        rate=_plain(0.0 * deltaE), deltaE=_plain(deltaE), trajectory=Inertial()
+    )
+
+
+def response_accelerated(deltaE, alpha: float) -> ResponseResult:
+    """Planck-distributed rate (1/2 pi) deltaE / (e^{2 pi deltaE / alpha} - 1).
+
+    deltaE may be an array (one worldline, many gaps).  Written as
+    deltaE e^{-x} / (2 pi (1 - e^{-x})), x = 2 pi deltaE / alpha, the rate
+    underflows to 0 at large x instead of overflowing.
+    """
+    deltaE = np.float64(deltaE)
+    _check_gap(deltaE)
+    if not alpha > 0:
+        raise DomainError(f"alpha must be positive, got {alpha}")
+    x = 2.0 * np.pi * deltaE / alpha
+    rate = deltaE * np.exp(-x) / (-2.0 * np.pi * np.expm1(-x))
+    return ResponseResult(
+        rate=_plain(rate), deltaE=_plain(deltaE),
+        trajectory=UniformAcceleration(alpha),
     )
 
 

@@ -4,12 +4,13 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from unruh_kinetics.cli import emit, main
+from unruh_kinetics.cli import MAX_COUNT, emit, load_config, main
 
 
 def run(capsys, *args):
@@ -251,7 +252,8 @@ def test_log_grid_is_geometric(capsys):
 
 
 def test_nan_numeric_rate_is_numeric_failure(capsys):
-    # np.sinh overflows at alpha = 50 and the regulator ladder turns NaN
+    # at alpha = 50 the regulator ladder does not contract (it used to turn
+    # NaN when np.sinh overflowed)
     code, out, err = run(
         capsys, "rates", "--rates.numeric", "true", "--trajectory.alpha", "50"
     )
@@ -266,6 +268,69 @@ def test_unresolved_omega0_is_numeric_failure(capsys):
     )
     assert code == 2 and out == ""
     assert err.startswith("numeric failure: omega0 = 1000 is beyond")
+
+
+def test_large_alpha_numeric_failure_prints_one_line():
+    # the image sums used to add 14 numpy overflow warnings to stderr
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; sys.path.insert(0, sys.argv[1]); "
+         "from unruh_kinetics.cli import main; sys.exit(main(sys.argv[2:]))",
+         str(src), "rates", "--rates.numeric", "true", "--trajectory.alpha", "50"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("numeric failure:")
+
+
+@pytest.mark.parametrize("beta", ["1.0", "inf"])
+def test_kernel_far_from_the_diagonal_is_finite(capsys, beta):
+    # u = 800 raised OverflowError at finite beta and printed nan at beta = inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(
+            capsys, "kernel", "--kernel.u", "800", "--thermal.beta", beta
+        )
+    assert code == 0 and err == ""
+    rows = np.array([line.split(",") for line in out.strip().splitlines()[1:]], dtype=float)
+    assert rows.shape == (50, 4) and np.all(np.isfinite(rows))
+
+
+def test_kernel_on_an_inertial_trajectory_is_domain_error(capsys):
+    code, out, err = run(capsys, "kernel", "--trajectory.kind", "inertial")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "command, field",
+    [
+        ("kernel", "kernel.sweep.count"),
+        ("response", "response.deltaE.count"),
+        ("sweep", "sweep.count"),
+        ("populations", "populations.samples"),
+    ],
+)
+def test_row_counts_above_the_cap_are_domain_errors(capsys, command, field):
+    # rejected while the config loads, before any array is allocated
+    code, out, err = run(capsys, command, f"--{field}", str(MAX_COUNT + 1))
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        f"error: {field} must be <= {MAX_COUNT}, got {MAX_COUNT + 1}"
+    ]
+    load_config(None, [f"--{field}", str(MAX_COUNT)])  # the cap itself is allowed
+
+
+def test_emit_formats_constant_columns_once_with_the_same_bytes(capsys):
+    rows = [[2.0, 0.0, math.nan, 1.0, -0.0], [2.0, -0.0, math.nan, 3.0, -0.0],
+            [2.0, 0.0, math.nan, -1e-300, -0.0]]
+    config = {"output": {"format": "csv", "path": None}}
+    emit(["a", "b", "c", "d", "e"], rows, config)
+    from_list = capsys.readouterr().out
+    emit(["a", "b", "c", "d", "e"], np.array(rows), config)
+    assert capsys.readouterr().out == from_list
 
 
 def test_singular_kernel_point_is_domain_error(capsys):

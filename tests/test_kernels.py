@@ -1,6 +1,8 @@
 """Two-point kernels against brute-force oracles and closed-form limits."""
 
+import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from unruh_kinetics.core import (
     AtomState,
+    DomainError,
     Inertial,
     NonConvergence,
     Regularization,
@@ -154,6 +157,105 @@ def test_accelerated_thermal_singular_at_equal_times():
         K.g_thermal_accelerated(1.0, 1.0, 1.0, 1.0)
 
 
+def _g_reference(t1, t2, beta, alpha):
+    """The defining coth - coth form.  At t2 = 0, A2 <= pi / (alpha beta)
+    and coth A1 - coth A2 cancels ~2 A2 / ln 10 digits, so the precision
+    grows with 1 / (alpha beta).  The t1 = -t2 limit is -csch^2(A2) / 4 beta^2."""
+    mp = pytest.importorskip("mpmath")
+    digits = 40 + int(2.0 * math.pi / (alpha * beta) / math.log(10.0))
+    with mp.workdps(digits):
+        t1, t2, a = mp.mpf(t1), mp.mpf(t2), mp.mpf(alpha)
+        if math.isinf(beta):
+            return float(-(a / (4 * mp.pi)) ** 2 / mp.sinh(a * (t1 - t2) / 2) ** 2)
+        b = mp.mpf(beta)
+        a2 = 2 * mp.pi * mp.exp(-a * (t1 + t2) / 2) * mp.sinh(a * (t1 - t2) / 2) / (a * b)
+        if t1 == -t2:
+            return float(-1 / (4 * b**2 * mp.sinh(a2) ** 2))
+        a1 = mp.pi * (mp.exp(a * t1) - mp.exp(a * t2)) / (a * b)
+        den = 8 * mp.pi * b * (mp.cosh(a * t1) - mp.cosh(a * t2))
+        return float(a * (mp.coth(a1) - mp.coth(a2)) / den)
+
+
+@pytest.mark.parametrize("u", [-0.5, 0.5, 1.0, 800.0])
+@pytest.mark.parametrize("beta", [0.05, 0.1, 0.4, 1.3, 5.0, math.inf])
+@pytest.mark.parametrize("alpha", [0.1, 0.7, 2.0, 5.0])
+def test_accelerated_thermal_matches_mpmath(u, beta, alpha):
+    # the parent's coth - coth form returned exactly 0 at u = 1, alpha = 1,
+    # beta <= 0.1, lost digits at small beta and overflowed at u = 800
+    for t1, t2 in ((u, 0.0), (u / 2, -u / 2)):
+        want = _g_reference(t1, t2, beta, alpha)
+        got = K.g_thermal_accelerated(t1, t2, beta, alpha).value
+        assert got.imag == 0.0
+        # values below ~1e-300 (down to e^-4000 at u = 800) round to 0 or
+        # to a denormal: only the absolute floor applies there
+        assert abs(got.real - want) <= 1e-12 * abs(want) + 1e-300, (t1, t2)
+
+
+def test_accelerated_thermal_at_opposite_times_is_the_csch2_limit():
+    # t1 = -t2 made both cosh(a t) and both coth arguments equal: 0 / 0
+    t, beta, alpha = 1.0, 1.3, 0.7
+    a = 2.0 * math.pi * math.sinh(alpha * t) / (alpha * beta)
+    want = -1.0 / (4.0 * beta**2 * math.sinh(a) ** 2)
+    got = K.g_thermal_accelerated(t, -t, beta, alpha).value
+    assert got.real == pytest.approx(want, rel=1e-13)
+
+
+def test_accelerated_thermal_arrays_match_scalar_calls():
+    rng = np.random.default_rng(7)
+    n = 400
+    t1, t2 = rng.uniform(-5.0, 5.0, (2, n))
+    beta = np.exp(rng.uniform(-3.0, 2.0, n))
+    beta[::5] = math.inf
+    alpha = np.exp(rng.uniform(-4.0, 2.0, n))
+    arr = K.g_thermal_accelerated(t1, t2, beta, alpha).value
+    one = [K.g_thermal_accelerated(*map(float, p)).value
+           for p in zip(t1, t2, beta, alpha)]
+    assert all(type(v) is complex for v in one)
+    assert np.array_equal(arr, np.array(one))
+    # broadcasting one worldline point over a temperature grid
+    grid = np.linspace(0.4, 5.0, 50)
+    arr = K.g_thermal_accelerated(1.1, 0.0, grid, 1.3).value
+    assert np.array_equal(
+        arr, [K.g_thermal_accelerated(1.1, 0.0, float(b), 1.3).value for b in grid]
+    )
+    u = np.linspace(0.1, 30.0, 50)
+    assert np.array_equal(
+        K.thermal_image_closed(u, 0.8), [K.thermal_image_closed(float(x), 0.8) for x in u]
+    )
+    assert np.array_equal(
+        K.wightman_vacuum_accelerated(u, 1.7).value,
+        [K.wightman_vacuum_accelerated(float(x), 1.7).value for x in u],
+    )
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(1.0, 0.0, 1.0, 0.0), (1.0, 0.0, 1.0, math.inf), (1.0, 0.0, 0.0, 1.0),
+     (1.0, 0.0, math.nan, 1.0), (math.inf, 0.0, 1.0, 1.0),
+     (1.0, -1e200, 1.0, 1.0), (1e10, 0.0, 1.0, 1e300)],
+)
+def test_accelerated_thermal_rejects_bad_arguments(args):
+    with pytest.raises(DomainError):
+        K.g_thermal_accelerated(*args)
+    with pytest.raises(DomainError):  # one bad entry in an array
+        K.g_thermal_accelerated(*(np.array([1.0, x]) for x in args))
+
+
+def test_accelerated_thermal_large_arguments_stay_finite():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for beta in (1.0, math.inf):
+            g = K.g_thermal_accelerated(800.0, 0.0, beta, np.linspace(0.1, 5.0, 50))
+            assert np.all(np.isfinite(g.value))
+        tiny = K.g_thermal_accelerated(1e-100, 0.0, 1.0, 1.0).value.real
+        assert tiny == pytest.approx(-1.0 / (4.0 * math.pi**2 * 1e-200), rel=1e-12)
+        assert K.g_thermal_accelerated(1.0, 0.0, 1.0, 1e-300).value.real == (
+            pytest.approx(K.thermal_image_closed(1.0, 1.0).real, rel=1e-13)
+        )
+    with pytest.raises(SingularInput):
+        K.g_thermal_accelerated(1e-200, 0.0, 1.0, 1.0)
+
+
 # --- field correlation / susceptibility ----------------------------------
 
 def test_field_functions_parity():
@@ -218,6 +320,23 @@ def test_bose_occupancy():
 
 
 # --- image-sum closed forms ----------------------------------------------
+
+@pytest.mark.parametrize("re_w", [0.3, 19.0, 21.0, 40.0, 300.0])
+def test_coth_csch2_beyond_the_clip(re_w):
+    for w in (complex(re_w, 0.4), complex(-re_w, -1.1)):
+        coth, csch2 = K._coth_csch2(w)
+        assert coth == pytest.approx(1.0 / cmath.tanh(w), rel=1e-14)
+        assert csch2 == pytest.approx(1.0 / cmath.sinh(w) ** 2, rel=1e-13)
+
+
+def test_image_sums_do_not_overflow_at_large_alpha():
+    # alpha = 50 used to print 14 overflow warnings from np.sinh / np.cosh
+    z = np.linspace(0.01, 60.0, 1000) - 0.02j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in (2, 3, 4, 5, 6):
+            assert np.all(np.isfinite(K.image_sum_inverse_power(m, z, 50.0)))
+
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_image_sum_closed_forms(m):

@@ -1,6 +1,7 @@
 """Detector response: closed forms, limits, and quadrature oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -81,3 +82,30 @@ def test_planck_oracle_where_the_image_sum_oracle_failed(de, alpha):
     oracle = RS.planck_response_oracle(de, alpha)
     closed = RS.response_accelerated(de, alpha).rate
     assert abs(oracle - closed) / closed < 1e-4
+
+
+def test_accelerated_rate_arrays_match_scalar_calls():
+    grid = np.linspace(1e-6, 60.0, 2001)
+    for alpha in (0.05, 1.3, 40.0):
+        arr = RS.response_accelerated(grid, alpha)
+        one = [RS.response_accelerated(float(de), alpha).rate for de in grid]
+        assert all(type(r) is float for r in one)
+        assert np.array_equal(arr.rate, one)
+        assert arr.rate.shape == arr.deltaE.shape == grid.shape
+    assert np.array_equal(RS.response_inertial(grid).rate, np.zeros_like(grid))
+
+
+def test_accelerated_rate_underflows_without_warnings():
+    # x = 2 pi deltaE / alpha from 1e-9 to 6e5: the rate decays to 0
+    grid = np.geomspace(1e-9, 1e3, 400)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rate = RS.response_accelerated(grid, 1e-2).rate
+    assert np.all(np.isfinite(rate)) and np.all(rate >= 0.0)
+    assert rate[-1] == 0.0 and np.all(np.diff(rate) <= 0.0)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+def test_accelerated_rate_rejects_bad_gap_in_arrays(bad):
+    with pytest.raises(DomainError):
+        RS.response_accelerated(np.array([1.0, bad]), 1.0)
