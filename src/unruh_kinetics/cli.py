@@ -88,16 +88,18 @@ DEFAULT_CONFIG: dict = {
 }
 
 
-# Largest row count a grid or a populations run may ask for.  kernel and
-# response evaluate the whole grid as arrays at once; 10^6 rows are ~50 MB of
-# CSV.
+# Upper limit of every size field.  kernel and response evaluate a whole grid
+# as arrays at once (10^6 rows are ~50 MB of CSV); an image sum holds
+# 2 n_max + 1 terms per regulator; halving_ladder's 2.0**k overflows at 1024.
 MAX_COUNT = 1_000_000
-_COUNT_FIELDS = (
-    "kernel.sweep.count",
-    "response.deltaE.count",
-    "sweep.count",
-    "populations.samples",
-)
+_SIZE_LIMITS = {
+    "kernel.sweep.count": MAX_COUNT,
+    "response.deltaE.count": MAX_COUNT,
+    "sweep.count": MAX_COUNT,
+    "populations.samples": MAX_COUNT,
+    "regularization.n_max": 1_000_000,
+    "regularization.extrap_steps": 60,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +162,10 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
         _set_dotted(config, name, _coerce(raw))
         i += 1
     _check_types(config, DEFAULT_CONFIG)
-    for name in _COUNT_FIELDS:
-        count = functools.reduce(dict.__getitem__, name.split("."), config)
-        if count > MAX_COUNT:
-            raise DomainError(f"{name} must be <= {MAX_COUNT}, got {count}")
+    for name, limit in _SIZE_LIMITS.items():
+        size = functools.reduce(dict.__getitem__, name.split("."), config)
+        if size > limit:
+            raise DomainError(f"{name} must be <= {limit}, got {size}")
     return config
 
 
@@ -497,9 +499,10 @@ def _sweep_point(config: dict, param: str, value: float) -> list:
         rep = R.atom_total_rate(cfg.detector, alpha, atom)
         return [float(value), rep.vf, rep.rr, rep.total]
     if quantity == "response":
-        alpha = getattr(cfg.trajectory, "alpha", 1.0)
-        res = RS.response_accelerated(cfg.detector.omega0, alpha)
-        return [float(value), res.rate]
+        traj, w0 = cfg.trajectory, cfg.detector.omega0
+        if isinstance(traj, Inertial):
+            return [float(value), RS.response_inertial(w0).rate]
+        return [float(value), RS.response_accelerated(w0, traj.alpha).rate]
     raise DomainError(f"unknown sweep quantity '{quantity}'")
 
 
@@ -542,7 +545,7 @@ def _verify_checks(config: dict):
         return abs(s.value - c.value) / abs(c.value), 1e-8
 
     def inertial_finite_v():
-        g = K.g_thermal_inertial(1.0, 1.0, 0.5, reg)
+        g = K.g_thermal_inertial(1.0, 1.0, 0.5)
         s = K.g_thermal_inertial_sum(1.0, 1.0, 0.5, reg)
         return abs(g.value - s.value) / abs(g.value), 1e-8
 

@@ -243,9 +243,7 @@ def thermal_image_sum(
     return -(1.0 / _FOUR_PI_SQ) * value
 
 
-def g_thermal_inertial(
-    u: float, beta: float, v: float, reg: Regularization = Regularization()
-) -> KernelValue:
+def g_thermal_inertial(u: float, beta: float, v: float) -> KernelValue:
     """Finite-v inertial thermal kernel (coth closed form).
 
     g = sqrt(1-v^2) [coth(gamma (v-1) pi u / beta) + coth(gamma (v+1) pi u / beta)]

@@ -33,6 +33,8 @@ __all__ = [
 # sits well under this.
 EVOLVE_TOL = 1.0e-8
 Z_DEFAULT = 0.01
+# Largest RK4 step count: every step index up to 2^53 is exact in a double.
+MAX_STEPS = 2**53
 
 
 @dataclass(frozen=True)
@@ -159,7 +161,10 @@ def closed_form(
 
 
 def _default_steps(gamma: float, tau_end: float) -> int:
-    return max(1, math.ceil(gamma * tau_end / Z_DEFAULT))
+    need = gamma * tau_end / Z_DEFAULT
+    if not need <= MAX_STEPS:
+        raise DomainError(f"tau_end = {tau_end} needs {need:.3e} RK4 steps, > 2^53")
+    return max(1, math.ceil(need))
 
 
 def evolve(
@@ -174,7 +179,8 @@ def evolve(
 
     The default step count caps z = Gamma * h at Z_DEFAULT so the accumulated
     RK4 truncation error stays below EVOLVE_TOL.  An explicit step count that
-    cannot meet EVOLVE_TOL raises StepSizeError.
+    cannot meet EVOLVE_TOL raises StepSizeError.  A step count, explicit or
+    default, above MAX_STEPS = 2^53 raises DomainError.
 
     rate_rhs is linear, d sigma_plus / d tau = -Gamma (sigma_plus - sp_inf),
     so one RK4 step is exactly the affine map
@@ -208,9 +214,14 @@ def evolve(
         steps = _default_steps(gamma, tau_end)
     elif steps < 1:
         raise DomainError(f"steps must be >= 1, got {steps}")
+    elif steps > MAX_STEPS:
+        raise DomainError(f"steps must be <= 2^53, got {steps}")
     else:
         z = gamma * tau_end / steps
-        err_est = abs(init.sigma_plus - sp_inf) * z**4 / 120.0
+        try:
+            err_est = abs(init.sigma_plus - sp_inf) * z**4 / 120.0
+        except OverflowError:  # z beyond ~1e77
+            err_est = math.inf
         if err_est > EVOLVE_TOL:
             raise StepSizeError(
                 f"{steps} steps give error estimate {err_est:.3e} "

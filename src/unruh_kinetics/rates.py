@@ -5,9 +5,10 @@ ordering-independent total, numerically evaluated field-side rates, and the
 derivative-coupling generalization in which the interaction carries n proper-
 time derivatives of the field on each leg.
 
-All numeric rates share one pipeline: analytic image-sum kernels at finite
-regulator c = 2 eps, Gauss-Legendre panel quadrature over the half-line, and
-a Neville ladder extrapolating eps -> 0+.
+All numeric rates share one pipeline: at each regulator c = 2 eps one complex
+image sum S_m(u + ic) is evaluated on a Gauss-Legendre panel rule over the
+half-line; 2 Re S_m (the symmetrized correlation) gives VF and Im S_m (the
+susceptibility) RR, and a Neville ladder extrapolates each eps -> 0+.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .core import (
     SYMMETRIC_ORDERING,
 )
 from .kernels import _FOUR_PI_SQ, image_sum_inverse_power
-from .numerics import extrapolate_to_zero, panel_integral
+from .numerics import extrapolate_to_zero, panel_rule
 
 __all__ = [
     "EnergyRateReport",
@@ -148,24 +149,36 @@ def atom_total_rate(
 # ---------------------------------------------------------------------------
 
 def _extrapolated(
-    kernel, trig, omega0: float, alpha: float, scale: float
-) -> float:
-    """Neville-extrapolate int_0^{u_max} trig(omega0 u) kernel(u, c) du over
-    the regulator ladder; each regulator evaluates kernel once on the nodes."""
+    m: int, vf: tuple, rr: tuple, omega0: float, alpha: float, scale: float
+) -> tuple[float, float]:
+    """Neville-extrapolated (VF, RR) of int_0^{u_max} trig(omega0 u) k K(u) du,
+    (trig, k) = vf with K = 2 Re S and (trig, k) = rr with K = Im S, where
+    S = image_sum_inverse_power(m, u + ic, alpha) = conj S(u - ic) is
+    evaluated once per regulator.  VF is contraction-checked first."""
     if not omega0 <= _OMEGA0_MAX:
         raise NonConvergence(
             f"omega0 = {omega0} is beyond what the regulator ladder resolves "
             f"(omega0 <= {_OMEGA0_MAX})"
         )
     u_max = min(60.0 / min(omega0, alpha), 400.0)
+    (trig_vf, k_vf), (trig_rr, k_rr) = vf, rr
 
-    def at_eps(e: float) -> float:
+    def at_eps(e: float) -> tuple[float, float]:
         c = 2.0 * e
-        return panel_integral(
-            lambda u: trig(omega0 * u) * kernel(u, c), c, omega0, u_max
+        u, w = panel_rule(c, omega0, u_max)
+        s = image_sum_inverse_power(m, u + 1j * c, alpha)
+        return (
+            float(w @ (trig_vf(omega0 * u) * (k_vf * (2.0 * s.real)))),
+            float(w @ (trig_rr(omega0 * u) * (k_rr * s.imag))),
         )
 
-    return extrapolate_to_zero(at_eps, _EPS_LADDER, _CONTRACTION_TOL, scale)
+    pairs = {e: at_eps(e) for e in _EPS_LADDER}
+    return tuple(
+        extrapolate_to_zero(
+            lambda e: pairs[e][part], _EPS_LADDER, _CONTRACTION_TOL, scale
+        )
+        for part in (0, 1)
+    )
 
 
 def field_rates(
@@ -175,29 +188,16 @@ def field_rates(
 ) -> tuple[float, float]:
     """(vf_field, rr_field): energy-variation rates on the field side.
 
-    Cubic image-sum kernels S_3 integrated against sin / cos of the level
-    splitting; eps -> 0+ by the shared Neville ladder.
+    Cubic image-sum kernel S_3 integrated against sin (VF) / cos (RR) of the
+    level splitting; eps -> 0+ by the shared Neville ladder.
     """
     if alpha <= 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
     w0, mu = params.omega0, params.mu
     scale = w0**2 * mu**2 / (16.0 * math.pi)
-
-    def vf_kernel(u, c: float):
-        return (image_sum_inverse_power(3, u - 1j * c, alpha)
-                + image_sum_inverse_power(3, u + 1j * c, alpha)).real
-
-    def rr_kernel(u, c: float):
-        return image_sum_inverse_power(3, u + 1j * c, alpha).imag
-
-    vf = (
-        (mu**2 / _FOUR_PI_SQ)
-        * atom.r3_expectation
-        * _extrapolated(vf_kernel, np.sin, w0, alpha, scale)
-    )
-    rr = -(mu**2 / _FOUR_PI_SQ) * _extrapolated(
-        rr_kernel, np.cos, w0, alpha, scale
-    )
+    vf_int, rr_int = _extrapolated(3, (np.sin, 1.0), (np.cos, 1.0), w0, alpha, scale)
+    vf = (mu**2 / _FOUR_PI_SQ) * atom.r3_expectation * vf_int
+    rr = -(mu**2 / _FOUR_PI_SQ) * rr_int
     return vf, rr
 
 
@@ -219,28 +219,15 @@ def derivative_coupling_rates(
     if not 0 <= n <= 2:
         raise DomainError(f"coupling order n must be in 0..2, got {n}")
     w0, mu = params.omega0, params.mu
-    m = 2 * n + 2
     sign_fact = (-1.0) ** n * math.factorial(2 * n + 1)
     scale = w0**2 * mu**2 / (16.0 * math.pi)
     dim = mu**2 * w0 / w0 ** (2 * n)
-
-    def corr_kernel(u, c: float):
-        # n-th derivative of the symmetrized field correlation function
-        return -(sign_fact / (8.0 * math.pi**2)) * (
-            image_sum_inverse_power(m, u - 1j * c, alpha)
-            + image_sum_inverse_power(m, u + 1j * c, alpha)
-        ).real
-
-    def susc_kernel(u, c: float):
-        # n-th derivative of the field susceptibility
-        return (sign_fact / (4.0 * math.pi**2)) * image_sum_inverse_power(
-            m, u + 1j * c, alpha
-        ).imag
-
-    vf = -dim * atom.r3_expectation * _extrapolated(
-        corr_kernel, np.cos, w0, alpha, scale
-    )
-    rr = 0.5 * dim * _extrapolated(susc_kernel, np.sin, w0, alpha, scale)
+    # n-th derivatives of the symmetrized field correlation and susceptibility
+    corr = (np.cos, -(sign_fact / (8.0 * math.pi**2)))
+    susc = (np.sin, sign_fact / (4.0 * math.pi**2))
+    vf_int, rr_int = _extrapolated(2 * n + 2, corr, susc, w0, alpha, scale)
+    vf = -dim * atom.r3_expectation * vf_int
+    rr = 0.5 * dim * rr_int
     return EnergyRateReport(
         total=vf + rr,
         lam=SYMMETRIC_ORDERING,

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from unruh_kinetics.cli import MAX_COUNT, emit, load_config, main
+from unruh_kinetics.cli import _SIZE_LIMITS, emit, load_config, main
 
 
 def run(capsys, *args):
@@ -131,6 +131,21 @@ def test_sweep_rows_in_grid_order(capsys):
     assert params == sorted(params)  # grid order preserved
 
 
+def test_inertial_response_sweep_is_zero_like_response(capsys):
+    inertial = ("--trajectory.kind", "inertial")
+    code, out, err = run(
+        capsys, "sweep", *inertial, "--sweep.quantity", "response"
+    )
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [float(r[1]) for r in rows] == [0.0] * 4
+    code, out, _ = run(capsys, "response", *inertial)
+    assert code == 0
+    assert {line.split(",")[2] for line in out.strip().splitlines()[1:]} == {
+        rows[0][1]
+    }
+
+
 def test_config_file_and_dotted_override(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"detector": {"omega0": 2.0}}))
@@ -233,6 +248,10 @@ def test_config_accepts_inf_null_integral_floats_and_numeric_atom(tmp_path, caps
         ["kernel", "--kernel.sweep.scale", "log", "--kernel.sweep.start", "-1"],
         ["kernel", "--kernel.sweep.stop", "Infinity"],
         ["populations", "--populations.samples", "0"],
+        # more than 2^53 RK4 steps, explicit or default
+        ["populations", "--populations.steps", "1e21"],
+        ["populations", "--detector.omega0", "1e300"],
+        ["populations", "--populations.tau_end", "1e300"],
     ],
 )
 def test_bad_grid_or_sample_count_is_domain_error(capsys, args):
@@ -311,16 +330,19 @@ def test_kernel_on_an_inertial_trajectory_is_domain_error(capsys):
         ("response", "response.deltaE.count"),
         ("sweep", "sweep.count"),
         ("populations", "populations.samples"),
+        # n_max = 10^8 used to run without bound, extrap_steps = 1100 to
+        # overflow 2.0**k in halving_ladder
+        ("verify", "regularization.n_max"),
+        ("verify", "regularization.extrap_steps"),
     ],
 )
 def test_row_counts_above_the_cap_are_domain_errors(capsys, command, field):
     # rejected while the config loads, before any array is allocated
-    code, out, err = run(capsys, command, f"--{field}", str(MAX_COUNT + 1))
+    cap = _SIZE_LIMITS[field]
+    code, out, err = run(capsys, command, f"--{field}", str(cap + 1))
     assert code == 1 and out == ""
-    assert err.splitlines() == [
-        f"error: {field} must be <= {MAX_COUNT}, got {MAX_COUNT + 1}"
-    ]
-    load_config(None, [f"--{field}", str(MAX_COUNT)])  # the cap itself is allowed
+    assert err.splitlines() == [f"error: {field} must be <= {cap}, got {cap + 1}"]
+    load_config(None, [f"--{field}", str(cap)])  # the cap itself is allowed
 
 
 def test_emit_formats_constant_columns_once_with_the_same_bytes(capsys):

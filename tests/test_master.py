@@ -213,6 +213,21 @@ def test_evolve_rejects_bad_span_and_samples():
         M.evolve(init, 1.0, 1.0, 10.0, samples=0)
 
 
+def test_evolve_rejects_step_counts_above_2_53():
+    init = M.PopulationState(1.0, 0.0)
+    with pytest.raises(DomainError, match=r"steps must be <= 2\^53"):
+        M.evolve(init, 1.0, 1.0, 100.0, steps=M.MAX_STEPS + 1, samples=3)
+    # default step counts: a huge rate, a huge span, and both (Gamma tau = inf)
+    for w0, tau_end in [(1e300, 100.0), (1.0, 1e300), (1e300, 1e300)]:
+        with pytest.raises(DomainError, match=r"RK4 steps, > 2\^53"):
+            M.evolve(init, w0, 1.0, tau_end, samples=3)
+    # too few explicit steps where z = Gamma h overflows z^4
+    with pytest.raises(DomainError, match=r"RK4 steps, > 2\^53"):
+        M.evolve(init, 1e300, 1.0, 100.0, steps=10, samples=3)
+    traj = M.evolve(init, 1.0, 1.0, 100.0, steps=M.MAX_STEPS, samples=3)
+    assert traj.taus[-1] == 100.0
+
+
 def test_trajectory_invariants_are_checked():
     with pytest.raises(DomainError):
         M.PopulationTrajectory([0.0, 1.0], [1.0], 1.0, 1.0)

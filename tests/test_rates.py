@@ -162,7 +162,7 @@ def test_unresolved_omega0_is_nonconvergence_before_quadrature(monkeypatch, omeg
     def no_quadrature(*args):
         raise AssertionError("quadrature nodes built")
 
-    monkeypatch.setattr(R, "panel_integral", no_quadrature)
+    monkeypatch.setattr(R, "panel_rule", no_quadrature)
     p = DetectorParams(omega0, 1.0)
     with pytest.raises(NonConvergence, match="regulator ladder resolves"):
         R.derivative_coupling_rates(p, 1.0, PLUS, 0)
