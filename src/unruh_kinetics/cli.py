@@ -4,7 +4,8 @@ One JSON config document drives every subcommand; any field can be overridden
 on the command line by its dotted name (e.g. --detector.omega0 2.0).  Output
 is deterministic CSV (12 significant digits) or JSON.
 
-Exit codes: 0 success, 1 domain error, 2 numeric non-convergence, 3 I/O error.
+Exit codes: 0 success, 1 domain error, 2 numeric non-convergence (a NaN in
+the output table or a float overflow included), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -206,7 +207,8 @@ _FIELD_KINDS = {
 def _check_types(config: dict, defaults: dict, prefix: str = "") -> None:
     """Check each field of config against the type of its default, in place.
 
-    'inf' becomes math.inf and an integral float in an integer field an int.
+    'inf' becomes math.inf, a number a float and an integral float in an
+    integer field an int.
     """
     for key, default in defaults.items():
         name = prefix + key
@@ -222,13 +224,15 @@ def _check_types(config: dict, defaults: dict, prefix: str = "") -> None:
             )
         if kind == "'inf'":
             config[key] = math.inf
+        elif kind == "a number":
+            config[key] = float(value)
         elif kind == "an integer":
             config[key] = int(value)
 
 
 def _build(config: dict):
     det = DetectorParams(**config["detector"])
-    thermal = ThermalState(float(config["thermal"]["beta"]))
+    thermal = ThermalState(config["thermal"]["beta"])
     traj_cfg = config["trajectory"]
     if traj_cfg["kind"] == "accelerated":
         traj = UniformAcceleration(traj_cfg["alpha"])
@@ -275,12 +279,13 @@ def _fmt(x) -> str:
     if isinstance(x, bool):
         return str(x).lower()
     if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
         return f"{x:.11e}"
     return str(x)
+
+
+# What a table command returns to main: its header and its rows, a list of
+# rows or a 2-D float array.
+Table = tuple[list[str], list | np.ndarray]
 
 
 def _write(text: str, config: dict) -> None:
@@ -292,13 +297,16 @@ def _write(text: str, config: dict) -> None:
             fh.write(text)
 
 
-def _csv_rows(table: np.ndarray) -> str:
-    """CSV rows of a 2-D float array, every cell "%.11e" (which prints nan,
-    inf and -inf as _fmt does).  A column whose cells are bit-identical is
-    formatted once and written into the one row format as text."""
-    table = np.ascontiguousarray(table, dtype=float)
+def _csv_rows(rows) -> str:
+    """CSV rows, every float cell "%.11e".  One row is formatted cell by cell
+    (its None, bool and int cells included); a longer table is read as a
+    2-D float array, and a column whose cells are bit-identical is formatted
+    once and written into the one row format as text."""
+    if len(rows) == 1:
+        return ",".join(map(_fmt, rows[0]))
+    table = np.ascontiguousarray(rows, dtype=float)
     bits = table.view(np.uint64)
-    const = (bits == bits[:1]).all(axis=0) & (len(table) > 0)
+    const = (bits == bits[:1]).all(axis=0)
     row_fmt = ",".join(
         "%.11e" % table[0, j] if const[j] else "%.11e"
         for j in range(table.shape[1])
@@ -307,25 +315,21 @@ def _csv_rows(table: np.ndarray) -> str:
     return "\n".join([row_fmt] * len(table)) % cells
 
 
+def _has_nan(rows) -> bool:
+    """True if a cell is NaN, split as _csv_rows splits the table."""
+    return any(x != x for x in rows[0]) or bool(
+        np.isnan(np.asarray(rows[1:], dtype=float)).any()
+    )
+
+
 def emit(header: list[str], rows, config: dict) -> None:
-    """Write rows as CSV or JSON.  ``rows`` is a list of rows or a 2-D float
-    array (see _csv_rows)."""
+    """Write rows (a list of rows or a 2-D float array) as CSV or JSON."""
     fmt = config["output"]["format"]
     if fmt == "csv":
-        if isinstance(rows, np.ndarray):
-            body = _csv_rows(rows)
-        else:
-            body = "\n".join(",".join(_fmt(x) for x in row) for row in rows)
-        text = ",".join(header) + "\n" + body + "\n"
+        text = ",".join(header) + "\n" + _csv_rows(rows) + "\n"
     elif fmt == "json":
-        if isinstance(rows, np.ndarray):
-            rows = rows.tolist()
-        records = [
-            {k: (None if isinstance(v, float) and math.isnan(v) else v)
-             for k, v in zip(header, row)}
-            for row in rows
-        ]
-        text = json.dumps(records, sort_keys=True, indent=2, default=str) + "\n"
+        records = [dict(zip(header, row)) for row in rows]
+        text = json.dumps(records, sort_keys=True, indent=2) + "\n"
     else:
         raise DomainError(f"unknown output format '{fmt}'")
     _write(text, config)
@@ -335,10 +339,10 @@ def emit(header: list[str], rows, config: dict) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_kernel(config: dict) -> int:
+def cmd_kernel(config: dict) -> Table:
     cfg = _build(config)
     kcfg = config["kernel"]
-    u = float(kcfg["u"])
+    u = kcfg["u"]
     sweep = kcfg["sweep"]
     param = sweep["param"]
     if param not in ("alpha", "beta"):
@@ -354,11 +358,10 @@ def cmd_kernel(config: dict) -> int:
     else:
         g = K.g_thermal_accelerated(u, 0.0, values, cfg.trajectory.alpha).value
     table = np.column_stack([np.full(len(values), u), values, g.real, g.imag])
-    emit(["tau_diff", param, "re_g", "im_g"], table, config)
-    return 0
+    return ["tau_diff", param, "re_g", "im_g"], table
 
 
-def cmd_populations(config: dict) -> int:
+def cmd_populations(config: dict) -> Table:
     cfg = _build(config)
     pcfg = config["populations"]
     sp = pcfg["sigma_plus"]
@@ -376,22 +379,18 @@ def cmd_populations(config: dict) -> int:
     table = np.column_stack(
         [tau, num, ref, 1.0 - num, 1.0 - ref, np.abs(num - ref)]
     )
-    emit(
-        [
-            "tau",
-            "sigma_plus_numeric",
-            "sigma_plus_closed",
-            "sigma_minus_numeric",
-            "sigma_minus_closed",
-            "defect",
-        ],
-        table,
-        config,
-    )
-    return 0
+    header = [
+        "tau",
+        "sigma_plus_numeric",
+        "sigma_plus_closed",
+        "sigma_minus_numeric",
+        "sigma_minus_closed",
+        "defect",
+    ]
+    return header, table
 
 
-def cmd_steady(config: dict) -> int:
+def cmd_steady(config: dict) -> Table:
     cfg = _build(config)
     w0, beta = cfg.detector.omega0, cfg.thermal.beta
     st = M.steady_state(w0, beta)
@@ -399,15 +398,10 @@ def cmd_steady(config: dict) -> int:
         w0, beta, st.sigma_plus, st.sigma_minus,
         M.detailed_balance_ratio(w0, beta),
     ]]
-    emit(
-        ["omega0", "beta", "sigma_plus", "sigma_minus", "balance_ratio"],
-        rows,
-        config,
-    )
-    return 0
+    return ["omega0", "beta", "sigma_plus", "sigma_minus", "balance_ratio"], rows
 
 
-def cmd_rates(config: dict) -> int:
+def cmd_rates(config: dict) -> Table:
     cfg = _build(config)
     rcfg = config["rates"]
     atom = _atom(rcfg["atom"])
@@ -430,25 +424,22 @@ def cmd_rates(config: dict) -> int:
         vf_f, rr_f = R.field_rates(cfg.detector, alpha, atom)
         record["vf_field"] = vf_f
         record["rr_field"] = rr_f
-    header = list(record)
-    emit(header, [[record[k] for k in header]], config)
-    return 0
+    return list(record), [list(record.values())]
 
 
-def cmd_response(config: dict) -> int:
+def cmd_response(config: dict) -> Table:
     cfg = _build(config)
     grid = _grid(config["response"]["deltaE"])
     if isinstance(cfg.trajectory, Inertial):
         res, alpha = RS.response_inertial(grid), 0.0
     else:
-        alpha = float(cfg.trajectory.alpha)
+        alpha = cfg.trajectory.alpha
         res = RS.response_accelerated(grid, alpha)
     table = np.column_stack([grid, np.full(len(grid), alpha), res.rate])
-    emit(["deltaE", "alpha", "rate"], table, config)
-    return 0
+    return ["deltaE", "alpha", "rate"], table
 
 
-def cmd_fermion(config: dict) -> int:
+def cmd_fermion(config: dict) -> Table:
     cfg = _build(config)
     fcfg = config["fermion"]
     beta = cfg.thermal.beta
@@ -480,47 +471,43 @@ def cmd_fermion(config: dict) -> int:
         "C", "T_F", "dt", "d_sigma00", "d_sigma11",
         "energy_rate", "coarse_graining_ratio", "valid",
     ]
-    rows = [[rates.C, rates.T_F, rates.dt, d0, d1, energy, ratio, valid]]
-    emit(header, rows, config)
-    return 0
+    return header, [[rates.C, rates.T_F, rates.dt, d0, d1, energy, ratio, valid]]
+
+
+_SWEEP_HEADERS = {
+    "steady": ["param", "sigma_plus", "sigma_minus"],
+    "rates": ["param", "vf", "rr", "total"],
+    "response": ["param", "rate"],
+}
 
 
 def _sweep_point(config: dict, param: str, value: float) -> list:
     """Set param to value in config (in place) and evaluate one sweep row."""
-    _set_dotted(config, param, float(value))
+    _set_dotted(config, param, value)
     cfg = _build(config)
     quantity = config["sweep"]["quantity"]
     if quantity == "steady":
         st = M.steady_state(cfg.detector.omega0, cfg.thermal.beta)
-        return [float(value), st.sigma_plus, st.sigma_minus]
+        return [value, st.sigma_plus, st.sigma_minus]
     if quantity == "rates":
         atom = _atom(config["rates"]["atom"])
         alpha = getattr(cfg.trajectory, "alpha", 0.0)
         rep = R.atom_total_rate(cfg.detector, alpha, atom)
-        return [float(value), rep.vf, rep.rr, rep.total]
-    if quantity == "response":
-        traj, w0 = cfg.trajectory, cfg.detector.omega0
-        if isinstance(traj, Inertial):
-            return [float(value), RS.response_inertial(w0).rate]
-        return [float(value), RS.response_accelerated(w0, traj.alpha).rate]
-    raise DomainError(f"unknown sweep quantity '{quantity}'")
+        return [value, rep.vf, rep.rr, rep.total]
+    traj, w0 = cfg.trajectory, cfg.detector.omega0
+    if isinstance(traj, Inertial):
+        return [value, RS.response_inertial(w0).rate]
+    return [value, RS.response_accelerated(w0, traj.alpha).rate]
 
 
-def cmd_sweep(config: dict) -> int:
+def cmd_sweep(config: dict) -> Table:
     scfg = config["sweep"]
     values = _grid(scfg)
-    quantity = scfg["quantity"]
-    headers = {
-        "steady": ["param", "sigma_plus", "sigma_minus"],
-        "rates": ["param", "vf", "rr", "total"],
-        "response": ["param", "rate"],
-    }
-    if quantity not in headers:
-        raise DomainError(f"unknown sweep quantity '{quantity}'")
+    if scfg["quantity"] not in _SWEEP_HEADERS:
+        raise DomainError(f"unknown sweep quantity '{scfg['quantity']}'")
     local = copy.deepcopy(config)
-    rows = [_sweep_point(local, scfg["param"], v) for v in values]
-    emit(headers[quantity], rows, config)
-    return 0
+    rows = [_sweep_point(local, scfg["param"], v) for v in values.tolist()]
+    return _SWEEP_HEADERS[scfg["quantity"]], np.array(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -678,11 +665,18 @@ def main(argv: list[str] | None = None) -> int:
             config["output"]["path"] = args.out
         if args.format is not None:
             config["output"]["format"] = args.format
-        return _COMMANDS[args.command](config)
+        result = _COMMANDS[args.command](config)
+        if args.command == "verify":  # its exit code is its checks' verdict
+            return result
+        header, rows = result
+        if _has_nan(rows):
+            raise NonConvergence(f"{args.command} computed a NaN")
+        emit(header, rows, config)
+        return 0
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (NonConvergence, StepSizeError) as exc:
+    except (NonConvergence, StepSizeError, OverflowError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

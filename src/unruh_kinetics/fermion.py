@@ -91,8 +91,8 @@ def fermion_rates(
     by the Fermi occupancy of the bath mode."""
     if not omega0 > 0:
         raise DomainError(f"omega0 must be positive, got {omega0}")
-    if not dt > 0:
-        raise DomainError(f"dt must be positive, got {dt}")
+    if not 0 < dt < math.inf:
+        raise DomainError(f"dt must be positive and finite, got {dt}")
     c = 0.0
     tf = 0.0
     for w, g in spectrum.modes:
@@ -131,7 +131,10 @@ def coarse_graining_diagnostic(v_typ: float, tau_c: float) -> float:
     """Third-to-second-order ratio 2 v tau_c of the coarse-grained expansion."""
     if v_typ < 0 or tau_c < 0:
         raise DomainError("interaction strength and correlation time must be >= 0")
-    return 2.0 * v_typ * tau_c
+    ratio = 2.0 * v_typ * tau_c
+    if not math.isfinite(ratio):
+        raise DomainError(f"coarse-graining ratio 2 v tau_c must be finite, got {ratio}")
+    return ratio
 
 
 def coarse_graining_valid(v_typ: float, tau_c: float) -> bool:

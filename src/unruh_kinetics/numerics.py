@@ -69,7 +69,8 @@ def extrapolate_to_zero(
     tol is given, raise NonConvergence unless the real part's contraction is
     within tol * max(|value|, scale); a NaN value or contraction fails too.
     """
-    ys = [f(x) for x in xs]
+    with np.errstate(all="ignore"):  # an overflow gives a NaN that tol refuses
+        ys = [f(x) for x in xs]
     value, contraction = neville(xs, [y.real for y in ys])
     if isinstance(ys[0], complex):
         value = complex(value, neville(xs, [y.imag for y in ys])[0])

@@ -157,7 +157,7 @@ def _extrapolated(
     evaluated once per regulator.  VF is contraction-checked first."""
     if not omega0 <= _OMEGA0_MAX:
         raise NonConvergence(
-            f"omega0 = {omega0} is beyond what the regulator ladder resolves "
+            f"omega0 = {omega0:.12g} is beyond what the regulator ladder resolves "
             f"(omega0 <= {_OMEGA0_MAX})"
         )
     u_max = min(60.0 / min(omega0, alpha), 400.0)
@@ -172,7 +172,8 @@ def _extrapolated(
             float(w @ (trig_rr(omega0 * u) * (k_rr * s.imag))),
         )
 
-    pairs = {e: at_eps(e) for e in _EPS_LADDER}
+    with np.errstate(all="ignore"):  # a NaN fails the contraction check
+        pairs = {e: at_eps(e) for e in _EPS_LADDER}
     return tuple(
         extrapolate_to_zero(
             lambda e: pairs[e][part], _EPS_LADDER, _CONTRACTION_TOL, scale

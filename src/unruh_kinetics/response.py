@@ -77,7 +77,8 @@ def response_accelerated(deltaE, alpha: float) -> ResponseResult:
     _check_gap(deltaE)
     if not alpha > 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
-    x = 2.0 * np.pi * deltaE / alpha
+    with np.errstate(over="ignore"):  # x = inf gives rate 0
+        x = 2.0 * np.pi * deltaE / alpha
     rate = deltaE * np.exp(-x) / (-2.0 * np.pi * np.expm1(-x))
     return ResponseResult(
         rate=_plain(rate), deltaE=_plain(deltaE),

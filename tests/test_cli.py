@@ -442,3 +442,96 @@ def test_verify_report_schema_stable(tmp_path, capsys):
     assert [c["check"] for c in files[0]["checks"]] == [
         c["check"] for c in files[1]["checks"]
     ]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_nan_row_is_numeric_failure_and_nothing_is_written(tmp_path, capsys, fmt):
+    # omega0 = 1e-320 used to print nan cells (null in JSON) with exit 0
+    out_file = tmp_path / "rates.out"
+    args = ["rates", "--detector.omega0", "1e-320", "--format", fmt]
+    code, out, err = run(capsys, *args)
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["numeric failure: rates computed a NaN"]
+    code, _, _ = run(capsys, *args, "--out", str(out_file))
+    assert code == 2 and not out_file.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_infinite_beta_is_echoed_by_steady(capsys, fmt):
+    code, out, err = run(capsys, "steady", "--thermal.beta", "inf", "--format", fmt)
+    assert code == 0 and err == ""
+    if fmt == "csv":
+        assert out.splitlines()[1].split(",")[1] == "inf"
+    else:
+        assert json.loads(out)[0]["beta"] == math.inf
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # Python float ** raises OverflowError instead of returning inf
+        ["rates", "--detector.omega0", "1e308"],
+        ["rates", "--detector.mu", "1e200"],
+        ["rates", "--rates.numeric", "true", "--trajectory.alpha", "1e300"],
+        ["verify", "--detector.omega0", "1e300"],
+    ],
+)
+def test_overflow_is_numeric_failure(capsys, args):
+    code, out, err = run(capsys, *args)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("numeric failure:")
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["fermion", "--fermion.v_typ", "1e308"],
+         "error: coarse-graining ratio 2 v tau_c must be finite, got inf"),
+        (["fermion", "--fermion.dt", "Infinity"],
+         "error: dt must be positive and finite, got inf"),
+    ],
+)
+def test_non_finite_fermion_inputs_are_domain_errors(capsys, args, message):
+    code, out, err = run(capsys, *args)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [message]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["response", "--trajectory.alpha", "1e-320"],
+        ["response", "--response.deltaE.start", "1e308"],
+    ],
+)
+def test_response_overflowing_exponent_gives_rate_zero_without_warning(capsys, args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *args)
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert "0.00000000000e+00" in {r[2] for r in rows}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["rates", "--rates.numeric", "true", "--trajectory.alpha", "1e-320"],
+        ["verify", "--regularization.epsilon", "1e300"],
+    ],
+)
+def test_regulator_ladder_overflow_gives_no_warning(capsys, args):
+    # the NaN it produces fails the ladder's contraction check instead
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, _ = run(capsys, *args)
+    assert code == 2
+
+
+def test_integer_inputs_print_as_floats(capsys):
+    code, out, _ = run(capsys, "steady", "--detector.omega0", "2")
+    assert code == 0
+    assert out.splitlines()[1].startswith("2.00000000000e+00,1.00000000000e+00,")
+    code, out, _ = run(capsys, "steady", "--detector.omega0", "2", "--format", "json")
+    assert code == 0
+    assert '"omega0": 2.0' in out

@@ -1,0 +1,102 @@
+"""In-process fuzz of every CLI command with extreme numeric config values.
+
+Each example sets one or two numeric config fields to an edge value and calls
+``cli.main`` in this process.  The contract checked: an exit code in 0..3,
+no exception out of ``main``, no numpy RuntimeWarning (a process would print
+it to stderr), no NaN or inf on stdout with exit 0 (bar the beta that
+``steady`` echoes), one stderr line and no stdout when a table command fails,
+and a time bound per example.  Derandomized, so every run draws the same
+examples.
+"""
+
+import contextlib
+import io
+import json
+import math
+import time
+import warnings
+
+from hypothesis import given, settings, strategies as st
+
+from unruh_kinetics import cli
+
+EDGE_VALUES = [
+    0, 1e-320, -1e-320, 1e-300, -1e-300, 1e300, -1e300, 1e308, -1e308,
+    math.inf, -math.inf, math.nan, -1, 0.5, 3,
+]
+SECONDS_PER_EXAMPLE = 10.0
+
+
+def _numeric_fields(defaults: dict, prefix: str = "") -> list[str]:
+    fields = []
+    for key, default in defaults.items():
+        name = prefix + key
+        if isinstance(default, dict):
+            fields += _numeric_fields(default, name + ".")
+            continue
+        kinds = cli._FIELD_KINDS.get(name) or (cli._KIND_OF_DEFAULT[type(default)],)
+        if {"a number", "an integer"} & set(kinds):
+            fields.append(name)
+    return fields
+
+
+FIELDS = _numeric_fields(cli.DEFAULT_CONFIG)
+
+
+def _records(command: str, out: str) -> list[dict]:
+    if command == "verify":
+        return json.loads(out)["checks"]
+    if out.startswith("["):
+        return json.loads(out)
+    header, *lines = out.splitlines()
+    return [dict(zip(header.split(","), line.split(","))) for line in lines]
+
+
+def _is_non_finite(cell) -> bool:
+    try:
+        return not math.isfinite(float(cell))
+    except (TypeError, ValueError):  # true, None, a verify status
+        return False
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None, database=None)
+@given(
+    command=st.sampled_from(sorted(cli._COMMANDS)),
+    overrides=st.lists(
+        st.tuples(st.sampled_from(FIELDS), st.sampled_from(EDGE_VALUES)),
+        min_size=1, max_size=2, unique_by=lambda fv: fv[0],
+    ),
+    as_json=st.booleans(),
+    numeric_rates=st.booleans(),
+)
+def test_every_command_keeps_the_exit_contract(
+    command, overrides, as_json, numeric_rates
+):
+    argv = [command]
+    for field, value in overrides:
+        argv += [f"--{field}", json.dumps(value)]
+    if as_json:
+        argv += ["--format", "json"]
+    if numeric_rates and command == "rates":
+        argv += ["--rates.numeric", "true", "--rates.field", "true"]
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    assert time.perf_counter() - start < SECONDS_PER_EXAMPLE, argv
+    assert code in (0, 1, 2, 3), argv
+    numpy_warnings = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert [str(w.message) for w in numpy_warnings] == [], argv
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        bad = [
+            (key, value)
+            for record in _records(command, out)
+            for key, value in record.items()
+            if _is_non_finite(value) and not (command == "steady" and key == "beta")
+        ]
+        assert bad == [], argv
+    elif command != "verify":
+        assert out == "" and len(err.splitlines()) == 1, (argv, err)

@@ -112,3 +112,9 @@ def test_coarse_graining_diagnostic():
 def test_fermi_blocking_bound(g, beta):
     rates = F.fermion_rates(F.default_bath(1.0, beta, g), 1.0, 1.0)
     assert 0.0 <= rates.T_F <= 0.5 * rates.C * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("v_typ, tau_c", [(1e308, 1.0), (math.inf, 1.0), (0.1, math.nan)])
+def test_coarse_graining_diagnostic_refuses_a_non_finite_ratio(v_typ, tau_c):
+    with pytest.raises(DomainError, match="must be finite"):
+        F.coarse_graining_diagnostic(v_typ, tau_c)
