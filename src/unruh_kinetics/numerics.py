@@ -1,9 +1,12 @@
-"""Shared numerical machinery: extrapolation ladders and panel quadrature.
+"""Shared numerical machinery: the kernel oracles' extrapolation ladders and
+panel quadrature.
 
 Integrals run on one composite 24-point Gauss-Legendre rule (Davis &
 Rabinowitz, *Methods of Numerical Integration*, ch. 2) over [0, u_max], for
 kernels that spike on a scale |c| at u = 0 and oscillate at a frequency omega:
 panel widths double from |c|/100 up to h = min(1, 1/|omega|), then stay h.
+The rate pipeline runs the rule in units of its contour's height d above the
+nearest pole (c = omega = 1), so its panels double from d/100 up to d.
 """
 
 from __future__ import annotations

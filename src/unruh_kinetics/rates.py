@@ -5,10 +5,12 @@ ordering-independent total, numerically evaluated field-side rates, and the
 derivative-coupling generalization in which the interaction carries n proper-
 time derivatives of the field on each leg.
 
-All numeric rates share one pipeline: at each regulator c = 2 eps one complex
-image sum S_m(u + ic) is evaluated on a Gauss-Legendre panel rule over the
-half-line; 2 Re S_m (the symmetrized correlation) gives VF and Im S_m (the
-susceptibility) RR, and a Neville ladder extrapolates each eps -> 0+.
+All numeric rates share one pipeline: the image sum S_m(z) is analytic in
+the strip 0 < Im z < 2 pi/alpha, so the eps -> 0+ value of each rate integral
+is exact on any contour inside it (Birrell & Davies, *Quantum Fields in
+Curved Space*, sec. 3.3).  One integral of e^{-i omega0 z} S_m(z), taken on a
+ray from the line Im z = d with a Gauss-Legendre panel rule, gives VF, RR and
+the total; the same ray from Im z = d/2 checks it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .core import (
     SYMMETRIC_ORDERING,
 )
 from .kernels import _FOUR_PI_SQ, image_sum_inverse_power
-from .numerics import extrapolate_to_zero, panel_rule
+from .numerics import panel_rule
 
 __all__ = [
     "EnergyRateReport",
@@ -38,17 +40,6 @@ __all__ = [
     "field_rates",
     "derivative_coupling_rates",
 ]
-
-# Regulator ladder for the eps -> 0+ extrapolation of the rate integrals.
-# Smaller ladders push the m = 6 kernels (~ c^-5 at the origin) into round-off
-# territory; this one reaches ~1e-6 relative accuracy after Neville.
-_EPS_LADDER = (1.6e-1, 8.0e-2, 4.0e-2, 2.0e-2, 1.0e-2)
-# Relative contraction demanded of the ladder, scaled to the natural rate
-# magnitude so near-zero results do not trip a spurious failure.
-_CONTRACTION_TOL = 1.0e-3
-# Regulators damp the integrands by ~e^{-omega0 c}: the ladder gives 5e-5 at
-# omega0 = 5, fails to contract above ~5.5 and passes wrong values from ~300.
-_OMEGA0_MAX = 5.0
 
 
 @dataclass(frozen=True)
@@ -71,7 +62,7 @@ class EnergyRateReport:
             if self.vf is None or self.rr is None:
                 raise DomainError("finite report requires vf and rr values")
             if abs(self.vf + self.rr - self.total) > 1e-12 * max(
-                1.0, abs(self.total)
+                1.0, abs(self.vf) + abs(self.rr)
             ):
                 raise DomainError("vf + rr must reproduce total")
         elif self.vf is not None or self.rr is not None:
@@ -148,38 +139,42 @@ def atom_total_rate(
 # numeric pipeline
 # ---------------------------------------------------------------------------
 
-def _extrapolated(
-    m: int, vf: tuple, rr: tuple, omega0: float, alpha: float, scale: float
-) -> tuple[float, float]:
-    """Neville-extrapolated (VF, RR) of int_0^{u_max} trig(omega0 u) k K(u) du,
-    (trig, k) = vf with K = 2 Re S and (trig, k) = rr with K = Im S, where
-    S = image_sum_inverse_power(m, u + ic, alpha) = conj S(u - ic) is
-    evaluated once per regulator.  VF is contraction-checked first."""
-    if not omega0 <= _OMEGA0_MAX:
+# The ray z = id + t e^{-i pi/4}, t >= 0, of `_line_integral`.
+_RAY = complex(math.sqrt(0.5), -math.sqrt(0.5))
+
+
+def _line_integral(m: int, omega0: float, alpha: float) -> complex:
+    """J_- = int e^{-i omega0 z} S_m(z) dz on Im z = d = min(pi/alpha, 1/omega0).
+
+    S_m is analytic in the strip 0 < Im z < 2 pi/alpha, so by Cauchy J_- is
+    the eps -> 0+ value on every line inside it.  S_m(-z) = (-1)^m S_m(z) and
+    S_m(conj z) = conj S_m(z) fold the line onto t >= 0 as I + (-1)^m conj I,
+    with I taken on the ray z = id + t e^{-i pi/4}: all poles lie on Re z = 0,
+    and the integrand decays like e^{-(omega0 + alpha) t / sqrt 2}.  The
+    strip's period makes J_+ = int e^{+i omega0 z} S_m dz = e^{-x} conj J_-,
+    x = 2 pi omega0/alpha.  J_- does not depend on d, so the ray from d/2 must
+    agree to 1e-9 relative, or NonConvergence.
+    """
+
+    def on_ray(d: float) -> complex:
+        # in units of d: panels double from 1/100 to 1, then stay 1 wide
+        t_max = 50.0 * math.sqrt(2.0) / ((omega0 + alpha) * d) + 10.0
+        s, w = panel_rule(1.0, 1.0, t_max)
+        z = 1j * d + d * _RAY * s
+        f = np.exp(-1j * omega0 * z) * image_sum_inverse_power(m, z, alpha)
+        i = complex((d * _RAY * w) @ f)
+        return i + (-1) ** m * i.conjugate()
+
+    d = min(math.pi / alpha, 1.0 / omega0)
+    with np.errstate(all="ignore"):  # a NaN or inf fails the check below
+        j, j_half = on_ray(d), on_ray(0.5 * d)
+    if not abs(j - j_half) <= 1e-9 * abs(j):
         raise NonConvergence(
-            f"omega0 = {omega0:.12g} is beyond what the regulator ladder resolves "
-            f"(omega0 <= {_OMEGA0_MAX})"
+            f"line integral of S_{m} at omega0 = {omega0:.12g}, alpha = "
+            f"{alpha:.12g} differs by {abs(j - j_half):.3e} between Im z = d "
+            f"and d/2 for a value of magnitude {abs(j):.3e}"
         )
-    u_max = min(60.0 / min(omega0, alpha), 400.0)
-    (trig_vf, k_vf), (trig_rr, k_rr) = vf, rr
-
-    def at_eps(e: float) -> tuple[float, float]:
-        c = 2.0 * e
-        u, w = panel_rule(c, omega0, u_max)
-        s = image_sum_inverse_power(m, u + 1j * c, alpha)
-        return (
-            float(w @ (trig_vf(omega0 * u) * (k_vf * (2.0 * s.real)))),
-            float(w @ (trig_rr(omega0 * u) * (k_rr * s.imag))),
-        )
-
-    with np.errstate(all="ignore"):  # a NaN fails the contraction check
-        pairs = {e: at_eps(e) for e in _EPS_LADDER}
-    return tuple(
-        extrapolate_to_zero(
-            lambda e: pairs[e][part], _EPS_LADDER, _CONTRACTION_TOL, scale
-        )
-        for part in (0, 1)
-    )
+    return j
 
 
 def field_rates(
@@ -190,16 +185,17 @@ def field_rates(
     """(vf_field, rr_field): energy-variation rates on the field side.
 
     Cubic image-sum kernel S_3 integrated against sin (VF) / cos (RR) of the
-    level splitting; eps -> 0+ by the shared Neville ladder.
+    level splitting: with J_- = `_line_integral` and J_+ its partner, these
+    half-line integrals are (J_+ - J_-)/2i and (J_+ + J_-)/4i.
     """
     if alpha <= 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
     w0, mu = params.omega0, params.mu
-    scale = w0**2 * mu**2 / (16.0 * math.pi)
-    vf_int, rr_int = _extrapolated(3, (np.sin, 1.0), (np.cos, 1.0), w0, alpha, scale)
-    vf = (mu**2 / _FOUR_PI_SQ) * atom.r3_expectation * vf_int
-    rr = -(mu**2 / _FOUR_PI_SQ) * rr_int
-    return vf, rr
+    # J_- is imaginary for odd m
+    kj = mu**2 / _FOUR_PI_SQ * _line_integral(3, w0, alpha).imag
+    x = 2.0 * math.pi * w0 / alpha
+    vf = -0.5 * kj * atom.r3_expectation * (1.0 + math.exp(-x))
+    return vf, 0.25 * kj * math.expm1(-x)
 
 
 def derivative_coupling_rates(
@@ -220,20 +216,20 @@ def derivative_coupling_rates(
     if not 0 <= n <= 2:
         raise DomainError(f"coupling order n must be in 0..2, got {n}")
     w0, mu = params.omega0, params.mu
-    sign_fact = (-1.0) ** n * math.factorial(2 * n + 1)
-    scale = w0**2 * mu**2 / (16.0 * math.pi)
-    dim = mu**2 * w0 / w0 ** (2 * n)
-    # n-th derivatives of the symmetrized field correlation and susceptibility
-    corr = (np.cos, -(sign_fact / (8.0 * math.pi**2)))
-    susc = (np.sin, sign_fact / (4.0 * math.pi**2))
-    vf_int, rr_int = _extrapolated(2 * n + 2, corr, susc, w0, alpha, scale)
-    vf = -dim * atom.r3_expectation * vf_int
-    rr = 0.5 * dim * rr_int
+    k = mu**2 * w0 ** (1 - 2 * n) * (-1.0) ** n * math.factorial(2 * n + 1)
+    # With J_- = `_line_integral` (real for even m) and J_+ = e^{-x} J_-, the VF
+    # and RR half-line integrals are (J_+ + J_-)/2 and (J_- - J_+)/4.  The total
+    # is formed directly: in the ground state it is J_+ alone, with no VF - RR
+    # cancellation.
+    kj = k / (8.0 * _FOUR_PI_SQ) * _line_integral(2 * n + 2, w0, alpha).real
+    x = 2.0 * math.pi * w0 / alpha
+    q = math.exp(-x)
+    r = 2.0 * atom.r3_expectation
     return EnergyRateReport(
-        total=vf + rr,
+        total=kj * ((1.0 + r) - (1.0 - r) * q),
         lam=SYMMETRIC_ORDERING,
         finite=True,
         coupling_order=n,
-        vf=vf,
-        rr=rr,
+        vf=kj * r * (1.0 + q),
+        rr=-kj * math.expm1(-x),
     )

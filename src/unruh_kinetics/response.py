@@ -71,7 +71,8 @@ def response_accelerated(deltaE, alpha: float) -> ResponseResult:
 
     deltaE may be an array (one worldline, many gaps).  Written as
     deltaE e^{-x} / (2 pi (1 - e^{-x})), x = 2 pi deltaE / alpha, the rate
-    underflows to 0 at large x instead of overflowing.
+    underflows to 0 at large x instead of overflowing.  Where x underflows to
+    0 the rate is its x -> 0 limit alpha / 4 pi^2.
     """
     deltaE = np.float64(deltaE)
     _check_gap(deltaE)
@@ -79,7 +80,9 @@ def response_accelerated(deltaE, alpha: float) -> ResponseResult:
         raise DomainError(f"alpha must be positive, got {alpha}")
     with np.errstate(over="ignore"):  # x = inf gives rate 0
         x = 2.0 * np.pi * deltaE / alpha
-    rate = deltaE * np.exp(-x) / (-2.0 * np.pi * np.expm1(-x))
+    with np.errstate(divide="ignore"):  # x = 0 is replaced below
+        rate = deltaE * np.exp(-x) / (-2.0 * np.pi * np.expm1(-x))
+    rate = np.where(x == 0.0, alpha / (4.0 * np.pi**2), rate)[()]
     return ResponseResult(
         rate=_plain(rate), deltaE=_plain(deltaE),
         trajectory=UniformAcceleration(alpha),

@@ -10,7 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from unruh_kinetics import rates as R
 from unruh_kinetics.cli import _SIZE_LIMITS, emit, load_config, main
+from unruh_kinetics.core import AtomState, DetectorParams
 
 
 def run(capsys, *args):
@@ -270,23 +272,31 @@ def test_log_grid_is_geometric(capsys):
     assert params == pytest.approx([0.5, 1.0, 2.0], rel=1e-12)
 
 
+# n = 2 at omega0/alpha = 2e-4: S_6 cancels on the ray and the line integrals
+# at Im z = d and d/2 disagree
+REFUSED_RATES = ["rates", "--rates.n", "2", "--detector.omega0", "0.01",
+                 "--trajectory.alpha", "50"]
+
+
 def test_nan_numeric_rate_is_numeric_failure(capsys):
-    # at alpha = 50 the regulator ladder does not contract (it used to turn
-    # NaN when np.sinh overflowed)
-    code, out, err = run(
-        capsys, "rates", "--rates.numeric", "true", "--trajectory.alpha", "50"
-    )
+    code, out, err = run(capsys, *REFUSED_RATES)
     assert code == 2 and out == ""
     assert err.startswith("numeric failure:") and "Traceback" not in err
 
 
-def test_unresolved_omega0_is_numeric_failure(capsys):
-    # used to print vf = 1.6e-3 with exit 0 against a closed form of -1.99e4
-    code, out, err = run(
-        capsys, "rates", "--rates.numeric", "true", "--detector.omega0", "1000"
-    )
-    assert code == 2 and out == ""
-    assert err.startswith("numeric failure: omega0 = 1000 is beyond")
+def test_numeric_rates_match_closed_form_where_the_ladder_failed(capsys):
+    # the regulator ladder refused omega0 = 1000 and printed vf = -6.79142e-04
+    # (closed form -6.53955e-04) at n = 2, omega0 = 0.1 with exit 0
+    for args, tol in ((["--rates.numeric", "true", "--detector.omega0", "1000"], 1e-12),
+                      (["--rates.n", "2", "--detector.omega0", "0.1"], 1e-9)):
+        code, out, err = run(capsys, "rates", *args, "--format", "json")
+        assert code == 0 and err == ""
+        row = json.loads(out)[0]
+        p = DetectorParams(float(args[-1]), 1.0)
+        vf, rr = R.atom_vf_rate(p, 1.0, AtomState.plus()), R.atom_rr_rate(p, 1.0)
+        assert row["vf"] == pytest.approx(vf, rel=tol)
+        assert row["rr"] == pytest.approx(rr, rel=tol)
+        assert row["total"] == pytest.approx(vf + rr, rel=tol)
 
 
 def test_large_alpha_numeric_failure_prints_one_line():
@@ -296,7 +306,7 @@ def test_large_alpha_numeric_failure_prints_one_line():
         [sys.executable, "-c",
          "import sys; sys.path.insert(0, sys.argv[1]); "
          "from unruh_kinetics.cli import main; sys.exit(main(sys.argv[2:]))",
-         str(src), "rates", "--rates.numeric", "true", "--trajectory.alpha", "50"],
+         str(src), *REFUSED_RATES],
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 2 and proc.stdout == ""
@@ -513,6 +523,18 @@ def test_response_overflowing_exponent_gives_rate_zero_without_warning(capsys, a
     assert "0.00000000000e+00" in {r[2] for r in rows}
 
 
+def test_response_at_underflowing_exponent_is_its_limit(capsys):
+    # x = 2 pi deltaE / alpha underflows to 0: the rate is alpha / 4 pi^2, not inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "response", "--response.deltaE.start", "1e-320",
+                             "--trajectory.alpha", "1e300", "--format", "json")
+    assert code == 0 and err == ""
+    first = json.loads(out)[0]
+    assert first["deltaE"] == 1e-320
+    assert first["rate"] == pytest.approx(1e300 / (4.0 * math.pi**2), rel=1e-15)
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -521,7 +543,8 @@ def test_response_overflowing_exponent_gives_rate_zero_without_warning(capsys, a
     ],
 )
 def test_regulator_ladder_overflow_gives_no_warning(capsys, args):
-    # the NaN it produces fails the ladder's contraction check instead
+    # the NaN it produces fails the rates' d vs d/2 check or the kernel
+    # oracles' ladder contraction check instead
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, _, _ = run(capsys, *args)

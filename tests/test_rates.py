@@ -17,7 +17,6 @@ from unruh_kinetics.core import (
     AtomState,
     DetectorParams,
     DomainError,
-    NonConvergence,
     OrderingParam,
 )
 from unruh_kinetics import rates as R
@@ -157,17 +156,24 @@ def test_derivative_coupling_order_out_of_range():
             R.derivative_coupling_rates(p, 1.0, PLUS, n=n)
 
 
-@pytest.mark.parametrize("omega0", [5.5, 1e3, 1e9])
-def test_unresolved_omega0_is_nonconvergence_before_quadrature(monkeypatch, omega0):
-    def no_quadrature(*args):
-        raise AssertionError("quadrature nodes built")
+# the old regulator ladder refused omega0 > 5: 5.5, 1e3 and 1e9 lie beyond it
+CLOSED_FORM_GRID = [(w0, a) for w0 in (0.5, 1.0, 3.0, 5.0, 10.0, 30.0, 100.0)
+                    for a in (0.3, 1.0, 3.0)] + [(5.5, 1.0), (1e3, 1.0), (1e9, 1.0)]
 
-    monkeypatch.setattr(R, "panel_rule", no_quadrature)
-    p = DetectorParams(omega0, 1.0)
-    with pytest.raises(NonConvergence, match="regulator ladder resolves"):
-        R.derivative_coupling_rates(p, 1.0, PLUS, 0)
-    with pytest.raises(NonConvergence, match="regulator ladder resolves"):
-        R.field_rates(p, 1.0, PLUS)
+
+@pytest.mark.parametrize("omega0,alpha", CLOSED_FORM_GRID)
+def test_numeric_rates_match_closed_forms(omega0, alpha):
+    p = DetectorParams(omega0, 0.7)
+    scale = omega0**2 * p.mu**2 / (16.0 * math.pi)
+    rr = R.atom_rr_rate(p, alpha)
+    for atom in (PLUS, MINUS, AtomState(0.2)):
+        vf = R.atom_vf_rate(p, alpha, atom)
+        for n, tol in ((0, 1e-12), (1, 1e-12), (2, 1e-11)):
+            rep = R.derivative_coupling_rates(p, alpha, atom, n)
+            assert abs(rep.vf - vf) <= tol * scale, (n, atom)
+            assert abs(rep.rr - rr) <= tol * scale, (n, atom)
+        vf_f, rr_f = R.field_rates(p, alpha, atom)
+        assert abs(vf_f - vf) <= 1e-12 * scale and abs(rr_f - rr) <= 1e-12 * scale
 
 
 def test_field_vf_balances_atom_vf():

@@ -84,6 +84,17 @@ def test_planck_oracle_where_the_image_sum_oracle_failed(de, alpha):
     assert abs(oracle - closed) / closed < 1e-4
 
 
+@pytest.mark.parametrize("de, alpha", [
+    (1.0, 1.0), (1.0, 2.0), (0.5, 3.0), (2.0, 0.5), (5.0, 0.5), (50.0, 1.0),
+])
+def test_planck_oracle_to_rounding(de, alpha):
+    # the ground-state total is the e^{+i deltaE z} line integral alone, so
+    # no VF - RR cancellation is left even at F = 2.9e-136 (50, 1)
+    oracle = RS.planck_response_oracle(de, alpha)
+    closed = RS.response_accelerated(de, alpha).rate
+    assert abs(oracle - closed) <= 1e-12 * closed
+
+
 def test_accelerated_rate_arrays_match_scalar_calls():
     grid = np.linspace(1e-6, 60.0, 2001)
     for alpha in (0.05, 1.3, 40.0):
