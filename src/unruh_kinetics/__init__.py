@@ -13,7 +13,6 @@ from .core import (
     Inertial,
     NonConvergence,
     OrderingParam,
-    Regularization,
     SingularInput,
     StepSizeError,
     SYMMETRIC_ORDERING,

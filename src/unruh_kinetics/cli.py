@@ -4,8 +4,8 @@ One JSON config document drives every subcommand; any field can be overridden
 on the command line by its dotted name (e.g. --detector.omega0 2.0).  Output
 is deterministic CSV (12 significant digits) or JSON.
 
-Exit codes: 0 success, 1 domain error, 2 numeric non-convergence (a NaN in
-the output table or a float overflow included), 3 I/O error.
+Exit codes: 0 success, 1 domain error, 2 numeric non-convergence (a NaN or
+inf in the output table or a float overflow included), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .core import (
     Inertial,
     NonConvergence,
     OrderingParam,
-    Regularization,
     StepSizeError,
     ThermalState,
     UniformAcceleration,
@@ -43,13 +42,7 @@ __all__ = ["main", "DEFAULT_CONFIG"]
 DEFAULT_CONFIG: dict = {
     "detector": {"omega0": 1.0, "mu": 1.0},
     "thermal": {"beta": 1.0},
-    "trajectory": {"kind": "accelerated", "alpha": 1.0, "v": 0.0},
-    "regularization": {
-        "epsilon": 1e-6,
-        "n_max": 10_000,
-        "quad_tol": 1e-10,
-        "extrap_steps": 4,
-    },
+    "trajectory": {"kind": "accelerated", "alpha": 1.0},
     "output": {"format": "csv", "path": None},
     "kernel": {
         "u": 1.0,
@@ -90,16 +83,13 @@ DEFAULT_CONFIG: dict = {
 
 
 # Upper limit of every size field.  kernel and response evaluate a whole grid
-# as arrays at once (10^6 rows are ~50 MB of CSV); an image sum holds
-# 2 n_max + 1 terms per regulator; halving_ladder's 2.0**k overflows at 1024.
+# as arrays at once (10^6 rows are ~50 MB of CSV).
 MAX_COUNT = 1_000_000
 _SIZE_LIMITS = {
     "kernel.sweep.count": MAX_COUNT,
     "response.deltaE.count": MAX_COUNT,
     "sweep.count": MAX_COUNT,
     "populations.samples": MAX_COUNT,
-    "regularization.n_max": 1_000_000,
-    "regularization.extrap_steps": 60,
 }
 
 
@@ -136,7 +126,7 @@ def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise DomainError(f"{path} is not valid JSON: {exc}") from None
 
 
@@ -237,11 +227,10 @@ def _build(config: dict):
     if traj_cfg["kind"] == "accelerated":
         traj = UniformAcceleration(traj_cfg["alpha"])
     elif traj_cfg["kind"] == "inertial":
-        traj = Inertial(traj_cfg.get("v", 0.0))
+        traj = Inertial()
     else:
         raise DomainError(f"unknown trajectory kind '{traj_cfg['kind']}'")
-    reg = Regularization(**config["regularization"])
-    return validate(det, thermal, traj, reg)
+    return validate(det, thermal, traj)
 
 
 def _grid(spec: dict) -> np.ndarray:
@@ -283,9 +272,10 @@ def _fmt(x) -> str:
     return str(x)
 
 
-# What a table command returns to main: its header and its rows, a list of
-# rows or a 2-D float array.
-Table = tuple[list[str], list | np.ndarray]
+# What a table command returns to main: its header, its rows (a list of
+# rows or a 2-D float array) and any warnings, which main prints to stderr
+# only once the table is written.
+Table = tuple
 
 
 def _write(text: str, config: dict) -> None:
@@ -315,11 +305,23 @@ def _csv_rows(rows) -> str:
     return "\n".join([row_fmt] * len(table)) % cells
 
 
-def _has_nan(rows) -> bool:
-    """True if a cell is NaN, split as _csv_rows splits the table."""
-    return any(x != x for x in rows[0]) or bool(
-        np.isnan(np.asarray(rows[1:], dtype=float)).any()
-    )
+# Columns that echo an input and so may hold inf: steady's beta (inf is
+# zero temperature).
+_ECHO_COLUMNS = {"steady": ("beta",)}
+
+
+def _non_finite(header: list[str], rows, echo) -> str | None:
+    """'a NaN' or 'an inf' if a cell outside the echo columns holds one, else
+    None; the table is split as _csv_rows splits it."""
+    first = np.array([x if isinstance(x, float) else 0.0 for x in rows[0]])
+    table = np.asarray(rows[1:], dtype=float).reshape(-1, len(header))
+    if np.isfinite(first).all() and np.isfinite(table).all():
+        return None
+    checked = np.array([name not in echo for name in header])
+    for what, test in (("a NaN", np.isnan), ("an inf", np.isinf)):
+        if (checked & (test(first) | test(table).any(axis=0))).any():
+            return what
+    return None
 
 
 def emit(header: list[str], rows, config: dict) -> None:
@@ -448,10 +450,12 @@ def cmd_fermion(config: dict) -> Table:
         try:
             pairs = tuple((m["omega"], m["g"]) for m in modes)
         except (KeyError, TypeError):
+            pairs = ((None, None),)
+        if not all(_is_number(x) for pair in pairs for x in pair):
             raise DomainError(
                 f"spectrum {fcfg['spectrum']} must be a JSON array of "
-                '{"omega": ..., "g": ...} objects'
-            ) from None
+                '{"omega": <number>, "g": <number>} objects'
+            )
         spectrum = F.BathSpectrum(pairs, beta)
     else:
         spectrum = F.default_bath(cfg.detector.omega0, beta)
@@ -461,17 +465,16 @@ def cmd_fermion(config: dict) -> Table:
     energy = F.fermion_energy_rate(diag, rates, cfg.detector.omega0)
     ratio = F.coarse_graining_diagnostic(fcfg["v_typ"], fcfg["tau_c"])
     valid = F.coarse_graining_valid(fcfg["v_typ"], fcfg["tau_c"])
-    if not valid:
-        print(
-            f"warning: coarse-graining ratio {ratio} outside the "
-            "Markov-Born validity regime",
-            file=sys.stderr,
-        )
     header = [
         "C", "T_F", "dt", "d_sigma00", "d_sigma11",
         "energy_rate", "coarse_graining_ratio", "valid",
     ]
-    return header, [[rates.C, rates.T_F, rates.dt, d0, d1, energy, ratio, valid]]
+    table = header, [[rates.C, rates.T_F, rates.dt, d0, d1, energy, ratio, valid]]
+    if valid:
+        return table
+    return *table, (
+        f"coarse-graining ratio {ratio} outside the Markov-Born validity regime"
+    )
 
 
 _SWEEP_HEADERS = {
@@ -505,6 +508,8 @@ def cmd_sweep(config: dict) -> Table:
     values = _grid(scfg)
     if scfg["quantity"] not in _SWEEP_HEADERS:
         raise DomainError(f"unknown sweep quantity '{scfg['quantity']}'")
+    if scfg["param"].startswith("sweep."):
+        raise DomainError(f"sweep.param cannot be a sweep field: {scfg['param']}")
     local = copy.deepcopy(config)
     rows = [_sweep_point(local, scfg["param"], v) for v in values.tolist()]
     return _SWEEP_HEADERS[scfg["quantity"]], np.array(rows)
@@ -516,24 +521,23 @@ def cmd_sweep(config: dict) -> Table:
 
 def _verify_checks(config: dict):
     cfg = _build(config)
-    reg = cfg.regularization
 
     def lattice_sum():
         worst = 0.0
         for u, b in [(0.5, 1.0), (1.0, 2.0), (2.0, 4.0)]:
-            s = K.thermal_image_sum(u, b, reg)
+            s = K.thermal_image_sum(u, b)
             c = K.thermal_image_closed(u, b)
             worst = max(worst, abs(s - c) / abs(c))
         return worst, 1e-8
 
     def accelerated_image_sum():
-        s = K.wightman_vacuum_accelerated_sum(1.0, 1.0, reg)
+        s = K.wightman_vacuum_accelerated_sum(1.0, 1.0)
         c = K.wightman_vacuum_accelerated(1.0, 1.0)
         return abs(s.value - c.value) / abs(c.value), 1e-8
 
     def inertial_finite_v():
         g = K.g_thermal_inertial(1.0, 1.0, 0.5)
-        s = K.g_thermal_inertial_sum(1.0, 1.0, 0.5, reg)
+        s = K.g_thermal_inertial_sum(1.0, 1.0, 0.5)
         return abs(g.value - s.value) / abs(g.value), 1e-8
 
     def unruh_correspondence():
@@ -668,16 +672,23 @@ def main(argv: list[str] | None = None) -> int:
         result = _COMMANDS[args.command](config)
         if args.command == "verify":  # its exit code is its checks' verdict
             return result
-        header, rows = result
-        if _has_nan(rows):
-            raise NonConvergence(f"{args.command} computed a NaN")
+        header, rows, *warnings = result
+        bad = _non_finite(header, rows, _ECHO_COLUMNS.get(args.command, ()))
+        if bad:
+            raise NonConvergence(f"{args.command} computed {bad}")
         emit(header, rows, config)
+        for text in warnings:
+            print(f"warning: {text}", file=sys.stderr)
         return 0
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (NonConvergence, StepSizeError, OverflowError) as exc:
+    except (NonConvergence, StepSizeError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"numeric failure: {args.command} overflowed a float: {exc}",
+              file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

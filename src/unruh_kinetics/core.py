@@ -8,7 +8,7 @@ zero temperature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,33 +111,6 @@ class UniformAcceleration(Trajectory):
 
 
 @dataclass(frozen=True)
-class Regularization:
-    """Numerical control knobs shared by the kernel and rate evaluators.
-
-    epsilon      -- i*eps shift used before the eps -> 0+ extrapolation
-    n_max        -- symmetric truncation bound of image sums, |n| <= n_max
-    quad_tol     -- relative tolerance demanded of extrapolation contractions
-    extrap_steps -- number of eps-halving steps in Richardson/Neville ladders
-    """
-
-    epsilon: float = 1e-6
-    n_max: int = 10_000
-    quad_tol: float = 1e-10
-    extrap_steps: int = 4
-
-    def __post_init__(self) -> None:
-        _require_finite("epsilon", self.epsilon)
-        if self.epsilon <= 0:
-            raise DomainError(f"epsilon must be positive, got {self.epsilon}")
-        if self.n_max < 1:
-            raise DomainError(f"n_max must be >= 1, got {self.n_max}")
-        if not 0.0 < self.quad_tol < 1.0:
-            raise DomainError(f"quad_tol must lie in (0, 1), got {self.quad_tol}")
-        if self.extrap_steps < 1:
-            raise DomainError(f"extrap_steps must be >= 1, got {self.extrap_steps}")
-
-
-@dataclass(frozen=True)
 class OrderingParam:
     """Operator-ordering weight of lam*AB + (1-lam)*BA; lam = 1/2 is symmetric."""
 
@@ -192,14 +165,12 @@ class ValidatedConfig:
     detector: DetectorParams
     thermal: ThermalState
     trajectory: Trajectory
-    regularization: Regularization = field(default_factory=Regularization)
 
 
 def validate(
     detector: DetectorParams,
     thermal: ThermalState,
     trajectory: Trajectory,
-    regularization: Regularization | None = None,
 ) -> ValidatedConfig:
     """Check every invariant and return an immutable config.
 
@@ -208,11 +179,9 @@ def validate(
     cross-field constraints, normalizes the beta = +inf encoding and is
     idempotent on accepted inputs.
     """
-    if regularization is None:
-        regularization = Regularization()
     if not isinstance(trajectory, (Inertial, UniformAcceleration)):
         raise DomainError(f"unknown trajectory variant: {trajectory!r}")
     beta = thermal.beta
     if math.isinf(beta) and beta > 0:
         thermal = ThermalState(math.inf)
-    return ValidatedConfig(detector, thermal, trajectory, regularization)
+    return ValidatedConfig(detector, thermal, trajectory)

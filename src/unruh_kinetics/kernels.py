@@ -20,13 +20,12 @@ from .core import (
     AtomState,
     DomainError,
     Inertial,
-    Regularization,
     SingularInput,
     Trajectory,
     UniformAcceleration,
     require_all,
 )
-from .numerics import extrapolate_to_zero, halving_ladder
+from .numerics import extrapolate_to_zero
 
 __all__ = [
     "KernelValue",
@@ -59,6 +58,15 @@ U_MIN = 1e-150
 # Bound on alpha, |tau1| and |tau2| in the accelerated kernel, so that
 # alpha (|tau1| + |tau2|) cannot overflow.
 ARG_MAX = 1e150
+
+# Settings of the image-sum oracles, read at each call: each sums |n| <= N_MAX
+# at eps = EPSILON / 2^k, k = 0..EXTRAP_STEPS, Neville-extrapolates to
+# eps -> 0+ and raises NonConvergence unless the last correction is within
+# QUAD_TOL relative.
+EPSILON = 1e-6
+EXTRAP_STEPS = 4
+QUAD_TOL = 1e-10
+N_MAX = 10_000
 
 _FOUR_PI_SQ = 4.0 * math.pi**2
 _TINY = np.finfo(float).tiny
@@ -118,6 +126,13 @@ def _exprel_neg(z):
 
 def _coth(x: float) -> float:
     return 1.0 / math.tanh(x)
+
+
+def _eps_to_zero(at_eps, n_max: int | None) -> complex:
+    """at_eps(eps, n_max) on the oracles' ladder, extrapolated to eps -> 0+."""
+    n_max = N_MAX if n_max is None else n_max
+    ladder = [EPSILON / 2.0**k for k in range(EXTRAP_STEPS + 1)]
+    return extrapolate_to_zero(lambda eps: at_eps(eps, n_max), ladder, QUAD_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +197,7 @@ def wightman_vacuum_accelerated(u, alpha, eps: float = 0.0) -> KernelValue:
 
 
 def wightman_vacuum_accelerated_sum(
-    u: float, alpha: float, reg: Regularization = Regularization()
+    u: float, alpha: float, *, n_max: int | None = None
 ) -> KernelValue:
     """Truncated-image-sum oracle with eps -> 0+ extrapolation.
 
@@ -194,13 +209,12 @@ def wightman_vacuum_accelerated_sum(
     if u == 0.0:
         raise SingularInput("u = 0 is singular for the extrapolated sum")
 
-    def at_eps(eps: float) -> complex:
+    def at_eps(eps: float, n_max: int) -> complex:
         return -(1.0 / _FOUR_PI_SQ) * image_sum_inverse_power_sum(
-            2, u - 2j * eps, alpha, reg.n_max
+            2, u - 2j * eps, alpha, n_max
         )
 
-    ladder = halving_ladder(reg.epsilon, reg.extrap_steps)
-    return KernelValue(extrapolate_to_zero(at_eps, ladder), regularized=False)
+    return KernelValue(_eps_to_zero(at_eps, n_max), regularized=False)
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +233,7 @@ def thermal_image_closed(u, beta) -> complex:
     return _complex(-(1.0 / (4.0 * beta**2)) * s2)
 
 
-def thermal_image_sum(
-    u: float, beta: float, reg: Regularization = Regularization()
-) -> complex:
+def thermal_image_sum(u: float, beta: float, *, n_max: int | None = None) -> complex:
     """-(1/4 pi^2) sum_n [u - i beta (n + eps)]^-2, extrapolated to eps -> 0+.
 
     Oracle for thermal_image_closed through the lattice-sum identity
@@ -229,18 +241,16 @@ def thermal_image_sum(
     """
     if u == 0.0:
         raise SingularInput("u = 0 is singular")
-    n = np.arange(-reg.n_max, reg.n_max + 1)
 
-    def at_eps(eps: float) -> complex:
+    def at_eps(eps: float, n_max: int) -> complex:
+        n = np.arange(-n_max, n_max + 1)
         total = np.sum((u - 1j * beta * (n + eps)) ** -2)
-        edge_hi = beta * (reg.n_max + 0.5 + eps)
-        edge_lo = beta * (reg.n_max + 0.5 - eps)
+        edge_hi = beta * (n_max + 0.5 + eps)
+        edge_lo = beta * (n_max + 0.5 - eps)
         tail = ((u + 1j * edge_lo) ** -1 - (u - 1j * edge_hi) ** -1) / (1j * beta)
         return complex(total + tail)
 
-    ladder = halving_ladder(reg.epsilon, reg.extrap_steps)
-    value = extrapolate_to_zero(at_eps, ladder, reg.quad_tol)
-    return -(1.0 / _FOUR_PI_SQ) * value
+    return -(1.0 / _FOUR_PI_SQ) * _eps_to_zero(at_eps, n_max)
 
 
 def g_thermal_inertial(u: float, beta: float, v: float) -> KernelValue:
@@ -271,7 +281,7 @@ def g_thermal_inertial(u: float, beta: float, v: float) -> KernelValue:
 
 
 def g_thermal_inertial_sum(
-    u: float, beta: float, v: float, reg: Regularization = Regularization()
+    u: float, beta: float, v: float, *, n_max: int | None = None
 ) -> KernelValue:
     """Truncated-sum oracle for g_thermal_inertial.
 
@@ -283,7 +293,6 @@ def g_thermal_inertial_sum(
     if u == 0.0:
         raise SingularInput("u = 0 is singular")
     gamma = 1.0 / math.sqrt(1.0 - v * v)
-    n = np.arange(-reg.n_max, reg.n_max + 1)
     # denominator = beta^2 m^2 + 2 i beta gamma u m - u^2 with m = n + eps,
     # roots m_pm = -i gamma u (1 -+ v) / beta
     m_p = -1j * gamma * u * (1.0 - v) / beta
@@ -293,17 +302,15 @@ def g_thermal_inertial_sum(
         # int dm / (beta^2 (m - m_p)(m - m_m)) evaluated at m = mm .. sign handled
         return np.log((mm - m_p) / (mm - m_m)) / (beta**2 * (m_p - m_m))
 
-    def at_eps(eps: float) -> complex:
-        m = n + eps
+    def at_eps(eps: float, n_max: int) -> complex:
+        m = np.arange(-n_max, n_max + 1) + eps
         total = np.sum(1.0 / (beta**2 * (m - m_p) * (m - m_m)))
-        hi = reg.n_max + 0.5 + eps
-        lo = -(reg.n_max + 0.5) + eps
+        hi = n_max + 0.5 + eps
+        lo = -(n_max + 0.5) + eps
         tail = -tail_antideriv(hi) + tail_antideriv(lo)
         return complex(total + tail)
 
-    ladder = halving_ladder(reg.epsilon, reg.extrap_steps)
-    value = extrapolate_to_zero(at_eps, ladder, reg.quad_tol)
-    return KernelValue(value / _FOUR_PI_SQ, regularized=False)
+    return KernelValue(_eps_to_zero(at_eps, n_max) / _FOUR_PI_SQ, regularized=False)
 
 
 # ---------------------------------------------------------------------------
@@ -395,20 +402,21 @@ def correlation_field(
     tau1: float,
     tau2: float,
     trajectory: Trajectory,
-    reg: Regularization = Regularization(),
     *,
     eps: float | None = None,
-    use_sum: bool = False,
+    n_max: int | None = None,
 ) -> KernelValue:
     """Symmetrized field two-point function C^F (anticommutator / 2).
 
     C^F = -(1/8 pi^2) sum_n [(du - 2 i eps + i 2 pi n / alpha)^-2
                              + (du + 2 i eps + i 2 pi n / alpha)^-2]
+
+    eps None is EPSILON; an n_max sums the images in place of the closed form.
     """
     u = tau1 - tau2
-    e = reg.epsilon if eps is None else eps
+    e = EPSILON if eps is None else eps
     _check_nonsingular(u, e)
-    sm, sp = _field_pair(2, u, trajectory, e, reg.n_max if use_sum else None)
+    sm, sp = _field_pair(2, u, trajectory, e, n_max)
     return KernelValue(-(sm + sp) / (8.0 * math.pi**2), regularized=e > 0)
 
 
@@ -416,16 +424,15 @@ def susceptibility_field(
     tau1: float,
     tau2: float,
     trajectory: Trajectory,
-    reg: Regularization = Regularization(),
     *,
     eps: float | None = None,
-    use_sum: bool = False,
+    n_max: int | None = None,
 ) -> KernelValue:
     """Field linear susceptibility chi^F (commutator / 2i); same sum with a minus."""
     u = tau1 - tau2
-    e = reg.epsilon if eps is None else eps
+    e = EPSILON if eps is None else eps
     _check_nonsingular(u, e)
-    sm, sp = _field_pair(2, u, trajectory, e, reg.n_max if use_sum else None)
+    sm, sp = _field_pair(2, u, trajectory, e, n_max)
     return KernelValue(-(sm - sp) / (8.0j * math.pi**2), regularized=e > 0)
 
 

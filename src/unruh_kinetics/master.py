@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DomainError, StepSizeError
-from .numerics import fermi
+from .numerics import COTH_POLE, fermi
 
 __all__ = [
     "PopulationState",
@@ -107,8 +107,11 @@ def _thermal_weight(omega0: float, beta: float) -> float:
 
 
 def relaxation_rate(omega0: float, beta: float) -> float:
-    """Gamma = (omega0 / 8 pi) coth(omega0 beta / 2); coth -> 1 at beta = +inf."""
+    """Gamma = (omega0 / 8 pi) coth(omega0 beta / 2); coth -> 1 at beta = +inf,
+    and Gamma -> 1 / (4 pi beta) below omega0 beta / 2 = COTH_POLE."""
     _check_params(omega0, beta)
+    if 0.5 * omega0 * beta < COTH_POLE:
+        return 1.0 / (4.0 * math.pi * beta)
     coth = 1.0 if math.isinf(beta) else 1.0 / math.tanh(0.5 * omega0 * beta)
     return omega0 * coth / (8.0 * math.pi)
 

@@ -19,7 +19,6 @@ import numpy as np
 from .core import DomainError, NonConvergence
 
 __all__ = [
-    "halving_ladder",
     "neville",
     "extrapolate_to_zero",
     "fermi",
@@ -32,11 +31,9 @@ __all__ = [
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 # 10^4 panels are 2.4e5 nodes, ~4 MB per complex array.
 MAX_PANELS = 10_000
-
-
-def halving_ladder(x0: float, steps: int) -> list[float]:
-    """[x0, x0/2, ..., x0/2**steps]."""
-    return [x0 / 2.0**k for k in range(steps + 1)]
+# y below which coth y = 1/y + y/3 - ... rounds to 1/y (y^2/3 < 2^-54).  The
+# closed forms with a coth switch to 1/y there: y itself may have underflowed.
+COTH_POLE = 1e-8
 
 
 def neville(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:

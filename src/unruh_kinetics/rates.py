@@ -29,7 +29,7 @@ from .core import (
     SYMMETRIC_ORDERING,
 )
 from .kernels import _FOUR_PI_SQ, image_sum_inverse_power
-from .numerics import panel_rule
+from .numerics import COTH_POLE, panel_rule
 
 __all__ = [
     "EnergyRateReport",
@@ -87,13 +87,13 @@ def atom_vf_rate(params: DetectorParams, alpha: float, atom: AtomState) -> float
     """Vacuum-fluctuation rate -(omega0^2 mu^2 / 8 pi) <R3> coth(pi omega0/alpha).
 
     Excites the ground state, de-excites the excited state; symmetric
-    ordering assumed.
+    ordering assumed.  Below y = pi omega0 / alpha = COTH_POLE, omega0^2 coth y
+    is omega0 alpha / pi, where the bracket may overflow and omega0^2 underflow.
     """
-    return (
-        -(params.omega0**2 * params.mu**2 / (8.0 * math.pi))
-        * atom.r3_expectation
-        * planck_bracket(params.omega0, alpha)
-    )
+    w0, mu, r3 = params.omega0, params.mu, atom.r3_expectation
+    if alpha > 0.0 and math.pi * w0 < COTH_POLE * alpha:
+        return -(mu**2 / (8.0 * math.pi**2)) * r3 * (w0 * alpha)
+    return -(w0**2 * mu**2 / (8.0 * math.pi)) * r3 * planck_bracket(w0, alpha)
 
 
 def atom_rr_rate(params: DetectorParams, alpha: float) -> float:

@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from unruh_kinetics import cli
+from unruh_kinetics import kernels as K
 from unruh_kinetics import rates as R
 from unruh_kinetics.cli import _SIZE_LIMITS, emit, load_config, main
 from unruh_kinetics.core import AtomState, DetectorParams
@@ -126,6 +128,16 @@ def test_fermion_invalid_coarse_graining_warns(capsys):
     assert "warning" in err
 
 
+def test_failing_fermion_prints_no_warning(tmp_path, capsys):
+    # the coarse-graining warning used to precede the one failure line
+    spec = tmp_path / "modes.json"
+    spec.write_text(json.dumps([{"omega": 1e308, "g": 1e308}]))
+    code, out, err = run(capsys, "fermion", "--fermion.spectrum", str(spec),
+                         "--fermion.tau_c", "1e300")
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["numeric failure: fermion computed a NaN"]
+
+
 def test_sweep_rows_in_grid_order(capsys):
     code, out, _ = run(capsys, "sweep", "--sweep.count", "5")
     assert code == 0
@@ -186,6 +198,38 @@ def test_spectrum_mode_missing_key_is_domain_error(tmp_path, capsys, mode):
     code, _, err = run(capsys, "fermion", "--fermion.spectrum", str(spec))
     assert code == 1
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        json.dumps([{"omega": "1", "g": 0.1}]),
+        json.dumps([{"omega": 1.0, "g": None}]),
+        json.dumps([{"omega": 1.0, "g": True}]),
+        json.dumps({"omega": 1.0, "g": 0.1}),
+        json.dumps([1.0, 2.0]),
+        json.dumps(3),
+        b"\xff\xfe[",  # not UTF-8
+    ],
+)
+def test_spectrum_that_is_not_numeric_modes_is_domain_error(tmp_path, capsys, text):
+    # a string or null omega / g used to raise TypeError out of main
+    spec = tmp_path / "modes.json"
+    if isinstance(text, bytes):
+        spec.write_bytes(text)
+    else:
+        spec.write_text(text)
+    code, out, err = run(capsys, "fermion", "--fermion.spectrum", str(spec))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("param", ["sweep.quantity", "sweep.count", "sweep.param"])
+def test_sweep_of_a_sweep_field_is_domain_error(capsys, param):
+    # sweep.quantity used to change the rows' width under the header's
+    code, out, err = run(capsys, "sweep", "--sweep.param", param)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: sweep.param cannot be a sweep field: {param}"]
 
 
 @pytest.mark.parametrize(
@@ -340,10 +384,6 @@ def test_kernel_on_an_inertial_trajectory_is_domain_error(capsys):
         ("response", "response.deltaE.count"),
         ("sweep", "sweep.count"),
         ("populations", "populations.samples"),
-        # n_max = 10^8 used to run without bound, extrap_steps = 1100 to
-        # overflow 2.0**k in halving_ladder
-        ("verify", "regularization.n_max"),
-        ("verify", "regularization.extrap_steps"),
     ],
 )
 def test_row_counts_above_the_cap_are_domain_errors(capsys, command, field):
@@ -431,11 +471,10 @@ def test_verify_passes_on_defaults(tmp_path, capsys):
     assert {c["status"] for c in report["checks"]} == {"pass"}
 
 
-def test_verify_forced_failure(tmp_path, capsys):
+def test_verify_forced_failure(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(K, "QUAD_TOL", 1e-30)
     out_file = tmp_path / "report.json"
-    code = main([
-        "verify", "--out", str(out_file), "--regularization.quad_tol", "1e-30"
-    ])
+    code = main(["verify", "--out", str(out_file)])
     capsys.readouterr()
     assert code == 2
     report = json.loads(out_file.read_text())
@@ -454,16 +493,55 @@ def test_verify_report_schema_stable(tmp_path, capsys):
     ]
 
 
+def _inject(monkeypatch, command, header, rows):
+    """Make command return the table (header, rows) without computing it."""
+    monkeypatch.setitem(cli._COMMANDS, command, lambda config: (header, rows))
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_nan_row_is_numeric_failure_and_nothing_is_written(tmp_path, capsys, fmt):
-    # omega0 = 1e-320 used to print nan cells (null in JSON) with exit 0
+def test_nan_row_is_numeric_failure_and_nothing_is_written(
+    tmp_path, capsys, monkeypatch, fmt
+):
+    # a NaN cell once printed as nan (null in JSON) with exit 0
+    _inject(monkeypatch, "rates", ["vf", "rr"], [[math.nan, 1.0]])
     out_file = tmp_path / "rates.out"
-    args = ["rates", "--detector.omega0", "1e-320", "--format", fmt]
+    args = ["rates", "--format", fmt]
     code, out, err = run(capsys, *args)
     assert code == 2 and out == ""
     assert err.splitlines() == ["numeric failure: rates computed a NaN"]
     code, _, _ = run(capsys, *args, "--out", str(out_file))
     assert code == 2 and not out_file.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1.0, -math.inf, None, True]],  # one row, formatted cell by cell
+        [[1.0, 2.0, 0.0, 1.0], [1.0, math.inf, 0.0, 1.0]],
+        np.array([[1.0, 2.0, 0.0, 1.0], [1.0, 2.0, -math.inf, 1.0]]),
+    ],
+)
+def test_inf_cell_is_numeric_failure_and_nothing_is_written(
+    tmp_path, capsys, monkeypatch, fmt, rows
+):
+    _inject(monkeypatch, "response", ["a", "b", "c", "d"], rows)
+    out_file = tmp_path / "response.out"
+    code, out, err = run(capsys, "response", "--format", fmt, "--out", str(out_file))
+    assert code == 2 and out == "" and not out_file.exists()
+    assert err.splitlines() == ["numeric failure: response computed an inf"]
+
+
+def test_only_steady_may_echo_an_infinite_beta(capsys, monkeypatch):
+    rows = [[1.0, math.inf, 0.0, 1.0, 0.0], [2.0, math.inf, 0.0, 1.0, 0.0]]
+    header = ["omega0", "beta", "sigma_plus", "sigma_minus", "balance_ratio"]
+    _inject(monkeypatch, "steady", header, rows)
+    code, out, err = run(capsys, "steady")
+    assert code == 0 and err == "" and out.count(",inf,") == 2
+    _inject(monkeypatch, "fermion", header, rows)
+    code, out, err = run(capsys, "fermion")
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["numeric failure: fermion computed an inf"]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -490,6 +568,47 @@ def test_overflow_is_numeric_failure(capsys, args):
     code, out, err = run(capsys, *args)
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("numeric failure:")
+
+
+def test_overflow_line_names_the_command(tmp_path, capsys):
+    out_file = tmp_path / "rates.csv"
+    code, out, err = run(capsys, "rates", "--detector.omega0", "1e308",
+                         "--out", str(out_file))
+    assert code == 2 and out == "" and not out_file.exists()
+    assert len(err.splitlines()) == 1
+    assert err.startswith("numeric failure: rates overflowed a float: ")
+
+
+def test_rates_at_tiny_omega0_are_finite(capsys):
+    # omega0^2 coth(pi omega0 / alpha) was formed as 0 * inf: exit 2 on a NaN
+    code, out, err = run(capsys, "rates", "--detector.omega0", "1e-320",
+                         "--trajectory.alpha", "1e300", "--format", "json")
+    assert code == 0 and err == ""
+    record = json.loads(out)[0]
+    want = -0.5 * 1e-320 * 1e300 / (8.0 * math.pi**2)
+    assert record["vf"] == pytest.approx(want, rel=1e-12)
+    assert record["total"] == record["vf"]
+
+
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        (["--regularization.n_max", "10"], "regularization"),
+        (["--regularization.epsilon", "1e-3"], "regularization"),
+        (["--trajectory.v", "0.5"], "trajectory.v"),
+    ],
+)
+def test_removed_config_fields_are_unknown(tmp_path, capsys, args, field):
+    # the oracle settings are constants of kernels; no command read trajectory.v
+    for command in ("verify", "steady"):
+        code, out, err = run(capsys, command, *args)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: unknown config")
+        assert field in err
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({args[0][2:]: json.loads(args[1])}))
+    code, out, err = run(capsys, "steady", "--config", str(cfg))
+    assert code == 1 and out == "" and err.startswith("error: unknown config")
 
 
 @pytest.mark.parametrize(
@@ -539,12 +658,10 @@ def test_response_at_underflowing_exponent_is_its_limit(capsys):
     "args",
     [
         ["rates", "--rates.numeric", "true", "--trajectory.alpha", "1e-320"],
-        ["verify", "--regularization.epsilon", "1e300"],
     ],
 )
 def test_regulator_ladder_overflow_gives_no_warning(capsys, args):
-    # the NaN it produces fails the rates' d vs d/2 check or the kernel
-    # oracles' ladder contraction check instead
+    # the NaN it produces fails the rates' d vs d/2 check instead
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, _, _ = run(capsys, *args)

@@ -1,7 +1,10 @@
-"""In-process fuzz of every CLI command with extreme numeric config values.
+"""In-process fuzz of every CLI command with extreme config values.
 
-Each example sets one or two numeric config fields to an edge value and calls
-``cli.main`` in this process.  The contract checked: an exit code in 0..3,
+Each example sets one or two config fields and calls ``cli.main`` in this
+process: a numeric field to an edge value, a string field (``sweep.param``,
+``sweep.quantity``, ``trajectory.kind``, ``fermion.spectrum``) to a valid or
+a wrong name, or ``fermion.init`` to a short list of edge values.  The
+contract checked: an exit code in 0..3,
 no exception out of ``main``, no numpy RuntimeWarning (a process would print
 it to stderr), no NaN or inf on stdout with exit 0 (bar the beta that
 ``steady`` echoes), one stderr line and no stdout when a table command fails,
@@ -13,8 +16,10 @@ import contextlib
 import io
 import json
 import math
+import tempfile
 import time
 import warnings
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
@@ -27,20 +32,58 @@ EDGE_VALUES = [
 SECONDS_PER_EXAMPLE = 10.0
 
 
-def _numeric_fields(defaults: dict, prefix: str = "") -> list[str]:
-    fields = []
+def _leaves(defaults: dict, prefix: str = "") -> dict:
+    """{dotted name: default} of every config field."""
+    leaves = {}
     for key, default in defaults.items():
-        name = prefix + key
         if isinstance(default, dict):
-            fields += _numeric_fields(default, name + ".")
-            continue
-        kinds = cli._FIELD_KINDS.get(name) or (cli._KIND_OF_DEFAULT[type(default)],)
-        if {"a number", "an integer"} & set(kinds):
-            fields.append(name)
-    return fields
+            leaves.update(_leaves(default, prefix + key + "."))
+        else:
+            leaves[prefix + key] = default
+    return leaves
 
 
-FIELDS = _numeric_fields(cli.DEFAULT_CONFIG)
+LEAVES = _leaves(cli.DEFAULT_CONFIG)
+FIELDS = [
+    name for name, default in LEAVES.items()
+    if {"a number", "an integer"}
+    & set(cli._FIELD_KINDS.get(name) or (cli._KIND_OF_DEFAULT[type(default)],))
+]
+
+
+# Spectrum files for fermion.spectrum: one valid, the rest each wrong in one
+# way.  The directory lives as long as this module.
+_SPECTRA = tempfile.TemporaryDirectory()
+SPECTRUM_DOCS = {
+    "valid": [{"omega": 1.0, "g": 0.1}, {"omega": 2.0, "g": 0.05}],
+    "empty": [],
+    "object": {"omega": 1.0, "g": 0.1},
+    "numbers": [1.0, 2.0],
+    "missing_g": [{"omega": 1.0}],
+    "string_omega": [{"omega": "1", "g": 0.1}],
+    "null_g": [{"omega": 1.0, "g": None}],
+    "huge": [{"omega": 1e308, "g": 1e308}],
+    "tiny": [{"omega": 1e-320, "g": 1e-300}],
+}
+for _name, _doc in SPECTRUM_DOCS.items():
+    (Path(_SPECTRA.name) / f"{_name}.json").write_text(json.dumps(_doc))
+(Path(_SPECTRA.name) / "not_json.json").write_text("[{")
+(Path(_SPECTRA.name) / "not_utf8.json").write_bytes(b"\xff\xfe[")
+
+STRING_VALUES = {
+    "sweep.param": list(LEAVES) + [
+        "detector", "sweep", "no.such.field", "detector.omega0.x", "",
+    ],
+    "sweep.quantity": ["steady", "rates", "response", "kernel", ""],
+    "trajectory.kind": ["accelerated", "inertial", "Inertial", ""],
+    "fermion.spectrum": [None, "", _SPECTRA.name, f"{_SPECTRA.name}/missing.json"]
+    + [str(p) for p in sorted(Path(_SPECTRA.name).iterdir())],
+}
+VALUES = {
+    **{field: st.sampled_from(EDGE_VALUES) for field in FIELDS},
+    **{field: st.sampled_from(values) for field, values in STRING_VALUES.items()},
+    "fermion.init": st.lists(st.sampled_from(EDGE_VALUES), max_size=3),
+}
 
 
 def _records(command: str, out: str) -> list[dict]:
@@ -63,7 +106,9 @@ def _is_non_finite(cell) -> bool:
 @given(
     command=st.sampled_from(sorted(cli._COMMANDS)),
     overrides=st.lists(
-        st.tuples(st.sampled_from(FIELDS), st.sampled_from(EDGE_VALUES)),
+        st.sampled_from(sorted(VALUES)).flatmap(
+            lambda field: st.tuples(st.just(field), VALUES[field])
+        ),
         min_size=1, max_size=2, unique_by=lambda fv: fv[0],
     ),
     as_json=st.booleans(),

@@ -11,7 +11,6 @@ from unruh_kinetics.core import (
     DomainError,
     Inertial,
     OrderingParam,
-    Regularization,
     SYMMETRIC_ORDERING,
     ThermalState,
     UniformAcceleration,
@@ -24,7 +23,6 @@ def test_validate_accepts_reasonable_config():
         DetectorParams(omega0=1.0, mu=0.1),
         ThermalState(beta=1.0),
         UniformAcceleration(alpha=1.0),
-        Regularization(),
     )
     assert cfg.detector.omega0 == 1.0
     assert cfg.thermal.beta == 1.0
@@ -34,7 +32,7 @@ def test_validate_is_idempotent():
     cfg = validate(
         DetectorParams(1.0), ThermalState(math.inf), Inertial(0.5)
     )
-    cfg2 = validate(cfg.detector, cfg.thermal, cfg.trajectory, cfg.regularization)
+    cfg2 = validate(cfg.detector, cfg.thermal, cfg.trajectory)
     assert cfg2 == cfg
 
 
@@ -66,17 +64,6 @@ def test_zero_temperature_is_first_class():
     assert t.temperature == 0.0
     assert not ThermalState(2.0).is_zero_temperature
     assert ThermalState(2.0).temperature == 0.5
-
-
-def test_regularization_bounds():
-    with pytest.raises(DomainError):
-        Regularization(epsilon=0.0)
-    with pytest.raises(DomainError):
-        Regularization(n_max=0)
-    with pytest.raises(DomainError):
-        Regularization(quad_tol=1.5)
-    with pytest.raises(DomainError):
-        Regularization(extrap_steps=0)
 
 
 def test_ordering_param():

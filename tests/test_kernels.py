@@ -13,7 +13,6 @@ from unruh_kinetics.core import (
     DomainError,
     Inertial,
     NonConvergence,
-    Regularization,
     SingularInput,
     UniformAcceleration,
 )
@@ -72,9 +71,17 @@ def test_lattice_sum_identity_point():
     assert c.real == pytest.approx(-0.25 / math.sinh(math.pi) ** 2)
 
 
-def test_lattice_sum_nonconvergence_on_impossible_tolerance():
+def test_lattice_sum_nonconvergence_on_impossible_tolerance(monkeypatch):
+    monkeypatch.setattr(K, "QUAD_TOL", 1e-30)
     with pytest.raises(NonConvergence):
-        K.thermal_image_sum(1.0, 1.0, Regularization(quad_tol=1e-30))
+        K.thermal_image_sum(1.0, 1.0)
+
+
+def test_accelerated_sum_checks_its_ladder_contraction(monkeypatch):
+    # the oracle's ladder contracts to ~1e-14 relative: a 1e-30 tolerance fails
+    monkeypatch.setattr(K, "QUAD_TOL", 1e-30)
+    with pytest.raises(NonConvergence):
+        K.wightman_vacuum_accelerated_sum(1.0, 1.0)
 
 
 # --- inertial thermal kernel ---------------------------------------------
@@ -118,8 +125,8 @@ def test_inertial_thermal_sum_is_deterministic():
 def test_inertial_thermal_sum_truncation_tail():
     # doubling n_max moves the value by less than the integral tail bound
     beta, n_max = 1.0, 2000
-    a = K.g_thermal_inertial_sum(1.0, beta, 0.5, Regularization(n_max=n_max))
-    b = K.g_thermal_inertial_sum(1.0, beta, 0.5, Regularization(n_max=2 * n_max))
+    a = K.g_thermal_inertial_sum(1.0, beta, 0.5, n_max=n_max)
+    b = K.g_thermal_inertial_sum(1.0, beta, 0.5, n_max=2 * n_max)
     assert abs(a.value - b.value) < 2.0 / (math.pi**2 * beta * n_max)
 
 
@@ -287,7 +294,7 @@ def test_field_correlation_inertial_limit():
 def test_field_sum_route_matches_closed():
     traj = UniformAcceleration(1.0)
     a = K.correlation_field(1.0, 0.0, traj, eps=1e-3)
-    b = K.correlation_field(1.0, 0.0, traj, eps=1e-3, use_sum=True)
+    b = K.correlation_field(1.0, 0.0, traj, eps=1e-3, n_max=K.N_MAX)
     assert a.value == pytest.approx(b.value, rel=1e-8)
 
 

@@ -16,6 +16,23 @@ def test_rhs_components_are_exact_negatives():
         assert d_plus == -d_minus
 
 
+@pytest.mark.parametrize("omega0, beta", [(1e-320, 1e-320), (1e-300, 1.0), (1.0, 1e-320)])
+def test_relaxation_rate_where_omega0_beta_underflows(omega0, beta):
+    # omega0 beta / 2 underflowed to 0 and coth raised ZeroDivisionError; the
+    # rate is its limit 1 / (4 pi beta), inf where that overflows
+    assert M.relaxation_rate(omega0, beta) == 1.0 / (4.0 * math.pi * beta)
+
+
+def test_relaxation_rate_is_continuous_where_coth_becomes_its_pole():
+    from unruh_kinetics.numerics import COTH_POLE
+
+    beta = 1.0
+    for x in (COTH_POLE * (1 - 1e-9), COTH_POLE * (1 + 1e-9)):
+        omega0 = 2.0 * x / beta
+        want = omega0 / (8.0 * math.pi * math.tanh(x))
+        assert M.relaxation_rate(omega0, beta) == pytest.approx(want, rel=1e-15)
+
+
 def test_rhs_vanishes_at_steady_state():
     for w0, beta in [(0.5, 0.3), (1.0, 1.0), (2.0, 7.0)]:
         d_plus, d_minus = M.rate_rhs(M.steady_state(w0, beta), w0, beta)

@@ -12,13 +12,12 @@ from unruh_kinetics.numerics import (
     extrapolate_to_zero,
     fermi,
     half_line_cos_sin_integral,
-    halving_ladder,
     neville,
     panel_integral,
     panel_rule,
 )
 
-LADDER = halving_ladder(0.5, 4)
+LADDER = (0.5, 0.25, 0.125, 0.0625, 0.03125)
 
 
 def cubic(x: float) -> float:

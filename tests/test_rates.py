@@ -20,6 +20,7 @@ from unruh_kinetics.core import (
     OrderingParam,
 )
 from unruh_kinetics import rates as R
+from unruh_kinetics.numerics import COTH_POLE
 from unruh_kinetics.response import response_accelerated
 
 PLUS = AtomState.plus()
@@ -47,6 +48,28 @@ def test_vf_excites_ground_state():
     # equal-weight average over the two eigenstates vanishes
     avg = R.atom_vf_rate(p, 2.0, PLUS) + R.atom_vf_rate(p, 2.0, MINUS)
     assert avg == pytest.approx(0.0, abs=1e-18)
+
+
+@pytest.mark.parametrize("omega0", [1e-320, 1e-300, 1e-200])
+@pytest.mark.parametrize("alpha", [1.0, 1e20])
+def test_vf_at_tiny_omega0_is_its_small_y_limit(omega0, alpha):
+    # omega0^2 underflows and coth(pi omega0 / alpha) overflows there; the
+    # rate is -mu^2 <R3> omega0 alpha / 8 pi^2.  At omega0 = 1e-320, alpha = 1
+    # it is subnormal and carries ~2 digits, so it is held to 2 subnormal units
+    vf = R.atom_vf_rate(DetectorParams(omega0), alpha, PLUS)
+    want = -0.5 * omega0 * alpha / (8.0 * math.pi**2)
+    assert math.isfinite(vf)
+    assert vf == pytest.approx(want, rel=1e-12, abs=1e-323)
+    assert R.atom_total_rate(DetectorParams(omega0), alpha, PLUS).total == vf
+
+
+def test_vf_is_continuous_where_coth_becomes_its_pole():
+    alpha = 1.0
+    for y in (COTH_POLE * (1 - 1e-9), COTH_POLE * (1 + 1e-9)):
+        omega0 = y * alpha / math.pi
+        vf = R.atom_vf_rate(DetectorParams(omega0), alpha, MINUS)
+        want = (omega0**2 / (16.0 * math.pi)) / math.tanh(y)
+        assert vf == pytest.approx(want, rel=1e-15)
 
 
 def test_rr_closed_form_values():
