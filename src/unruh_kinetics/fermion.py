@@ -77,11 +77,20 @@ def default_bath(omega0: float, beta: float, g: float = 0.1) -> BathSpectrum:
 
 
 def _window_weight(detuning: float, dt: float) -> float:
-    """[1 - cos(x dt)] / (x^2 dt) with the resonant limit dt/2 at x -> 0."""
+    """[1 - cos(x dt)] / (x^2 dt) with the resonant limit dt/2 at x -> 0.
+
+    Once x dt overflows (so |x| > 1), the weight is below 2 / (|x| 1e308):
+    0.  Where x^2 dt underflows to 0, the denominator is (x dt) x instead.
+    """
     x = detuning * dt
     if abs(x) < RESONANT_THRESHOLD:
         return 0.5 * dt * (1.0 - x * x / 12.0)
-    return (1.0 - math.cos(x)) / (detuning * detuning * dt)
+    if not math.isfinite(x):
+        return 0.0
+    denominator = detuning * detuning * dt
+    if denominator == 0.0:
+        denominator = x * detuning
+    return (1.0 - math.cos(x)) / denominator
 
 
 def fermion_rates(

@@ -99,13 +99,6 @@ def _check_params(omega0: float, beta: float) -> None:
         raise DomainError(f"beta must be positive (or +inf), got {beta}")
 
 
-def _thermal_weight(omega0: float, beta: float) -> float:
-    """[1 - e^{-omega0 beta}]^-1; 1 at beta = +inf."""
-    if math.isinf(beta):
-        return 1.0
-    return 1.0 / -math.expm1(-omega0 * beta)
-
-
 def relaxation_rate(omega0: float, beta: float) -> float:
     """Gamma = (omega0 / 8 pi) coth(omega0 beta / 2); coth -> 1 at beta = +inf,
     and Gamma -> 1 / (4 pi beta) below omega0 beta / 2 = COTH_POLE."""
@@ -124,12 +117,19 @@ def rate_rhs(
     d sigma_plus / d tau
         = -(omega0 / 8 pi) { sigma_minus
                              + [1 - e^{-omega0 beta}]^-1 (sigma_plus - sigma_minus) }
+
+    Below omega0 beta / 2 = COTH_POLE, omega0 [1 - e^{-omega0 beta}]^-1 is
+    its pole 1/beta + omega0/2, where omega0 beta may underflow to 0.
     """
     _check_params(omega0, beta)
-    w = _thermal_weight(omega0, beta)
-    d_plus = -(omega0 / (8.0 * math.pi)) * (
-        state.sigma_minus + w * (state.sigma_plus - state.sigma_minus)
-    )
+    gap = state.sigma_plus - state.sigma_minus
+    if 0.5 * omega0 * beta < COTH_POLE:
+        d_plus = -(omega0 * (state.sigma_minus + 0.5 * gap) + gap / beta) / (
+            8.0 * math.pi
+        )
+    else:
+        w = 1.0 if math.isinf(beta) else 1.0 / -math.expm1(-omega0 * beta)
+        d_plus = -(omega0 / (8.0 * math.pi)) * (state.sigma_minus + w * gap)
     return d_plus, -d_plus
 
 

@@ -70,13 +70,19 @@ class EnergyRateReport:
 
 
 def planck_bracket(omega0: float, alpha: float) -> float:
-    """[1 + 2/(e^{2 pi omega0 / alpha} - 1)] = coth(pi omega0 / alpha); 1 at alpha=0."""
+    """[1 + 2/(e^{2 pi omega0 / alpha} - 1)] = coth(pi omega0 / alpha); 1 at alpha=0.
+
+    Below y = pi omega0 / alpha = COTH_POLE it is the pole 1/y, where 2 y may
+    underflow to 0.
+    """
     if not omega0 > 0:
         raise DomainError(f"omega0 must be positive, got {omega0}")
     if alpha < 0:
         raise DomainError(f"alpha must be >= 0, got {alpha}")
     if alpha == 0.0:
         return 1.0
+    if math.pi * omega0 < COTH_POLE * alpha:
+        return alpha / math.pi / omega0
     x = 2.0 * math.pi * omega0 / alpha
     if x > 700.0:
         return 1.0

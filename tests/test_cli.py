@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from unruh_kinetics import cli
 from unruh_kinetics import kernels as K
@@ -395,14 +397,81 @@ def test_row_counts_above_the_cap_are_domain_errors(capsys, command, field):
     load_config(None, [f"--{field}", str(cap)])  # the cap itself is allowed
 
 
-def test_emit_formats_constant_columns_once_with_the_same_bytes(capsys):
+def _reference_csv(rows) -> str:
+    """CSV lines of a float table, one CPython "%.11e" per cell."""
+    return "".join(",".join("%.11e" % x for x in row) + "\n" for row in rows)
+
+
+def test_emit_writes_constant_columns_with_the_reference_bytes(capsys):
     rows = [[2.0, 0.0, math.nan, 1.0, -0.0], [2.0, -0.0, math.nan, 3.0, -0.0],
             [2.0, 0.0, math.nan, -1e-300, -0.0]]
     config = {"output": {"format": "csv", "path": None}}
+    want = "a,b,c,d,e\n" + _reference_csv(rows)
     emit(["a", "b", "c", "d", "e"], rows, config)
-    from_list = capsys.readouterr().out
+    assert capsys.readouterr().out == want
     emit(["a", "b", "c", "d", "e"], np.array(rows), config)
-    assert capsys.readouterr().out == from_list
+    assert capsys.readouterr().out == want
+
+
+@settings(max_examples=500, deadline=None)
+@given(arrays(
+    np.float64,
+    array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=40),
+    elements=st.floats(allow_subnormal=True),
+))
+def test_csv_rows_are_cpython_percent_e_for_every_float(table):
+    # floats() draws subnormals, +-0, +-inf and NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        text = cli._csv_rows(table)
+    assert text == _reference_csv(table.tolist())
+
+
+def _powers_of_ten_and_neighbours():
+    powers = np.array([10.0**k for k in range(-30, 40)])
+    return np.concatenate([
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+    ])
+
+
+@pytest.mark.parametrize("cells", [
+    _powers_of_ten_and_neighbours(),
+    # 13-digit ties: "%.11e" rounds them half to even
+    [1234567890125.0, 1234567890135.0, -1234567890125.0, -1234567890135.0],
+    [9.9999999999995e-3, 5e-324, 1.7976931348623157e308, 1e-12],
+    [0.0, -0.0, math.inf, -math.inf, math.nan, 99999999999.5, 999999999999.5],
+    # decimal ties whose double lies off the tie by less than the scaling
+    # error: rint of the scaled value rounds them the wrong way
+    [8.271467107625e-11, 8.641421830115e-10, 0.0009951851014265,
+     0.7727320967405, 5.550509964165],
+])
+def test_csv_rows_edge_cells_are_cpython_percent_e(cells):
+    for cols in (1, 2):
+        table = np.array(cells, dtype=float)[: len(cells) // cols * cols]
+        table = table.reshape(-1, cols)
+        assert cli._csv_rows(table) == _reference_csv(table.tolist())
+        assert cli._csv_rows(-table) == _reference_csv((-table).tolist())
+
+
+def test_csv_rows_round_13_digit_decimal_ties_as_cpython():
+    # (12-digit integer + 0.5) * 10^(e - 11) for every e the vector path
+    # takes; each double lies a little off its decimal tie
+    rng = np.random.default_rng(13)
+    digits = rng.integers(10**11, 10**12, (45, 2000)) + 0.5
+    scales = 10.0 ** np.arange(-22, 23)[:, None]
+    table = (digits * scales).reshape(-1, 4)
+    assert cli._csv_rows(table) == _reference_csv(table.tolist())
+
+
+@pytest.mark.parametrize("bias", [-0.5, 0.5])
+def test_csv_rows_trust_the_log10_exponent_only_to_within_one(monkeypatch, bias):
+    # a biased log10 puts floor(log10 |x|) one off for about half the cells
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda x: log10(x) + bias)
+    rng = np.random.default_rng(7)
+    exponents = rng.integers(-13, 36, (2000, 3))
+    table = rng.uniform(1.0, 10.0, exponents.shape) * 10.0**exponents
+    assert cli._csv_rows(table) == _reference_csv(table.tolist())
 
 
 def test_singular_kernel_point_is_domain_error(capsys):
@@ -624,6 +693,17 @@ def test_non_finite_fermion_inputs_are_domain_errors(capsys, args, message):
     code, out, err = run(capsys, *args)
     assert code == 1 and out == ""
     assert err.splitlines() == [message]
+
+
+@pytest.mark.parametrize("omega0", ["1e300", "1e-300"])
+def test_fermion_extreme_detuning_times_window_prints_its_row(capsys, omega0):
+    # the phase detuning * dt overflowed (cos raised ValueError) or
+    # detuning^2 dt underflowed (ZeroDivisionError), out of main
+    code, out, err = run(capsys, "fermion", "--detector.omega0", omega0,
+                         "--fermion.dt", "1e300")
+    assert code == 0 and err == ""
+    row = [float(x) for x in out.splitlines()[1].split(",")[:-1]]
+    assert all(map(math.isfinite, row)) and row[0] > 0.0
 
 
 @pytest.mark.parametrize(

@@ -3,17 +3,21 @@
 Each example sets one or two config fields and calls ``cli.main`` in this
 process: a numeric field to an edge value, a string field (``sweep.param``,
 ``sweep.quantity``, ``trajectory.kind``, ``fermion.spectrum``) to a valid or
-a wrong name, or ``fermion.init`` to a short list of edge values.  The
-contract checked: an exit code in 0..3,
+a wrong name, or ``fermion.init`` to a short list of edge values.  It
+writes to stdout, or with ``--out`` to a new file, an existing directory, a
+path under a missing directory or the empty string.  The contract checked: an
+exit code in 0..3,
 no exception out of ``main``, no numpy RuntimeWarning (a process would print
-it to stderr), no NaN or inf on stdout with exit 0 (bar the beta that
-``steady`` echoes), one stderr line and no stdout when a table command fails,
-and a time bound per example.  Derandomized, so every run draws the same
-examples.
+it to stderr), no NaN or inf in the output with exit 0 (bar the beta that
+``steady`` echoes), one stderr line and no output when a table command fails,
+nothing on stdout with ``--out``, where exit 0 writes the file and exit 3 is
+one ``i/o error:`` line, and a time bound per example.  Derandomized, so
+every run draws the same examples.
 """
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import tempfile
@@ -79,6 +83,24 @@ STRING_VALUES = {
     "fermion.spectrum": [None, "", _SPECTRA.name, f"{_SPECTRA.name}/missing.json"]
     + [str(p) for p in sorted(Path(_SPECTRA.name).iterdir())],
 }
+
+# --out targets.  "new_file" is a fresh path in this directory per example;
+# the other three cannot be opened for writing.
+_OUTPUTS = tempfile.TemporaryDirectory()
+_OUTPUT_NUMBERS = itertools.count()
+OUT_KINDS = [None, "new_file", "directory", "missing_directory", "empty"]
+
+
+def _out_path(kind: str) -> str:
+    if kind == "new_file":
+        return f"{_OUTPUTS.name}/out{next(_OUTPUT_NUMBERS)}.txt"
+    return {
+        "directory": _OUTPUTS.name,
+        "missing_directory": f"{_OUTPUTS.name}/missing/out.txt",
+        "empty": "",
+    }[kind]
+
+
 VALUES = {
     **{field: st.sampled_from(EDGE_VALUES) for field in FIELDS},
     **{field: st.sampled_from(values) for field, values in STRING_VALUES.items()},
@@ -113,9 +135,10 @@ def _is_non_finite(cell) -> bool:
     ),
     as_json=st.booleans(),
     numeric_rates=st.booleans(),
+    out_kind=st.sampled_from(OUT_KINDS),
 )
 def test_every_command_keeps_the_exit_contract(
-    command, overrides, as_json, numeric_rates
+    command, overrides, as_json, numeric_rates, out_kind
 ):
     argv = [command]
     for field, value in overrides:
@@ -124,6 +147,9 @@ def test_every_command_keeps_the_exit_contract(
         argv += ["--format", "json"]
     if numeric_rates and command == "rates":
         argv += ["--rates.numeric", "true", "--rates.field", "true"]
+    out_path = None if out_kind is None else _out_path(out_kind)
+    if out_path is not None:
+        argv += ["--out", out_path]
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
     with warnings.catch_warnings(record=True) as caught, \
@@ -135,6 +161,13 @@ def test_every_command_keeps_the_exit_contract(
     numpy_warnings = [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert [str(w.message) for w in numpy_warnings] == [], argv
     out, err = out.getvalue(), err.getvalue()
+    if out_path is not None:
+        assert out == "", argv
+        if code == 3:
+            assert len(err.splitlines()) == 1 and err.startswith("i/o error:"), argv
+        written = Path(out_path)
+        out = written.read_text() if out_kind == "new_file" and written.exists() else ""
+        assert code != 0 or out != "", argv
     if code == 0:
         bad = [
             (key, value)

@@ -34,6 +34,19 @@ def test_resonant_mode_uses_analytic_limit():
     assert near.C == pytest.approx(rates.C, rel=1e-9)
 
 
+
+def test_window_weight_where_the_phase_overflows_or_its_square_underflows():
+    # detuning * dt overflowed to inf and cos raised ValueError; the weight is
+    # below 2 / (|detuning| 1e308) there
+    assert F._window_weight(5e299, 1e300) == 0.0
+    assert F.fermion_rates(F.default_bath(1e300, 1.0), 1e300, 1e300).C > 0.0
+    # detuning^2 dt underflowed to 0 and the division raised
+    # ZeroDivisionError; (detuning dt) detuning is the same denominator
+    detuning, dt = 5e-301, 1e300
+    want = (1.0 - math.cos(detuning * dt)) * dt / (detuning * dt) ** 2
+    assert F._window_weight(detuning, dt) == pytest.approx(want, rel=1e-15)
+    assert F._window_weight(-detuning, dt) == pytest.approx(want, rel=1e-15)
+
 def test_stimulated_rate_monotone_in_beta():
     spectrum_at = lambda b: F.default_bath(1.0, b)
     betas = np.geomspace(0.01, 100.0, 12)

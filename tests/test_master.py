@@ -33,6 +33,32 @@ def test_relaxation_rate_is_continuous_where_coth_becomes_its_pole():
         assert M.relaxation_rate(omega0, beta) == pytest.approx(want, rel=1e-15)
 
 
+
+@pytest.mark.parametrize("sp, omega0, beta", [
+    (0.5, 1e-320, 1e-320), (0.9, 1e-320, 1e-320), (0.9, 1e-300, 1.0),
+])
+def test_rhs_where_omega0_beta_underflows(sp, omega0, beta):
+    # omega0 beta underflowed to 0 and the thermal weight raised
+    # ZeroDivisionError; omega0 times it is 1/beta + omega0/2 there
+    d_plus, d_minus = M.rate_rhs(M.PopulationState(sp, 1.0 - sp), omega0, beta)
+    gap = 2.0 * sp - 1.0
+    assert d_plus == -d_minus
+    assert d_plus == pytest.approx(
+        -(omega0 / 2.0 + gap / beta) / (8.0 * math.pi), rel=1e-15
+    )
+
+
+def test_rhs_is_continuous_where_the_thermal_weight_becomes_its_pole():
+    from unruh_kinetics.numerics import COTH_POLE
+
+    beta, state = 1.0, M.PopulationState(0.7, 0.3)
+    for x in (COTH_POLE * (1 - 1e-9), COTH_POLE * (1 + 1e-9)):
+        omega0 = 2.0 * x / beta
+        weight = 1.0 / -math.expm1(-omega0 * beta)
+        want = -(omega0 / (8.0 * math.pi)) * (0.3 + 0.4 * weight)
+        d_plus, _ = M.rate_rhs(state, omega0, beta)
+        assert d_plus == pytest.approx(want, rel=1e-15)
+
 def test_rhs_vanishes_at_steady_state():
     for w0, beta in [(0.5, 0.3), (1.0, 1.0), (2.0, 7.0)]:
         d_plus, d_minus = M.rate_rhs(M.steady_state(w0, beta), w0, beta)

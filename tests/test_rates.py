@@ -35,6 +35,19 @@ def test_planck_bracket_identity():
     assert R.planck_bracket(1.0, 0.0) == 1.0
 
 
+
+def test_planck_bracket_takes_its_pole_where_the_exponent_underflows():
+    # 2 pi omega0 / alpha underflowed to 0 and 2 / expm1 raised
+    # ZeroDivisionError; coth y is 1/y there, inf where that overflows
+    assert R.planck_bracket(1e-320, 1e300) == math.inf
+    assert R.planck_bracket(1e-300, 1e-10) == pytest.approx(
+        1e-10 / (math.pi * 1e-300), rel=1e-15
+    )
+    for y in (COTH_POLE * (1 - 1e-9), COTH_POLE * (1 + 1e-9)):
+        assert R.planck_bracket(y / math.pi, 1.0) == pytest.approx(
+            1.0 / math.tanh(y), rel=1e-15
+        )
+
 def test_vf_closed_form_inertial_limit():
     p = DetectorParams(1.0, 1.0)
     assert R.atom_vf_rate(p, 0.0, PLUS) == pytest.approx(-1.0 / (16.0 * math.pi))
