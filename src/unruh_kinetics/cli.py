@@ -424,13 +424,20 @@ def _non_finite(header: list[str], rows, echo) -> str | None:
     return None
 
 
-def emit(header: list[str], rows, config: dict) -> None:
-    """Write rows (a list of rows or a 2-D float array) as CSV or JSON."""
+def emit(header: list[str], rows, config: dict, echo=()) -> None:
+    """Write rows (a list of rows or a 2-D float array) as CSV or JSON.
+
+    JSON has no inf: a non-finite cell of an ``echo`` column is written as
+    the string the config reads it from ("inf")."""
     fmt = config["output"]["format"]
     if fmt == "csv":
         text = ",".join(header) + "\n" + _csv_rows(rows)
     elif fmt == "json":
-        records = [dict(zip(header, row)) for row in rows]
+        records = [
+            {k: str(v) if k in echo and not math.isfinite(v) else v
+             for k, v in zip(header, row)}
+            for row in rows
+        ]
         text = json.dumps(records, sort_keys=True, indent=2) + "\n"
     else:
         raise DomainError(f"unknown output format '{fmt}'")
@@ -676,7 +683,8 @@ def _verify_checks(config: dict):
     def fermion_limits():
         w0 = cfg.detector.omega0
         cold = F.fermion_rates(F.default_bath(w0, math.inf), w0, 1.0)
-        hot = F.fermion_rates(F.default_bath(w0, 1e-6), w0, 1.0)
+        # beta w0 fixed, so |T_F / C - 1/2| ~ beta w0 / 4 at every scale
+        hot = F.fermion_rates(F.default_bath(w0, 1e-6 / w0), w0, 1.0)
         err = abs(cold.T_F) + abs(hot.T_F / hot.C - 0.5)
         return err, 1e-4
 
@@ -773,10 +781,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":  # its exit code is its checks' verdict
             return result
         header, rows, *warnings = result
-        bad = _non_finite(header, rows, _ECHO_COLUMNS.get(args.command, ()))
+        echo = _ECHO_COLUMNS.get(args.command, ())
+        bad = _non_finite(header, rows, echo)
         if bad:
             raise NonConvergence(f"{args.command} computed {bad}")
-        emit(header, rows, config)
+        emit(header, rows, config, echo)
         for text in warnings:
             print(f"warning: {text}", file=sys.stderr)
         return 0

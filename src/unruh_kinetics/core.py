@@ -84,18 +84,7 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class Inertial(Trajectory):
-    """Straight worldline at constant speed 0 <= v < 1."""
-
-    v: float = 0.0
-
-    def __post_init__(self) -> None:
-        _require_finite("v", self.v)
-        if not 0.0 <= self.v < 1.0:
-            raise DomainError(f"speed must be < 1 and >= 0, got {self.v}")
-
-    @property
-    def gamma(self) -> float:
-        return 1.0 / math.sqrt(1.0 - self.v * self.v)
+    """Worldline of a detector at rest."""
 
 
 @dataclass(frozen=True)
@@ -176,12 +165,8 @@ def validate(
 
     The dataclasses enforce their own invariants on construction, so any
     instance reaching this point is already consistent; this re-checks the
-    cross-field constraints, normalizes the beta = +inf encoding and is
-    idempotent on accepted inputs.
+    trajectory variant and is idempotent on accepted inputs.
     """
     if not isinstance(trajectory, (Inertial, UniformAcceleration)):
         raise DomainError(f"unknown trajectory variant: {trajectory!r}")
-    beta = thermal.beta
-    if math.isinf(beta) and beta > 0:
-        thermal = ThermalState(math.inf)
     return ValidatedConfig(detector, thermal, trajectory)

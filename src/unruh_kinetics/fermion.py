@@ -9,6 +9,7 @@ validity diagnostic.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,17 +81,17 @@ def _window_weight(detuning: float, dt: float) -> float:
     """[1 - cos(x dt)] / (x^2 dt) with the resonant limit dt/2 at x -> 0.
 
     Once x dt overflows (so |x| > 1), the weight is below 2 / (|x| 1e308):
-    0.  Where x^2 dt underflows to 0, the denominator is (x dt) x instead.
+    0.  Where x^2 is subnormal (or 0) it has lost its significant bits, so
+    the weight is divided by x dt and then by x instead.
     """
     x = detuning * dt
     if abs(x) < RESONANT_THRESHOLD:
         return 0.5 * dt * (1.0 - x * x / 12.0)
     if not math.isfinite(x):
         return 0.0
-    denominator = detuning * detuning * dt
-    if denominator == 0.0:
-        denominator = x * detuning
-    return (1.0 - math.cos(x)) / denominator
+    if detuning * detuning < sys.float_info.min:
+        return (1.0 - math.cos(x)) / x / detuning
+    return (1.0 - math.cos(x)) / (detuning * detuning * dt)
 
 
 def fermion_rates(

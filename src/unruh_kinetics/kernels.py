@@ -74,19 +74,9 @@ _TINY = np.finfo(float).tiny
 
 @dataclass(frozen=True)
 class KernelValue:
-    """Complex kernel value (a complex array for array arguments);
-    regularized=True marks finite-eps evaluation."""
+    """Complex kernel value (a complex array for array arguments)."""
 
     value: complex
-    regularized: bool = False
-
-    @property
-    def re(self) -> float:
-        return self.value.real
-
-    @property
-    def im(self) -> float:
-        return self.value.imag
 
 
 def _check_nonsingular(u, eps: float) -> None:
@@ -128,11 +118,10 @@ def _coth(x: float) -> float:
     return 1.0 / math.tanh(x)
 
 
-def _eps_to_zero(at_eps, n_max: int | None) -> complex:
-    """at_eps(eps, n_max) on the oracles' ladder, extrapolated to eps -> 0+."""
-    n_max = N_MAX if n_max is None else n_max
+def _eps_to_zero(at_eps) -> complex:
+    """at_eps(eps, N_MAX) on the oracles' ladder, extrapolated to eps -> 0+."""
     ladder = [EPSILON / 2.0**k for k in range(EXTRAP_STEPS + 1)]
-    return extrapolate_to_zero(lambda eps: at_eps(eps, n_max), ladder, QUAD_TOL)
+    return extrapolate_to_zero(lambda eps: at_eps(eps, N_MAX), ladder, QUAD_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +151,7 @@ def image_sum_inverse_power(m: int, z: complex, alpha: float) -> complex:
 
 
 def image_sum_inverse_power_sum(
-    m: int, z: complex, alpha: float, n_max: int = 10_000
+    m: int, z: complex, alpha: float, n_max: int
 ) -> complex:
     """Brute-force symmetric truncation of S_m(z) with a midpoint tail estimate."""
     period = 2.0 * math.pi / alpha
@@ -181,7 +170,7 @@ def image_sum_inverse_power_sum(
 def wightman_vacuum_inertial(u: float, eps: float = 0.0) -> KernelValue:
     """-1 / (4 pi^2 (u - i eps)^2)."""
     _check_nonsingular(u, eps)
-    return KernelValue(-1.0 / (_FOUR_PI_SQ * (u - 1j * eps) ** 2), regularized=eps > 0)
+    return KernelValue(-1.0 / (_FOUR_PI_SQ * (u - 1j * eps) ** 2))
 
 
 def wightman_vacuum_accelerated(u, alpha, eps: float = 0.0) -> KernelValue:
@@ -193,15 +182,13 @@ def wightman_vacuum_accelerated(u, alpha, eps: float = 0.0) -> KernelValue:
     require_all(alpha > 0, alpha, "alpha must be positive")
     _check_nonsingular(u, eps)
     w = -(1.0 / _FOUR_PI_SQ) * image_sum_inverse_power(2, u - 2j * eps, alpha)
-    return KernelValue(_complex(w), regularized=eps > 0)
+    return KernelValue(_complex(w))
 
 
-def wightman_vacuum_accelerated_sum(
-    u: float, alpha: float, *, n_max: int | None = None
-) -> KernelValue:
+def wightman_vacuum_accelerated_sum(u: float, alpha: float) -> KernelValue:
     """Truncated-image-sum oracle with eps -> 0+ extrapolation.
 
-    Symmetric truncation at |n| <= n_max plus a midpoint tail estimate, then
+    Symmetric truncation at |n| <= N_MAX plus a midpoint tail estimate, then
     a Neville ladder over eps, eps/2, ...
     """
     if alpha <= 0:
@@ -214,7 +201,7 @@ def wightman_vacuum_accelerated_sum(
             2, u - 2j * eps, alpha, n_max
         )
 
-    return KernelValue(_eps_to_zero(at_eps, n_max), regularized=False)
+    return KernelValue(_eps_to_zero(at_eps))
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +220,7 @@ def thermal_image_closed(u, beta) -> complex:
     return _complex(-(1.0 / (4.0 * beta**2)) * s2)
 
 
-def thermal_image_sum(u: float, beta: float, *, n_max: int | None = None) -> complex:
+def thermal_image_sum(u: float, beta: float) -> complex:
     """-(1/4 pi^2) sum_n [u - i beta (n + eps)]^-2, extrapolated to eps -> 0+.
 
     Oracle for thermal_image_closed through the lattice-sum identity
@@ -250,7 +237,7 @@ def thermal_image_sum(u: float, beta: float, *, n_max: int | None = None) -> com
         tail = ((u + 1j * edge_lo) ** -1 - (u - 1j * edge_hi) ** -1) / (1j * beta)
         return complex(total + tail)
 
-    return -(1.0 / _FOUR_PI_SQ) * _eps_to_zero(at_eps, n_max)
+    return -(1.0 / _FOUR_PI_SQ) * _eps_to_zero(at_eps)
 
 
 def g_thermal_inertial(u: float, beta: float, v: float) -> KernelValue:
@@ -269,7 +256,7 @@ def g_thermal_inertial(u: float, beta: float, v: float) -> KernelValue:
     if u == 0.0:
         raise SingularInput("u = 0 is singular")
     if v < V_CROSSOVER:
-        return KernelValue(thermal_image_closed(u, beta), regularized=False)
+        return KernelValue(thermal_image_closed(u, beta))
     gamma = 1.0 / math.sqrt(1.0 - v * v)
     x = math.pi * u / beta
     val = (
@@ -277,12 +264,10 @@ def g_thermal_inertial(u: float, beta: float, v: float) -> KernelValue:
         * (_coth(gamma * (v - 1.0) * x) + _coth(gamma * (v + 1.0) * x))
         / (8.0 * math.pi * beta * v * u)
     )
-    return KernelValue(complex(val), regularized=False)
+    return KernelValue(complex(val))
 
 
-def g_thermal_inertial_sum(
-    u: float, beta: float, v: float, *, n_max: int | None = None
-) -> KernelValue:
+def g_thermal_inertial_sum(u: float, beta: float, v: float) -> KernelValue:
     """Truncated-sum oracle for g_thermal_inertial.
 
     (1/4 pi^2) sum_n [i 2 beta (gamma-1) u (n+eps) - (u - i beta (n+eps))^2]^-1,
@@ -310,7 +295,7 @@ def g_thermal_inertial_sum(
         tail = -tail_antideriv(hi) + tail_antideriv(lo)
         return complex(total + tail)
 
-    return KernelValue(_eps_to_zero(at_eps, n_max) / _FOUR_PI_SQ, regularized=False)
+    return KernelValue(_eps_to_zero(at_eps) / _FOUR_PI_SQ)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +351,7 @@ def g_thermal_accelerated(tau1, tau2, beta, alpha) -> KernelValue:
     g = -(q * q) * (np.exp(-2.0 * a2) / _exprel_neg(2.0 * a2)) * (
         _exprel_neg(2.0 * d) / _exprel_neg(2.0 * a1)
     )
-    return KernelValue(_complex(g), regularized=False)
+    return KernelValue(_complex(g))
 
 
 # ---------------------------------------------------------------------------
@@ -374,26 +359,33 @@ def g_thermal_accelerated(tau1, tau2, beta, alpha) -> KernelValue:
 # ---------------------------------------------------------------------------
 
 def _field_pair(
-    m: int, u: float, trajectory: Trajectory, eps: float, n_max: int | None
+    tau1: float,
+    tau2: float,
+    trajectory: Trajectory,
+    eps: float | None,
+    n_max: int | None,
 ) -> tuple[complex, complex]:
-    """(S_m(u - 2 i eps), S_m(u + 2 i eps)) for the given worldline.
+    """(S_2(u - 2 i eps), S_2(u + 2 i eps)) at u = tau1 - tau2 on the worldline.
 
-    Inertial worldlines keep only the n = 0 image; n_max selects the
-    truncated-sum route instead of the closed form.
+    eps None is EPSILON.  Inertial worldlines keep only the n = 0 image;
+    n_max selects the truncated-sum route instead of the closed form.
     """
+    u = tau1 - tau2
+    eps = EPSILON if eps is None else eps
+    _check_nonsingular(u, eps)
     zm, zp = u - 2j * eps, u + 2j * eps
     if isinstance(trajectory, Inertial):
-        return zm ** (-m), zp ** (-m)
+        return zm**-2, zp**-2
     if isinstance(trajectory, UniformAcceleration):
         a = trajectory.alpha
         if n_max is None:
             return (
-                image_sum_inverse_power(m, zm, a),
-                image_sum_inverse_power(m, zp, a),
+                image_sum_inverse_power(2, zm, a),
+                image_sum_inverse_power(2, zp, a),
             )
         return (
-            image_sum_inverse_power_sum(m, zm, a, n_max),
-            image_sum_inverse_power_sum(m, zp, a, n_max),
+            image_sum_inverse_power_sum(2, zm, a, n_max),
+            image_sum_inverse_power_sum(2, zp, a, n_max),
         )
     raise DomainError(f"unknown trajectory variant: {trajectory!r}")
 
@@ -413,11 +405,8 @@ def correlation_field(
 
     eps None is EPSILON; an n_max sums the images in place of the closed form.
     """
-    u = tau1 - tau2
-    e = EPSILON if eps is None else eps
-    _check_nonsingular(u, e)
-    sm, sp = _field_pair(2, u, trajectory, e, n_max)
-    return KernelValue(-(sm + sp) / (8.0 * math.pi**2), regularized=e > 0)
+    sm, sp = _field_pair(tau1, tau2, trajectory, eps, n_max)
+    return KernelValue(-(sm + sp) / (8.0 * math.pi**2))
 
 
 def susceptibility_field(
@@ -429,16 +418,12 @@ def susceptibility_field(
     n_max: int | None = None,
 ) -> KernelValue:
     """Field linear susceptibility chi^F (commutator / 2i); same sum with a minus."""
-    u = tau1 - tau2
-    e = EPSILON if eps is None else eps
-    _check_nonsingular(u, e)
-    sm, sp = _field_pair(2, u, trajectory, e, n_max)
-    return KernelValue(-(sm - sp) / (8.0j * math.pi**2), regularized=e > 0)
+    sm, sp = _field_pair(tau1, tau2, trajectory, eps, n_max)
+    return KernelValue(-(sm - sp) / (8.0j * math.pi**2))
 
 
-def correlation_atom(u: float, atom: AtomState, omega0: float = 1.0) -> float:
-    """C^A(u) = cos(omega0 u) / 4; independent of the atom state."""
-    del atom
+def correlation_atom(u: float, omega0: float = 1.0) -> float:
+    """C^A(u) = cos(omega0 u) / 4, the same for every atom state."""
     return 0.25 * math.cos(omega0 * u)
 
 

@@ -66,8 +66,6 @@ class PopulationTrajectory:
 
     taus: np.ndarray
     sigma_plus: np.ndarray
-    omega0: float
-    beta: float
     max_defect: float = 0.0
 
     def __post_init__(self) -> None:
@@ -209,7 +207,7 @@ def evolve(
     if samples is not None and samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
     if tau_end == 0:
-        return PopulationTrajectory([0.0], [init.sigma_plus], omega0, beta)
+        return PopulationTrajectory([0.0], [init.sigma_plus])
 
     gamma = relaxation_rate(omega0, beta)
     sp_inf = steady_state(omega0, beta).sigma_plus
@@ -245,4 +243,4 @@ def evolve(
     sigma_plus = sp_inf + (init.sigma_plus - sp_inf) * growth
     sigma_plus[0] = init.sigma_plus
     max_defect = float(np.max(np.abs(sigma_plus + (1.0 - sigma_plus) - 1.0)))
-    return PopulationTrajectory(k * h, sigma_plus, omega0, beta, max_defect)
+    return PopulationTrajectory(k * h, sigma_plus, max_defect)

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AtomState, DetectorParams, DomainError, Inertial, Trajectory
-from .core import UniformAcceleration, require_all
+from .core import AtomState, DetectorParams, DomainError, require_all
 from .kernels import _FOUR_PI_SQ
 from .numerics import damped_line_integral
 from .rates import derivative_coupling_rates
@@ -32,12 +31,10 @@ __all__ = [
 class ResponseResult:
     """Transition rate per unit mu^2 * sum of squared matrix elements.
 
-    rate and deltaE are floats, or arrays of one shape for an array of gaps.
+    rate is a float, or an array of the gaps' shape for an array of gaps.
     """
 
     rate: float
-    deltaE: float
-    trajectory: Trajectory
 
     def __post_init__(self) -> None:
         require_all(np.float64(self.rate) >= 0.0, self.rate,
@@ -61,9 +58,7 @@ def response_inertial(deltaE) -> ResponseResult:
     """
     deltaE = np.float64(deltaE)
     _check_gap(deltaE)
-    return ResponseResult(
-        rate=_plain(0.0 * deltaE), deltaE=_plain(deltaE), trajectory=Inertial()
-    )
+    return ResponseResult(_plain(0.0 * deltaE))
 
 
 def response_accelerated(deltaE, alpha: float) -> ResponseResult:
@@ -83,10 +78,7 @@ def response_accelerated(deltaE, alpha: float) -> ResponseResult:
     with np.errstate(divide="ignore"):  # x = 0 is replaced below
         rate = deltaE * np.exp(-x) / (-2.0 * np.pi * np.expm1(-x))
     rate = np.where(x == 0.0, alpha / (4.0 * np.pi**2), rate)[()]
-    return ResponseResult(
-        rate=_plain(rate), deltaE=_plain(deltaE),
-        trajectory=UniformAcceleration(alpha),
-    )
+    return ResponseResult(_plain(rate))
 
 
 def unruh_temperature(alpha: float) -> float:

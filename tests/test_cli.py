@@ -540,6 +540,16 @@ def test_verify_passes_on_defaults(tmp_path, capsys):
     assert {c["status"] for c in report["checks"]} == {"pass"}
 
 
+@pytest.mark.parametrize("omega0", ["1e-3", "1", "500", "1e6"])
+def test_verify_passes_at_every_level_splitting(capsys, omega0):
+    # the fermion check's hot bath scales with omega0: a fixed beta failed
+    # its 1e-4 gate above omega0 ~ 400
+    code, out, err = run(capsys, "verify", "--detector.omega0", omega0)
+    report = json.loads(out)
+    assert code == 0 and err == ""
+    assert report["passed"] == report["total"] == 11
+
+
 def test_verify_forced_failure(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(K, "QUAD_TOL", 1e-30)
     out_file = tmp_path / "report.json"
@@ -613,6 +623,10 @@ def test_only_steady_may_echo_an_infinite_beta(capsys, monkeypatch):
     assert err.splitlines() == ["numeric failure: fermion computed an inf"]
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_infinite_beta_is_echoed_by_steady(capsys, fmt):
     code, out, err = run(capsys, "steady", "--thermal.beta", "inf", "--format", fmt)
@@ -620,7 +634,9 @@ def test_infinite_beta_is_echoed_by_steady(capsys, fmt):
     if fmt == "csv":
         assert out.splitlines()[1].split(",")[1] == "inf"
     else:
-        assert json.loads(out)[0]["beta"] == math.inf
+        # RFC 8259 has no Infinity: the echo is the config's own token
+        records = json.loads(out, parse_constant=_reject_constant)
+        assert records[0]["beta"] == "inf"
 
 
 @pytest.mark.parametrize(

@@ -30,15 +30,10 @@ def test_validate_accepts_reasonable_config():
 
 def test_validate_is_idempotent():
     cfg = validate(
-        DetectorParams(1.0), ThermalState(math.inf), Inertial(0.5)
+        DetectorParams(1.0), ThermalState(math.inf), Inertial()
     )
     cfg2 = validate(cfg.detector, cfg.thermal, cfg.trajectory)
     assert cfg2 == cfg
-
-
-def test_luminal_speed_rejected():
-    with pytest.raises(DomainError, match="speed"):
-        Inertial(v=1.0)
 
 
 def test_zero_beta_rejected():
@@ -82,11 +77,6 @@ def test_atom_state_constructors():
         AtomState.superposition(1.0, 1.0)  # not normalized
     with pytest.raises(DomainError):
         AtomState(0.6)
-
-
-@given(st.floats(min_value=0.0, max_value=0.999999))
-def test_gamma_factor_matches_definition(v):
-    assert Inertial(v).gamma == pytest.approx(1.0 / math.sqrt(1 - v * v))
 
 
 @given(

@@ -47,6 +47,18 @@ def test_window_weight_where_the_phase_overflows_or_its_square_underflows():
     assert F._window_weight(detuning, dt) == pytest.approx(want, rel=1e-15)
     assert F._window_weight(-detuning, dt) == pytest.approx(want, rel=1e-15)
 
+
+@pytest.mark.parametrize("detuning, dt", [(1.2345e-160, 1e156), (3e-158, 1e158)])
+def test_window_weight_where_the_detuning_squared_is_subnormal(detuning, dt):
+    # detuning^2 is subnormal and keeps only a few significant bits; the
+    # weight divided by it was 1.3e-4 off at the first point
+    assert 0.0 < detuning * detuning < 2.2250738585072014e-308
+    x = detuning * dt
+    want = dt * (1.0 - math.cos(x)) / x**2
+    assert F._window_weight(detuning, dt) == pytest.approx(want, rel=1e-12)
+    assert F._window_weight(-detuning, dt) == pytest.approx(want, rel=1e-12)
+
+
 def test_stimulated_rate_monotone_in_beta():
     spectrum_at = lambda b: F.default_bath(1.0, b)
     betas = np.geomspace(0.01, 100.0, 12)

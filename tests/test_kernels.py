@@ -34,7 +34,6 @@ def test_inertial_vacuum_values():
     v = K.wightman_vacuum_inertial(0.0, eps=1e-3)
     assert v.value.real == pytest.approx(1.0 / (FOUR_PI_SQ * 1e-6))
     assert v.value.imag == pytest.approx(0.0, abs=1e-20)
-    assert v.regularized
 
 
 def test_inertial_vacuum_singular_input():
@@ -122,11 +121,13 @@ def test_inertial_thermal_sum_is_deterministic():
     assert a == b
 
 
-def test_inertial_thermal_sum_truncation_tail():
-    # doubling n_max moves the value by less than the integral tail bound
+def test_inertial_thermal_sum_truncation_tail(monkeypatch):
+    # doubling N_MAX moves the value by less than the integral tail bound
     beta, n_max = 1.0, 2000
-    a = K.g_thermal_inertial_sum(1.0, beta, 0.5, n_max=n_max)
-    b = K.g_thermal_inertial_sum(1.0, beta, 0.5, n_max=2 * n_max)
+    monkeypatch.setattr(K, "N_MAX", n_max)
+    a = K.g_thermal_inertial_sum(1.0, beta, 0.5)
+    monkeypatch.setattr(K, "N_MAX", 2 * n_max)
+    b = K.g_thermal_inertial_sum(1.0, beta, 0.5)
     assert abs(a.value - b.value) < 2.0 / (math.pi**2 * beta * n_max)
 
 
@@ -301,7 +302,7 @@ def test_field_sum_route_matches_closed():
 # --- atom functions and occupancy ----------------------------------------
 
 def test_atom_functions_at_zero():
-    assert K.correlation_atom(0.0, AtomState.plus()) == 0.25
+    assert K.correlation_atom(0.0) == 0.25
     assert K.susceptibility_atom(0.0, AtomState.plus()) == 0.0
 
 
@@ -309,13 +310,6 @@ def test_atom_susceptibility_quarter_period():
     omega0 = 2.0
     u = math.pi / (2.0 * omega0)
     assert K.susceptibility_atom(u, AtomState.plus(), omega0) == pytest.approx(0.25)
-
-
-def test_atom_correlation_state_independent():
-    for u in (0.0, 0.7, 2.0):
-        assert K.correlation_atom(u, AtomState.plus()) == K.correlation_atom(
-            u, AtomState.minus()
-        )
 
 
 def test_bose_occupancy():
@@ -349,5 +343,5 @@ def test_image_sums_do_not_overflow_at_large_alpha():
 def test_image_sum_closed_forms(m):
     z = 0.9 - 0.2j
     closed = K.image_sum_inverse_power(m, z, 1.3)
-    brute = K.image_sum_inverse_power_sum(m, z, 1.3, n_max=20_000)
+    brute = K.image_sum_inverse_power_sum(m, z, 1.3, 20_000)
     assert abs(closed - brute) / abs(closed) < 1e-10

@@ -273,7 +273,7 @@ def test_evolve_rejects_step_counts_above_2_53():
 
 def test_trajectory_invariants_are_checked():
     with pytest.raises(DomainError):
-        M.PopulationTrajectory([0.0, 1.0], [1.0], 1.0, 1.0)
+        M.PopulationTrajectory([0.0, 1.0], [1.0])
     for taus in ([0.0, 1.0, 1.0], [0.0, math.nan]):
         with pytest.raises(DomainError):
-            M.PopulationTrajectory(taus, [1.0] * len(taus), 1.0, 1.0)
+            M.PopulationTrajectory(taus, [1.0] * len(taus))
