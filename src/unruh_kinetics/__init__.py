@@ -19,7 +19,6 @@ from .core import (
     ThermalState,
     Trajectory,
     UniformAcceleration,
-    ValidatedConfig,
     validate,
 )
 from .fermion import (

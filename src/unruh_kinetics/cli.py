@@ -8,8 +8,8 @@ one row, numpy computes the digits, and CPython formats the cells near a
 rounding tie, the non-finite ones and those of magnitude below 1e-11 or from
 1e34 on.
 
-Exit codes: 0 success, 1 domain error, 2 numeric non-convergence (a NaN or
-inf in the output table or a float overflow included), 3 I/O error.
+Exit codes: 0 success, 1 domain or usage error, 2 numeric non-convergence
+(a NaN or inf in the output table or a float overflow included), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .core import (
     NonConvergence,
     OrderingParam,
     StepSizeError,
-    ThermalState,
     UniformAcceleration,
     validate,
 )
@@ -134,7 +133,9 @@ def _read_json(path: str):
             raise DomainError(f"{path} is not valid JSON: {exc}") from None
 
 
-def load_config(path: str | None, overrides: list[str]) -> dict:
+def load_config(path: str | None, overrides: list[str], flags=None) -> dict:
+    """The checked config: the document at path, then the overrides, then
+    the flags' {dotted name: value} taken verbatim where not None."""
     config = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
         doc = _read_json(path)
@@ -156,7 +157,10 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
             i += 1
         _set_dotted(config, name, _coerce(raw))
         i += 1
-    _check_types(config, DEFAULT_CONFIG)
+    for name, value in (flags or {}).items():
+        if value is not None:
+            _set_dotted(config, name, value)
+    _check_types(config)
     for name, limit in _SIZE_LIMITS.items():
         size = functools.reduce(dict.__getitem__, name.split("."), config)
         if size > limit:
@@ -180,61 +184,76 @@ _KINDS = {
     ),
     "null": lambda x: x is None,
     "'inf'": lambda x: isinstance(x, str) and x.lower() in _INF_WORDS,
+    "a number field outside sweep": lambda x: isinstance(x, str) and x in _SWEEPABLE,
 }
 _KIND_OF_DEFAULT = {
     bool: "a boolean",
     int: "an integer",
     float: "a number",
-    str: "a string",
     list: "a list of numbers",
 }
-# Fields that accept more than the type of their default shows.
+_SCALES = ("'linear'", "'log'")
+# Fields of no default type, or of more than one kind.  A quoted kind other
+# than 'inf' is the one string it names: a string field lists its values.
 _FIELD_KINDS = {
     "thermal.beta": ("a number", "'inf'"),
+    "trajectory.kind": ("'accelerated'", "'inertial'"),
+    "output.format": ("'csv'", "'json'"),
     "output.path": ("a string", "null"),
+    "kernel.sweep.param": ("'alpha'", "'beta'"),
+    "kernel.sweep.scale": _SCALES,
     "populations.steps": ("an integer", "null"),
-    "rates.atom": ("a string", "a number"),  # plus, minus or <R3>
+    "rates.atom": ("'plus'", "'minus'", "a number"),  # or <R3>
+    "response.deltaE.scale": _SCALES,
     "fermion.spectrum": ("a string", "null"),
+    "sweep.param": ("a number field outside sweep",),
+    "sweep.scale": _SCALES,
+    "sweep.quantity": ("'steady'", "'rates'", "'response'"),
 }
 
 
-def _check_types(config: dict, defaults: dict, prefix: str = "") -> None:
-    """Check each field of config against the type of its default, in place.
+def _fields(defaults: dict, prefix: str = ""):
+    """(dotted name, kinds) of every field under defaults."""
+    for key, default in defaults.items():
+        name = prefix + key
+        if isinstance(default, dict):
+            yield from _fields(default, name + ".")
+        else:
+            yield name, _FIELD_KINDS.get(name) or (_KIND_OF_DEFAULT[type(default)],)
+
+
+_SWEEPABLE = frozenset(
+    name for name, kinds in _fields(DEFAULT_CONFIG)
+    if "a number" in kinds and not name.startswith("sweep.")
+)
+
+
+def _is_kind(kind: str, value) -> bool:
+    test = _KINDS.get(kind)
+    return test(value) if test else value == kind.strip("'")
+
+
+def _check_types(config: dict) -> None:
+    """Check each field of config against its kinds, in place.
 
     'inf' becomes math.inf, a number a float and an integral float in an
     integer field an int.
     """
-    for key, default in defaults.items():
-        name = prefix + key
-        if isinstance(default, dict):
-            _check_types(config[key], default, name + ".")
-            continue
-        kinds = _FIELD_KINDS.get(name) or (_KIND_OF_DEFAULT[type(default)],)
-        value = config[key]
-        kind = next((k for k in kinds if _KINDS[k](value)), None)
+    for name, kinds in _fields(DEFAULT_CONFIG):
+        *path, key = name.split(".")
+        node = functools.reduce(dict.__getitem__, path, config)
+        value = node[key]
+        kind = next((k for k in kinds if _is_kind(k, value)), None)
         if kind is None:
             raise DomainError(
                 f"{name} must be {' or '.join(kinds)}, got {value!r}"
             )
         if kind == "'inf'":
-            config[key] = math.inf
+            node[key] = math.inf
         elif kind == "a number":
-            config[key] = float(value)
+            node[key] = float(value)
         elif kind == "an integer":
-            config[key] = int(value)
-
-
-def _build(config: dict):
-    det = DetectorParams(**config["detector"])
-    thermal = ThermalState(config["thermal"]["beta"])
-    traj_cfg = config["trajectory"]
-    if traj_cfg["kind"] == "accelerated":
-        traj = UniformAcceleration(traj_cfg["alpha"])
-    elif traj_cfg["kind"] == "inertial":
-        traj = Inertial()
-    else:
-        raise DomainError(f"unknown trajectory kind '{traj_cfg['kind']}'")
-    return validate(det, thermal, traj)
+            node[key] = int(value)
 
 
 def _grid(spec: dict) -> np.ndarray:
@@ -245,23 +264,34 @@ def _grid(spec: dict) -> np.ndarray:
         raise DomainError(f"grid ends must be finite, got {start} and {stop}")
     if spec["scale"] == "linear":
         return np.linspace(start, stop, count)
-    if spec["scale"] != "log":
-        raise DomainError(
-            f"grid scale must be linear or log, got {spec['scale']!r}"
-        )
     if min(start, stop) <= 0:
         raise DomainError(f"log grid ends must be > 0, got {start} and {stop}")
     return np.geomspace(start, stop, count)
 
 
 def _atom(name) -> AtomState:
-    if isinstance(name, (int, float)):
-        return AtomState(float(name))
-    if name == "plus":
-        return AtomState.plus()
-    if name == "minus":
-        return AtomState.minus()
-    raise DomainError(f"unknown atom state '{name}' (use plus, minus, or <R3>)")
+    """The state rates.atom names: plus, minus or <R3>."""
+    return AtomState({"plus": 0.5, "minus": -0.5}.get(name, name))
+
+
+def _energy_rates(rcfg: dict, detector: DetectorParams, trajectory):
+    """The rates section's energy rates: closed form at n = 0, else (or if
+    numeric) the numeric pipeline, which has only the symmetric ordering."""
+    lam = OrderingParam(rcfg["lam"])
+    atom = _atom(rcfg["atom"])
+    alpha = getattr(trajectory, "alpha", 0.0)
+    if not (rcfg["numeric"] or rcfg["n"] > 0):
+        return R.atom_total_rate(detector, alpha, atom, lam)
+    if not lam.is_symmetric:
+        raise DomainError(f"numeric rates need rates.lam 0.5, got {lam.lam}")
+    return R.derivative_coupling_rates(detector, alpha, atom, rcfg["n"])
+
+
+def _response(trajectory, delta_e) -> RS.ResponseResult:
+    """The detector's excitation rate at the gap(s) delta_e."""
+    if isinstance(trajectory, Inertial):
+        return RS.response_inertial(delta_e)
+    return RS.response_accelerated(delta_e, trajectory.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -429,18 +459,15 @@ def emit(header: list[str], rows, config: dict, echo=()) -> None:
 
     JSON has no inf: a non-finite cell of an ``echo`` column is written as
     the string the config reads it from ("inf")."""
-    fmt = config["output"]["format"]
-    if fmt == "csv":
+    if config["output"]["format"] == "csv":
         text = ",".join(header) + "\n" + _csv_rows(rows)
-    elif fmt == "json":
+    else:
         records = [
             {k: str(v) if k in echo and not math.isfinite(v) else v
              for k, v in zip(header, row)}
             for row in rows
         ]
         text = json.dumps(records, sort_keys=True, indent=2) + "\n"
-    else:
-        raise DomainError(f"unknown output format '{fmt}'")
     _write(text, config)
 
 
@@ -449,33 +476,31 @@ def emit(header: list[str], rows, config: dict, echo=()) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_kernel(config: dict) -> Table:
-    cfg = _build(config)
+    _, thermal, trajectory = validate(config)
     kcfg = config["kernel"]
     u = kcfg["u"]
     sweep = kcfg["sweep"]
     param = sweep["param"]
-    if param not in ("alpha", "beta"):
-        raise DomainError(f"kernel sweep parameter must be alpha or beta, got {param}")
-    if not isinstance(cfg.trajectory, UniformAcceleration):
+    if not isinstance(trajectory, UniformAcceleration):
         raise DomainError(
             "kernel is the accelerated-frame kernel; it needs "
             "trajectory.kind accelerated, got inertial"
         )
     values = _grid(sweep)
     if param == "alpha":
-        g = K.g_thermal_accelerated(u, 0.0, cfg.thermal.beta, values).value
+        g = K.g_thermal_accelerated(u, 0.0, thermal.beta, values).value
     else:
-        g = K.g_thermal_accelerated(u, 0.0, values, cfg.trajectory.alpha).value
+        g = K.g_thermal_accelerated(u, 0.0, values, trajectory.alpha).value
     table = np.column_stack([np.full(len(values), u), values, g.real, g.imag])
     return ["tau_diff", param, "re_g", "im_g"], table
 
 
 def cmd_populations(config: dict) -> Table:
-    cfg = _build(config)
+    detector, thermal, _ = validate(config)
     pcfg = config["populations"]
     sp = pcfg["sigma_plus"]
     init = M.PopulationState(sp, 1.0 - sp)
-    w0, beta = cfg.detector.omega0, cfg.thermal.beta
+    w0, beta = detector.omega0, thermal.beta
     samples = pcfg["samples"]
     traj = M.evolve(init, w0, beta, pcfg["tau_end"], pcfg["steps"], samples)
     tau, num = traj.taus, traj.sigma_plus
@@ -500,8 +525,8 @@ def cmd_populations(config: dict) -> Table:
 
 
 def cmd_steady(config: dict) -> Table:
-    cfg = _build(config)
-    w0, beta = cfg.detector.omega0, cfg.thermal.beta
+    detector, thermal, _ = validate(config)
+    w0, beta = detector.omega0, thermal.beta
     st = M.steady_state(w0, beta)
     rows = [[
         w0, beta, st.sigma_plus, st.sigma_minus,
@@ -511,47 +536,38 @@ def cmd_steady(config: dict) -> Table:
 
 
 def cmd_rates(config: dict) -> Table:
-    cfg = _build(config)
+    detector, _, trajectory = validate(config)
     rcfg = config["rates"]
-    atom = _atom(rcfg["atom"])
-    lam = OrderingParam(rcfg["lam"])
-    n = rcfg["n"]
-    alpha = getattr(cfg.trajectory, "alpha", 0.0)
-    if rcfg["numeric"] or n > 0:
-        report = R.derivative_coupling_rates(cfg.detector, alpha, atom, n)
-    else:
-        report = R.atom_total_rate(cfg.detector, alpha, atom, lam)
+    report = _energy_rates(rcfg, detector, trajectory)
     record = {
         "vf": report.vf,
         "rr": report.rr,
         "total": report.total,
         "finite": report.finite,
-        "lambda": report.lam.lam,
-        "coupling_order": report.coupling_order,
+        "lambda": rcfg["lam"],
+        "coupling_order": rcfg["n"],
     }
     if rcfg["field"]:
-        vf_f, rr_f = R.field_rates(cfg.detector, alpha, atom)
-        record["vf_field"] = vf_f
-        record["rr_field"] = rr_f
+        alpha = getattr(trajectory, "alpha", 0.0)
+        field = R.field_rates(detector, alpha, _atom(rcfg["atom"]))
+        record.update(zip(["vf_field", "rr_field"], field))
     return list(record), [list(record.values())]
 
 
 def cmd_response(config: dict) -> Table:
-    cfg = _build(config)
+    _, _, trajectory = validate(config)
     grid = _grid(config["response"]["deltaE"])
-    if isinstance(cfg.trajectory, Inertial):
-        res, alpha = RS.response_inertial(grid), 0.0
-    else:
-        alpha = cfg.trajectory.alpha
-        res = RS.response_accelerated(grid, alpha)
-    table = np.column_stack([grid, np.full(len(grid), alpha), res.rate])
+    alpha = getattr(trajectory, "alpha", 0.0)
+    table = np.column_stack(
+        [grid, np.full(len(grid), alpha), _response(trajectory, grid).rate]
+    )
     return ["deltaE", "alpha", "rate"], table
 
 
 def cmd_fermion(config: dict) -> Table:
-    cfg = _build(config)
+    detector, thermal, _ = validate(config)
     fcfg = config["fermion"]
-    beta = cfg.thermal.beta
+    w0, beta = detector.omega0, thermal.beta
     if fcfg["spectrum"] is not None:
         modes = _read_json(fcfg["spectrum"])
         try:
@@ -565,11 +581,11 @@ def cmd_fermion(config: dict) -> Table:
             )
         spectrum = F.BathSpectrum(pairs, beta)
     else:
-        spectrum = F.default_bath(cfg.detector.omega0, beta)
-    rates = F.fermion_rates(spectrum, cfg.detector.omega0, fcfg["dt"])
+        spectrum = F.default_bath(w0, beta)
+    rates = F.fermion_rates(spectrum, w0, fcfg["dt"])
     diag = tuple(fcfg["init"])
     d0, d1 = F.fermion_population_rhs(diag, rates)
-    energy = F.fermion_energy_rate(diag, rates, cfg.detector.omega0)
+    energy = F.fermion_energy_rate(diag, rates, w0)
     ratio = F.coarse_graining_diagnostic(fcfg["v_typ"], fcfg["tau_c"])
     valid = F.coarse_graining_valid(fcfg["v_typ"], fcfg["tau_c"])
     header = [
@@ -594,29 +610,23 @@ _SWEEP_HEADERS = {
 def _sweep_point(config: dict, param: str, value: float) -> list:
     """Set param to value in config (in place) and evaluate one sweep row."""
     _set_dotted(config, param, value)
-    cfg = _build(config)
+    detector, thermal, trajectory = validate(config)
     quantity = config["sweep"]["quantity"]
     if quantity == "steady":
-        st = M.steady_state(cfg.detector.omega0, cfg.thermal.beta)
+        st = M.steady_state(detector.omega0, thermal.beta)
         return [value, st.sigma_plus, st.sigma_minus]
-    if quantity == "rates":
-        atom = _atom(config["rates"]["atom"])
-        alpha = getattr(cfg.trajectory, "alpha", 0.0)
-        rep = R.atom_total_rate(cfg.detector, alpha, atom)
-        return [value, rep.vf, rep.rr, rep.total]
-    traj, w0 = cfg.trajectory, cfg.detector.omega0
-    if isinstance(traj, Inertial):
-        return [value, RS.response_inertial(w0).rate]
-    return [value, RS.response_accelerated(w0, traj.alpha).rate]
+    if quantity == "response":
+        return [value, _response(trajectory, detector.omega0).rate]
+    rep = _energy_rates(config["rates"], detector, trajectory)
+    if not rep.finite:
+        lam = config["rates"]["lam"]
+        raise DomainError(f"VF and RR exist only at rates.lam 0.5, got {lam}")
+    return [value, rep.vf, rep.rr, rep.total]
 
 
 def cmd_sweep(config: dict) -> Table:
     scfg = config["sweep"]
     values = _grid(scfg)
-    if scfg["quantity"] not in _SWEEP_HEADERS:
-        raise DomainError(f"unknown sweep quantity '{scfg['quantity']}'")
-    if scfg["param"].startswith("sweep."):
-        raise DomainError(f"sweep.param cannot be a sweep field: {scfg['param']}")
     local = copy.deepcopy(config)
     rows = [_sweep_point(local, scfg["param"], v) for v in values.tolist()]
     return _SWEEP_HEADERS[scfg["quantity"]], np.array(rows)
@@ -627,7 +637,7 @@ def cmd_sweep(config: dict) -> Table:
 # ---------------------------------------------------------------------------
 
 def _verify_checks(config: dict):
-    cfg = _build(config)
+    detector, _, _ = validate(config)
 
     def lattice_sum():
         worst = 0.0
@@ -677,11 +687,11 @@ def _verify_checks(config: dict):
         return worst, 1e-12
 
     def energy_decomposition():
-        rep = R.atom_total_rate(cfg.detector, 1.0, AtomState.plus())
+        rep = R.atom_total_rate(detector, 1.0, AtomState.plus())
         return abs(rep.vf + rep.rr - rep.total), 1e-12
 
     def fermion_limits():
-        w0 = cfg.detector.omega0
+        w0 = detector.omega0
         cold = F.fermion_rates(F.default_bath(w0, math.inf), w0, 1.0)
         # beta w0 fixed, so |T_F / C - 1/2| ~ beta w0 / 4 at every scale
         hot = F.fermion_rates(F.default_bath(w0, 1e-6 / w0), w0, 1.0)
@@ -760,8 +770,13 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # a usage error: exit 1, one line
+        raise DomainError(message)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="unruh-kinetics",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -769,14 +784,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", default=None, help="JSON config file")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.add_argument("--format", choices=["csv", "json"], default=None)
-    args, overrides = parser.parse_known_args(argv)
+    parser.add_argument("--format", default=None, help="csv (default) or json")
     try:
-        config = load_config(args.config, overrides)
-        if args.out is not None:
-            config["output"]["path"] = args.out
-        if args.format is not None:
-            config["output"]["format"] = args.format
+        args, overrides = parser.parse_known_args(argv)
+        config = load_config(args.config, overrides, {
+            "output.path": args.out, "output.format": args.format,
+        })
         result = _COMMANDS[args.command](config)
         if args.command == "verify":  # its exit code is its checks' verdict
             return result

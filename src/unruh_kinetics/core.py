@@ -1,4 +1,4 @@
-"""Domain types, unit conventions and parameter validation.
+"""Domain types, unit conventions and the config-to-model builder.
 
 Natural units (hbar = c = k_B = 1) are used throughout the package.
 Inverse temperature beta = +inf is a first-class value encoding exact
@@ -147,26 +147,17 @@ class AtomState:
         return cls((abs(c_plus) ** 2 - abs(c_minus) ** 2) / 2.0)
 
 
-@dataclass(frozen=True)
-class ValidatedConfig:
-    """Bundle of cross-checked model parameters, safe to hand to any evaluator."""
+def validate(config: dict) -> tuple[DetectorParams, ThermalState, Trajectory]:
+    """The detector, bath and worldline of a config document.
 
-    detector: DetectorParams
-    thermal: ThermalState
-    trajectory: Trajectory
-
-
-def validate(
-    detector: DetectorParams,
-    thermal: ThermalState,
-    trajectory: Trajectory,
-) -> ValidatedConfig:
-    """Check every invariant and return an immutable config.
-
-    The dataclasses enforce their own invariants on construction, so any
-    instance reaching this point is already consistent; this re-checks the
-    trajectory variant and is idempotent on accepted inputs.
+    Each dataclass enforces its own invariants.  A ``trajectory.kind`` other
+    than "inertial" is "accelerated": the CLI checks the kind while it loads
+    a config.
     """
-    if not isinstance(trajectory, (Inertial, UniformAcceleration)):
-        raise DomainError(f"unknown trajectory variant: {trajectory!r}")
-    return ValidatedConfig(detector, thermal, trajectory)
+    trajectory = config["trajectory"]
+    return (
+        DetectorParams(**config["detector"]),
+        ThermalState(config["thermal"]["beta"]),
+        Inertial() if trajectory["kind"] == "inertial"
+        else UniformAcceleration(trajectory["alpha"]),
+    )

@@ -9,7 +9,6 @@ validity diagnostic.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,11 +26,6 @@ __all__ = [
     "coarse_graining_diagnostic",
     "coarse_graining_valid",
 ]
-
-# Below this value of |detuning * dt| the sinc-squared weight
-# [1 - cos(x dt)] / (x^2 dt) is evaluated by its Taylor series.
-RESONANT_THRESHOLD = 1.0e-4
-
 
 @dataclass(frozen=True)
 class BathSpectrum:
@@ -78,20 +72,18 @@ def default_bath(omega0: float, beta: float, g: float = 0.1) -> BathSpectrum:
 
 
 def _window_weight(detuning: float, dt: float) -> float:
-    """[1 - cos(x dt)] / (x^2 dt) with the resonant limit dt/2 at x -> 0.
+    """[1 - cos x] / (detuning^2 dt) with x = detuning dt, evaluated as
+    (dt / 2) (sin(x/2) / (x/2))^2, which does not cancel: dt/2 at x = 0.
 
-    Once x dt overflows (so |x| > 1), the weight is below 2 / (|x| 1e308):
-    0.  Where x^2 is subnormal (or 0) it has lost its significant bits, so
-    the weight is divided by x dt and then by x instead.
+    Once x overflows (so |detuning| > 1), the weight is below
+    2 / (|detuning| 1e308): 0.
     """
     x = detuning * dt
-    if abs(x) < RESONANT_THRESHOLD:
-        return 0.5 * dt * (1.0 - x * x / 12.0)
     if not math.isfinite(x):
         return 0.0
-    if detuning * detuning < sys.float_info.min:
-        return (1.0 - math.cos(x)) / x / detuning
-    return (1.0 - math.cos(x)) / (detuning * detuning * dt)
+    h = 0.5 * x
+    sinc = math.sin(h) / h if h else 1.0
+    return 0.5 * dt * sinc * sinc
 
 
 def fermion_rates(

@@ -51,9 +51,7 @@ class EnergyRateReport:
     """
 
     total: float
-    lam: OrderingParam
     finite: bool
-    coupling_order: int = 0
     vf: float | None = None
     rr: float | None = None
 
@@ -137,8 +135,8 @@ def atom_total_rate(
     # identity and ordering independence are exact in floating point
     total = vf + rr
     if lam.is_symmetric:
-        return EnergyRateReport(total=total, lam=lam, finite=True, vf=vf, rr=rr)
-    return EnergyRateReport(total=total, lam=lam, finite=False)
+        return EnergyRateReport(total=total, finite=True, vf=vf, rr=rr)
+    return EnergyRateReport(total=total, finite=False)
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +231,7 @@ def derivative_coupling_rates(
     r = 2.0 * atom.r3_expectation
     return EnergyRateReport(
         total=kj * ((1.0 + r) - (1.0 - r) * q),
-        lam=SYMMETRIC_ORDERING,
         finite=True,
-        coupling_order=n,
         vf=kj * r * (1.0 + q),
         rr=-kj * math.expm1(-x),
     )

@@ -231,7 +231,136 @@ def test_sweep_of_a_sweep_field_is_domain_error(capsys, param):
     # sweep.quantity used to change the rows' width under the header's
     code, out, err = run(capsys, "sweep", "--sweep.param", param)
     assert code == 1 and out == ""
-    assert err.splitlines() == [f"error: sweep.param cannot be a sweep field: {param}"]
+    assert err.splitlines() == [
+        f"error: sweep.param must be a number field outside sweep, got '{param}'"
+    ]
+
+
+@pytest.mark.parametrize(
+    "rates_args",
+    [["--rates.n", "2"], ["--rates.n", "1", "--rates.atom", "minus"],
+     ["--rates.numeric", "true"], ["--rates.atom", "0.25"]],
+)
+def test_rates_sweep_matches_the_rates_command_row_by_row(capsys, rates_args):
+    # a rates sweep used to ignore rates.n and rates.numeric and print the
+    # closed-form n = 0 split
+    grid = ["--sweep.param", "trajectory.alpha", "--sweep.start", "0.5",
+            "--sweep.stop", "2.0", "--sweep.count", "3"]
+    code, out, err = run(capsys, "sweep", "--sweep.quantity", "rates",
+                         *grid, *rates_args)
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 3
+    for param, *cells in rows:
+        code, out, _ = run(capsys, "rates", "--trajectory.alpha", param, *rates_args)
+        assert code == 0
+        assert out.splitlines()[1].split(",")[:3] == cells
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["sweep", "--sweep.quantity", "rates", "--rates.lam", "0.3"],
+         "error: VF and RR exist only at rates.lam 0.5, got 0.3"),
+        # the sweep reaches lam != 1/2 at its second point
+        (["sweep", "--sweep.quantity", "rates", "--sweep.param", "rates.lam",
+          "--sweep.start", "0.5", "--sweep.stop", "1.0", "--sweep.count", "2"],
+         "error: VF and RR exist only at rates.lam 0.5, got 1.0"),
+        # the numeric pipeline printed lambda 0.5 in place of the 0.3 given
+        (["rates", "--rates.numeric", "true", "--rates.lam", "0.3"],
+         "error: numeric rates need rates.lam 0.5, got 0.3"),
+        (["rates", "--rates.n", "1", "--rates.lam", "0.3"],
+         "error: numeric rates need rates.lam 0.5, got 0.3"),
+        (["sweep", "--sweep.quantity", "rates", "--rates.numeric", "true",
+          "--rates.lam", "0"],
+         "error: numeric rates need rates.lam 0.5, got 0.0"),
+    ],
+)
+def test_vf_rr_split_at_a_non_symmetric_ordering_is_refused(capsys, args, message):
+    code, out, err = run(capsys, *args)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [message]
+
+
+@pytest.mark.parametrize(
+    "param",
+    # rates.n reached math.factorial as a float once a rates sweep read it
+    ["rates.n", "populations.steps", "populations.samples", "kernel.sweep.count",
+     "trajectory.kind", "rates.numeric", "fermion.init", "output.path",
+     "detector", "no.such.field", ""],
+)
+def test_sweep_param_must_name_a_number_field(capsys, param):
+    code, out, err = run(capsys, "sweep", "--sweep.quantity", "rates",
+                         "--sweep.param", param)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        f"error: sweep.param must be a number field outside sweep, got '{param}'"
+    ]
+
+
+@pytest.mark.parametrize(
+    "args", [["--sweep.param", "rates.atom", "--sweep.start", "-0.5",
+              "--sweep.stop", "0.5"],
+             ["--sweep.param", "thermal.beta"]],
+)
+def test_sweep_takes_number_fields_of_more_than_one_kind(capsys, args):
+    code, out, err = run(capsys, "sweep", "--sweep.quantity", "rates", *args)
+    assert code == 0 and err == "" and len(out.splitlines()) == 5
+
+
+ENUM_FIELDS = {
+    name: kinds for name, kinds in cli._FIELD_KINDS.items()
+    if any(k.startswith("'") and k != "'inf'" for k in kinds)
+}
+
+
+@pytest.mark.parametrize("command", ["steady", "verify"])
+@pytest.mark.parametrize("field", sorted(ENUM_FIELDS))
+def test_every_command_refuses_a_bad_enumerated_value(capsys, command, field):
+    # steady --sweep.scale lgo used to exit 0: only the command that read a
+    # field checked it
+    code, out, err = run(capsys, command, f"--{field}", "lgo")
+    assert code == 1 and out == ""
+    kinds = " or ".join(ENUM_FIELDS[field])
+    assert err.splitlines() == [f"error: {field} must be {kinds}, got 'lgo'"]
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ([], "error: the following arguments are required: command"),
+        (["foo"], "error: argument command: invalid choice: 'foo'"),
+        (["steady", "--format", "xml"],
+         "error: output.format must be 'csv' or 'json', got 'xml'"),
+        (["steady", "--out"], "error: argument --out: expected one argument"),
+        (["steady", "--config"], "error: argument --config: expected one argument"),
+        (["steady", "--format"], "error: argument --format: expected one argument"),
+    ],
+)
+def test_usage_errors_exit_1_with_one_line(capsys, args, message):
+    # argparse printed three lines of usage text and exited 2, the code of a
+    # numeric failure
+    code, out, err = run(capsys, *args)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(message)
+
+
+def test_out_and_format_are_taken_verbatim(tmp_path, capsys, monkeypatch):
+    # "1" and "null" are JSON, but --format and --out are not read as JSON
+    code, out, err = run(capsys, "steady", "--format", "1")
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: output.format must be 'csv' or 'json', got '1'"]
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "steady", "--out", "null", "--output.path", "x")
+    assert code == 0 and out == ""
+    assert (tmp_path / "null").exists() and not (tmp_path / "x").exists()
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: unruh-kinetics")
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,10 @@
 """In-process fuzz of every CLI command with extreme config values.
 
 Each example sets one or two config fields and calls ``cli.main`` in this
-process: a numeric field to an edge value, a string field (``sweep.param``,
-``sweep.quantity``, ``trajectory.kind``, ``fermion.spectrum``) to a valid or
-a wrong name, or ``fermion.init`` to a short list of edge values.  It
+process: a numeric field to an edge value, ``sweep.param`` or
+``fermion.spectrum`` to a valid or a wrong name, every enumerated field
+(``trajectory.kind``, ``output.format``, the grid scales, ...) to each of its
+values or a wrong one, or ``fermion.init`` to a short list of edge values.  It
 writes to stdout, or with ``--out`` to a new file, an existing directory, a
 path under a missing directory or the empty string.  The contract checked: an
 exit code in 0..3,
@@ -36,23 +37,15 @@ EDGE_VALUES = [
 SECONDS_PER_EXAMPLE = 10.0
 
 
-def _leaves(defaults: dict, prefix: str = "") -> dict:
-    """{dotted name: default} of every config field."""
-    leaves = {}
-    for key, default in defaults.items():
-        if isinstance(default, dict):
-            leaves.update(_leaves(default, prefix + key + "."))
-        else:
-            leaves[prefix + key] = default
-    return leaves
-
-
-LEAVES = _leaves(cli.DEFAULT_CONFIG)
+KINDS = dict(cli._fields(cli.DEFAULT_CONFIG))  # {dotted name: kinds}
 FIELDS = [
-    name for name, default in LEAVES.items()
-    if {"a number", "an integer"}
-    & set(cli._FIELD_KINDS.get(name) or (cli._KIND_OF_DEFAULT[type(default)],))
+    name for name, kinds in KINDS.items() if {"a number", "an integer"} & set(kinds)
 ]
+# The strings each enumerated field accepts ('inf' is a number of thermal.beta)
+ENUMS = {
+    name: [k.strip("'") for k in kinds if k.startswith("'") and k != "'inf'"]
+    for name, kinds in KINDS.items()
+}
 
 
 # Spectrum files for fermion.spectrum: one valid, the rest each wrong in one
@@ -75,11 +68,11 @@ for _name, _doc in SPECTRUM_DOCS.items():
 (Path(_SPECTRA.name) / "not_utf8.json").write_bytes(b"\xff\xfe[")
 
 STRING_VALUES = {
-    "sweep.param": list(LEAVES) + [
+    **{name: values + [values[0].upper(), "lgo", ""]
+       for name, values in ENUMS.items() if values},
+    "sweep.param": list(KINDS) + [
         "detector", "sweep", "no.such.field", "detector.omega0.x", "",
     ],
-    "sweep.quantity": ["steady", "rates", "response", "kernel", ""],
-    "trajectory.kind": ["accelerated", "inertial", "Inertial", ""],
     "fermion.spectrum": [None, "", _SPECTRA.name, f"{_SPECTRA.name}/missing.json"]
     + [str(p) for p in sorted(Path(_SPECTRA.name).iterdir())],
 }
@@ -102,8 +95,9 @@ def _out_path(kind: str) -> str:
 
 
 VALUES = {
-    **{field: st.sampled_from(EDGE_VALUES) for field in FIELDS},
-    **{field: st.sampled_from(values) for field, values in STRING_VALUES.items()},
+    **{field: st.sampled_from((EDGE_VALUES if field in FIELDS else [])
+                              + STRING_VALUES.get(field, []))
+       for field in {*FIELDS, *STRING_VALUES}},
     "fermion.init": st.lists(st.sampled_from(EDGE_VALUES), max_size=3),
 }
 

@@ -18,22 +18,31 @@ from unruh_kinetics.core import (
 )
 
 
+def _config(omega0=1.0, beta=1.0, kind="accelerated", alpha=1.0, mu=1.0):
+    return {
+        "detector": {"omega0": omega0, "mu": mu},
+        "thermal": {"beta": beta},
+        "trajectory": {"kind": kind, "alpha": alpha},
+    }
+
+
 def test_validate_accepts_reasonable_config():
-    cfg = validate(
-        DetectorParams(omega0=1.0, mu=0.1),
-        ThermalState(beta=1.0),
-        UniformAcceleration(alpha=1.0),
-    )
-    assert cfg.detector.omega0 == 1.0
-    assert cfg.thermal.beta == 1.0
+    detector, thermal, trajectory = validate(_config(mu=0.1, alpha=2.0))
+    assert detector == DetectorParams(omega0=1.0, mu=0.1)
+    assert thermal == ThermalState(beta=1.0)
+    assert trajectory == UniformAcceleration(alpha=2.0)
 
 
 def test_validate_is_idempotent():
-    cfg = validate(
-        DetectorParams(1.0), ThermalState(math.inf), Inertial()
-    )
-    cfg2 = validate(cfg.detector, cfg.thermal, cfg.trajectory)
-    assert cfg2 == cfg
+    config = _config(beta=math.inf, kind="inertial")
+    model = validate(config)
+    assert model == (DetectorParams(1.0), ThermalState(math.inf), Inertial())
+    assert validate(config) == model
+    # each dataclass enforces its own invariants
+    with pytest.raises(DomainError, match="alpha"):
+        validate(_config(alpha=-1.0))
+    with pytest.raises(DomainError, match="beta"):
+        validate(_config(beta=0.0))
 
 
 def test_zero_beta_rejected():
@@ -85,8 +94,6 @@ def test_atom_state_constructors():
 )
 def test_validate_never_clamps(omega0, beta):
     # accepted values must round-trip unchanged (rejection is total, no clamping)
-    cfg = validate(
-        DetectorParams(omega0), ThermalState(beta), UniformAcceleration(1.0)
-    )
-    assert cfg.detector.omega0 == omega0
-    assert cfg.thermal.beta == beta
+    detector, thermal, _ = validate(_config(omega0=omega0, beta=beta))
+    assert detector.omega0 == omega0
+    assert thermal.beta == beta

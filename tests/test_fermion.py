@@ -48,15 +48,32 @@ def test_window_weight_where_the_phase_overflows_or_its_square_underflows():
     assert F._window_weight(-detuning, dt) == pytest.approx(want, rel=1e-15)
 
 
+def _window_weight_reference(detuning, dt):
+    """[1 - cos x] / (detuning^2 dt), x = detuning dt, at 40 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        d, t = mp.mpf(detuning), mp.mpf(dt)
+        return float((1 - mp.cos(d * t)) / (d * d * t))
+
+
 @pytest.mark.parametrize("detuning, dt", [(1.2345e-160, 1e156), (3e-158, 1e158)])
 def test_window_weight_where_the_detuning_squared_is_subnormal(detuning, dt):
     # detuning^2 is subnormal and keeps only a few significant bits; the
-    # weight divided by it was 1.3e-4 off at the first point
+    # weight divided by it was 1.3e-4 off at the first point.  The float
+    # dt (1 - cos x) / x^2 is no reference: 1 - cos x cancels at small x.
     assert 0.0 < detuning * detuning < 2.2250738585072014e-308
-    x = detuning * dt
-    want = dt * (1.0 - math.cos(x)) / x**2
+    want = _window_weight_reference(detuning, dt)
     assert F._window_weight(detuning, dt) == pytest.approx(want, rel=1e-12)
     assert F._window_weight(-detuning, dt) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("x", [1e-6, 9.9e-5, 1.0001e-4, 1e-3, 0.1, 2.0, 1e3])
+@pytest.mark.parametrize("dt", [1e-3, 1.0, 1e3])
+def test_window_weight_has_no_cancellation_at_small_phase(x, dt):
+    # 1 - cos x cancels ~1e-9 relative just above x = 1e-4, where a Taylor
+    # branch used to hand over to it
+    want = _window_weight_reference(x / dt, dt)
+    assert F._window_weight(x / dt, dt) == pytest.approx(want, rel=1e-13)
 
 
 def test_stimulated_rate_monotone_in_beta():
