@@ -33,16 +33,10 @@ from .fermion import (
 )
 from .kernels import (
     KernelValue,
-    bose_occupancy,
-    correlation_atom,
-    correlation_field,
     g_thermal_accelerated,
     g_thermal_inertial,
     g_thermal_inertial_sum,
-    susceptibility_atom,
-    susceptibility_field,
     wightman_vacuum_accelerated,
-    wightman_vacuum_inertial,
 )
 from .master import (
     PopulationState,

@@ -274,16 +274,28 @@ def _atom(name) -> AtomState:
     return AtomState({"plus": 0.5, "minus": -0.5}.get(name, name))
 
 
+def _numeric_alpha(trajectory) -> float:
+    """The acceleration of the numeric rate pipeline, which integrates the
+    accelerated image sum and has no inertial case."""
+    if isinstance(trajectory, Inertial):
+        raise DomainError(
+            "numeric rates (rates.n >= 1, rates.numeric, rates.field) need "
+            "trajectory.kind accelerated, got inertial"
+        )
+    return trajectory.alpha
+
+
 def _energy_rates(rcfg: dict, detector: DetectorParams, trajectory):
     """The rates section's energy rates: closed form at n = 0, else (or if
     numeric) the numeric pipeline, which has only the symmetric ordering."""
     lam = OrderingParam(rcfg["lam"])
     atom = _atom(rcfg["atom"])
-    alpha = getattr(trajectory, "alpha", 0.0)
     if not (rcfg["numeric"] or rcfg["n"] > 0):
+        alpha = getattr(trajectory, "alpha", 0.0)
         return R.atom_total_rate(detector, alpha, atom, lam)
     if not lam.is_symmetric:
         raise DomainError(f"numeric rates need rates.lam 0.5, got {lam.lam}")
+    alpha = _numeric_alpha(trajectory)
     return R.derivative_coupling_rates(detector, alpha, atom, rcfg["n"])
 
 
@@ -548,7 +560,7 @@ def cmd_rates(config: dict) -> Table:
         "coupling_order": rcfg["n"],
     }
     if rcfg["field"]:
-        alpha = getattr(trajectory, "alpha", 0.0)
+        alpha = _numeric_alpha(trajectory)
         field = R.field_rates(detector, alpha, _atom(rcfg["atom"]))
         record.update(zip(["vf_field", "rr_field"], field))
     return list(record), [list(record.values())]

@@ -1,9 +1,10 @@
 """Two-point functions of the detector-field system.
 
-Vacuum and thermal Wightman functions on inertial and uniformly accelerated
-worldlines, the field/atom correlation and susceptibility functions, and the
-master-equation kernel g(tau', tau'') in both frames.  Every closed form has
-a brute-force truncated-image-sum companion used as an oracle.
+The vacuum Wightman function on a uniformly accelerated worldline, the
+thermal Wightman function on an inertial one, and the master-equation kernel
+g(tau', tau'') in both frames.  Every closed form has a brute-force
+truncated-image-sum companion used as an oracle.  At u != 0 no image lies on
+the real axis, so each oracle sums at eps = 0 and checks its truncation.
 
 Sign conventions follow the -1/(4 pi^2) normalization of the massless-field
 Wightman function throughout.
@@ -16,30 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    AtomState,
-    DomainError,
-    Inertial,
-    SingularInput,
-    Trajectory,
-    UniformAcceleration,
-    require_all,
-)
-from .numerics import extrapolate_to_zero
+from .core import DomainError, NonConvergence, SingularInput, require_all
 
 __all__ = [
     "KernelValue",
-    "wightman_vacuum_inertial",
     "wightman_vacuum_accelerated",
     "wightman_vacuum_accelerated_sum",
     "g_thermal_inertial",
     "g_thermal_inertial_sum",
     "g_thermal_accelerated",
-    "correlation_field",
-    "susceptibility_field",
-    "correlation_atom",
-    "susceptibility_atom",
-    "bose_occupancy",
     "image_sum_inverse_power",
     "image_sum_inverse_power_sum",
     "thermal_image_sum",
@@ -60,12 +46,9 @@ U_MIN = 1e-150
 ARG_MAX = 1e150
 
 # Settings of the image-sum oracles, read at each call: each sums |n| <= N_MAX
-# at eps = EPSILON / 2^k, k = 0..EXTRAP_STEPS, Neville-extrapolates to
-# eps -> 0+ and raises NonConvergence unless the last correction is within
-# QUAD_TOL relative.
-EPSILON = 1e-6
-EXTRAP_STEPS = 4
-QUAD_TOL = 1e-10
+# and raises NonConvergence unless its truncation error estimate is within
+# TRUNC_TOL relative (see _truncated).
+TRUNC_TOL = 1e-8
 N_MAX = 10_000
 
 _FOUR_PI_SQ = 4.0 * math.pi**2
@@ -77,11 +60,6 @@ class KernelValue:
     """Complex kernel value (a complex array for array arguments)."""
 
     value: complex
-
-
-def _check_nonsingular(u, eps: float) -> None:
-    if eps == 0.0 and np.any(np.equal(u, 0.0)):
-        raise SingularInput("kernel evaluated at u = 0 with eps = 0")
 
 
 def _complex(x):
@@ -118,10 +96,24 @@ def _coth(x: float) -> float:
     return 1.0 / math.tanh(x)
 
 
-def _eps_to_zero(at_eps) -> complex:
-    """at_eps(eps, N_MAX) on the oracles' ladder, extrapolated to eps -> 0+."""
-    ladder = [EPSILON / 2.0**k for k in range(EXTRAP_STEPS + 1)]
-    return extrapolate_to_zero(lambda eps: at_eps(eps, N_MAX), ladder, QUAD_TOL)
+def _truncated(partial) -> complex:
+    """partial(N_MAX), an image sum over |n| <= N_MAX with a midpoint tail.
+
+    The midpoint tail's error falls as n^-3, so the error of partial(N_MAX //
+    2) is 8 times that of partial(N_MAX) and their difference is 7 times it.
+    Raises NonConvergence unless that estimate is within TRUNC_TOL relative;
+    a NaN fails too.
+    """
+    with np.errstate(all="ignore"):  # an overflow gives a NaN that the gate refuses
+        value, half = partial(N_MAX), partial(N_MAX // 2)
+    error = abs(value - half) / 7.0
+    if not error <= TRUNC_TOL * abs(value):
+        raise NonConvergence(
+            f"image sum truncated at |n| <= {N_MAX} has an estimated error of "
+            f"{error:.3e} for a value of magnitude {abs(value):.3e} "
+            f"(tolerance {TRUNC_TOL:.1e})"
+        )
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -167,41 +159,32 @@ def image_sum_inverse_power_sum(
 # vacuum Wightman functions
 # ---------------------------------------------------------------------------
 
-def wightman_vacuum_inertial(u: float, eps: float = 0.0) -> KernelValue:
-    """-1 / (4 pi^2 (u - i eps)^2)."""
-    _check_nonsingular(u, eps)
-    return KernelValue(-1.0 / (_FOUR_PI_SQ * (u - 1j * eps) ** 2))
+def wightman_vacuum_accelerated(u, alpha) -> KernelValue:
+    """Closed form -(alpha^2 / 16 pi^2) csch^2(alpha u / 2) on the eps -> 0+
+    boundary.
 
-
-def wightman_vacuum_accelerated(u, alpha, eps: float = 0.0) -> KernelValue:
-    """Closed form -(alpha^2 / 16 pi^2) csch^2(alpha (u - 2 i eps) / 2).
-
-    u and alpha broadcast as arrays; eps is one regulator.
+    u and alpha broadcast as arrays.
     """
     u, alpha = np.float64(u), np.float64(alpha)
     require_all(alpha > 0, alpha, "alpha must be positive")
-    _check_nonsingular(u, eps)
-    w = -(1.0 / _FOUR_PI_SQ) * image_sum_inverse_power(2, u - 2j * eps, alpha)
+    if np.any(u == 0.0):
+        raise SingularInput("u = 0 is singular")
+    w = -(1.0 / _FOUR_PI_SQ) * image_sum_inverse_power(2, u + 0j, alpha)
     return KernelValue(_complex(w))
 
 
 def wightman_vacuum_accelerated_sum(u: float, alpha: float) -> KernelValue:
-    """Truncated-image-sum oracle with eps -> 0+ extrapolation.
+    """Truncated-image-sum oracle for wightman_vacuum_accelerated.
 
-    Symmetric truncation at |n| <= N_MAX plus a midpoint tail estimate, then
-    a Neville ladder over eps, eps/2, ...
+    Symmetric truncation at |n| <= N_MAX plus a midpoint tail estimate, at
+    eps = 0 and checked by _truncated.
     """
     if alpha <= 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
     if u == 0.0:
-        raise SingularInput("u = 0 is singular for the extrapolated sum")
-
-    def at_eps(eps: float, n_max: int) -> complex:
-        return -(1.0 / _FOUR_PI_SQ) * image_sum_inverse_power_sum(
-            2, u - 2j * eps, alpha, n_max
-        )
-
-    return KernelValue(_eps_to_zero(at_eps))
+        raise SingularInput("u = 0 is singular")
+    s = _truncated(lambda n_max: image_sum_inverse_power_sum(2, u, alpha, n_max))
+    return KernelValue(-(1.0 / _FOUR_PI_SQ) * s)
 
 
 # ---------------------------------------------------------------------------
@@ -221,23 +204,19 @@ def thermal_image_closed(u, beta) -> complex:
 
 
 def thermal_image_sum(u: float, beta: float) -> complex:
-    """-(1/4 pi^2) sum_n [u - i beta (n + eps)]^-2, extrapolated to eps -> 0+.
+    """-(1/4 pi^2) sum_n (u - i beta n)^-2, truncated and checked by _truncated.
 
     Oracle for thermal_image_closed through the lattice-sum identity
-    sum_n (u - i beta n)^-2 = (pi^2 / beta^2) csch^2(pi u / beta).
+    sum_n (u - i beta n)^-2 = (pi^2 / beta^2) csch^2(pi u / beta): the image
+    sum S_2(u) at alpha = 2 pi / beta.
     """
+    if not math.isfinite(beta) or beta <= 0:
+        raise DomainError(f"beta must be positive and finite, got {beta}")
     if u == 0.0:
         raise SingularInput("u = 0 is singular")
-
-    def at_eps(eps: float, n_max: int) -> complex:
-        n = np.arange(-n_max, n_max + 1)
-        total = np.sum((u - 1j * beta * (n + eps)) ** -2)
-        edge_hi = beta * (n_max + 0.5 + eps)
-        edge_lo = beta * (n_max + 0.5 - eps)
-        tail = ((u + 1j * edge_lo) ** -1 - (u - 1j * edge_hi) ** -1) / (1j * beta)
-        return complex(total + tail)
-
-    return -(1.0 / _FOUR_PI_SQ) * _eps_to_zero(at_eps)
+    alpha = 2.0 * math.pi / beta
+    s = _truncated(lambda n_max: image_sum_inverse_power_sum(2, u, alpha, n_max))
+    return -(1.0 / _FOUR_PI_SQ) * s
 
 
 def g_thermal_inertial(u: float, beta: float, v: float) -> KernelValue:
@@ -270,16 +249,18 @@ def g_thermal_inertial(u: float, beta: float, v: float) -> KernelValue:
 def g_thermal_inertial_sum(u: float, beta: float, v: float) -> KernelValue:
     """Truncated-sum oracle for g_thermal_inertial.
 
-    (1/4 pi^2) sum_n [i 2 beta (gamma-1) u (n+eps) - (u - i beta (n+eps))^2]^-1,
-    symmetric truncation plus a partial-fraction tail, Neville in eps.
+    (1/4 pi^2) sum_n [i 2 beta (gamma-1) u n - (u - i beta n)^2]^-1,
+    symmetric truncation plus a partial-fraction tail, checked by _truncated.
     """
     if not 0.0 <= v < 1.0:
         raise DomainError(f"speed must satisfy 0 <= v < 1, got {v}")
+    if not math.isfinite(beta) or beta <= 0:
+        raise DomainError(f"beta must be positive and finite, got {beta}")
     if u == 0.0:
         raise SingularInput("u = 0 is singular")
     gamma = 1.0 / math.sqrt(1.0 - v * v)
-    # denominator = beta^2 m^2 + 2 i beta gamma u m - u^2 with m = n + eps,
-    # roots m_pm = -i gamma u (1 -+ v) / beta
+    # denominator = beta^2 m^2 + 2 i beta gamma u m - u^2 at m = n, roots
+    # m_pm = -i gamma u (1 -+ v) / beta
     m_p = -1j * gamma * u * (1.0 - v) / beta
     m_m = -1j * gamma * u * (1.0 + v) / beta
 
@@ -287,15 +268,14 @@ def g_thermal_inertial_sum(u: float, beta: float, v: float) -> KernelValue:
         # int dm / (beta^2 (m - m_p)(m - m_m)) evaluated at m = mm .. sign handled
         return np.log((mm - m_p) / (mm - m_m)) / (beta**2 * (m_p - m_m))
 
-    def at_eps(eps: float, n_max: int) -> complex:
-        m = np.arange(-n_max, n_max + 1) + eps
+    def partial(n_max: int) -> complex:
+        m = np.arange(-n_max, n_max + 1.0)
         total = np.sum(1.0 / (beta**2 * (m - m_p) * (m - m_m)))
-        hi = n_max + 0.5 + eps
-        lo = -(n_max + 0.5) + eps
-        tail = -tail_antideriv(hi) + tail_antideriv(lo)
+        edge = n_max + 0.5
+        tail = -tail_antideriv(edge) + tail_antideriv(-edge)
         return complex(total + tail)
 
-    return KernelValue(_eps_to_zero(at_eps) / _FOUR_PI_SQ)
+    return KernelValue(_truncated(partial) / _FOUR_PI_SQ)
 
 
 # ---------------------------------------------------------------------------
@@ -352,95 +332,3 @@ def g_thermal_accelerated(tau1, tau2, beta, alpha) -> KernelValue:
         _exprel_neg(2.0 * d) / _exprel_neg(2.0 * a1)
     )
     return KernelValue(_complex(g))
-
-
-# ---------------------------------------------------------------------------
-# correlation / susceptibility functions
-# ---------------------------------------------------------------------------
-
-def _field_pair(
-    tau1: float,
-    tau2: float,
-    trajectory: Trajectory,
-    eps: float | None,
-    n_max: int | None,
-) -> tuple[complex, complex]:
-    """(S_2(u - 2 i eps), S_2(u + 2 i eps)) at u = tau1 - tau2 on the worldline.
-
-    eps None is EPSILON.  Inertial worldlines keep only the n = 0 image;
-    n_max selects the truncated-sum route instead of the closed form.
-    """
-    u = tau1 - tau2
-    eps = EPSILON if eps is None else eps
-    _check_nonsingular(u, eps)
-    zm, zp = u - 2j * eps, u + 2j * eps
-    if isinstance(trajectory, Inertial):
-        return zm**-2, zp**-2
-    if isinstance(trajectory, UniformAcceleration):
-        a = trajectory.alpha
-        if n_max is None:
-            return (
-                image_sum_inverse_power(2, zm, a),
-                image_sum_inverse_power(2, zp, a),
-            )
-        return (
-            image_sum_inverse_power_sum(2, zm, a, n_max),
-            image_sum_inverse_power_sum(2, zp, a, n_max),
-        )
-    raise DomainError(f"unknown trajectory variant: {trajectory!r}")
-
-
-def correlation_field(
-    tau1: float,
-    tau2: float,
-    trajectory: Trajectory,
-    *,
-    eps: float | None = None,
-    n_max: int | None = None,
-) -> KernelValue:
-    """Symmetrized field two-point function C^F (anticommutator / 2).
-
-    C^F = -(1/8 pi^2) sum_n [(du - 2 i eps + i 2 pi n / alpha)^-2
-                             + (du + 2 i eps + i 2 pi n / alpha)^-2]
-
-    eps None is EPSILON; an n_max sums the images in place of the closed form.
-    """
-    sm, sp = _field_pair(tau1, tau2, trajectory, eps, n_max)
-    return KernelValue(-(sm + sp) / (8.0 * math.pi**2))
-
-
-def susceptibility_field(
-    tau1: float,
-    tau2: float,
-    trajectory: Trajectory,
-    *,
-    eps: float | None = None,
-    n_max: int | None = None,
-) -> KernelValue:
-    """Field linear susceptibility chi^F (commutator / 2i); same sum with a minus."""
-    sm, sp = _field_pair(tau1, tau2, trajectory, eps, n_max)
-    return KernelValue(-(sm - sp) / (8.0j * math.pi**2))
-
-
-def correlation_atom(u: float, omega0: float = 1.0) -> float:
-    """C^A(u) = cos(omega0 u) / 4, the same for every atom state."""
-    return 0.25 * math.cos(omega0 * u)
-
-
-def susceptibility_atom(u: float, atom: AtomState, omega0: float = 1.0) -> float:
-    """chi^A(u) = sin(omega0 u) <a|R3|a> / 2."""
-    return 0.5 * math.sin(omega0 * u) * atom.r3_expectation
-
-
-def bose_occupancy(omega: float, beta: float) -> float:
-    """Bose-Einstein occupancy [e^{beta omega} - 1]^-1; 0 at beta = +inf."""
-    if omega <= 0:
-        raise DomainError(f"omega must be positive, got {omega}")
-    if math.isnan(beta) or beta <= 0:
-        raise DomainError(f"beta must be positive (or +inf), got {beta}")
-    if math.isinf(beta):
-        return 0.0
-    x = beta * omega
-    if x > 700.0:
-        return 0.0
-    return 1.0 / math.expm1(x)

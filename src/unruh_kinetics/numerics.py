@@ -1,5 +1,4 @@
-"""Shared numerical machinery: the kernel oracles' extrapolation ladders and
-panel quadrature.
+"""Shared numerical machinery: panel quadrature and fermi.
 
 Integrals run on one composite 24-point Gauss-Legendre rule (Davis &
 Rabinowitz, *Methods of Numerical Integration*, ch. 2) over [0, u_max], for
@@ -16,11 +15,10 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from .core import DomainError, NonConvergence
+from .core import DomainError
 
 __all__ = [
     "neville",
-    "extrapolate_to_zero",
     "fermi",
     "panel_rule",
     "panel_integral",
@@ -40,7 +38,8 @@ def neville(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
     """Polynomial extrapolation of (xs, ys) to x = 0.
 
     Returns (value, contraction) where contraction is the magnitude of the
-    last correction, a proxy for the extrapolation error.
+    last correction, a proxy for the extrapolation error.  The package no
+    longer calls it; it stays while the benchmark's tracer counts it.
     """
     x = list(xs)
     v = [float(y) for y in ys]
@@ -55,31 +54,6 @@ def neville(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
         ]
         last, prev = prev, v[0]
     return v[0], abs(v[0] - last)
-
-
-def extrapolate_to_zero(
-    f: Callable[[float], float | complex],
-    xs: Sequence[float],
-    tol: float | None = None,
-    scale: float = 1e-300,
-) -> float | complex:
-    """Evaluate f on the regulator ladder xs and Neville-extrapolate to x = 0.
-
-    A complex f is extrapolated part by part and gives a complex value.  If
-    tol is given, raise NonConvergence unless the real part's contraction is
-    within tol * max(|value|, scale); a NaN value or contraction fails too.
-    """
-    with np.errstate(all="ignore"):  # an overflow gives a NaN that tol refuses
-        ys = [f(x) for x in xs]
-    value, contraction = neville(xs, [y.real for y in ys])
-    if isinstance(ys[0], complex):
-        value = complex(value, neville(xs, [y.imag for y in ys])[0])
-    if tol is not None and not contraction <= tol * max(abs(value), scale):
-        raise NonConvergence(
-            f"regulator ladder contracted only to {contraction:.3e} for a "
-            f"value of magnitude {abs(value):.3e} (tolerance {tol:.1e})"
-        )
-    return value
 
 
 def fermi(x: float) -> float:

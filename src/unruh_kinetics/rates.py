@@ -157,7 +157,10 @@ def _line_integral(m: int, omega0: float, alpha: float) -> complex:
     and the integrand decays like e^{-(omega0 + alpha) t / sqrt 2}.  The
     strip's period makes J_+ = int e^{+i omega0 z} S_m dz = e^{-x} conj J_-,
     x = 2 pi omega0/alpha.  J_- does not depend on d, so the ray from d/2 must
-    agree to 1e-9 relative, or NonConvergence.
+    agree to 1e-9 relative, or NonConvergence.  The known causes of a
+    disagreement are cancellation (for m > 2, S_m along the ray is of size
+    (alpha/pi)^(m-1) while J_- is ~omega0^(m-2) alpha) and overflow of S_m ~
+    z^-m once omega0^m passes 1e308.
     """
 
     def on_ray(d: float) -> complex:
@@ -176,7 +179,8 @@ def _line_integral(m: int, omega0: float, alpha: float) -> complex:
         raise NonConvergence(
             f"line integral of S_{m} at omega0 = {omega0:.12g}, alpha = "
             f"{alpha:.12g} differs by {abs(j - j_half):.3e} between Im z = d "
-            f"and d/2 for a value of magnitude {abs(j):.3e}"
+            f"and d/2 for a value of magnitude {abs(j):.3e}; the integral "
+            "cancels at small omega0/alpha and overflows at large omega0"
         )
     return j
 

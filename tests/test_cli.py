@@ -283,6 +283,22 @@ def test_vf_rr_split_at_a_non_symmetric_ordering_is_refused(capsys, args, messag
 
 
 @pytest.mark.parametrize(
+    "args",
+    # each printed "alpha must be positive, got 0.0", an alpha never given
+    [["rates", "--rates.numeric", "true"],
+     ["rates", "--rates.field", "true"],
+     ["sweep", "--sweep.quantity", "rates", "--rates.n", "1"]],
+)
+def test_numeric_rates_on_an_inertial_trajectory_are_refused(capsys, args):
+    code, out, err = run(capsys, *args, "--trajectory.kind", "inertial")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        "error: numeric rates (rates.n >= 1, rates.numeric, rates.field) need "
+        "trajectory.kind accelerated, got inertial"
+    ]
+
+
+@pytest.mark.parametrize(
     "param",
     # rates.n reached math.factorial as a float once a rates sweep read it
     ["rates.n", "populations.steps", "populations.samples", "kernel.sweep.count",
@@ -680,7 +696,7 @@ def test_verify_passes_at_every_level_splitting(capsys, omega0):
 
 
 def test_verify_forced_failure(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(K, "QUAD_TOL", 1e-30)
+    monkeypatch.setattr(K, "TRUNC_TOL", 1e-30)
     out_file = tmp_path / "report.json"
     code = main(["verify", "--out", str(out_file)])
     capsys.readouterr()

@@ -8,14 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unruh_kinetics.core import (
-    AtomState,
-    DomainError,
-    Inertial,
-    NonConvergence,
-    SingularInput,
-    UniformAcceleration,
-)
+from unruh_kinetics.core import DomainError, NonConvergence, SingularInput
 from unruh_kinetics import kernels as K
 
 FOUR_PI_SQ = 4.0 * math.pi**2
@@ -23,22 +16,13 @@ FOUR_PI_SQ = 4.0 * math.pi**2
 
 # --- vacuum Wightman functions -------------------------------------------
 
-def test_inertial_vacuum_values():
-    assert K.wightman_vacuum_inertial(1.0).value.real == pytest.approx(
-        -1.0 / FOUR_PI_SQ
-    )
-    assert K.wightman_vacuum_inertial(2.0).value.real == pytest.approx(
-        -1.0 / (16.0 * math.pi**2)
-    )
-    # u = 0 at finite eps: (-i eps)^-2 = -1/eps^2, so the value flips sign
-    v = K.wightman_vacuum_inertial(0.0, eps=1e-3)
-    assert v.value.real == pytest.approx(1.0 / (FOUR_PI_SQ * 1e-6))
-    assert v.value.imag == pytest.approx(0.0, abs=1e-20)
-
-
-def test_inertial_vacuum_singular_input():
+def test_accelerated_vacuum_singular_input():
     with pytest.raises(SingularInput):
-        K.wightman_vacuum_inertial(0.0, 0.0)
+        K.wightman_vacuum_accelerated(0.0, 1.0)
+    with pytest.raises(SingularInput):  # one u = 0 in an array
+        K.wightman_vacuum_accelerated(np.array([1.0, 0.0]), 1.0)
+    with pytest.raises(SingularInput):
+        K.wightman_vacuum_accelerated_sum(0.0, 1.0)
 
 
 def test_accelerated_closed_form_value():
@@ -57,7 +41,7 @@ def test_accelerated_sum_matches_closed_form():
 def test_accelerated_small_alpha_is_inertial():
     # only the n = 0 image survives as alpha -> 0
     a = K.wightman_vacuum_accelerated(0.7, 1e-6).value
-    i = K.wightman_vacuum_inertial(0.7).value
+    i = -1.0 / (FOUR_PI_SQ * 0.7**2)
     assert abs(a - i) / abs(i) < 1e-10
 
 
@@ -71,16 +55,54 @@ def test_lattice_sum_identity_point():
 
 
 def test_lattice_sum_nonconvergence_on_impossible_tolerance(monkeypatch):
-    monkeypatch.setattr(K, "QUAD_TOL", 1e-30)
+    monkeypatch.setattr(K, "TRUNC_TOL", 1e-30)
     with pytest.raises(NonConvergence):
         K.thermal_image_sum(1.0, 1.0)
 
 
-def test_accelerated_sum_checks_its_ladder_contraction(monkeypatch):
-    # the oracle's ladder contracts to ~1e-14 relative: a 1e-30 tolerance fails
-    monkeypatch.setattr(K, "QUAD_TOL", 1e-30)
+def test_oracles_refuse_a_nan_sum_and_a_bad_beta():
+    with pytest.raises(NonConvergence):
+        K.wightman_vacuum_accelerated_sum(math.nan, 1.0)
+    # beta = 0 divided by zero, and beta < 0 returned a value
+    for beta in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            K.thermal_image_sum(1.0, beta)
+        with pytest.raises(DomainError):
+            K.g_thermal_inertial_sum(1.0, beta, 0.5)
+
+
+def test_accelerated_sum_checks_its_truncation(monkeypatch):
+    # the oracle's truncation error is ~4e-15 relative: a 1e-30 tolerance fails
+    monkeypatch.setattr(K, "TRUNC_TOL", 1e-30)
     with pytest.raises(NonConvergence):
         K.wightman_vacuum_accelerated_sum(1.0, 1.0)
+    with pytest.raises(NonConvergence):
+        K.g_thermal_inertial_sum(1.0, 1.0, 0.5)
+
+
+@pytest.mark.parametrize(
+    "oracle, closed, args",
+    [pytest.param(K.thermal_image_sum, K.thermal_image_closed, (u, beta),
+                  id=f"lattice-{u}-{beta}")
+     for u in (0.2, 0.5, 1.0, 1.5, 2.0) for beta in (1.0, 1.5, 2.0, 3.0, 4.0)]
+    + [pytest.param(K.wightman_vacuum_accelerated_sum, K.wightman_vacuum_accelerated,
+                    (1.0, 1.0), id="accelerated"),
+       pytest.param(K.g_thermal_inertial_sum, K.g_thermal_inertial, (1.0, 1.0, 0.5),
+                    id="inertial")],
+)
+def test_truncation_estimate_tracks_the_true_error(monkeypatch, oracle, closed, args):
+    # criterion 1's grid and verify's points: the estimate that the oracles
+    # gate on, |S_N - S_{N/2}| / 7, is within a factor 2 of the error against
+    # the closed form.  Where both are a few ulps (u = 0.2, beta >= 3)
+    # rounding, not truncation, sets them; 4 ulps of |value| is allowed.
+    value = lambda x: getattr(x, "value", x)
+    s, want = value(oracle(*args)), value(closed(*args))
+    monkeypatch.setattr(K, "N_MAX", K.N_MAX // 2)
+    estimate = abs(s - value(oracle(*args))) / 7.0
+    error = abs(s - want)
+    floor = 4.0 * np.finfo(float).eps * abs(want)
+    assert estimate <= 2.0 * error + floor
+    assert error <= 2.0 * estimate + floor
 
 
 # --- inertial thermal kernel ---------------------------------------------
@@ -262,62 +284,6 @@ def test_accelerated_thermal_large_arguments_stay_finite():
         )
     with pytest.raises(SingularInput):
         K.g_thermal_accelerated(1e-200, 0.0, 1.0, 1.0)
-
-
-# --- field correlation / susceptibility ----------------------------------
-
-def test_field_functions_parity():
-    traj = UniformAcceleration(1.0)
-    for u in (0.3, 1.0, 2.5):
-        c_p = K.correlation_field(u, 0.0, traj, eps=1e-2)
-        c_m = K.correlation_field(-u, 0.0, traj, eps=1e-2)
-        x_p = K.susceptibility_field(u, 0.0, traj, eps=1e-2)
-        x_m = K.susceptibility_field(-u, 0.0, traj, eps=1e-2)
-        assert c_p.value == pytest.approx(c_m.value, rel=1e-12)
-        assert x_p.value == pytest.approx(-x_m.value, rel=1e-12)
-
-
-def test_field_functions_recover_wightman():
-    # C^F + i chi^F = thermal Wightman function at T = alpha / 2 pi
-    traj = UniformAcceleration(1.5)
-    u, eps = 0.8, 1e-8
-    c = K.correlation_field(u, 0.0, traj, eps=eps).value
-    x = K.susceptibility_field(u, 0.0, traj, eps=eps).value
-    w = K.wightman_vacuum_accelerated(u, 1.5, eps=eps).value
-    assert c + 1j * x == pytest.approx(w, rel=1e-6)
-
-
-def test_field_correlation_inertial_limit():
-    c = K.correlation_field(1.0, 0.0, Inertial(), eps=1e-9)
-    assert c.value.real == pytest.approx(-1.0 / FOUR_PI_SQ, rel=1e-8)
-
-
-def test_field_sum_route_matches_closed():
-    traj = UniformAcceleration(1.0)
-    a = K.correlation_field(1.0, 0.0, traj, eps=1e-3)
-    b = K.correlation_field(1.0, 0.0, traj, eps=1e-3, n_max=K.N_MAX)
-    assert a.value == pytest.approx(b.value, rel=1e-8)
-
-
-# --- atom functions and occupancy ----------------------------------------
-
-def test_atom_functions_at_zero():
-    assert K.correlation_atom(0.0) == 0.25
-    assert K.susceptibility_atom(0.0, AtomState.plus()) == 0.0
-
-
-def test_atom_susceptibility_quarter_period():
-    omega0 = 2.0
-    u = math.pi / (2.0 * omega0)
-    assert K.susceptibility_atom(u, AtomState.plus(), omega0) == pytest.approx(0.25)
-
-
-def test_bose_occupancy():
-    assert K.bose_occupancy(math.log(2.0), 1.0) == pytest.approx(1.0)
-    assert K.bose_occupancy(1.0, math.inf) == 0.0
-    # small-argument divergence: 1/(beta omega) - 1/2 + O(beta omega)
-    x = 1e-4
-    assert K.bose_occupancy(x, 1.0) == pytest.approx(1.0 / x - 0.5, abs=1e-4)
 
 
 # --- image-sum closed forms ----------------------------------------------
