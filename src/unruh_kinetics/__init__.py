@@ -10,15 +10,11 @@ from .core import (
     AtomState,
     DetectorParams,
     DomainError,
-    Inertial,
     NonConvergence,
     OrderingParam,
     SingularInput,
     StepSizeError,
-    SYMMETRIC_ORDERING,
-    ThermalState,
-    Trajectory,
-    UniformAcceleration,
+    check_beta,
     validate,
 )
 from .fermion import (

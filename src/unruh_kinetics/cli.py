@@ -32,11 +32,9 @@ from .core import (
     AtomState,
     DetectorParams,
     DomainError,
-    Inertial,
     NonConvergence,
     OrderingParam,
     StepSizeError,
-    UniformAcceleration,
     validate,
 )
 
@@ -274,36 +272,34 @@ def _atom(name) -> AtomState:
     return AtomState({"plus": 0.5, "minus": -0.5}.get(name, name))
 
 
-def _numeric_alpha(trajectory) -> float:
-    """The acceleration of the numeric rate pipeline, which integrates the
-    accelerated image sum and has no inertial case."""
-    if isinstance(trajectory, Inertial):
+def _numeric_alpha(alpha: float) -> float:
+    """alpha, for the numeric rate pipeline, which integrates the
+    accelerated image sum and has no inertial case (alpha = 0)."""
+    if alpha == 0.0:
         raise DomainError(
             "numeric rates (rates.n >= 1, rates.numeric, rates.field) need "
             "trajectory.kind accelerated, got inertial"
         )
-    return trajectory.alpha
+    return alpha
 
 
-def _energy_rates(rcfg: dict, detector: DetectorParams, trajectory):
+def _energy_rates(rcfg: dict, detector: DetectorParams, alpha: float):
     """The rates section's energy rates: closed form at n = 0, else (or if
     numeric) the numeric pipeline, which has only the symmetric ordering."""
     lam = OrderingParam(rcfg["lam"])
     atom = _atom(rcfg["atom"])
     if not (rcfg["numeric"] or rcfg["n"] > 0):
-        alpha = getattr(trajectory, "alpha", 0.0)
         return R.atom_total_rate(detector, alpha, atom, lam)
     if not lam.is_symmetric:
         raise DomainError(f"numeric rates need rates.lam 0.5, got {lam.lam}")
-    alpha = _numeric_alpha(trajectory)
-    return R.derivative_coupling_rates(detector, alpha, atom, rcfg["n"])
+    return R.derivative_coupling_rates(detector, _numeric_alpha(alpha), atom, rcfg["n"])
 
 
-def _response(trajectory, delta_e) -> RS.ResponseResult:
+def _response(alpha: float, delta_e) -> RS.ResponseResult:
     """The detector's excitation rate at the gap(s) delta_e."""
-    if isinstance(trajectory, Inertial):
+    if alpha == 0.0:
         return RS.response_inertial(delta_e)
-    return RS.response_accelerated(delta_e, trajectory.alpha)
+    return RS.response_accelerated(delta_e, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -488,31 +484,31 @@ def emit(header: list[str], rows, config: dict, echo=()) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_kernel(config: dict) -> Table:
-    _, thermal, trajectory = validate(config)
+    _, beta, alpha = validate(config)
     kcfg = config["kernel"]
     u = kcfg["u"]
     sweep = kcfg["sweep"]
     param = sweep["param"]
-    if not isinstance(trajectory, UniformAcceleration):
+    if alpha == 0.0:
         raise DomainError(
             "kernel is the accelerated-frame kernel; it needs "
             "trajectory.kind accelerated, got inertial"
         )
     values = _grid(sweep)
     if param == "alpha":
-        g = K.g_thermal_accelerated(u, 0.0, thermal.beta, values).value
+        g = K.g_thermal_accelerated(u, 0.0, beta, values).value
     else:
-        g = K.g_thermal_accelerated(u, 0.0, values, trajectory.alpha).value
+        g = K.g_thermal_accelerated(u, 0.0, values, alpha).value
     table = np.column_stack([np.full(len(values), u), values, g.real, g.imag])
     return ["tau_diff", param, "re_g", "im_g"], table
 
 
 def cmd_populations(config: dict) -> Table:
-    detector, thermal, _ = validate(config)
+    detector, beta, _ = validate(config)
     pcfg = config["populations"]
     sp = pcfg["sigma_plus"]
     init = M.PopulationState(sp, 1.0 - sp)
-    w0, beta = detector.omega0, thermal.beta
+    w0 = detector.omega0
     samples = pcfg["samples"]
     traj = M.evolve(init, w0, beta, pcfg["tau_end"], pcfg["steps"], samples)
     tau, num = traj.taus, traj.sigma_plus
@@ -537,8 +533,8 @@ def cmd_populations(config: dict) -> Table:
 
 
 def cmd_steady(config: dict) -> Table:
-    detector, thermal, _ = validate(config)
-    w0, beta = detector.omega0, thermal.beta
+    detector, beta, _ = validate(config)
+    w0 = detector.omega0
     st = M.steady_state(w0, beta)
     rows = [[
         w0, beta, st.sigma_plus, st.sigma_minus,
@@ -548,9 +544,9 @@ def cmd_steady(config: dict) -> Table:
 
 
 def cmd_rates(config: dict) -> Table:
-    detector, _, trajectory = validate(config)
+    detector, _, alpha = validate(config)
     rcfg = config["rates"]
-    report = _energy_rates(rcfg, detector, trajectory)
+    report = _energy_rates(rcfg, detector, alpha)
     record = {
         "vf": report.vf,
         "rr": report.rr,
@@ -560,26 +556,24 @@ def cmd_rates(config: dict) -> Table:
         "coupling_order": rcfg["n"],
     }
     if rcfg["field"]:
-        alpha = _numeric_alpha(trajectory)
-        field = R.field_rates(detector, alpha, _atom(rcfg["atom"]))
+        field = R.field_rates(detector, _numeric_alpha(alpha), _atom(rcfg["atom"]))
         record.update(zip(["vf_field", "rr_field"], field))
     return list(record), [list(record.values())]
 
 
 def cmd_response(config: dict) -> Table:
-    _, _, trajectory = validate(config)
+    _, _, alpha = validate(config)
     grid = _grid(config["response"]["deltaE"])
-    alpha = getattr(trajectory, "alpha", 0.0)
     table = np.column_stack(
-        [grid, np.full(len(grid), alpha), _response(trajectory, grid).rate]
+        [grid, np.full(len(grid), alpha), _response(alpha, grid).rate]
     )
     return ["deltaE", "alpha", "rate"], table
 
 
 def cmd_fermion(config: dict) -> Table:
-    detector, thermal, _ = validate(config)
+    detector, beta, _ = validate(config)
     fcfg = config["fermion"]
-    w0, beta = detector.omega0, thermal.beta
+    w0 = detector.omega0
     if fcfg["spectrum"] is not None:
         modes = _read_json(fcfg["spectrum"])
         try:
@@ -604,7 +598,7 @@ def cmd_fermion(config: dict) -> Table:
         "C", "T_F", "dt", "d_sigma00", "d_sigma11",
         "energy_rate", "coarse_graining_ratio", "valid",
     ]
-    table = header, [[rates.C, rates.T_F, rates.dt, d0, d1, energy, ratio, valid]]
+    table = header, [[rates.C, rates.T_F, fcfg["dt"], d0, d1, energy, ratio, valid]]
     if valid:
         return table
     return *table, (
@@ -622,14 +616,14 @@ _SWEEP_HEADERS = {
 def _sweep_point(config: dict, param: str, value: float) -> list:
     """Set param to value in config (in place) and evaluate one sweep row."""
     _set_dotted(config, param, value)
-    detector, thermal, trajectory = validate(config)
+    detector, beta, alpha = validate(config)
     quantity = config["sweep"]["quantity"]
     if quantity == "steady":
-        st = M.steady_state(detector.omega0, thermal.beta)
+        st = M.steady_state(detector.omega0, beta)
         return [value, st.sigma_plus, st.sigma_minus]
     if quantity == "response":
-        return [value, _response(trajectory, detector.omega0).rate]
-    rep = _energy_rates(config["rates"], detector, trajectory)
+        return [value, _response(alpha, detector.omega0).rate]
+    rep = _energy_rates(config["rates"], detector, alpha)
     if not rep.finite:
         lam = config["rates"]["lam"]
         raise DomainError(f"VF and RR exist only at rates.lam 0.5, got {lam}")
@@ -790,6 +784,7 @@ class _Parser(argparse.ArgumentParser):
 def main(argv: list[str] | None = None) -> int:
     parser = _Parser(
         prog="unruh-kinetics",
+        allow_abbrev=False,
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )

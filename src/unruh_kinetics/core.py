@@ -1,8 +1,9 @@
 """Domain types, unit conventions and the config-to-model builder.
 
-Natural units (hbar = c = k_B = 1) are used throughout the package.
-Inverse temperature beta = +inf is a first-class value encoding exact
-zero temperature.
+Natural units (hbar = c = k_B = 1) are used throughout the package.  The
+model of a config is the detector, the inverse temperature beta in
+(0, +inf], where beta = +inf is exact zero temperature, and the proper
+acceleration alpha, where alpha = 0 is the inertial worldline.
 """
 
 from __future__ import annotations
@@ -34,6 +35,13 @@ def _require_finite(name: str, x: float) -> None:
         raise DomainError(f"{name} must be finite, got {x}")
 
 
+def check_beta(beta: float) -> float:
+    """beta, if it lies in (0, +inf]; beta = +inf is zero temperature."""
+    if math.isnan(beta) or beta <= 0:
+        raise DomainError(f"beta must be positive (or +inf), got {beta}")
+    return beta
+
+
 def require_all(ok, values, what: str) -> None:
     """Raise DomainError(f"{what}, got {v}") for the first v of the array
     ``values`` at which the same-shaped mask ``ok`` is false."""
@@ -60,46 +68,6 @@ class DetectorParams:
 
 
 @dataclass(frozen=True)
-class ThermalState:
-    """Reservoir at inverse temperature beta in (0, +inf]; beta = inf means T = 0."""
-
-    beta: float
-
-    def __post_init__(self) -> None:
-        if math.isnan(self.beta) or self.beta <= 0:
-            raise DomainError(f"beta must be positive (or +inf), got {self.beta}")
-
-    @property
-    def is_zero_temperature(self) -> bool:
-        return math.isinf(self.beta)
-
-    @property
-    def temperature(self) -> float:
-        return 0.0 if self.is_zero_temperature else 1.0 / self.beta
-
-
-class Trajectory:
-    """Marker base class for detector worldlines."""
-
-
-@dataclass(frozen=True)
-class Inertial(Trajectory):
-    """Worldline of a detector at rest."""
-
-
-@dataclass(frozen=True)
-class UniformAcceleration(Trajectory):
-    """Hyperbolic worldline x = cosh(alpha tau)/alpha, t = sinh(alpha tau)/alpha."""
-
-    alpha: float
-
-    def __post_init__(self) -> None:
-        _require_finite("alpha", self.alpha)
-        if self.alpha <= 0:
-            raise DomainError(f"alpha must be positive, got {self.alpha}")
-
-
-@dataclass(frozen=True)
 class OrderingParam:
     """Operator-ordering weight of lam*AB + (1-lam)*BA; lam = 1/2 is symmetric."""
 
@@ -112,9 +80,6 @@ class OrderingParam:
     @property
     def is_symmetric(self) -> bool:
         return self.lam == 0.5
-
-
-SYMMETRIC_ORDERING = OrderingParam(0.5)
 
 
 @dataclass(frozen=True)
@@ -139,25 +104,22 @@ class AtomState:
         """Ground state |->."""
         return cls(-0.5)
 
-    @classmethod
-    def superposition(cls, c_plus: complex, c_minus: complex) -> "AtomState":
-        norm = abs(c_plus) ** 2 + abs(c_minus) ** 2
-        if not math.isclose(norm, 1.0, rel_tol=0, abs_tol=1e-9):
-            raise DomainError(f"amplitudes must be normalized, |c+|^2+|c-|^2 = {norm}")
-        return cls((abs(c_plus) ** 2 - abs(c_minus) ** 2) / 2.0)
 
+def validate(config: dict) -> tuple[DetectorParams, float, float]:
+    """(detector, beta, alpha) of a config document, checked in that order.
 
-def validate(config: dict) -> tuple[DetectorParams, ThermalState, Trajectory]:
-    """The detector, bath and worldline of a config document.
-
-    Each dataclass enforces its own invariants.  A ``trajectory.kind`` other
-    than "inertial" is "accelerated": the CLI checks the kind while it loads
-    a config.
+    alpha = 0.0 is the inertial worldline: a ``trajectory.kind`` of
+    "inertial" ignores ``trajectory.alpha``, and any other kind is
+    "accelerated" (the CLI checks the kind while it loads a config), whose
+    alpha must be finite and positive.
     """
+    detector = DetectorParams(**config["detector"])
+    beta = check_beta(config["thermal"]["beta"])
     trajectory = config["trajectory"]
-    return (
-        DetectorParams(**config["detector"]),
-        ThermalState(config["thermal"]["beta"]),
-        Inertial() if trajectory["kind"] == "inertial"
-        else UniformAcceleration(trajectory["alpha"]),
-    )
+    if trajectory["kind"] == "inertial":
+        return detector, beta, 0.0
+    alpha = trajectory["alpha"]
+    _require_finite("alpha", alpha)
+    if alpha <= 0:
+        raise DomainError(f"alpha must be positive, got {alpha}")
+    return detector, beta, alpha

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError
+from .core import DomainError, check_beta
 from .numerics import fermi
 
 __all__ = [
@@ -42,23 +42,20 @@ class BathSpectrum:
                 raise DomainError(f"mode frequency must be positive, got {w}")
             if not (math.isfinite(g) and g >= 0):
                 raise DomainError(f"coupling must be finite and >= 0, got {g}")
-        if math.isnan(self.beta) or self.beta <= 0:
-            raise DomainError(f"beta must be positive (or +inf), got {self.beta}")
+        check_beta(self.beta)
 
 
 @dataclass(frozen=True)
 class FermionRates:
-    """Rates over the window dt: C (spontaneous) and T_F (stimulated)."""
+    """Rates over a coarse-graining window: C (spontaneous) and T_F (stimulated)."""
 
     C: float
     T_F: float
-    dt: float
 
     def __post_init__(self) -> None:
-        if self.C < 0 or self.T_F < 0 or self.dt <= 0:
+        if self.C < 0 or self.T_F < 0:
             raise DomainError(
-                f"rates must be >= 0 and dt > 0, got "
-                f"C={self.C}, T_F={self.T_F}, dt={self.dt}"
+                f"rates must be >= 0, got C={self.C}, T_F={self.T_F}"
             )
         # Fermi blocking: every occupancy factor is <= 1/2
         if self.T_F > 0.5 * self.C * (1.0 + 1e-12) + 1e-300:
@@ -101,7 +98,7 @@ def fermion_rates(
         term = 2.0 * g * g * _window_weight(omega0 - w, dt)
         c += term
         tf += term * fermi(spectrum.beta * w)  # modes have w > 0
-    return FermionRates(C=c, T_F=tf, dt=dt)
+    return FermionRates(C=c, T_F=tf)
 
 
 def fermion_population_rhs(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, StepSizeError
+from .core import DomainError, StepSizeError, check_beta
 from .numerics import COTH_POLE, fermi
 
 __all__ = [
@@ -93,8 +93,7 @@ class PopulationTrajectory:
 def _check_params(omega0: float, beta: float) -> None:
     if not omega0 > 0:
         raise DomainError(f"omega0 must be positive, got {omega0}")
-    if math.isnan(beta) or beta <= 0:
-        raise DomainError(f"beta must be positive (or +inf), got {beta}")
+    check_beta(beta)
 
 
 def relaxation_rate(omega0: float, beta: float) -> float:

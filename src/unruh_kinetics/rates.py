@@ -26,7 +26,6 @@ from .core import (
     DomainError,
     NonConvergence,
     OrderingParam,
-    SYMMETRIC_ORDERING,
 )
 from .kernels import _FOUR_PI_SQ, image_sum_inverse_power
 from .numerics import COTH_POLE, panel_rule
@@ -116,7 +115,7 @@ def atom_total_rate(
     params: DetectorParams,
     alpha: float,
     atom: AtomState,
-    lam: OrderingParam = SYMMETRIC_ORDERING,
+    lam: OrderingParam = OrderingParam(),
 ) -> EnergyRateReport:
     """Total energy rate -(omega0^2 mu^2 / 8 pi)[<R3> coth(pi omega0/alpha) + 1/2].
 

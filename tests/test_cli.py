@@ -372,6 +372,20 @@ def test_out_and_format_are_taken_verbatim(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "null").exists() and not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("flag", ["--fo", "--o", "--conf"])
+def test_abbreviated_flags_are_unknown_fields(tmp_path, capsys, monkeypatch, flag):
+    # argparse would take each as --format, --out or --config
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x.json").write_text("{}")
+    code, out, err = run(capsys, "steady", flag, "x.json")
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: unknown config field '{flag[2:]}'"]
+    assert [p.name for p in tmp_path.iterdir()] == ["x.json"]
+    code, out, _ = run(capsys, "steady", "--format=json", "--out=y.json")
+    assert code == 0 and out == ""
+    assert json.loads((tmp_path / "y.json").read_text())[0]["beta"] == 1.0
+
+
 def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

@@ -5,15 +5,14 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from unruh_kinetics import fermion as F
+from unruh_kinetics import master as M
 from unruh_kinetics.core import (
     AtomState,
     DetectorParams,
     DomainError,
-    Inertial,
     OrderingParam,
-    SYMMETRIC_ORDERING,
-    ThermalState,
-    UniformAcceleration,
+    check_beta,
     validate,
 )
 
@@ -27,27 +26,64 @@ def _config(omega0=1.0, beta=1.0, kind="accelerated", alpha=1.0, mu=1.0):
 
 
 def test_validate_accepts_reasonable_config():
-    detector, thermal, trajectory = validate(_config(mu=0.1, alpha=2.0))
-    assert detector == DetectorParams(omega0=1.0, mu=0.1)
-    assert thermal == ThermalState(beta=1.0)
-    assert trajectory == UniformAcceleration(alpha=2.0)
+    model = validate(_config(mu=0.1, beta=2.5, alpha=2.0))
+    assert model == (DetectorParams(omega0=1.0, mu=0.1), 2.5, 2.0)
 
 
 def test_validate_is_idempotent():
-    config = _config(beta=math.inf, kind="inertial")
-    model = validate(config)
-    assert model == (DetectorParams(1.0), ThermalState(math.inf), Inertial())
-    assert validate(config) == model
-    # each dataclass enforces its own invariants
-    with pytest.raises(DomainError, match="alpha"):
-        validate(_config(alpha=-1.0))
-    with pytest.raises(DomainError, match="beta"):
-        validate(_config(beta=0.0))
+    # the inertial worldline is alpha = 0.0, whatever trajectory.alpha holds
+    for alpha in [1.0, -5.0, 0.0, math.inf, math.nan]:
+        config = _config(beta=math.inf, kind="inertial", alpha=alpha)
+        model = validate(config)
+        assert model == (DetectorParams(1.0), math.inf, 0.0)
+        assert validate(config) == model
+
+
+@pytest.mark.parametrize(
+    "alpha, message",
+    [
+        (0.0, "alpha must be positive, got 0.0"),
+        (-1.0, "alpha must be positive, got -1.0"),
+        (math.inf, "alpha must be finite, got inf"),
+        (math.nan, "alpha must be finite, got nan"),
+    ],
+)
+def test_accelerated_alpha_must_be_finite_and_positive(alpha, message):
+    # so alpha = 0.0 can only mean the inertial worldline
+    with pytest.raises(DomainError) as exc:
+        validate(_config(alpha=alpha))
+    assert str(exc.value) == message
 
 
 def test_zero_beta_rejected():
-    with pytest.raises(DomainError, match="beta"):
-        ThermalState(beta=0.0)
+    for beta in [0.0, -1.0, math.nan]:
+        message = f"beta must be positive (or +inf), got {beta}"
+        with pytest.raises(DomainError) as exc:
+            check_beta(beta)
+        assert str(exc.value) == message
+        # beta is checked after the detector and before alpha
+        with pytest.raises(DomainError) as exc:
+            validate(_config(beta=beta, alpha=-1.0))
+        assert str(exc.value) == message
+        with pytest.raises(DomainError, match="omega0"):
+            validate(_config(omega0=0.0, beta=beta))
+
+
+@pytest.mark.parametrize("beta", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda beta: validate(_config(beta=beta)),
+        lambda beta: M.steady_state(1.0, beta),
+        lambda beta: F.BathSpectrum(((1.0, 0.1),), beta),
+    ],
+    ids=["validate", "steady_state", "BathSpectrum"],
+)
+def test_every_beta_check_is_check_beta(build, beta):
+    with pytest.raises(DomainError) as exc:
+        build(beta)
+    assert str(exc.value) == f"beta must be positive (or +inf), got {beta}"
+    assert check_beta(math.inf) == math.inf
 
 
 def test_negative_omega0_rejected():
@@ -62,16 +98,8 @@ def test_negative_coupling_rejected():
         DetectorParams(omega0=1.0, mu=-0.1)
 
 
-def test_zero_temperature_is_first_class():
-    t = ThermalState(math.inf)
-    assert t.is_zero_temperature
-    assert t.temperature == 0.0
-    assert not ThermalState(2.0).is_zero_temperature
-    assert ThermalState(2.0).temperature == 0.5
-
-
 def test_ordering_param():
-    assert SYMMETRIC_ORDERING.is_symmetric
+    assert OrderingParam().is_symmetric
     assert not OrderingParam(0.3).is_symmetric
     with pytest.raises(DomainError):
         OrderingParam(1.5)
@@ -80,10 +108,6 @@ def test_ordering_param():
 def test_atom_state_constructors():
     assert AtomState.plus().r3_expectation == 0.5
     assert AtomState.minus().r3_expectation == -0.5
-    mixed = AtomState.superposition(1 / math.sqrt(2), 1 / math.sqrt(2))
-    assert mixed.r3_expectation == pytest.approx(0.0, abs=1e-15)
-    with pytest.raises(DomainError):
-        AtomState.superposition(1.0, 1.0)  # not normalized
     with pytest.raises(DomainError):
         AtomState(0.6)
 
@@ -94,6 +118,6 @@ def test_atom_state_constructors():
 )
 def test_validate_never_clamps(omega0, beta):
     # accepted values must round-trip unchanged (rejection is total, no clamping)
-    detector, thermal, _ = validate(_config(omega0=omega0, beta=beta))
+    detector, got_beta, _ = validate(_config(omega0=omega0, beta=beta))
     assert detector.omega0 == omega0
-    assert thermal.beta == beta
+    assert got_beta == beta

@@ -84,31 +84,31 @@ def test_stimulated_rate_monotone_in_beta():
 
 
 def test_population_rhs_conserves_probability():
-    rates = F.FermionRates(C=1.0, T_F=0.3, dt=1.0)
+    rates = F.FermionRates(C=1.0, T_F=0.3)
     for diag in [(1.0, 0.0), (0.0, 1.0), (0.4, 0.6)]:
         d0, d1 = F.fermion_population_rhs(diag, rates)
         assert d0 + d1 == 0.0
 
 
 def test_population_rhs_ground_state_excitation():
-    rates = F.FermionRates(C=1.0, T_F=0.3, dt=1.0)
+    rates = F.FermionRates(C=1.0, T_F=0.3)
     d0, d1 = F.fermion_population_rhs((1.0, 0.0), rates)
     assert d1 == pytest.approx(rates.T_F)
 
 
 def test_population_rhs_excited_state_decays():
-    rates = F.FermionRates(C=1.0, T_F=0.3, dt=1.0)
+    rates = F.FermionRates(C=1.0, T_F=0.3)
     _, d1 = F.fermion_population_rhs((0.0, 1.0), rates)
     assert d1 < 0.0
 
 
 def test_population_rhs_frozen_at_zero_temperature():
-    rates = F.FermionRates(C=1.0, T_F=0.0, dt=1.0)
+    rates = F.FermionRates(C=1.0, T_F=0.0)
     assert F.fermion_population_rhs((1.0, 0.0), rates) == (0.0, 0.0)
 
 
 def test_population_rhs_validation():
-    rates = F.FermionRates(C=1.0, T_F=0.0, dt=1.0)
+    rates = F.FermionRates(C=1.0, T_F=0.0)
     with pytest.raises(DomainError):
         F.fermion_population_rhs((0.5, 0.6), rates)
     with pytest.raises(DomainError):
@@ -116,7 +116,7 @@ def test_population_rhs_validation():
 
 
 def test_energy_rate():
-    rates = F.FermionRates(C=1.0, T_F=0.0, dt=1.0)
+    rates = F.FermionRates(C=1.0, T_F=0.0)
     assert F.fermion_energy_rate((1.0, 0.0), rates, 1.0) == 0.0
     assert F.fermion_energy_rate((0.0, 1.0), rates, 1.0) == pytest.approx(-1.0)
 
