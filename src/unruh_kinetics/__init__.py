@@ -13,7 +13,6 @@ from .core import (
     NonConvergence,
     OrderingParam,
     SingularInput,
-    StepSizeError,
     check_beta,
     validate,
 )
@@ -55,7 +54,6 @@ from .rates import (
 from .response import (
     ResponseResult,
     response_accelerated,
-    response_inertial,
     unruh_temperature,
 )
 

@@ -34,7 +34,6 @@ from .core import (
     DomainError,
     NonConvergence,
     OrderingParam,
-    StepSizeError,
     validate,
 )
 
@@ -58,7 +57,6 @@ DEFAULT_CONFIG: dict = {
     "populations": {
         "sigma_plus": 1.0,
         "tau_end": 100.0,
-        "steps": None,
         "samples": 101,
     },
     "rates": {"atom": "plus", "lam": 0.5, "n": 0, "numeric": False, "field": False},
@@ -200,7 +198,6 @@ _FIELD_KINDS = {
     "output.path": ("a string", "null"),
     "kernel.sweep.param": ("'alpha'", "'beta'"),
     "kernel.sweep.scale": _SCALES,
-    "populations.steps": ("an integer", "null"),
     "rates.atom": ("'plus'", "'minus'", "a number"),  # or <R3>
     "response.deltaE.scale": _SCALES,
     "fermion.spectrum": ("a string", "null"),
@@ -293,13 +290,6 @@ def _energy_rates(rcfg: dict, detector: DetectorParams, alpha: float):
     if not lam.is_symmetric:
         raise DomainError(f"numeric rates need rates.lam 0.5, got {lam.lam}")
     return R.derivative_coupling_rates(detector, _numeric_alpha(alpha), atom, rcfg["n"])
-
-
-def _response(alpha: float, delta_e) -> RS.ResponseResult:
-    """The detector's excitation rate at the gap(s) delta_e."""
-    if alpha == 0.0:
-        return RS.response_inertial(delta_e)
-    return RS.response_accelerated(delta_e, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -509,8 +499,7 @@ def cmd_populations(config: dict) -> Table:
     sp = pcfg["sigma_plus"]
     init = M.PopulationState(sp, 1.0 - sp)
     w0 = detector.omega0
-    samples = pcfg["samples"]
-    traj = M.evolve(init, w0, beta, pcfg["tau_end"], pcfg["steps"], samples)
+    traj = M.evolve(init, w0, beta, pcfg["tau_end"], samples=pcfg["samples"])
     tau, num = traj.taus, traj.sigma_plus
     # closed_form, vectorised: exact at tau = 0
     sp_inf = M.steady_state(w0, beta).sigma_plus
@@ -564,9 +553,8 @@ def cmd_rates(config: dict) -> Table:
 def cmd_response(config: dict) -> Table:
     _, _, alpha = validate(config)
     grid = _grid(config["response"]["deltaE"])
-    table = np.column_stack(
-        [grid, np.full(len(grid), alpha), _response(alpha, grid).rate]
-    )
+    rate = RS.response_accelerated(grid, alpha).rate
+    table = np.column_stack([grid, np.full(len(grid), alpha), rate])
     return ["deltaE", "alpha", "rate"], table
 
 
@@ -622,7 +610,7 @@ def _sweep_point(config: dict, param: str, value: float) -> list:
         st = M.steady_state(detector.omega0, beta)
         return [value, st.sigma_plus, st.sigma_minus]
     if quantity == "response":
-        return [value, _response(alpha, detector.omega0).rate]
+        return [value, RS.response_accelerated(detector.omega0, alpha).rate]
     rep = _energy_rates(config["rates"], detector, alpha)
     if not rep.finite:
         lam = config["rates"]["lam"]
@@ -812,7 +800,7 @@ def main(argv: list[str] | None = None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (NonConvergence, StepSizeError) as exc:
+    except NonConvergence as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
     except OverflowError as exc:

@@ -26,10 +26,6 @@ class NonConvergence(RuntimeError):
     """An extrapolation or truncated-sum sequence failed to contract."""
 
 
-class StepSizeError(RuntimeError):
-    """The requested integrator step count cannot meet the error tolerance."""
-
-
 def _require_finite(name: str, x: float) -> None:
     if not math.isfinite(x):
         raise DomainError(f"{name} must be finite, got {x}")

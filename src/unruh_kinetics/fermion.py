@@ -114,6 +114,10 @@ def fermion_population_rhs(
     s0, s1 = diag
     if not math.isclose(s0 + s1, 1.0, rel_tol=0.0, abs_tol=1e-9):
         raise DomainError(f"populations must sum to 1, got {s0 + s1}")
+    if s0 < -1e-12 or s1 < -1e-12:
+        raise DomainError(
+            f"populations must be non-negative, got ({float(s0)}, {float(s1)})"
+        )
     d1 = -rates.C * s1 + rates.T_F * s0
     return (-d1, d1)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, StepSizeError, check_beta
+from .core import DomainError, check_beta
 from .numerics import COTH_POLE, fermi
 
 __all__ = [
@@ -28,9 +28,8 @@ __all__ = [
     "relaxation_rate",
 ]
 
-# Global RK4 error for the default step count; the controller picks h so that
-# Gamma * h stays below Z_DEFAULT, whose z^4/120 local-truncation envelope
-# sits well under this.
+# Global RK4 error bound; evolve picks h so that Gamma * h stays below
+# Z_DEFAULT, whose z^4/120 local-truncation envelope sits well under this.
 EVOLVE_TOL = 1.0e-8
 Z_DEFAULT = 0.01
 # Largest RK4 step count: every step index up to 2^53 is exact in a double.
@@ -160,27 +159,19 @@ def closed_form(
     return PopulationState(sp, 1.0 - sp)
 
 
-def _default_steps(gamma: float, tau_end: float) -> int:
-    need = gamma * tau_end / Z_DEFAULT
-    if not need <= MAX_STEPS:
-        raise DomainError(f"tau_end = {tau_end} needs {need:.3e} RK4 steps, > 2^53")
-    return max(1, math.ceil(need))
-
-
 def evolve(
     init: PopulationState,
     omega0: float,
     beta: float,
     tau_end: float,
-    steps: int | None = None,
+    *,
     samples: int | None = None,
 ) -> PopulationTrajectory:
     """Fixed-step RK4 solution of rate_rhs on [0, tau_end].
 
-    The default step count caps z = Gamma * h at Z_DEFAULT so the accumulated
-    RK4 truncation error stays below EVOLVE_TOL.  An explicit step count that
-    cannot meet EVOLVE_TOL raises StepSizeError.  A step count, explicit or
-    default, above MAX_STEPS = 2^53 raises DomainError.
+    The step count caps z = Gamma * h at Z_DEFAULT so the accumulated RK4
+    truncation error stays below EVOLVE_TOL.  A step count above
+    MAX_STEPS = 2^53 raises DomainError.
 
     rate_rhs is linear, d sigma_plus / d tau = -Gamma (sigma_plus - sp_inf),
     so one RK4 step is exactly the affine map
@@ -210,24 +201,10 @@ def evolve(
 
     gamma = relaxation_rate(omega0, beta)
     sp_inf = steady_state(omega0, beta).sigma_plus
-    if steps is None:
-        steps = _default_steps(gamma, tau_end)
-    elif steps < 1:
-        raise DomainError(f"steps must be >= 1, got {steps}")
-    elif steps > MAX_STEPS:
-        raise DomainError(f"steps must be <= 2^53, got {steps}")
-    else:
-        z = gamma * tau_end / steps
-        try:
-            err_est = abs(init.sigma_plus - sp_inf) * z**4 / 120.0
-        except OverflowError:  # z beyond ~1e77
-            err_est = math.inf
-        if err_est > EVOLVE_TOL:
-            raise StepSizeError(
-                f"{steps} steps give error estimate {err_est:.3e} "
-                f"> tolerance {EVOLVE_TOL:.1e}; need >= "
-                f"{_default_steps(gamma, tau_end)}"
-            )
+    need = gamma * tau_end / Z_DEFAULT
+    if not need <= MAX_STEPS:
+        raise DomainError(f"tau_end = {tau_end} needs {need:.3e} RK4 steps, > 2^53")
+    steps = max(1, math.ceil(need))
 
     h = tau_end / steps
     if samples is None:

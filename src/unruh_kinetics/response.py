@@ -19,7 +19,6 @@ from .rates import derivative_coupling_rates
 
 __all__ = [
     "ResponseResult",
-    "response_inertial",
     "response_accelerated",
     "unruh_temperature",
     "inertial_silence_oracle",
@@ -51,29 +50,21 @@ def _plain(x):
     return float(x) if isinstance(x, np.generic) else x
 
 
-def response_inertial(deltaE) -> ResponseResult:
-    """Inertial detectors never excite: the rate is exactly zero.
-
-    deltaE may be an array; the rate is then an array of zeros.
-    """
-    deltaE = np.float64(deltaE)
-    _check_gap(deltaE)
-    return ResponseResult(_plain(0.0 * deltaE))
-
-
 def response_accelerated(deltaE, alpha: float) -> ResponseResult:
     """Planck-distributed rate (1/2 pi) deltaE / (e^{2 pi deltaE / alpha} - 1).
 
     deltaE may be an array (one worldline, many gaps).  Written as
     deltaE e^{-x} / (2 pi (1 - e^{-x})), x = 2 pi deltaE / alpha, the rate
     underflows to 0 at large x instead of overflowing.  Where x underflows to
-    0 the rate is its x -> 0 limit alpha / 4 pi^2.
+    0 the rate is its x -> 0 limit alpha / 4 pi^2.  alpha = 0 is the inertial
+    worldline: x = inf and the rate is exactly 0, inertial detectors never
+    excite.
     """
     deltaE = np.float64(deltaE)
     _check_gap(deltaE)
-    if not alpha > 0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
-    with np.errstate(over="ignore"):  # x = inf gives rate 0
+    if not alpha >= 0:
+        raise DomainError(f"alpha must be >= 0, got {alpha}")
+    with np.errstate(over="ignore", divide="ignore"):  # x = inf gives rate 0
         x = 2.0 * np.pi * deltaE / alpha
     with np.errstate(divide="ignore"):  # x = 0 is replaced below
         rate = deltaE * np.exp(-x) / (-2.0 * np.pi * np.expm1(-x))

@@ -130,6 +130,15 @@ def test_fermion_invalid_coarse_graining_warns(capsys):
     assert "warning" in err
 
 
+def test_fermion_negative_init_population_is_domain_error(capsys):
+    # [2, -1] sums to 1; it printed d_sigma11 = 1.55 with exit 0
+    code, out, err = run(capsys, "fermion", "--fermion.init", "[2,-1]")
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        "error: populations must be non-negative, got (2.0, -1.0)"
+    ]
+
+
 def test_failing_fermion_prints_no_warning(tmp_path, capsys):
     # the coarse-graining warning used to precede the one failure line
     spec = tmp_path / "modes.json"
@@ -400,7 +409,6 @@ def test_help_still_exits_0(capsys):
         ("populations.samples", "2.5"),
         ("kernel.sweep.count", "x"),
         ("populations.tau_end", "abc"),
-        ("populations.steps", "abc"),
         ("detector.omega0", "abc"),
         ("detector.omega0", "true"),
         ("rates.numeric", "1"),
@@ -436,7 +444,7 @@ def test_config_accepts_inf_null_integral_floats_and_numeric_atom(tmp_path, caps
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({
         "thermal": {"beta": "Infinity"},
-        "populations": {"steps": None, "samples": 3.0},
+        "populations": {"samples": 3.0},
         "output": {"path": None},
     }))
     code, out, _ = run(capsys, "populations", "--config", str(cfg))
@@ -455,8 +463,7 @@ def test_config_accepts_inf_null_integral_floats_and_numeric_atom(tmp_path, caps
         ["kernel", "--kernel.sweep.scale", "log", "--kernel.sweep.start", "-1"],
         ["kernel", "--kernel.sweep.stop", "Infinity"],
         ["populations", "--populations.samples", "0"],
-        # more than 2^53 RK4 steps, explicit or default
-        ["populations", "--populations.steps", "1e21"],
+        # more than 2^53 RK4 steps
         ["populations", "--detector.omega0", "1e300"],
         ["populations", "--populations.tau_end", "1e300"],
     ],
@@ -840,10 +847,12 @@ def test_rates_at_tiny_omega0_are_finite(capsys):
         (["--regularization.n_max", "10"], "regularization"),
         (["--regularization.epsilon", "1e-3"], "regularization"),
         (["--trajectory.v", "0.5"], "trajectory.v"),
+        (["--populations.steps", "5"], "populations.steps"),
     ],
 )
 def test_removed_config_fields_are_unknown(tmp_path, capsys, args, field):
-    # the oracle settings are constants of kernels; no command read trajectory.v
+    # the oracle settings are constants of kernels; no command read
+    # trajectory.v; populations picks its RK4 step count from its inputs
     for command in ("verify", "steady"):
         code, out, err = run(capsys, command, *args)
         assert code == 1 and out == ""

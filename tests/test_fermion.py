@@ -113,6 +113,9 @@ def test_population_rhs_validation():
         F.fermion_population_rhs((0.5, 0.6), rates)
     with pytest.raises(DomainError):
         F.fermion_population_rhs((1.0,), rates)
+    with pytest.raises(DomainError, match=r"non-negative, got \(2\.0, -1\.0\)"):
+        F.fermion_population_rhs((2.0, -1.0), rates)
+    F.fermion_population_rhs((1.0 + 1e-13, -1e-13), rates)  # round-off passes
 
 
 def test_energy_rate():

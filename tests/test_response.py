@@ -12,13 +12,25 @@ from unruh_kinetics import response as RS
 
 
 def test_inertial_rate_is_exactly_zero():
-    assert RS.response_inertial(1.0).rate == 0.0
-    assert RS.response_inertial(10.0).rate == 0.0
+    # alpha = 0 is the inertial worldline: x = inf, rate +0.0, no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rates = [RS.response_accelerated(de, 0.0).rate
+                 for de in (1e-300, 1.0, 10.0, 1e300)]
+    for rate in rates:
+        assert type(rate) is float and rate == 0.0
+        assert math.copysign(1.0, rate) == 1.0
 
 
 def test_inertial_rejects_non_positive_gap():
     with pytest.raises(DomainError):
-        RS.response_inertial(0.0)
+        RS.response_accelerated(0.0, 0.0)
+
+
+@pytest.mark.parametrize("alpha", [-1.0, -math.inf, math.nan])
+def test_rate_rejects_negative_or_nan_alpha(alpha):
+    with pytest.raises(DomainError, match="alpha must be >= 0"):
+        RS.response_accelerated(1.0, alpha)
 
 
 def test_accelerated_rate_at_log2_point():
@@ -103,7 +115,7 @@ def test_accelerated_rate_arrays_match_scalar_calls():
         assert all(type(r) is float for r in one)
         assert np.array_equal(arr.rate, one)
         assert arr.rate.shape == grid.shape
-    assert np.array_equal(RS.response_inertial(grid).rate, np.zeros_like(grid))
+    assert np.array_equal(RS.response_accelerated(grid, 0.0).rate, np.zeros_like(grid))
 
 
 def test_accelerated_rate_underflows_without_warnings():
