@@ -463,7 +463,8 @@ def test_config_accepts_inf_null_integral_floats_and_numeric_atom(tmp_path, caps
         ["kernel", "--kernel.sweep.scale", "log", "--kernel.sweep.start", "-1"],
         ["kernel", "--kernel.sweep.stop", "Infinity"],
         ["populations", "--populations.samples", "0"],
-        # more than 2^53 RK4 steps
+        # more than 2^53 RK4 steps: a hot bath, a fast detector, a long run
+        ["populations", "--thermal.beta", "1e-300"],
         ["populations", "--detector.omega0", "1e300"],
         ["populations", "--populations.tau_end", "1e300"],
     ],
