@@ -42,7 +42,7 @@ __all__ = ["main", "DEFAULT_CONFIG"]
 DEFAULT_CONFIG: dict = {
     "detector": {"omega0": 1.0, "mu": 1.0},
     "thermal": {"beta": 1.0},
-    "trajectory": {"kind": "accelerated", "alpha": 1.0},
+    "trajectory": {"alpha": 1.0},
     "output": {"format": "csv", "path": None},
     "kernel": {
         "u": 1.0,
@@ -193,7 +193,6 @@ _SCALES = ("'linear'", "'log'")
 # than 'inf' is the one string it names: a string field lists its values.
 _FIELD_KINDS = {
     "thermal.beta": ("a number", "'inf'"),
-    "trajectory.kind": ("'accelerated'", "'inertial'"),
     "output.format": ("'csv'", "'json'"),
     "output.path": ("a string", "null"),
     "kernel.sweep.param": ("'alpha'", "'beta'"),
@@ -269,17 +268,6 @@ def _atom(name) -> AtomState:
     return AtomState({"plus": 0.5, "minus": -0.5}.get(name, name))
 
 
-def _numeric_alpha(alpha: float) -> float:
-    """alpha, for the numeric rate pipeline, which integrates the
-    accelerated image sum and has no inertial case (alpha = 0)."""
-    if alpha == 0.0:
-        raise DomainError(
-            "numeric rates (rates.n >= 1, rates.numeric, rates.field) need "
-            "trajectory.kind accelerated, got inertial"
-        )
-    return alpha
-
-
 def _energy_rates(rcfg: dict, detector: DetectorParams, alpha: float):
     """The rates section's energy rates: closed form at n = 0, else (or if
     numeric) the numeric pipeline, which has only the symmetric ordering."""
@@ -289,7 +277,7 @@ def _energy_rates(rcfg: dict, detector: DetectorParams, alpha: float):
         return R.atom_total_rate(detector, alpha, atom, lam)
     if not lam.is_symmetric:
         raise DomainError(f"numeric rates need rates.lam 0.5, got {lam.lam}")
-    return R.derivative_coupling_rates(detector, _numeric_alpha(alpha), atom, rcfg["n"])
+    return R.derivative_coupling_rates(detector, alpha, atom, rcfg["n"])
 
 
 # ---------------------------------------------------------------------------
@@ -479,11 +467,6 @@ def cmd_kernel(config: dict) -> Table:
     u = kcfg["u"]
     sweep = kcfg["sweep"]
     param = sweep["param"]
-    if alpha == 0.0:
-        raise DomainError(
-            "kernel is the accelerated-frame kernel; it needs "
-            "trajectory.kind accelerated, got inertial"
-        )
     values = _grid(sweep)
     if param == "alpha":
         g = K.g_thermal_accelerated(u, 0.0, beta, values).value
@@ -545,7 +528,7 @@ def cmd_rates(config: dict) -> Table:
         "coupling_order": rcfg["n"],
     }
     if rcfg["field"]:
-        field = R.field_rates(detector, _numeric_alpha(alpha), _atom(rcfg["atom"]))
+        field = R.field_rates(detector, alpha, _atom(rcfg["atom"]))
         record.update(zip(["vf_field", "rr_field"], field))
     return list(record), [list(record.values())]
 
@@ -688,7 +671,9 @@ def _verify_checks(config: dict):
         w0 = detector.omega0
         cold = F.fermion_rates(F.default_bath(w0, math.inf), w0, 1.0)
         # beta w0 fixed, so |T_F / C - 1/2| ~ beta w0 / 4 at every scale
-        hot = F.fermion_rates(F.default_bath(w0, 1e-6 / w0), w0, 1.0)
+        # capped: at w0 < 1e-306, 1e-6 / w0 is +inf, a zero-temperature bath
+        hot_beta = min(1e-6 / w0, 1e300)
+        hot = F.fermion_rates(F.default_bath(w0, hot_beta), w0, 1.0)
         err = abs(cold.T_F) + abs(hot.T_F / hot.C - 0.5)
         return err, 1e-4
 
@@ -731,11 +716,14 @@ def cmd_verify(config: dict) -> int:
             results.append(
                 {"check": name, "status": status, "error": error, "tol": tol}
             )
-        except NonConvergence as exc:
+        except (NonConvergence, OverflowError) as exc:
             nonconverged = True
+            detail = str(exc)
+            if isinstance(exc, OverflowError):
+                detail = f"overflowed a float: {detail}"
             results.append(
                 {"check": name, "status": "nonconvergence",
-                 "error": None, "tol": None, "detail": str(exc)}
+                 "error": None, "tol": None, "detail": detail}
             )
     report = {
         "checks": results,

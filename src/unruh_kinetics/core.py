@@ -19,7 +19,8 @@ class DomainError(ValueError):
 
 
 class SingularInput(DomainError):
-    """A kernel was evaluated exactly on its singular locus (u = 0, eps = 0)."""
+    """A kernel was evaluated on its singular locus: u = 0, or in
+    `kernels.g_thermal_accelerated` |tau1 - tau2| < U_MIN."""
 
 
 class NonConvergence(RuntimeError):
@@ -104,18 +105,13 @@ class AtomState:
 def validate(config: dict) -> tuple[DetectorParams, float, float]:
     """(detector, beta, alpha) of a config document, checked in that order.
 
-    alpha = 0.0 is the inertial worldline: a ``trajectory.kind`` of
-    "inertial" ignores ``trajectory.alpha``, and any other kind is
-    "accelerated" (the CLI checks the kind while it loads a config), whose
-    alpha must be finite and positive.
+    alpha is ``trajectory.alpha``, a finite proper acceleration >= 0;
+    alpha = 0.0 is the inertial worldline, and -0.0 is returned as +0.0.
     """
     detector = DetectorParams(**config["detector"])
     beta = check_beta(config["thermal"]["beta"])
-    trajectory = config["trajectory"]
-    if trajectory["kind"] == "inertial":
-        return detector, beta, 0.0
-    alpha = trajectory["alpha"]
+    alpha = config["trajectory"]["alpha"]
     _require_finite("alpha", alpha)
-    if alpha <= 0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
-    return detector, beta, alpha
+    if not alpha >= 0:
+        raise DomainError(f"alpha must be >= 0, got {alpha}")
+    return detector, beta, abs(alpha)

@@ -179,7 +179,7 @@ def wightman_vacuum_accelerated_sum(u: float, alpha: float) -> KernelValue:
     Symmetric truncation at |n| <= N_MAX plus a midpoint tail estimate, at
     eps = 0 and checked by _truncated.
     """
-    if alpha <= 0:
+    if not alpha > 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
     if u == 0.0:
         raise SingularInput("u = 0 is singular")

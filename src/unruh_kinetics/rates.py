@@ -58,8 +58,12 @@ class EnergyRateReport:
         if self.finite:
             if self.vf is None or self.rr is None:
                 raise DomainError("finite report requires vf and rr values")
-            if abs(self.vf + self.rr - self.total) > 1e-12 * max(
-                1.0, abs(self.vf) + abs(self.rr)
+            # written so that a NaN fails it; an infinite vf or rr is a float
+            # overflow, which the CLI reports as a numeric failure
+            if not (
+                abs(self.vf + self.rr - self.total)
+                <= 1e-12 * max(1.0, abs(self.vf) + abs(self.rr))
+                or math.isinf(self.vf) or math.isinf(self.rr)
             ):
                 raise DomainError("vf + rr must reproduce total")
         elif self.vf is not None or self.rr is not None:
@@ -74,7 +78,7 @@ def planck_bracket(omega0: float, alpha: float) -> float:
     """
     if not omega0 > 0:
         raise DomainError(f"omega0 must be positive, got {omega0}")
-    if alpha < 0:
+    if not alpha >= 0:
         raise DomainError(f"alpha must be >= 0, got {alpha}")
     if alpha == 0.0:
         return 1.0
@@ -106,7 +110,7 @@ def atom_rr_rate(params: DetectorParams, alpha: float) -> float:
     the acceleration: it comes from the field commutator, a c-number that does
     not depend on the field's state, so no thermal factor enters.
     """
-    if alpha < 0:
+    if not alpha >= 0:
         raise DomainError(f"alpha must be >= 0, got {alpha}")
     return -(params.omega0**2 * params.mu**2 / (16.0 * math.pi))
 
@@ -195,7 +199,7 @@ def field_rates(
     level splitting: with J_- = `_line_integral` and J_+ its partner, these
     half-line integrals are (J_+ - J_-)/2i and (J_+ + J_-)/4i.
     """
-    if alpha <= 0:
+    if not alpha > 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
     w0, mu = params.omega0, params.mu
     # J_- is imaginary for odd m
@@ -218,7 +222,7 @@ def derivative_coupling_rates(
     compensating omega0^-2n so all orders share the same dimensions.  n is
     limited to 0..2, the orders whose image sums have closed forms.
     """
-    if alpha <= 0:
+    if not alpha > 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
     if not 0 <= n <= 2:
         raise DomainError(f"coupling order n must be in 0..2, got {n}")

@@ -64,6 +64,7 @@ def response_accelerated(deltaE, alpha: float) -> ResponseResult:
     _check_gap(deltaE)
     if not alpha >= 0:
         raise DomainError(f"alpha must be >= 0, got {alpha}")
+    alpha = abs(alpha)  # -0.0 is the inertial worldline too
     with np.errstate(over="ignore", divide="ignore"):  # x = inf gives rate 0
         x = 2.0 * np.pi * deltaE / alpha
     with np.errstate(divide="ignore"):  # x = 0 is replaced below
@@ -73,9 +74,9 @@ def response_accelerated(deltaE, alpha: float) -> ResponseResult:
 
 
 def unruh_temperature(alpha: float) -> float:
-    """T = alpha / 2 pi in natural units."""
-    if alpha <= 0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
+    """T = alpha / 2 pi in natural units; 0 on the inertial worldline."""
+    if not alpha >= 0:
+        raise DomainError(f"alpha must be >= 0, got {alpha}")
     return alpha / (2.0 * math.pi)
 
 

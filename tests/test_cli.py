@@ -157,7 +157,7 @@ def test_sweep_rows_in_grid_order(capsys):
 
 
 def test_inertial_response_sweep_is_zero_like_response(capsys):
-    inertial = ("--trajectory.kind", "inertial")
+    inertial = ("--trajectory.alpha", "0")
     code, out, err = run(
         capsys, "sweep", *inertial, "--sweep.quantity", "response"
     )
@@ -169,6 +169,26 @@ def test_inertial_response_sweep_is_zero_like_response(capsys):
     assert {line.split(",")[2] for line in out.strip().splitlines()[1:]} == {
         rows[0][1]
     }
+
+
+@pytest.mark.parametrize(
+    "quantity, command_args, cells",
+    [("response", ["--response.deltaE.start", "1", "--response.deltaE.count",
+                   "1"], slice(2, 3)),
+     ("rates", [], slice(0, 3))],
+)
+def test_alpha_sweep_from_zero_starts_on_the_inertial_worldline(
+    capsys, quantity, command_args, cells
+):
+    # a sweep of trajectory.alpha from 0 used to exit 1
+    code, out, err = run(capsys, "sweep", "--sweep.quantity", quantity,
+                         "--sweep.param", "trajectory.alpha", "--sweep.start", "0")
+    assert code == 0 and err == ""
+    first = out.splitlines()[1].split(",")
+    assert float(first[0]) == 0.0
+    code, out, _ = run(capsys, quantity, "--trajectory.alpha", "0", *command_args)
+    assert code == 0
+    assert out.splitlines()[1].split(",")[cells] == first[1:]
 
 
 def test_config_file_and_dotted_override(tmp_path, capsys):
@@ -293,18 +313,16 @@ def test_vf_rr_split_at_a_non_symmetric_ordering_is_refused(capsys, args, messag
 
 @pytest.mark.parametrize(
     "args",
-    # each printed "alpha must be positive, got 0.0", an alpha never given
+    # the numeric pipeline integrates the accelerated image sum, which has
+    # no alpha = 0 case
     [["rates", "--rates.numeric", "true"],
      ["rates", "--rates.field", "true"],
      ["sweep", "--sweep.quantity", "rates", "--rates.n", "1"]],
 )
 def test_numeric_rates_on_an_inertial_trajectory_are_refused(capsys, args):
-    code, out, err = run(capsys, *args, "--trajectory.kind", "inertial")
+    code, out, err = run(capsys, *args, "--trajectory.alpha", "0")
     assert (code, out) == (1, "")
-    assert err.splitlines() == [
-        "error: numeric rates (rates.n >= 1, rates.numeric, rates.field) need "
-        "trajectory.kind accelerated, got inertial"
-    ]
+    assert err.splitlines() == ["error: alpha must be positive, got 0.0"]
 
 
 @pytest.mark.parametrize(
@@ -541,9 +559,10 @@ def test_kernel_far_from_the_diagonal_is_finite(capsys, beta):
 
 
 def test_kernel_on_an_inertial_trajectory_is_domain_error(capsys):
-    code, out, err = run(capsys, "kernel", "--trajectory.kind", "inertial")
+    code, out, err = run(capsys, "kernel", "--trajectory.alpha", "0",
+                         "--kernel.sweep.param", "beta")
     assert code == 1 and out == ""
-    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert err.splitlines() == ["error: alpha must lie in (0, 1e+150], got 0.0"]
 
 
 @pytest.mark.parametrize(
@@ -707,14 +726,33 @@ def test_verify_passes_on_defaults(tmp_path, capsys):
     assert {c["status"] for c in report["checks"]} == {"pass"}
 
 
-@pytest.mark.parametrize("omega0", ["1e-3", "1", "500", "1e6"])
+@pytest.mark.parametrize("omega0", ["1e-320", "1e-3", "1", "500", "1e6"])
 def test_verify_passes_at_every_level_splitting(capsys, omega0):
     # the fermion check's hot bath scales with omega0: a fixed beta failed
-    # its 1e-4 gate above omega0 ~ 400
+    # its 1e-4 gate above omega0 ~ 400, and below ~1e-306 its beta
+    # 1e-6 / omega0 overflowed to +inf, a zero-temperature bath
     code, out, err = run(capsys, "verify", "--detector.omega0", omega0)
     report = json.loads(out)
     assert code == 0 and err == ""
     assert report["passed"] == report["total"] == 11
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("detector.omega0", "1e200"), ("detector.omega0", "1e300"),
+     ("detector.mu", "1e200")],
+)
+def test_verify_reports_a_check_that_overflows(capsys, field, value):
+    # omega0^2 mu^2 overflows in energy_decomposition alone; verify used to
+    # exit 2 with one stderr line and no report
+    code, out, err = run(capsys, "verify", f"--{field}", value)
+    assert code == 2 and err == ""
+    report = json.loads(out)
+    assert (report["passed"], report["total"]) == (10, 11)
+    [failed] = [c for c in report["checks"] if c["status"] != "pass"]
+    assert failed["check"] == "energy_decomposition"
+    assert failed["status"] == "nonconvergence"
+    assert failed["detail"].startswith("overflowed a float:")
 
 
 def test_verify_forced_failure(tmp_path, capsys, monkeypatch):
@@ -813,7 +851,9 @@ def test_infinite_beta_is_echoed_by_steady(capsys, fmt):
         ["rates", "--detector.omega0", "1e308"],
         ["rates", "--detector.mu", "1e200"],
         ["rates", "--rates.numeric", "true", "--trajectory.alpha", "1e300"],
-        ["verify", "--detector.omega0", "1e300"],
+        # verify writes an overflowing check into its report instead, see
+        # test_verify_reports_a_check_that_overflows
+        ["sweep", "--sweep.quantity", "rates", "--detector.mu", "1e200"],
     ],
 )
 def test_overflow_is_numeric_failure(capsys, args):
@@ -849,11 +889,13 @@ def test_rates_at_tiny_omega0_are_finite(capsys):
         (["--regularization.epsilon", "1e-3"], "regularization"),
         (["--trajectory.v", "0.5"], "trajectory.v"),
         (["--populations.steps", "5"], "populations.steps"),
+        (["--trajectory.kind", '"inertial"'], "trajectory.kind"),
     ],
 )
 def test_removed_config_fields_are_unknown(tmp_path, capsys, args, field):
     # the oracle settings are constants of kernels; no command read
-    # trajectory.v; populations picks its RK4 step count from its inputs
+    # trajectory.v; populations picks its RK4 step count from its inputs;
+    # trajectory.alpha alone names the worldline (0 is inertial)
     for command in ("verify", "steady"):
         code, out, err = run(capsys, command, *args)
         assert code == 1 and out == ""

@@ -3,7 +3,7 @@
 Each example sets one or two config fields and calls ``cli.main`` in this
 process: a numeric field to an edge value, ``sweep.param`` or
 ``fermion.spectrum`` to a valid or a wrong name, every enumerated field
-(``trajectory.kind``, ``output.format``, the grid scales, ...) to each of its
+(``output.format``, the grid scales, ``rates.atom``, ...) to each of its
 values or a wrong one, or ``fermion.init`` to a short list of edge values.  It
 writes to stdout, or with ``--out`` to a new file, an existing directory, a
 path under a missing directory or the empty string.  The contract checked: an

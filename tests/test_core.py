@@ -17,11 +17,11 @@ from unruh_kinetics.core import (
 )
 
 
-def _config(omega0=1.0, beta=1.0, kind="accelerated", alpha=1.0, mu=1.0):
+def _config(omega0=1.0, beta=1.0, alpha=1.0, mu=1.0):
     return {
         "detector": {"omega0": omega0, "mu": mu},
         "thermal": {"beta": beta},
-        "trajectory": {"kind": kind, "alpha": alpha},
+        "trajectory": {"alpha": alpha},
     }
 
 
@@ -31,25 +31,27 @@ def test_validate_accepts_reasonable_config():
 
 
 def test_validate_is_idempotent():
-    # the inertial worldline is alpha = 0.0, whatever trajectory.alpha holds
-    for alpha in [1.0, -5.0, 0.0, math.inf, math.nan]:
-        config = _config(beta=math.inf, kind="inertial", alpha=alpha)
+    # alpha = 0.0 is the inertial worldline, and -0.0 is the same worldline
+    for alpha in [0.0, -0.0]:
+        config = _config(beta=math.inf, alpha=alpha)
         model = validate(config)
         assert model == (DetectorParams(1.0), math.inf, 0.0)
+        assert math.copysign(1.0, model[2]) == 1.0
         assert validate(config) == model
 
 
 @pytest.mark.parametrize(
     "alpha, message",
     [
-        (0.0, "alpha must be positive, got 0.0"),
-        (-1.0, "alpha must be positive, got -1.0"),
+        (-1.0, "alpha must be >= 0, got -1.0"),
+        (-1e-320, "alpha must be >= 0, got -1e-320"),
         (math.inf, "alpha must be finite, got inf"),
+        (-math.inf, "alpha must be finite, got -inf"),
         (math.nan, "alpha must be finite, got nan"),
     ],
 )
 def test_accelerated_alpha_must_be_finite_and_positive(alpha, message):
-    # so alpha = 0.0 can only mean the inertial worldline
+    # every finite alpha >= 0 is a worldline; nothing else is
     with pytest.raises(DomainError) as exc:
         validate(_config(alpha=alpha))
     assert str(exc.value) == message

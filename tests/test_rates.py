@@ -32,7 +32,38 @@ def test_planck_bracket_identity():
         assert R.planck_bracket(w0, a) == pytest.approx(
             1.0 / math.tanh(math.pi * w0 / a), rel=1e-12
         )
-    assert R.planck_bracket(1.0, 0.0) == 1.0
+    assert R.planck_bracket(1.0, 0.0) == R.planck_bracket(1.0, -0.0) == 1.0
+
+
+@pytest.mark.parametrize("alpha", [-1.0, -1e-320, -math.inf, math.nan])
+@pytest.mark.parametrize(
+    "rate",
+    [lambda a: R.planck_bracket(1.0, a),
+     lambda a: R.atom_rr_rate(DetectorParams(1.0), a),
+     lambda a: R.atom_total_rate(DetectorParams(1.0), a, PLUS)],
+    ids=["planck_bracket", "atom_rr_rate", "atom_total_rate"],
+)
+def test_closed_forms_refuse_negative_or_nan_alpha(rate, alpha):
+    # a NaN alpha used to pass alpha < 0 and give a NaN report
+    with pytest.raises(DomainError) as exc:
+        rate(alpha)
+    assert str(exc.value) == f"alpha must be >= 0, got {alpha}"
+
+
+@pytest.mark.parametrize(
+    "total, vf, rr",
+    [(math.nan, 1.0, 0.0), (1.0, math.nan, 0.0), (1.0, 1.0, math.nan),
+     (1.0, 2.0, 0.0)],
+)
+def test_energy_report_refuses_a_split_that_misses_total(total, vf, rr):
+    with pytest.raises(DomainError, match="vf \\+ rr must reproduce total"):
+        R.EnergyRateReport(total=total, finite=True, vf=vf, rr=rr)
+
+
+def test_energy_report_leaves_an_overflow_to_the_caller():
+    # vf = +inf, rr = -inf is omega0^2 mu^2 overflowing, a numeric failure
+    rep = R.EnergyRateReport(total=math.nan, finite=True, vf=math.inf, rr=-math.inf)
+    assert math.isnan(rep.total)
 
 
 
@@ -122,8 +153,9 @@ def test_total_vanishes_in_ground_state():
 
 
 def test_total_inertial_excited_state():
-    rep = R.atom_total_rate(DetectorParams(1.0, 1.0), 0.0, PLUS)
-    assert rep.total == pytest.approx(-1.0 / (8.0 * math.pi))
+    for alpha in (0.0, -0.0):
+        rep = R.atom_total_rate(DetectorParams(1.0, 1.0), alpha, PLUS)
+        assert rep.total == pytest.approx(-1.0 / (8.0 * math.pi))
 
 
 def test_nonsymmetric_ordering_flags_divergence():

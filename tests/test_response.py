@@ -15,8 +15,9 @@ def test_inertial_rate_is_exactly_zero():
     # alpha = 0 is the inertial worldline: x = inf, rate +0.0, no warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rates = [RS.response_accelerated(de, 0.0).rate
-                 for de in (1e-300, 1.0, 10.0, 1e300)]
+        # -0.0 too: x = -inf gave rate NaN and a numpy warning
+        rates = [RS.response_accelerated(de, alpha).rate
+                 for de in (1e-300, 1.0, 10.0, 1e300) for alpha in (0.0, -0.0)]
     for rate in rates:
         assert type(rate) is float and rate == 0.0
         assert math.copysign(1.0, rate) == 1.0
@@ -31,6 +32,9 @@ def test_inertial_rejects_non_positive_gap():
 def test_rate_rejects_negative_or_nan_alpha(alpha):
     with pytest.raises(DomainError, match="alpha must be >= 0"):
         RS.response_accelerated(1.0, alpha)
+    # unruh_temperature(nan) was nan
+    with pytest.raises(DomainError, match="alpha must be >= 0"):
+        RS.unruh_temperature(alpha)
 
 
 def test_accelerated_rate_at_log2_point():
@@ -74,6 +78,7 @@ def test_kms_detailed_balance_shape(de, alpha):
 def test_unruh_temperature():
     assert RS.unruh_temperature(2.0 * math.pi) == pytest.approx(1.0)
     assert RS.unruh_temperature(1.0) == pytest.approx(1.0 / (2.0 * math.pi))
+    assert RS.unruh_temperature(0.0) == 0.0  # the inertial worldline
 
 
 def test_inertial_silence_oracle_decays():
