@@ -15,8 +15,6 @@ Exit codes: 0 success, 1 domain or usage error, 2 numeric non-convergence
 from __future__ import annotations
 
 import argparse
-import copy
-import functools
 import json
 import math
 import sys
@@ -39,50 +37,49 @@ from .core import (
 
 __all__ = ["main", "DEFAULT_CONFIG"]
 
+# Every field by its dotted name, the name its flag, sweep.param and the
+# error messages use.  A config document may nest these names as objects.
 DEFAULT_CONFIG: dict = {
-    "detector": {"omega0": 1.0, "mu": 1.0},
-    "thermal": {"beta": 1.0},
-    "trajectory": {"alpha": 1.0},
-    "output": {"format": "csv", "path": None},
-    "kernel": {
-        "u": 1.0,
-        "sweep": {
-            "param": "alpha",
-            "start": 0.1,
-            "stop": 5.0,
-            "count": 50,
-            "scale": "linear",
-        },
-    },
-    "populations": {
-        "sigma_plus": 1.0,
-        "tau_end": 100.0,
-        "samples": 101,
-    },
-    "rates": {"atom": "plus", "lam": 0.5, "n": 0, "numeric": False, "field": False},
-    "response": {
-        "deltaE": {"start": 0.5, "stop": 5.0, "count": 10, "scale": "linear"}
-    },
-    "fermion": {
-        "spectrum": None,
-        "dt": 1.0,
-        "init": [1.0, 0.0],
-        "v_typ": 0.01,
-        "tau_c": 1.0,
-    },
-    "sweep": {
-        "param": "detector.omega0",
-        "start": 0.5,
-        "stop": 2.0,
-        "count": 4,
-        "scale": "linear",
-        "quantity": "steady",
-    },
+    "detector.omega0": 1.0,
+    "detector.mu": 1.0,
+    "thermal.beta": 1.0,
+    "trajectory.alpha": 1.0,
+    "output.format": "csv",
+    "output.path": None,
+    "kernel.u": 1.0,
+    "kernel.sweep.param": "alpha",
+    "kernel.sweep.start": 0.1,
+    "kernel.sweep.stop": 5.0,
+    "kernel.sweep.count": 50,
+    "kernel.sweep.scale": "linear",
+    "populations.sigma_plus": 1.0,
+    "populations.tau_end": 100.0,
+    "populations.samples": 101,
+    "rates.atom": "plus",
+    "rates.lam": 0.5,
+    "rates.n": 0,
+    "rates.numeric": False,
+    "rates.field": False,
+    "response.deltaE.start": 0.5,
+    "response.deltaE.stop": 5.0,
+    "response.deltaE.count": 10,
+    "response.deltaE.scale": "linear",
+    "fermion.spectrum": None,
+    "fermion.dt": 1.0,
+    "fermion.init": [1.0, 0.0],
+    "fermion.v_typ": 0.01,
+    "fermion.tau_c": 1.0,
+    "sweep.param": "detector.omega0",
+    "sweep.start": 0.5,
+    "sweep.stop": 2.0,
+    "sweep.count": 4,
+    "sweep.scale": "linear",
+    "sweep.quantity": "steady",
 }
 
 
-# Upper limit of every size field.  kernel and response evaluate a whole grid
-# as arrays at once (10^6 rows are ~50 MB of CSV).
+# Upper limit of every size field, each also at least 1.  kernel and response
+# evaluate a whole grid as arrays at once (10^6 rows are ~50 MB of CSV).
 MAX_COUNT = 1_000_000
 _SIZE_LIMITS = {
     "kernel.sweep.count": MAX_COUNT,
@@ -103,22 +100,18 @@ def _coerce(text: str):
         return text
 
 
-def _set_dotted(config: dict, dotted: str, value) -> None:
-    if isinstance(value, dict):  # an object sets each of its fields
+def _set(config: dict, name: str, value) -> None:
+    """Set the field name to value as given (_check_types checks it), or,
+    for an object value, each of its members as name.member."""
+    if name in _FIELDS:
+        config[name] = value
+    elif isinstance(value, dict):
         for key, val in value.items():
-            _set_dotted(config, f"{dotted}.{key}", val)
-        return
-    parts = dotted.split(".")
-    node = config
-    for part in parts[:-1]:
-        if not isinstance(node.get(part), dict):
-            raise DomainError(f"unknown config section '{part}' in '{dotted}'")
-        node = node[part]
-    if parts[-1] not in node:
-        raise DomainError(f"unknown config field '{dotted}'")
-    if isinstance(node[parts[-1]], dict):
-        raise DomainError(f"config section '{dotted}' must be an object")
-    node[parts[-1]] = value
+            _set(config, f"{name}.{key}", val)
+    elif any(field.startswith(name + ".") for field in _FIELDS):
+        raise DomainError(f"config section '{name}' must be an object")
+    else:
+        raise DomainError(f"unknown config field '{name}'")
 
 
 def _read_json(path: str):
@@ -132,13 +125,13 @@ def _read_json(path: str):
 def load_config(path: str | None, overrides: list[str], flags=None) -> dict:
     """The checked config: the document at path, then the overrides, then
     the flags' {dotted name: value} taken verbatim where not None."""
-    config = copy.deepcopy(DEFAULT_CONFIG)
+    config = dict(DEFAULT_CONFIG)
     if path is not None:
         doc = _read_json(path)
         if not isinstance(doc, dict):
             raise DomainError(f"config {path} must be a JSON object")
         for key, val in doc.items():
-            _set_dotted(config, key, val)
+            _set(config, key, val)
     i = 0
     while i < len(overrides):
         arg = overrides[i]
@@ -151,14 +144,16 @@ def load_config(path: str | None, overrides: list[str], flags=None) -> dict:
                 raise DomainError(f"override '{arg}' is missing a value")
             name, raw = arg[2:], overrides[i + 1]
             i += 1
-        _set_dotted(config, name, _coerce(raw))
+        _set(config, name, _coerce(raw))
         i += 1
     for name, value in (flags or {}).items():
         if value is not None:
-            _set_dotted(config, name, value)
+            _set(config, name, value)
     _check_types(config)
     for name, limit in _SIZE_LIMITS.items():
-        size = functools.reduce(dict.__getitem__, name.split("."), config)
+        size = config[name]
+        if size < 1:
+            raise DomainError(f"{name} must be >= 1, got {size}")
         if size > limit:
             raise DomainError(f"{name} must be <= {limit}, got {size}")
     return config
@@ -206,18 +201,13 @@ _FIELD_KINDS = {
 }
 
 
-def _fields(defaults: dict, prefix: str = ""):
-    """(dotted name, kinds) of every field under defaults."""
-    for key, default in defaults.items():
-        name = prefix + key
-        if isinstance(default, dict):
-            yield from _fields(default, name + ".")
-        else:
-            yield name, _FIELD_KINDS.get(name) or (_KIND_OF_DEFAULT[type(default)],)
-
-
+# {dotted name: kinds} of every field, in DEFAULT_CONFIG's order.
+_FIELDS = {
+    name: _FIELD_KINDS.get(name) or (_KIND_OF_DEFAULT[type(default)],)
+    for name, default in DEFAULT_CONFIG.items()
+}
 _SWEEPABLE = frozenset(
-    name for name, kinds in _fields(DEFAULT_CONFIG)
+    name for name, kinds in _FIELDS.items()
     if "a number" in kinds and not name.startswith("sweep.")
 )
 
@@ -233,30 +223,28 @@ def _check_types(config: dict) -> None:
     'inf' becomes math.inf, a number a float and an integral float in an
     integer field an int.
     """
-    for name, kinds in _fields(DEFAULT_CONFIG):
-        *path, key = name.split(".")
-        node = functools.reduce(dict.__getitem__, path, config)
-        value = node[key]
+    for name, kinds in _FIELDS.items():
+        value = config[name]
         kind = next((k for k in kinds if _is_kind(k, value)), None)
         if kind is None:
             raise DomainError(
                 f"{name} must be {' or '.join(kinds)}, got {value!r}"
             )
         if kind == "'inf'":
-            node[key] = math.inf
+            config[name] = math.inf
         elif kind == "a number":
-            node[key] = float(value)
+            config[name] = float(value)
         elif kind == "an integer":
-            node[key] = int(value)
+            config[name] = int(value)
 
 
-def _grid(spec: dict) -> np.ndarray:
-    start, stop, count = spec["start"], spec["stop"], spec["count"]
-    if count < 1:
-        raise DomainError(f"grid count must be >= 1, got {count}")
+def _grid(config: dict, prefix: str) -> np.ndarray:
+    """The grid of the fields prefix.start, .stop, .count and .scale."""
+    start, stop = config[f"{prefix}.start"], config[f"{prefix}.stop"]
+    count = config[f"{prefix}.count"]
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise DomainError(f"grid ends must be finite, got {start} and {stop}")
-    if spec["scale"] == "linear":
+    if config[f"{prefix}.scale"] == "linear":
         return np.linspace(start, stop, count)
     if min(start, stop) <= 0:
         raise DomainError(f"log grid ends must be > 0, got {start} and {stop}")
@@ -268,16 +256,17 @@ def _atom(name) -> AtomState:
     return AtomState({"plus": 0.5, "minus": -0.5}.get(name, name))
 
 
-def _energy_rates(rcfg: dict, detector: DetectorParams, alpha: float):
+def _energy_rates(config: dict, detector: DetectorParams, alpha: float):
     """The rates section's energy rates: closed form at n = 0, else (or if
     numeric) the numeric pipeline, which has only the symmetric ordering."""
-    lam = OrderingParam(rcfg["lam"])
-    atom = _atom(rcfg["atom"])
-    if not (rcfg["numeric"] or rcfg["n"] > 0):
+    lam = OrderingParam(config["rates.lam"])
+    atom = _atom(config["rates.atom"])
+    n = config["rates.n"]
+    if not (config["rates.numeric"] or n > 0):
         return R.atom_total_rate(detector, alpha, atom, lam)
     if not lam.is_symmetric:
         raise DomainError(f"numeric rates need rates.lam 0.5, got {lam.lam}")
-    return R.derivative_coupling_rates(detector, alpha, atom, rcfg["n"])
+    return R.derivative_coupling_rates(detector, alpha, atom, n)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +288,7 @@ Table = tuple
 
 
 def _write(text: str, config: dict) -> None:
-    path = config["output"]["path"]
+    path = config["output.path"]
     if path is None:
         sys.stdout.write(text)
     else:
@@ -445,7 +434,7 @@ def emit(header: list[str], rows, config: dict, echo=()) -> None:
 
     JSON has no inf: a non-finite cell of an ``echo`` column is written as
     the string the config reads it from ("inf")."""
-    if config["output"]["format"] == "csv":
+    if config["output.format"] == "csv":
         text = ",".join(header) + "\n" + _csv_rows(rows)
     else:
         records = [
@@ -463,11 +452,9 @@ def emit(header: list[str], rows, config: dict, echo=()) -> None:
 
 def cmd_kernel(config: dict) -> Table:
     _, beta, alpha = validate(config)
-    kcfg = config["kernel"]
-    u = kcfg["u"]
-    sweep = kcfg["sweep"]
-    param = sweep["param"]
-    values = _grid(sweep)
+    u = config["kernel.u"]
+    param = config["kernel.sweep.param"]
+    values = _grid(config, "kernel.sweep")
     if param == "alpha":
         g = K.g_thermal_accelerated(u, 0.0, beta, values).value
     else:
@@ -478,11 +465,11 @@ def cmd_kernel(config: dict) -> Table:
 
 def cmd_populations(config: dict) -> Table:
     detector, beta, _ = validate(config)
-    pcfg = config["populations"]
-    sp = pcfg["sigma_plus"]
+    sp = config["populations.sigma_plus"]
     init = M.PopulationState(sp, 1.0 - sp)
     w0 = detector.omega0
-    traj = M.evolve(init, w0, beta, pcfg["tau_end"], samples=pcfg["samples"])
+    traj = M.evolve(init, w0, beta, config["populations.tau_end"],
+                    samples=config["populations.samples"])
     tau, num = traj.taus, traj.sigma_plus
     # closed_form, vectorised: exact at tau = 0
     sp_inf = M.steady_state(w0, beta).sigma_plus
@@ -517,25 +504,24 @@ def cmd_steady(config: dict) -> Table:
 
 def cmd_rates(config: dict) -> Table:
     detector, _, alpha = validate(config)
-    rcfg = config["rates"]
-    report = _energy_rates(rcfg, detector, alpha)
+    report = _energy_rates(config, detector, alpha)
     record = {
         "vf": report.vf,
         "rr": report.rr,
         "total": report.total,
         "finite": report.finite,
-        "lambda": rcfg["lam"],
-        "coupling_order": rcfg["n"],
+        "lambda": config["rates.lam"],
+        "coupling_order": config["rates.n"],
     }
-    if rcfg["field"]:
-        field = R.field_rates(detector, alpha, _atom(rcfg["atom"]))
+    if config["rates.field"]:
+        field = R.field_rates(detector, alpha, _atom(config["rates.atom"]))
         record.update(zip(["vf_field", "rr_field"], field))
     return list(record), [list(record.values())]
 
 
 def cmd_response(config: dict) -> Table:
     _, _, alpha = validate(config)
-    grid = _grid(config["response"]["deltaE"])
+    grid = _grid(config, "response.deltaE")
     rate = RS.response_accelerated(grid, alpha).rate
     table = np.column_stack([grid, np.full(len(grid), alpha), rate])
     return ["deltaE", "alpha", "rate"], table
@@ -543,33 +529,34 @@ def cmd_response(config: dict) -> Table:
 
 def cmd_fermion(config: dict) -> Table:
     detector, beta, _ = validate(config)
-    fcfg = config["fermion"]
     w0 = detector.omega0
-    if fcfg["spectrum"] is not None:
-        modes = _read_json(fcfg["spectrum"])
+    path, dt = config["fermion.spectrum"], config["fermion.dt"]
+    if path is not None:
+        modes = _read_json(path)
         try:
             pairs = tuple((m["omega"], m["g"]) for m in modes)
         except (KeyError, TypeError):
             pairs = ((None, None),)
         if not all(_is_number(x) for pair in pairs for x in pair):
             raise DomainError(
-                f"spectrum {fcfg['spectrum']} must be a JSON array of "
+                f"spectrum {path} must be a JSON array of "
                 '{"omega": <number>, "g": <number>} objects'
             )
         spectrum = F.BathSpectrum(pairs, beta)
     else:
         spectrum = F.default_bath(w0, beta)
-    rates = F.fermion_rates(spectrum, w0, fcfg["dt"])
-    diag = tuple(fcfg["init"])
+    rates = F.fermion_rates(spectrum, w0, dt)
+    diag = tuple(config["fermion.init"])
     d0, d1 = F.fermion_population_rhs(diag, rates)
     energy = F.fermion_energy_rate(diag, rates, w0)
-    ratio = F.coarse_graining_diagnostic(fcfg["v_typ"], fcfg["tau_c"])
-    valid = F.coarse_graining_valid(fcfg["v_typ"], fcfg["tau_c"])
+    v_typ, tau_c = config["fermion.v_typ"], config["fermion.tau_c"]
+    ratio = F.coarse_graining_diagnostic(v_typ, tau_c)
+    valid = F.coarse_graining_valid(v_typ, tau_c)
     header = [
         "C", "T_F", "dt", "d_sigma00", "d_sigma11",
         "energy_rate", "coarse_graining_ratio", "valid",
     ]
-    table = header, [[rates.C, rates.T_F, fcfg["dt"], d0, d1, energy, ratio, valid]]
+    table = header, [[rates.C, rates.T_F, dt, d0, d1, energy, ratio, valid]]
     if valid:
         return table
     return *table, (
@@ -586,27 +573,26 @@ _SWEEP_HEADERS = {
 
 def _sweep_point(config: dict, param: str, value: float) -> list:
     """Set param to value in config (in place) and evaluate one sweep row."""
-    _set_dotted(config, param, value)
+    config[param] = value
     detector, beta, alpha = validate(config)
-    quantity = config["sweep"]["quantity"]
+    quantity = config["sweep.quantity"]
     if quantity == "steady":
         st = M.steady_state(detector.omega0, beta)
         return [value, st.sigma_plus, st.sigma_minus]
     if quantity == "response":
         return [value, RS.response_accelerated(detector.omega0, alpha).rate]
-    rep = _energy_rates(config["rates"], detector, alpha)
+    rep = _energy_rates(config, detector, alpha)
     if not rep.finite:
-        lam = config["rates"]["lam"]
+        lam = config["rates.lam"]
         raise DomainError(f"VF and RR exist only at rates.lam 0.5, got {lam}")
     return [value, rep.vf, rep.rr, rep.total]
 
 
 def cmd_sweep(config: dict) -> Table:
-    scfg = config["sweep"]
-    values = _grid(scfg)
-    local = copy.deepcopy(config)
-    rows = [_sweep_point(local, scfg["param"], v) for v in values.tolist()]
-    return _SWEEP_HEADERS[scfg["quantity"]], np.array(rows)
+    values = _grid(config, "sweep")
+    local = dict(config)
+    rows = [_sweep_point(local, config["sweep.param"], v) for v in values.tolist()]
+    return _SWEEP_HEADERS[config["sweep.quantity"]], np.array(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -706,6 +692,12 @@ def _verify_checks(config: dict):
     ]
 
 
+def _overflowed(exc: OverflowError) -> str:
+    """The error's text, not the (errno, text) tuple that str() gives for a
+    float power."""
+    return f"overflowed a float: {exc.args[-1] if exc.args else exc}"
+
+
 def cmd_verify(config: dict) -> int:
     results = []
     nonconverged = False
@@ -718,9 +710,7 @@ def cmd_verify(config: dict) -> int:
             )
         except (NonConvergence, OverflowError) as exc:
             nonconverged = True
-            detail = str(exc)
-            if isinstance(exc, OverflowError):
-                detail = f"overflowed a float: {detail}"
+            detail = _overflowed(exc) if isinstance(exc, OverflowError) else str(exc)
             results.append(
                 {"check": name, "status": "nonconvergence",
                  "error": None, "tol": None, "detail": detail}
@@ -792,8 +782,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
     except OverflowError as exc:
-        print(f"numeric failure: {args.command} overflowed a float: {exc}",
-              file=sys.stderr)
+        print(f"numeric failure: {args.command} {_overflowed(exc)}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -103,14 +103,17 @@ class AtomState:
 
 
 def validate(config: dict) -> tuple[DetectorParams, float, float]:
-    """(detector, beta, alpha) of a config document, checked in that order.
+    """(detector, beta, alpha) of a config, checked in that order.
 
-    alpha is ``trajectory.alpha``, a finite proper acceleration >= 0;
-    alpha = 0.0 is the inertial worldline, and -0.0 is returned as +0.0.
+    config maps dotted field names to values, as ``cli.DEFAULT_CONFIG``
+    does; validate reads ``detector.omega0``, ``detector.mu``,
+    ``thermal.beta`` and ``trajectory.alpha``.  alpha is a finite proper
+    acceleration >= 0; alpha = 0.0 is the inertial worldline, and -0.0 is
+    returned as +0.0.
     """
-    detector = DetectorParams(**config["detector"])
-    beta = check_beta(config["thermal"]["beta"])
-    alpha = config["trajectory"]["alpha"]
+    detector = DetectorParams(config["detector.omega0"], config["detector.mu"])
+    beta = check_beta(config["thermal.beta"])
+    alpha = config["trajectory.alpha"]
     _require_finite("alpha", alpha)
     if not alpha >= 0:
         raise DomainError(f"alpha must be >= 0, got {alpha}")

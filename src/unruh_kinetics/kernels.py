@@ -204,19 +204,15 @@ def thermal_image_closed(u, beta) -> complex:
 
 
 def thermal_image_sum(u: float, beta: float) -> complex:
-    """-(1/4 pi^2) sum_n (u - i beta n)^-2, truncated and checked by _truncated.
+    """-(1/4 pi^2) sum_n (u - i beta n)^-2: wightman_vacuum_accelerated_sum
+    at alpha = 2 pi / beta.
 
     Oracle for thermal_image_closed through the lattice-sum identity
-    sum_n (u - i beta n)^-2 = (pi^2 / beta^2) csch^2(pi u / beta): the image
-    sum S_2(u) at alpha = 2 pi / beta.
+    sum_n (u - i beta n)^-2 = (pi^2 / beta^2) csch^2(pi u / beta).
     """
     if not math.isfinite(beta) or beta <= 0:
         raise DomainError(f"beta must be positive and finite, got {beta}")
-    if u == 0.0:
-        raise SingularInput("u = 0 is singular")
-    alpha = 2.0 * math.pi / beta
-    s = _truncated(lambda n_max: image_sum_inverse_power_sum(2, u, alpha, n_max))
-    return -(1.0 / _FOUR_PI_SQ) * s
+    return wightman_vacuum_accelerated_sum(u, 2.0 * math.pi / beta).value
 
 
 def g_thermal_inertial(u: float, beta: float, v: float) -> KernelValue:
@@ -289,8 +285,9 @@ def g_thermal_accelerated(tau1, tau2, beta, alpha) -> KernelValue:
     A1 = pi (e^{a t1} - e^{a t2}) / (a beta),
     A2 = 2 pi e^{-a (t1+t2)/2} sinh(a (t1-t2)/2) / (a beta).
 
-    Every argument broadcasts as an array; beta = +inf is zero temperature;
-    alpha, |t1| and |t2| are at most ARG_MAX.
+    Every argument broadcasts as an array; beta = +inf is zero temperature
+    and alpha = 0 the inertial worldline; alpha, |t1| and |t2| are at most
+    ARG_MAX.
     g is symmetric under t1 <-> t2 and under (t1, t2) -> (-t2, -t1), so with
     x = a |t1 - t2| / 2 and c = a |t1 + t2| / 2 >= 0, A1 >= A2 >= 0 and
     D = A1 - A2 = A1 (1 - e^{-2c}).  The exact identity
@@ -299,14 +296,14 @@ def g_thermal_accelerated(tau1, tau2, beta, alpha) -> KernelValue:
         g = -[e^{-x} / (2 pi u F(2x))]^2 e^{-2 A2} F(2D) / (F(2 A1) F(2 A2))
     with u = |t1 - t2| and F(z) = (1 - e^{-z}) / z (F(0) = 1).  Every
     exponential decays and nothing cancels, so the one formula covers
-    beta = +inf (A1 = A2 = 0: the csch^2 vacuum form), alpha -> 0 (the
+    beta = +inf (A1 = A2 = 0: the csch^2 vacuum form), alpha = 0 (the
     inertial thermal kernel), t1 = -t2 (D = 0: -csch^2(A1) / 4 beta^2) and
     large a t without overflow.  A1 and A2 are capped at ~e^700, where every
     F and exponential of them has saturated.
     """
     tau1, tau2, beta, alpha = map(np.float64, (tau1, tau2, beta, alpha))
-    require_all((alpha > 0.0) & (alpha <= ARG_MAX), alpha,
-                f"alpha must lie in (0, {ARG_MAX:g}]")
+    require_all((alpha >= 0.0) & (alpha <= ARG_MAX), alpha,
+                f"alpha must lie in [0, {ARG_MAX:g}]")
     require_all(beta > 0.0, beta, "beta must be positive (or +inf)")
     t_max = np.maximum(abs(tau1), abs(tau2))
     require_all(t_max <= ARG_MAX, t_max, f"|tau1| and |tau2| must be <= {ARG_MAX:g}")

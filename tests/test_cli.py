@@ -1,7 +1,10 @@
 """CLI subcommands: config handling, output formats, exit codes."""
 
+import copy
+import errno
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -77,7 +80,7 @@ def test_populations_defect_column(capsys):
 
 def test_emit_array_rows_match_list_rows(capsys):
     rows = [[0.0, -0.0, 1.5e-300, 123456.789], [math.nan, math.inf, -math.inf, -2.5]]
-    config = {"output": {"format": "csv", "path": None}}
+    config = {"output.format": "csv", "output.path": None}
     emit(["a", "b", "c", "d"], rows, config)
     from_list = capsys.readouterr().out
     emit(["a", "b", "c", "d"], np.array(rows), config)
@@ -154,6 +157,15 @@ def test_sweep_rows_in_grid_order(capsys):
     assert code == 0
     params = [float(l.split(",")[0]) for l in out.strip().splitlines()[1:]]
     assert params == sorted(params)  # grid order preserved
+
+
+def test_sweep_leaves_its_config_unchanged():
+    config = load_config(None, ["--sweep.quantity", "rates",
+                                "--sweep.param", "thermal.beta"])
+    before = copy.deepcopy(config)
+    defaults = copy.deepcopy(cli.DEFAULT_CONFIG)
+    cli.cmd_sweep(config)
+    assert config == before and cli.DEFAULT_CONFIG == defaults
 
 
 def test_inertial_response_sweep_is_zero_like_response(capsys):
@@ -413,6 +425,37 @@ def test_abbreviated_flags_are_unknown_fields(tmp_path, capsys, monkeypatch, fla
     assert json.loads((tmp_path / "y.json").read_text())[0]["beta"] == 1.0
 
 
+@pytest.mark.parametrize(
+    "doc, args, error",
+    [
+        # accepted: each sets detector.omega0 to 2
+        ({"detector": {"omega0": 2}}, [], None),
+        ({"detector.omega0": 2}, [], None),
+        ({"detector": {}}, ["--detector", '{"omega0": 2}'], None),
+        (None, ["--detector.omega0=2"], None),
+        # refused: an object for a field (silently ignored before), a
+        # non-object for a section, an unknown dotted name
+        (None, ["--detector.omega0", "{}"], "detector.omega0 must be a number, got {}"),
+        ({"detector": {"omega0": {}}}, [], "detector.omega0 must be a number, got {}"),
+        (None, ["--detector", "5"], "config section 'detector' must be an object"),
+        ({"kernel": {"sweep": 5}}, [], "config section 'kernel.sweep' must be an object"),
+        (None, ["--foo.bar", "1"], "unknown config field 'foo.bar'"),
+        ({"detector": {"omega0.x": 1}}, [], "unknown config field 'detector.omega0.x'"),
+    ],
+)
+def test_config_forms(tmp_path, capsys, doc, args, error):
+    if doc is not None:
+        (tmp_path / "run.json").write_text(json.dumps(doc))
+        args = ["--config", str(tmp_path / "run.json"), *args]
+    code, out, err = run(capsys, "steady", *args)
+    if error is None:
+        assert code == 0 and err == ""
+        assert out.splitlines()[1].startswith("2.00000000000e+00,")
+    else:
+        assert code == 1 and out == ""
+        assert err.splitlines() == [f"error: {error}"]
+
+
 def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
@@ -558,11 +601,24 @@ def test_kernel_far_from_the_diagonal_is_finite(capsys, beta):
     assert rows.shape == (50, 4) and np.all(np.isfinite(rows))
 
 
-def test_kernel_on_an_inertial_trajectory_is_domain_error(capsys):
-    code, out, err = run(capsys, "kernel", "--trajectory.alpha", "0",
-                         "--kernel.sweep.param", "beta")
-    assert code == 1 and out == ""
-    assert err.splitlines() == ["error: alpha must lie in (0, 1e+150], got 0.0"]
+@pytest.mark.parametrize(
+    "args, param",
+    [(["--trajectory.alpha", "0", "--kernel.sweep.param", "beta"], "beta"),
+     (["--kernel.sweep.start", "0"], "alpha")],
+)
+def test_kernel_on_an_inertial_trajectory_is_the_thermal_kernel(capsys, args, param):
+    # alpha = 0 was refused; the accelerated kernel's formula reduces to
+    # -csch^2(pi u / beta) / 4 beta^2 there
+    code, out, err = run(capsys, "kernel", *args)
+    assert code == 0 and err == ""
+    rows = np.array([line.split(",") for line in out.strip().splitlines()[1:]],
+                    dtype=float)
+    if param == "alpha":  # the first row is alpha = 0, at beta = 1
+        rows = rows[:1]
+    beta = rows[:, 1] if param == "beta" else 1.0
+    want = K.thermal_image_closed(rows[:, 0], beta).real
+    assert rows[:, 2] == pytest.approx(want, rel=1e-11, abs=0.0)
+    assert np.all(rows[:, 3] == 0.0)
 
 
 @pytest.mark.parametrize(
@@ -583,6 +639,17 @@ def test_row_counts_above_the_cap_are_domain_errors(capsys, command, field):
     load_config(None, [f"--{field}", str(cap)])  # the cap itself is allowed
 
 
+@pytest.mark.parametrize("field", sorted(_SIZE_LIMITS))
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_row_counts_below_one_are_domain_errors(capsys, field, value):
+    # the message named no field ("grid count must be >= 1"), and a command
+    # that does not read the field ran
+    for command in (field.split(".")[0], "steady"):  # its command, and one other
+        code, out, err = run(capsys, command, f"--{field}", value)
+        assert code == 1 and out == ""
+        assert err.splitlines() == [f"error: {field} must be >= 1, got {value}"]
+
+
 def _reference_csv(rows) -> str:
     """CSV lines of a float table, one CPython "%.11e" per cell."""
     return "".join(",".join("%.11e" % x for x in row) + "\n" for row in rows)
@@ -591,7 +658,7 @@ def _reference_csv(rows) -> str:
 def test_emit_writes_constant_columns_with_the_reference_bytes(capsys):
     rows = [[2.0, 0.0, math.nan, 1.0, -0.0], [2.0, -0.0, math.nan, 3.0, -0.0],
             [2.0, 0.0, math.nan, -1e-300, -0.0]]
-    config = {"output": {"format": "csv", "path": None}}
+    config = {"output.format": "csv", "output.path": None}
     want = "a,b,c,d,e\n" + _reference_csv(rows)
     emit(["a", "b", "c", "d", "e"], rows, config)
     assert capsys.readouterr().out == want
@@ -752,7 +819,7 @@ def test_verify_reports_a_check_that_overflows(capsys, field, value):
     [failed] = [c for c in report["checks"] if c["status"] != "pass"]
     assert failed["check"] == "energy_decomposition"
     assert failed["status"] == "nonconvergence"
-    assert failed["detail"].startswith("overflowed a float:")
+    assert failed["detail"] == f"overflowed a float: {os.strerror(errno.ERANGE)}"
 
 
 def test_verify_forced_failure(tmp_path, capsys, monkeypatch):
@@ -867,8 +934,10 @@ def test_overflow_line_names_the_command(tmp_path, capsys):
     code, out, err = run(capsys, "rates", "--detector.omega0", "1e308",
                          "--out", str(out_file))
     assert code == 2 and out == "" and not out_file.exists()
-    assert len(err.splitlines()) == 1
-    assert err.startswith("numeric failure: rates overflowed a float: ")
+    # the error's text, not str() of its (errno, text) args tuple
+    assert err.splitlines() == [
+        f"numeric failure: rates overflowed a float: {os.strerror(errno.ERANGE)}"
+    ]
 
 
 def test_rates_at_tiny_omega0_are_finite(capsys):

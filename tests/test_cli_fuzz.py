@@ -37,7 +37,7 @@ EDGE_VALUES = [
 SECONDS_PER_EXAMPLE = 10.0
 
 
-KINDS = dict(cli._fields(cli.DEFAULT_CONFIG))  # {dotted name: kinds}
+KINDS = cli._FIELDS  # {dotted name: kinds}
 FIELDS = [
     name for name, kinds in KINDS.items() if {"a number", "an integer"} & set(kinds)
 ]

@@ -19,9 +19,10 @@ from unruh_kinetics.core import (
 
 def _config(omega0=1.0, beta=1.0, alpha=1.0, mu=1.0):
     return {
-        "detector": {"omega0": omega0, "mu": mu},
-        "thermal": {"beta": beta},
-        "trajectory": {"alpha": alpha},
+        "detector.omega0": omega0,
+        "detector.mu": mu,
+        "thermal.beta": beta,
+        "trajectory.alpha": alpha,
     }
 
 

@@ -173,6 +173,11 @@ def test_accelerated_thermal_alpha_to_zero():
     g = K.g_thermal_accelerated(1.0, 0.0, 1.0, 1e-4)
     want = K.thermal_image_closed(1.0, 1.0)
     assert abs(g.value - want) / abs(want) < 1e-6
+    # alpha = 0 is the inertial worldline itself
+    g = K.g_thermal_accelerated(1.0, 0.0, 1.0, 0.0)
+    assert abs(g.value - want) / abs(want) < 1e-12
+    vacuum = K.g_thermal_accelerated(1.0, 0.0, math.inf, 0.0).value
+    assert vacuum == pytest.approx(-1.0 / (4.0 * math.pi**2), rel=1e-15)
 
 
 def test_accelerated_thermal_not_stationary():
@@ -260,7 +265,7 @@ def test_accelerated_thermal_arrays_match_scalar_calls():
 
 @pytest.mark.parametrize(
     "args",
-    [(1.0, 0.0, 1.0, 0.0), (1.0, 0.0, 1.0, math.inf), (1.0, 0.0, 0.0, 1.0),
+    [(1.0, 0.0, 1.0, -1.0), (1.0, 0.0, 1.0, math.inf), (1.0, 0.0, 0.0, 1.0),
      (1.0, 0.0, math.nan, 1.0), (math.inf, 0.0, 1.0, 1.0),
      (1.0, -1e200, 1.0, 1.0), (1e10, 0.0, 1.0, 1e300)],
 )
