@@ -220,8 +220,9 @@ def _is_kind(kind: str, value) -> bool:
 def _check_types(config: dict) -> None:
     """Check each field of config against its kinds, in place.
 
-    'inf' becomes math.inf, a number a float and an integral float in an
-    integer field an int.
+    'inf' becomes math.inf, a number a float, an integral float in an
+    integer field an int and a list a copy, so no config shares
+    DEFAULT_CONFIG's lists.
     """
     for name, kinds in _FIELDS.items():
         value = config[name]
@@ -236,6 +237,8 @@ def _check_types(config: dict) -> None:
             config[name] = float(value)
         elif kind == "an integer":
             config[name] = int(value)
+        elif kind == "a list of numbers":
+            config[name] = list(value)
 
 
 def _grid(config: dict, prefix: str) -> np.ndarray:

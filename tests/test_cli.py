@@ -168,6 +168,13 @@ def test_sweep_leaves_its_config_unchanged():
     assert config == before and cli.DEFAULT_CONFIG == defaults
 
 
+def test_a_loaded_config_shares_no_list_with_the_defaults():
+    config = load_config(None, [])
+    config["fermion.init"].append(2.0)
+    assert cli.DEFAULT_CONFIG["fermion.init"] == [1.0, 0.0]
+    assert load_config(None, [])["fermion.init"] == [1.0, 0.0]
+
+
 def test_inertial_response_sweep_is_zero_like_response(capsys):
     inertial = ("--trajectory.alpha", "0")
     code, out, err = run(
