@@ -32,6 +32,7 @@ from .core import (
     DomainError,
     NonConvergence,
     OrderingParam,
+    require_all,
     validate,
 )
 
@@ -255,8 +256,9 @@ def _grid(config: dict, prefix: str) -> np.ndarray:
 
 
 def _atom(name) -> AtomState:
-    """The state rates.atom names: plus, minus or <R3>."""
-    return AtomState({"plus": 0.5, "minus": -0.5}.get(name, name))
+    """The state rates.atom names: plus, minus or <R3> (an array in a sweep)."""
+    named = {"plus": 0.5, "minus": -0.5}
+    return AtomState(named[name] if isinstance(name, str) else name)
 
 
 def _energy_rates(config: dict, detector: DetectorParams, alpha: float):
@@ -572,30 +574,73 @@ _SWEEP_HEADERS = {
     "rates": ["param", "vf", "rr", "total"],
     "response": ["param", "rate"],
 }
+# The fields each quantity reads, which sweep.param may name: validate's, and
+# the ordering and atom state of the rates.
+_MODEL_FIELDS = ("detector.omega0", "detector.mu", "thermal.beta", "trajectory.alpha")
+_SWEPT_FIELDS = {
+    "steady": _MODEL_FIELDS,
+    "response": _MODEL_FIELDS,
+    "rates": (*_MODEL_FIELDS, "rates.lam", "rates.atom"),
+}
 
 
-def _sweep_point(config: dict, param: str, value: float) -> list:
-    """Set param to value in config (in place) and evaluate one sweep row."""
-    config[param] = value
-    detector, beta, alpha = validate(config)
-    quantity = config["sweep.quantity"]
-    if quantity == "steady":
-        st = M.steady_state(detector.omega0, beta)
-        return [value, st.sigma_plus, st.sigma_minus]
-    if quantity == "response":
-        return [value, RS.response_accelerated(detector.omega0, alpha).rate]
+def _rate_columns(config: dict, detector: DetectorParams, alpha) -> list:
+    """[vf, rr, total] of the rates section, refused where they do not exist."""
     rep = _energy_rates(config, detector, alpha)
     if not rep.finite:
         lam = config["rates.lam"]
-        raise DomainError(f"VF and RR exist only at rates.lam 0.5, got {lam}")
-    return [value, rep.vf, rep.rr, rep.total]
+        require_all(np.equal(lam, 0.5), lam, "VF and RR exist only at rates.lam 0.5")
+    return [rep.vf, rep.rr, rep.total]
+
+
+def _sweep_columns(config: dict, values: np.ndarray) -> list:
+    """The sweep's columns after param, with param set to the grid values.
+
+    One validate checks every point.  response and the closed-form rates are
+    one array call each; steady and the numeric rates are evaluated point by
+    point, the numeric pipeline being scalar.
+    """
+    param, quantity = config["sweep.param"], config["sweep.quantity"]
+    swept = dict(config)
+    swept[param] = values
+    detector, _, alpha = validate(swept)
+    if quantity == "response":
+        return [RS.response_accelerated(detector.omega0, alpha).rate]
+    if quantity == "rates" and not (config["rates.numeric"] or config["rates.n"] > 0):
+        return _rate_columns(swept, detector, alpha)
+    point, rows = dict(config), []
+    for value in values.tolist():
+        point[param] = value
+        w0 = point["detector.omega0"]
+        if quantity == "steady":
+            st = M.steady_state(w0, point["thermal.beta"])
+            rows.append([st.sigma_plus, st.sigma_minus])
+        else:
+            params = DetectorParams(w0, point["detector.mu"])
+            rows.append(_rate_columns(point, params, abs(point["trajectory.alpha"])))
+    return list(zip(*rows))
 
 
 def cmd_sweep(config: dict) -> Table:
+    param, quantity = config["sweep.param"], config["sweep.quantity"]
+    fields = _SWEPT_FIELDS[quantity]
+    if param not in fields:
+        raise DomainError(
+            f"sweep.param must be a field sweep.quantity {quantity} reads "
+            f"({', '.join(fields)}), got '{param}'"
+        )
     values = _grid(config, "sweep")
-    local = dict(config)
-    rows = [_sweep_point(local, config["sweep.param"], v) for v in values.tolist()]
-    return _SWEEP_HEADERS[config["sweep.quantity"]], np.array(rows)
+    try:
+        columns = _sweep_columns(config, values)
+    except (DomainError, NonConvergence, OverflowError):
+        # a check of the whole grid names the first element it refuses, which
+        # need not be the first point to fail: sweep one point at a time to
+        # raise that point's error
+        for i in range(len(values)):
+            _sweep_columns(config, values[i:i + 1])
+        raise
+    columns = np.broadcast_arrays(values, *columns)
+    return _SWEEP_HEADERS[quantity], np.column_stack(columns)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ acceleration alpha, where alpha = 0 is the inertial worldline.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,18 +26,6 @@ class NonConvergence(RuntimeError):
     """An extrapolation or truncated-sum sequence failed to contract."""
 
 
-def _require_finite(name: str, x: float) -> None:
-    if not math.isfinite(x):
-        raise DomainError(f"{name} must be finite, got {x}")
-
-
-def check_beta(beta: float) -> float:
-    """beta, if it lies in (0, +inf]; beta = +inf is zero temperature."""
-    if math.isnan(beta) or beta <= 0:
-        raise DomainError(f"beta must be positive (or +inf), got {beta}")
-    return beta
-
-
 def require_all(ok, values, what: str) -> None:
     """Raise DomainError(f"{what}, got {v}") for the first v of the array
     ``values`` at which the same-shaped mask ``ok`` is false."""
@@ -48,20 +35,32 @@ def require_all(ok, values, what: str) -> None:
         raise DomainError(f"{what}, got {bad.flat[0]}")
 
 
+def plain(x):
+    """A numpy scalar as a Python float; an array passes through."""
+    return float(x) if isinstance(x, np.generic) else x
+
+
+def check_beta(beta):
+    """beta, if it lies in (0, +inf]; beta = +inf is zero temperature."""
+    require_all(beta > 0, beta, "beta must be positive (or +inf)")
+    return beta
+
+
 @dataclass(frozen=True)
 class DetectorParams:
-    """Two-level detector: level splitting omega0 > 0 and monopole coupling mu >= 0."""
+    """Two-level detector: level splitting omega0 > 0 and monopole coupling mu >= 0.
+
+    Either may be an array (a sweep); each check then covers every element.
+    """
 
     omega0: float
     mu: float = 1.0
 
     def __post_init__(self) -> None:
-        _require_finite("omega0", self.omega0)
-        _require_finite("mu", self.mu)
-        if self.omega0 <= 0:
-            raise DomainError(f"omega0 must be positive, got {self.omega0}")
-        if self.mu < 0:
-            raise DomainError(f"mu must be non-negative, got {self.mu}")
+        require_all(np.isfinite(self.omega0), self.omega0, "omega0 must be finite")
+        require_all(np.isfinite(self.mu), self.mu, "mu must be finite")
+        require_all(self.omega0 > 0, self.omega0, "omega0 must be positive")
+        require_all(self.mu >= 0, self.mu, "mu must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -71,12 +70,13 @@ class OrderingParam:
     lam: float = 0.5
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.lam <= 1.0:
-            raise DomainError(f"ordering weight must lie in [0, 1], got {self.lam}")
+        require_all((0.0 <= self.lam) & (self.lam <= 1.0), self.lam,
+                    "ordering weight must lie in [0, 1]")
 
     @property
     def is_symmetric(self) -> bool:
-        return self.lam == 0.5
+        """lam = 1/2, at every element of an array lam."""
+        return bool(np.all(self.lam == 0.5))
 
 
 @dataclass(frozen=True)
@@ -86,10 +86,8 @@ class AtomState:
     r3_expectation: float
 
     def __post_init__(self) -> None:
-        if not abs(self.r3_expectation) <= 0.5:
-            raise DomainError(
-                f"|<R3>| must be <= 1/2, got {self.r3_expectation}"
-            )
+        require_all(abs(self.r3_expectation) <= 0.5, self.r3_expectation,
+                    "|<R3>| must be <= 1/2")
 
     @classmethod
     def plus(cls) -> "AtomState":
@@ -109,12 +107,12 @@ def validate(config: dict) -> tuple[DetectorParams, float, float]:
     does; validate reads ``detector.omega0``, ``detector.mu``,
     ``thermal.beta`` and ``trajectory.alpha``.  alpha is a finite proper
     acceleration >= 0; alpha = 0.0 is the inertial worldline, and -0.0 is
-    returned as +0.0.
+    returned as +0.0.  One field may be an array (a sweep's grid): each of
+    its checks then covers every element and names the first it refuses.
     """
     detector = DetectorParams(config["detector.omega0"], config["detector.mu"])
     beta = check_beta(config["thermal.beta"])
     alpha = config["trajectory.alpha"]
-    _require_finite("alpha", alpha)
-    if not alpha >= 0:
-        raise DomainError(f"alpha must be >= 0, got {alpha}")
+    require_all(np.isfinite(alpha), alpha, "alpha must be finite")
+    require_all(alpha >= 0, alpha, "alpha must be >= 0")
     return detector, beta, abs(alpha)

@@ -15,7 +15,9 @@ the total; the same ray from Im z = d/2 checks it.
 
 from __future__ import annotations
 
+import errno
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +28,10 @@ from .core import (
     DomainError,
     NonConvergence,
     OrderingParam,
+    plain,
+    require_all,
 )
-from .kernels import _FOUR_PI_SQ, image_sum_inverse_power
+from .kernels import _FOUR_PI_SQ, _TINY, image_sum_inverse_power
 from .numerics import COTH_POLE, panel_rule
 
 __all__ = [
@@ -47,6 +51,7 @@ class EnergyRateReport:
 
     finite is False when the ordering makes VF and RR individually divergent
     (any lam != 1/2); vf and rr are then None while total remains valid.
+    The rates are arrays for array inputs (a sweep).
     """
 
     total: float
@@ -60,64 +65,75 @@ class EnergyRateReport:
                 raise DomainError("finite report requires vf and rr values")
             # written so that a NaN fails it; an infinite vf or rr is a float
             # overflow, which the CLI reports as a numeric failure
-            if not (
-                abs(self.vf + self.rr - self.total)
-                <= 1e-12 * max(1.0, abs(self.vf) + abs(self.rr))
-                or math.isinf(self.vf) or math.isinf(self.rr)
-            ):
+            vf, rr = abs(self.vf), abs(self.rr)
+            with np.errstate(invalid="ignore"):  # inf - inf
+                miss = abs(self.vf + self.rr - self.total)
+            ok = (miss <= 1e-12 * np.fmax(1.0, vf + rr)) | (vf == np.inf) | (rr == np.inf)
+            if not (ok.all() if isinstance(ok, np.ndarray) else ok):
                 raise DomainError("vf + rr must reproduce total")
         elif self.vf is not None or self.rr is not None:
             raise DomainError("divergent ordering cannot carry vf/rr values")
 
 
-def planck_bracket(omega0: float, alpha: float) -> float:
+def _square(x):
+    """x * x, raising OverflowError where that overflows, as a float's x ** 2 does."""
+    with np.errstate(over="ignore"):
+        square = np.multiply(x, x)
+    if np.isinf(square).any():
+        raise OverflowError(errno.ERANGE, os.strerror(errno.ERANGE))
+    return square
+
+
+def planck_bracket(omega0, alpha):
     """[1 + 2/(e^{2 pi omega0 / alpha} - 1)] = coth(pi omega0 / alpha); 1 at alpha=0.
 
     Below y = pi omega0 / alpha = COTH_POLE it is the pole 1/y, where 2 y may
-    underflow to 0.
+    underflow to 0.  omega0 and alpha broadcast as arrays.
     """
-    if not omega0 > 0:
-        raise DomainError(f"omega0 must be positive, got {omega0}")
-    if not alpha >= 0:
-        raise DomainError(f"alpha must be >= 0, got {alpha}")
-    if alpha == 0.0:
-        return 1.0
-    if math.pi * omega0 < COTH_POLE * alpha:
-        return alpha / math.pi / omega0
-    x = 2.0 * math.pi * omega0 / alpha
-    if x > 700.0:
-        return 1.0
-    return 1.0 + 2.0 / math.expm1(x)
+    omega0, alpha = np.float64(omega0), np.float64(alpha)
+    require_all(omega0 > 0, omega0, "omega0 must be positive")
+    require_all(alpha >= 0, alpha, "alpha must be >= 0")
+    with np.errstate(over="ignore", divide="ignore"):  # x = inf or 0 is not taken
+        x = 2.0 * np.pi * omega0 / alpha
+        bracket = np.where(x > 700.0, 1.0, 1.0 + 2.0 / np.expm1(x))
+        pole = np.pi * omega0 < COTH_POLE * alpha
+        bracket = np.where(pole, alpha / np.pi / omega0, bracket)
+    return plain(np.where(alpha == 0.0, 1.0, bracket)[()])
 
 
-def atom_vf_rate(params: DetectorParams, alpha: float, atom: AtomState) -> float:
+def atom_vf_rate(params: DetectorParams, alpha, atom: AtomState):
     """Vacuum-fluctuation rate -(omega0^2 mu^2 / 8 pi) <R3> coth(pi omega0/alpha).
 
     Excites the ground state, de-excites the excited state; symmetric
     ordering assumed.  Below y = pi omega0 / alpha = COTH_POLE, omega0^2 coth y
     is omega0 alpha / pi, where the bracket may overflow and omega0^2 underflow.
+    The parameters broadcast as arrays.
     """
     w0, mu, r3 = params.omega0, params.mu, atom.r3_expectation
-    if alpha > 0.0 and math.pi * w0 < COTH_POLE * alpha:
-        return -(mu**2 / (8.0 * math.pi**2)) * r3 * (w0 * alpha)
-    return -(w0**2 * mu**2 / (8.0 * math.pi)) * r3 * planck_bracket(w0, alpha)
+    pole = (alpha > 0.0) & (np.pi * w0 < COTH_POLE * alpha)
+    # omega0^2 is not formed at the pole, where it may overflow and the rate not
+    w2, mu2 = _square(np.where(pole, 0.0, w0)), _square(mu)
+    bracket = planck_bracket(w0, alpha)
+    with np.errstate(over="ignore", invalid="ignore"):  # each branch's own point
+        near = -(mu2 / (8.0 * np.pi**2)) * r3 * (w0 * alpha)
+        far = -(w2 * mu2 / (8.0 * np.pi)) * r3 * bracket
+    return plain(np.where(pole, near, far)[()])
 
 
-def atom_rr_rate(params: DetectorParams, alpha: float) -> float:
+def atom_rr_rate(params: DetectorParams, alpha):
     """Radiation-reaction rate -(omega0^2 mu^2 / 16 pi) for every alpha >= 0.
 
     Purely dissipative (always < 0) and independent of the atom state and of
     the acceleration: it comes from the field commutator, a c-number that does
     not depend on the field's state, so no thermal factor enters.
     """
-    if not alpha >= 0:
-        raise DomainError(f"alpha must be >= 0, got {alpha}")
-    return -(params.omega0**2 * params.mu**2 / (16.0 * math.pi))
+    require_all(alpha >= 0, alpha, "alpha must be >= 0")
+    return plain(-(_square(params.omega0) * _square(params.mu) / (16.0 * np.pi)))
 
 
 def atom_total_rate(
     params: DetectorParams,
-    alpha: float,
+    alpha,
     atom: AtomState,
     lam: OrderingParam = OrderingParam(),
 ) -> EnergyRateReport:
@@ -130,7 +146,8 @@ def atom_total_rate(
     e^{-2 pi omega0/alpha} is detailed balance at the Unruh temperature.
 
     The total carries no ordering dependence; the VF/RR split exists only for
-    the symmetric ordering, so non-symmetric lam yields finite=False.
+    the symmetric ordering, so non-symmetric lam yields finite=False.  The
+    parameters broadcast as arrays.
     """
     vf = atom_vf_rate(params, alpha, atom)
     rr = atom_rr_rate(params, alpha)
@@ -178,12 +195,18 @@ def _line_integral(m: int, omega0: float, alpha: float) -> complex:
     d = min(math.pi / alpha, 1.0 / omega0)
     with np.errstate(all="ignore"):  # a NaN or inf fails the check below
         j, j_half = on_ray(d), on_ray(0.5 * d)
+    where = f"line integral of S_{m} at omega0 = {omega0:.12g}, alpha = {alpha:.12g}"
     if not abs(j - j_half) <= 1e-9 * abs(j):
         raise NonConvergence(
-            f"line integral of S_{m} at omega0 = {omega0:.12g}, alpha = "
-            f"{alpha:.12g} differs by {abs(j - j_half):.3e} between Im z = d "
+            f"{where} differs by {abs(j - j_half):.3e} between Im z = d "
             f"and d/2 for a value of magnitude {abs(j):.3e}; the integral "
             "cancels at small omega0/alpha and overflows at large omega0"
+        )
+    # both rays agree at 0 once S_m ~ z^-m underflows on them
+    if not abs(j) >= _TINY:
+        raise NonConvergence(
+            f"{where} has magnitude {abs(j):.3e}, below the smallest normal "
+            f"float; S_{m} underflows at small omega0 and alpha"
         )
     return j
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AtomState, DetectorParams, DomainError, require_all
+from .core import AtomState, DetectorParams, DomainError, plain, require_all
 from .kernels import _FOUR_PI_SQ
 from .numerics import damped_line_integral
 from .rates import derivative_coupling_rates
@@ -45,32 +45,26 @@ def _check_gap(deltaE) -> None:
                 "deltaE must be positive and finite")
 
 
-def _plain(x):
-    """A numpy scalar as a Python float; an array passes through."""
-    return float(x) if isinstance(x, np.generic) else x
-
-
-def response_accelerated(deltaE, alpha: float) -> ResponseResult:
+def response_accelerated(deltaE, alpha) -> ResponseResult:
     """Planck-distributed rate (1/2 pi) deltaE / (e^{2 pi deltaE / alpha} - 1).
 
-    deltaE may be an array (one worldline, many gaps).  Written as
+    deltaE and alpha broadcast as arrays (many gaps, or many worldlines).  Written as
     deltaE e^{-x} / (2 pi (1 - e^{-x})), x = 2 pi deltaE / alpha, the rate
     underflows to 0 at large x instead of overflowing.  Where x underflows to
     0 the rate is its x -> 0 limit alpha / 4 pi^2.  alpha = 0 is the inertial
     worldline: x = inf and the rate is exactly 0, inertial detectors never
     excite.
     """
-    deltaE = np.float64(deltaE)
+    deltaE, alpha = np.float64(deltaE), np.float64(alpha)
     _check_gap(deltaE)
-    if not alpha >= 0:
-        raise DomainError(f"alpha must be >= 0, got {alpha}")
+    require_all(alpha >= 0, alpha, "alpha must be >= 0")
     alpha = abs(alpha)  # -0.0 is the inertial worldline too
     with np.errstate(over="ignore", divide="ignore"):  # x = inf gives rate 0
         x = 2.0 * np.pi * deltaE / alpha
     with np.errstate(divide="ignore"):  # x = 0 is replaced below
         rate = deltaE * np.exp(-x) / (-2.0 * np.pi * np.expm1(-x))
     rate = np.where(x == 0.0, alpha / (4.0 * np.pi**2), rate)[()]
-    return ResponseResult(_plain(rate))
+    return ResponseResult(plain(rate))
 
 
 def unruh_temperature(alpha: float) -> float:

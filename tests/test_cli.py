@@ -15,11 +15,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from unruh_kinetics import cli
+from unruh_kinetics import cli, core
 from unruh_kinetics import kernels as K
+from unruh_kinetics import master as M
 from unruh_kinetics import rates as R
+from unruh_kinetics import response as RS
 from unruh_kinetics.cli import _SIZE_LIMITS, emit, load_config, main
-from unruh_kinetics.core import AtomState, DetectorParams
+from unruh_kinetics.core import (
+    AtomState,
+    DetectorParams,
+    DomainError,
+    OrderingParam,
+    validate,
+)
 
 
 def run(capsys, *args):
@@ -368,6 +376,131 @@ def test_sweep_param_must_name_a_number_field(capsys, param):
 def test_sweep_takes_number_fields_of_more_than_one_kind(capsys, args):
     code, out, err = run(capsys, "sweep", "--sweep.quantity", "rates", *args)
     assert code == 0 and err == "" and len(out.splitlines()) == 5
+
+
+@pytest.mark.parametrize(
+    "quantity, param",
+    [("steady", "kernel.sweep.start"), ("response", "fermion.dt"),
+     ("steady", "rates.lam"), ("response", "rates.atom"),
+     ("rates", "populations.tau_end"), ("rates", "response.deltaE.start")],
+)
+def test_sweep_param_must_be_a_field_the_quantity_reads(capsys, quantity, param):
+    # these printed identical rows with exit 0: the quantity never read param
+    code, out, err = run(capsys, "sweep", "--sweep.quantity", quantity,
+                         "--sweep.param", param)
+    assert code == 1 and out == ""
+    fields = ", ".join(cli._SWEPT_FIELDS[quantity])
+    assert err.splitlines() == [
+        f"error: sweep.param must be a field sweep.quantity {quantity} reads "
+        f"({fields}), got '{param}'"
+    ]
+
+
+def _sweep_point_by_point(config):
+    """The reference sweep: validate and the scalar library calls at each
+    grid point in turn, so an error is that of the first point that fails."""
+    param, quantity = config["sweep.param"], config["sweep.quantity"]
+    point, rows = dict(config), []
+    for value in cli._grid(config, "sweep").tolist():
+        point[param] = value
+        detector, beta, alpha = validate(point)
+        if quantity == "steady":
+            st = M.steady_state(detector.omega0, beta)
+            rows.append([value, st.sigma_plus, st.sigma_minus])
+            continue
+        if quantity == "response":
+            rows.append([value, RS.response_accelerated(detector.omega0, alpha).rate])
+            continue
+        lam = OrderingParam(point["rates.lam"])
+        r3, n = point["rates.atom"], point["rates.n"]
+        atom = AtomState({"plus": 0.5, "minus": -0.5}.get(r3, r3))
+        if point["rates.numeric"] or n > 0:
+            if not lam.is_symmetric:
+                raise DomainError(f"numeric rates need rates.lam 0.5, got {lam.lam}")
+            rep = R.derivative_coupling_rates(detector, alpha, atom, n)
+        else:
+            rep = R.atom_total_rate(detector, alpha, atom, lam)
+        if not rep.finite:
+            raise DomainError(f"VF and RR exist only at rates.lam 0.5, got {lam.lam}")
+        rows.append([value, rep.vf, rep.rr, rep.total])
+    return cli._SWEEP_HEADERS[quantity], np.array(rows)
+
+
+# (start, stop, scale): increasing and decreasing, linear and log, and
+# linear grids through 0, which every field refuses on one side or at 0
+_GRIDS = [("0.5", "2.0", "linear"), ("2.0", "0.5", "linear"), ("0.1", "0.4", "log"),
+          ("3.0", "0.25", "log"), ("-1", "1", "linear"), ("1", "-1", "linear"),
+          ("-0.5", "0.5", "linear"), ("0.5", "-0.5", "linear")]
+_SWEEP_CASES = [
+    ["--sweep.quantity", quantity, "--sweep.param", param, "--sweep.start", start,
+     "--sweep.stop", stop, "--sweep.scale", scale, "--sweep.count", "5", *extra]
+    for quantity, extras in [
+        ("steady", [[], ["--thermal.beta", "inf"]]),
+        ("response", [[], ["--trajectory.alpha", "0"]]),
+        ("rates", [[], ["--rates.atom", "minus"], ["--rates.lam", "0.3"]]),
+    ]
+    for param in cli._SWEPT_FIELDS[quantity]
+    for start, stop, scale in _GRIDS
+    for extra in extras
+    if f"--{param}" not in extra
+] + [
+    # the numeric pipeline, point by point: n > 0 and rates.numeric
+    ["--sweep.quantity", "rates", "--sweep.param", param, "--sweep.start", start,
+     "--sweep.stop", stop, "--sweep.count", "3", *extra]
+    for param in cli._SWEPT_FIELDS["rates"]
+    for start, stop in [("0.5", "2.0"), ("1", "-1"), ("-0.5", "0.5")]
+    for extra in [["--rates.n", "1"], ["--rates.n", "2"], ["--rates.numeric", "true"]]
+] + [
+    ["--sweep.quantity", "rates", *args] for args in [
+        # a NaN VF (0 * inf at the pole) refused at the first point, an
+        # omega0^2 overflow at the last
+        ["--detector.mu", "0", "--trajectory.alpha", "1e308", "--sweep.param",
+         "detector.omega0", "--sweep.start", "10", "--sweep.stop", "1e200",
+         "--sweep.scale", "log"],
+        ["--rates.atom", "0", "--trajectory.alpha", "1e308", "--sweep.param",
+         "detector.omega0", "--sweep.start", "1e200", "--sweep.stop", "10",
+         "--sweep.scale", "log"],
+        ["--sweep.param", "detector.mu", "--sweep.start", "1", "--sweep.stop", "1e200",
+         "--sweep.scale", "log"],
+        # a numeric failure before the grid reaches a refused alpha
+        ["--rates.n", "1", "--sweep.param", "trajectory.alpha", "--sweep.start",
+         "1e-100", "--sweep.stop", "-1", "--sweep.count", "3"],
+        ["--rates.atom", "0.75", "--sweep.param", "rates.atom", "--sweep.start", "0.75",
+         "--sweep.stop", "-0.75"],
+        ["--sweep.param", "rates.lam", "--sweep.start", "0.5", "--sweep.stop", "1.5",
+         "--sweep.count", "3"],
+    ]
+]
+
+
+@pytest.mark.parametrize("args", _SWEEP_CASES, ids=" ".join)
+def test_sweep_matches_the_point_by_point_reference(capsys, monkeypatch, args):
+    got = run(capsys, "sweep", *args)
+    monkeypatch.setitem(cli._COMMANDS, "sweep", _sweep_point_by_point)
+    assert got == run(capsys, "sweep", *args)
+
+
+@pytest.mark.parametrize(
+    "args, rows",
+    [(["--sweep.count", "50"], 50),
+     (["--sweep.quantity", "response", "--sweep.param", "trajectory.alpha",
+       "--sweep.count", "50"], 50),
+     (["--sweep.quantity", "rates", "--sweep.param", "rates.atom", "--sweep.start",
+       "-0.5", "--sweep.stop", "0.5", "--sweep.count", "50"], 50),
+     (["--sweep.quantity", "rates", "--rates.n", "1", "--sweep.count", "3"], 3)],
+)
+def test_a_sweep_validates_once(capsys, monkeypatch, args, rows):
+    calls = []
+
+    def counted(config):
+        calls.append(config)
+        return validate(config)
+
+    monkeypatch.setattr(core, "validate", counted)
+    monkeypatch.setattr(cli, "validate", counted)
+    code, out, err = run(capsys, "sweep", *args)
+    assert code == 0 and err == "" and len(out.splitlines()) == rows + 1
+    assert len(calls) == 1
 
 
 ENUM_FIELDS = {
@@ -934,6 +1067,14 @@ def test_overflow_is_numeric_failure(capsys, args):
     code, out, err = run(capsys, *args)
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("numeric failure:")
+
+
+def test_numeric_rates_that_underflow_are_numeric_failures(capsys):
+    # J_- underflowed to 0 on both rays and the rates printed -0.0 with exit 0
+    code, out, err = run(capsys, "rates", "--rates.n", "1", "--detector.omega0", "1e-100",
+                         "--trajectory.alpha", "1e-100", "--detector.mu", "1e100")
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert err.startswith("numeric failure: line integral of S_4")
 
 
 def test_overflow_line_names_the_command(tmp_path, capsys):

@@ -8,8 +8,12 @@ compare the numeric atom-side and field-side RR rates with that closed form;
 they failed while the closed form carried a thermal factor coth(pi omega0/alpha).
 """
 
+import errno
 import math
+import os
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,6 +21,7 @@ from unruh_kinetics.core import (
     AtomState,
     DetectorParams,
     DomainError,
+    NonConvergence,
     OrderingParam,
 )
 from unruh_kinetics import rates as R
@@ -78,6 +83,51 @@ def test_planck_bracket_takes_its_pole_where_the_exponent_underflows():
         assert R.planck_bracket(y / math.pi, 1.0) == pytest.approx(
             1.0 / math.tanh(y), rel=1e-15
         )
+
+# omega0 / alpha across the pole (pi omega0 / alpha < COTH_POLE), the expm1
+# bracket and its x > 700 cut, with alpha = 0 (inertial) among them
+_W0 = np.geomspace(1e-12, 1e4, 301)
+_ALPHA = np.concatenate([[0.0], np.geomspace(1e-4, 1e6, 301)])
+
+
+def test_closed_forms_broadcast_as_the_scalar_calls():
+    p = DetectorParams(_W0[:, None], 0.7)
+    atom = AtomState(np.array([-0.5, 0.0, 0.2, 0.5])[:, None, None])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = R.atom_total_rate(p, _ALPHA, atom)
+        bracket = R.planck_bracket(_W0[:, None], _ALPHA)
+    assert rep.vf.shape == (4, len(_W0), len(_ALPHA)) and rep.rr.shape == (len(_W0), 1)
+    for i, r3 in enumerate((-0.5, 0.0, 0.2, 0.5)):
+        for j in range(0, len(_W0), 10):
+            for k in range(0, len(_ALPHA), 10):
+                w0, a = float(_W0[j]), float(_ALPHA[k])
+                one = R.atom_total_rate(DetectorParams(w0, 0.7), a, AtomState(r3))
+                assert type(one.vf) is float and type(one.total) is float
+                assert (rep.vf[i, j, k], rep.rr[j, 0], rep.total[i, j, k]) == (
+                    one.vf, one.rr, one.total)
+                assert bracket[j, k] == R.planck_bracket(w0, a)
+
+
+def test_closed_forms_name_the_first_bad_element():
+    with pytest.raises(DomainError, match="alpha must be >= 0, got -1.0"):
+        R.planck_bracket(1.0, np.array([1.0, -1.0, math.nan]))
+    with pytest.raises(DomainError, match="omega0 must be positive, got -2.0"):
+        DetectorParams(np.array([1.0, -2.0, 0.0]))
+    with pytest.raises(DomainError, match=r"\|<R3>\| must be <= 1/2, got 0.75"):
+        AtomState(np.array([0.5, 0.75]))
+
+
+@pytest.mark.parametrize(
+    "params",
+    [DetectorParams(np.array([1.0, 1e200])), DetectorParams(1.0, np.array([1.0, 1e200]))],
+)
+def test_a_square_that_overflows_raises_as_a_float_power_does(params):
+    # the CLI reports it as "overflowed a float", as for omega0 ** 2 on a float
+    with pytest.raises(OverflowError) as exc:
+        R.atom_total_rate(params, 1.0, PLUS)
+    assert exc.value.args == (errno.ERANGE, os.strerror(errno.ERANGE))
+
 
 def test_vf_closed_form_inertial_limit():
     p = DetectorParams(1.0, 1.0)
@@ -242,6 +292,15 @@ def test_numeric_rates_match_closed_forms(omega0, alpha):
             assert abs(rep.rr - rr) <= tol * scale, (n, atom)
         vf_f, rr_f = R.field_rates(p, alpha, atom)
         assert abs(vf_f - vf) <= 1e-12 * scale and abs(rr_f - rr) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_numeric_rates_refuse_a_line_integral_that_underflows(n):
+    # S_m ~ z^-m underflowed to 0 on both rays, J_- = 0 passed the two-ray
+    # check, and the rates were printed as -0.0
+    p = DetectorParams(1e-100, 1e100)
+    with pytest.raises(NonConvergence, match="below the smallest normal float"):
+        R.derivative_coupling_rates(p, 1e-100, PLUS, n)
 
 
 def test_field_vf_balances_atom_vf():

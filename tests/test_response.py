@@ -123,6 +123,20 @@ def test_accelerated_rate_arrays_match_scalar_calls():
     assert np.array_equal(RS.response_accelerated(grid, 0.0).rate, np.zeros_like(grid))
 
 
+def test_accelerated_rate_over_an_alpha_array_matches_scalar_calls():
+    # one gap on many worldlines, the rows of an alpha sweep; alpha = 0 and
+    # -0.0 are inertial, and the first negative alpha is named
+    alphas = np.concatenate([[0.0, -0.0], np.geomspace(1e-3, 1e3, 500)])
+    for de in (1e-300, 0.7, 40.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            arr = RS.response_accelerated(de, alphas).rate
+        one = [RS.response_accelerated(de, float(a)).rate for a in alphas]
+        assert np.array_equal(arr, one)
+    with pytest.raises(DomainError, match="alpha must be >= 0, got -2.0"):
+        RS.response_accelerated(1.0, np.array([1.0, -2.0, math.nan]))
+
+
 def test_accelerated_rate_underflows_without_warnings():
     # x = 2 pi deltaE / alpha from 1e-9 to 6e5: the rate decays to 0
     grid = np.geomspace(1e-9, 1e3, 400)
