@@ -21,11 +21,8 @@ import sys
 
 import numpy as np
 
-from . import fermion as F
-from . import kernels as K
-from . import master as M
-from . import rates as R
-from . import response as RS
+# The modules of the physics are imported in the commands that run them, so
+# that a process loads only what its command needs.
 from .core import (
     AtomState,
     DetectorParams,
@@ -248,6 +245,8 @@ def _grid(config: dict, prefix: str) -> np.ndarray:
     count = config[f"{prefix}.count"]
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise DomainError(f"grid ends must be finite, got {start} and {stop}")
+    if not math.isfinite(stop - start):  # linspace would overflow and warn
+        raise DomainError(f"grid span stop - start overflows, got {start} and {stop}")
     if config[f"{prefix}.scale"] == "linear":
         return np.linspace(start, stop, count)
     if min(start, stop) <= 0:
@@ -264,6 +263,8 @@ def _atom(name) -> AtomState:
 def _energy_rates(config: dict, detector: DetectorParams, alpha: float):
     """The rates section's energy rates: closed form at n = 0, else (or if
     numeric) the numeric pipeline, which has only the symmetric ordering."""
+    from . import rates as R
+
     lam = OrderingParam(config["rates.lam"])
     atom = _atom(config["rates.atom"])
     n = config["rates.n"]
@@ -456,6 +457,8 @@ def emit(header: list[str], rows, config: dict, echo=()) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_kernel(config: dict) -> Table:
+    from . import kernels as K
+
     _, beta, alpha = validate(config)
     u = config["kernel.u"]
     param = config["kernel.sweep.param"]
@@ -469,6 +472,8 @@ def cmd_kernel(config: dict) -> Table:
 
 
 def cmd_populations(config: dict) -> Table:
+    from . import master as M
+
     detector, beta, _ = validate(config)
     sp = config["populations.sigma_plus"]
     init = M.PopulationState(sp, 1.0 - sp)
@@ -497,6 +502,8 @@ def cmd_populations(config: dict) -> Table:
 
 
 def cmd_steady(config: dict) -> Table:
+    from . import master as M
+
     detector, beta, _ = validate(config)
     w0 = detector.omega0
     st = M.steady_state(w0, beta)
@@ -508,6 +515,8 @@ def cmd_steady(config: dict) -> Table:
 
 
 def cmd_rates(config: dict) -> Table:
+    from . import rates as R
+
     detector, _, alpha = validate(config)
     report = _energy_rates(config, detector, alpha)
     record = {
@@ -525,6 +534,8 @@ def cmd_rates(config: dict) -> Table:
 
 
 def cmd_response(config: dict) -> Table:
+    from . import response as RS
+
     _, _, alpha = validate(config)
     grid = _grid(config, "response.deltaE")
     rate = RS.response_accelerated(grid, alpha).rate
@@ -533,6 +544,8 @@ def cmd_response(config: dict) -> Table:
 
 
 def cmd_fermion(config: dict) -> Table:
+    from . import fermion as F
+
     detector, beta, _ = validate(config)
     w0 = detector.omega0
     path, dt = config["fermion.spectrum"], config["fermion.dt"]
@@ -605,9 +618,13 @@ def _sweep_columns(config: dict, values: np.ndarray) -> list:
     swept[param] = values
     detector, _, alpha = validate(swept)
     if quantity == "response":
+        from . import response as RS
+
         return [RS.response_accelerated(detector.omega0, alpha).rate]
     if quantity == "rates" and not (config["rates.numeric"] or config["rates.n"] > 0):
         return _rate_columns(swept, detector, alpha)
+    if quantity == "steady":
+        from . import master as M
     point, rows = dict(config), []
     for value in values.tolist():
         point[param] = value
@@ -648,6 +665,12 @@ def cmd_sweep(config: dict) -> Table:
 # ---------------------------------------------------------------------------
 
 def _verify_checks(config: dict):
+    from . import fermion as F
+    from . import kernels as K
+    from . import master as M
+    from . import rates as R
+    from . import response as RS
+
     detector, _, _ = validate(config)
 
     def lattice_sum():

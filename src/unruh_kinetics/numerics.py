@@ -10,6 +10,7 @@ nearest pole (c = omega = 1), so its panels double from d/100 up to d.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable, Sequence
 
@@ -26,7 +27,6 @@ __all__ = [
     "half_line_cos_sin_integral",
 ]
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 # 10^4 panels are 2.4e5 nodes, ~4 MB per complex array.
 MAX_PANELS = 10_000
 # y below which coth y = 1/y + y/3 - ... rounds to 1/y (y^2/3 < 2^-54).  The
@@ -61,6 +61,13 @@ def fermi(x: float) -> float:
     return 0.0 if x > 709.782712893384 else 1.0 / (1.0 + math.exp(x))
 
 
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) of the 24-point rule on [-1, 1], built on first use:
+    numpy.polynomial is imported only by the quadrature."""
+    return np.polynomial.legendre.leggauss(24)
+
+
 def panel_rule(c: float, omega: float, u_max: float) -> tuple[np.ndarray, np.ndarray]:
     """(nodes, weights) of the composite rule on [0, u_max].
 
@@ -81,9 +88,10 @@ def panel_rule(c: float, omega: float, u_max: float) -> tuple[np.ndarray, np.nda
             f"{MAX_PANELS} panels"
         )
     edges = np.append(edges, np.linspace(knee, u_max, math.ceil(uniform) + 1))
+    gl_nodes, gl_weights = _gauss_legendre()
     half = 0.5 * np.diff(edges)[:, None]
-    nodes = 0.5 * (edges[1:] + edges[:-1])[:, None] + half * _GL_NODES
-    return nodes.ravel(), (half * _GL_WEIGHTS).ravel()
+    nodes = 0.5 * (edges[1:] + edges[:-1])[:, None] + half * gl_nodes
+    return nodes.ravel(), (half * gl_weights).ravel()
 
 
 def panel_integral(f: Callable, c: float, omega: float, u_max: float) -> float:

@@ -668,12 +668,21 @@ def test_config_accepts_inf_null_integral_floats_and_numeric_atom(tmp_path, caps
         ["populations", "--thermal.beta", "1e-300"],
         ["populations", "--detector.omega0", "1e300"],
         ["populations", "--populations.tau_end", "1e300"],
+        # finite ends whose difference overflows
+        ["kernel", "--kernel.sweep.start", "-1e308", "--kernel.sweep.stop", "1.7e308",
+         "--kernel.sweep.count", "3"],
+        ["sweep", "--sweep.start", "-1e308", "--sweep.stop", "1.7e308",
+         "--sweep.count", "3"],
+        ["response", "--response.deltaE.start", "-1e308",
+         "--response.deltaE.stop", "1.7e308", "--response.deltaE.count", "3"],
     ],
 )
 def test_bad_grid_or_sample_count_is_domain_error(capsys, args):
-    code, out, err = run(capsys, *args)
+    with warnings.catch_warnings():  # a numpy warning would be stderr lines
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *args)
     assert code == 1 and out == ""
-    assert err.startswith("error:") and "Traceback" not in err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_log_grid_is_geometric(capsys):
@@ -892,6 +901,49 @@ def test_cli_and_numeric_rates_load_only_numpy_and_the_standard_library():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+_RATES_MODULES = {"cli", "core", "kernels", "numerics", "rates"}
+_STEADY_MODULES = {"cli", "core", "master", "numerics"}
+
+
+# argv, the package modules it loads, and whether it integrates
+@pytest.mark.parametrize("argv, modules, integrates", [
+    (["kernel"], {"cli", "core", "kernels"}, False),
+    (["populations"], _STEADY_MODULES, False),
+    (["steady"], _STEADY_MODULES, False),
+    (["rates"], _RATES_MODULES, False),
+    (["rates", "--rates.numeric", "true"], _RATES_MODULES, True),
+    (["response"], _RATES_MODULES | {"response"}, False),
+    (["fermion"], {"cli", "core", "fermion", "numerics"}, False),
+    (["sweep"], _STEADY_MODULES, False),
+    (["sweep", "--sweep.quantity", "response"], _RATES_MODULES | {"response"}, False),
+    (["verify"], _RATES_MODULES | {"fermion", "master", "response"}, True),
+])
+def test_each_command_loads_only_the_modules_it_runs(argv, modules, integrates):
+    # numpy.polynomial is the quadrature's (older numpy imports it with numpy)
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import contextlib, io, json, sys, numpy\n"
+        "with_numpy = 'numpy.polynomial' in sys.modules\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import unruh_kinetics.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(sys.argv[2:]) == 0\n"
+        "print(json.dumps([\n"
+        "    sorted(m.split('.', 1)[1] for m in sys.modules\n"
+        "           if m.startswith('unruh_kinetics.')),\n"
+        "    with_numpy, 'numpy.polynomial' in sys.modules,\n"
+        "]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(src), *argv],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded, with_numpy, polynomial = json.loads(proc.stdout.splitlines()[-1])
+    assert set(loaded) == modules
+    assert polynomial == (integrates or with_numpy)
 
 
 def test_coupling_order_out_of_range_names_n(capsys):
