@@ -40,7 +40,8 @@ _MODULE_OF = {
     ), "response"),
 }
 _SUBMODULES = (
-    "cli", "core", "fermion", "kernels", "master", "numerics", "rates", "response",
+    "cli", "core", "csvformat", "fermion", "kernels", "master", "numerics", "rates",
+    "response",
 )
 
 __all__ = list(_MODULE_OF)

@@ -19,10 +19,9 @@ import json
 import math
 import sys
 
-import numpy as np
-
-# The modules of the physics are imported in the commands that run them, so
-# that a process loads only what its command needs.
+# numpy and the modules of the physics are imported in the commands that run
+# them, so that a process loads only what its command needs: steady and
+# fermion never import numpy.
 from .core import (
     AtomState,
     DetectorParams,
@@ -32,6 +31,10 @@ from .core import (
     require_all,
     validate,
 )
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["main", "DEFAULT_CONFIG"]
 
@@ -241,6 +244,8 @@ def _check_types(config: dict) -> None:
 
 def _grid(config: dict, prefix: str) -> np.ndarray:
     """The grid of the fields prefix.start, .stop, .count and .scale."""
+    import numpy as np
+
     start, stop = config[f"{prefix}.start"], config[f"{prefix}.stop"]
     count = config[f"{prefix}.count"]
     if not (math.isfinite(start) and math.isfinite(stop)):
@@ -302,118 +307,15 @@ def _write(text: str, config: dict) -> None:
             fh.write(text)
 
 
-# The multi-row formatter.  Each float cell gets a 20-byte slot of five
-# uint32 words, "[-]d.d" | dddd | dddd | "dde" | "+dd" and its "," or "\n";
-# zero bytes (an absent "-", the pad after "e") are dropped at the end.  The
-# words come from tables of their ASCII bytes, built here with numpy
-# arithmetic.
-def _words(cells) -> np.ndarray:
-    """The rows of an (n, 4) byte array as n native uint32 words."""
-    return np.ascontiguousarray(cells, dtype=np.uint8).view(np.uint32).ravel()
-
-
-# "00" .. "99"
-_DIGITS_2 = np.column_stack(np.divmod(np.arange(100, dtype=np.uint8), 10)) + 48
-_E_MIN, _E_MAX = -11, 33  # the decimal exponents the vector path takes
-_EXPONENTS = np.arange(_E_MIN, _E_MAX + 2)  # + 1 for a round-up to 10^12
-# Index 100 * negative + the first two digits.
-_LEAD_WORDS = _words(np.column_stack([
-    np.repeat([0, 45], 100), np.tile(_DIGITS_2[:, 0], 2), np.full(200, 46),
-    np.tile(_DIGITS_2[:, 1], 2),
-]))
-_QUAD_WORDS = _words(np.column_stack([
-    np.repeat(_DIGITS_2, 100, axis=0), np.tile(_DIGITS_2, (100, 1)),
-]))
-_TAIL_WORDS = _words(
-    np.column_stack([_DIGITS_2, np.full(100, 101), np.zeros(100, int)])
-)
-# Index exponent - _E_MIN, + len(_EXPONENTS) in a row's last column.
-_EXP_WORDS = _words(np.column_stack([
-    np.tile(np.where(_EXPONENTS < 0, 45, 43), 2),
-    np.tile(_DIGITS_2[np.abs(_EXPONENTS)], (2, 1)),
-    np.repeat([44, 10], len(_EXPONENTS)),
-]))
-# 10^(11 - e) as an exact multiplier (e <= 11) or divisor (e > 11), index
-# _E_MAX - e: 10^22 is the largest power of ten a double holds exactly.
-_SHIFTS = [11 - e for e in range(_E_MAX, _E_MIN - 1, -1)]
-_SCALE_UP = np.array([float(10 ** max(j, 0)) for j in _SHIFTS])
-_SCALE_DOWN = np.array([float(10 ** max(-j, 0)) for j in _SHIFTS])
-# Cells per chunk, so that the temporaries stay small.
-_CHUNK_CELLS = 1 << 14
-
-
-def _scaled(ax: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """ax * 10^(11 - e), one rounding."""
-    k = (_E_MAX - e).astype(np.intp)
-    return ax * _SCALE_UP[k] / _SCALE_DOWN[k]
-
-
-def _csv_block(x: np.ndarray, cols: int) -> str:
-    """Rows of cols cells each, flattened in x, as "%.11e" CSV lines.
-
-    The 12 digits are r = rint(|x| 10^(11 - e)) with e = floor(log10 |x|),
-    taken one lower where the scaled value falls below 10^11 and one higher
-    where r rounds up to 10^12.  The scaled value is within half an ulp,
-    6.1e-5, of the exact one, so r is the correctly rounded digit string
-    wherever it is more than 0.499 from a tie.  CPython formats the cells
-    nearer a tie, the non-finite ones and those with e outside
-    [_E_MIN, _E_MAX].
-    """
-    ax = np.abs(x)
-    e = np.floor(np.log10(ax))
-    e[ax == 0.0] = 0.0
-    ec = np.fmax(np.fmin(e, _E_MAX), _E_MIN)  # NaN and +-inf go to an end
-    vector = e == ec
-    m = _scaled(ax, ec)
-    low = np.flatnonzero((m < 1e11) & (m > 0.0))
-    if low.size:
-        e_low = ec[low] - 1.0
-        vector[low] &= e_low >= _E_MIN
-        ec[low] = e_low = np.fmax(e_low, _E_MIN)
-        m[low] = _scaled(ax[low], e_low)
-    r = np.rint(m)
-    scalar = ~vector | (np.abs(m - r) >= 0.499) | (r > 1e12)
-    up = r == 1e12
-    r[up] = 1e11
-    ec += up
-    r[scalar] = 0.0
-    # r = 10^6 hi + lo, hi = 10^4 q0 + q1, lo = 100 q2 + q3; every quotient
-    # is exact, as r < 2^53
-    hi = np.floor(r / 1e6)
-    lo = r - hi * 1e6
-    q0 = np.floor(hi / 1e4)
-    q2 = np.floor(lo / 1e2)
-    slots = np.empty((x.size, 5), np.uint32)
-    slots[:, 0] = _LEAD_WORDS[(q0 + 100.0 * np.signbit(x)).astype(np.intp)]
-    slots[:, 1] = _QUAD_WORDS[(hi - q0 * 1e4).astype(np.intp)]
-    slots[:, 2] = _QUAD_WORDS[q2.astype(np.intp)]
-    slots[:, 3] = _TAIL_WORDS[(lo - q2 * 1e2).astype(np.intp)]
-    exp_index = (ec - _E_MIN).astype(np.intp).reshape(-1, cols)
-    exp_index[:, -1] += len(_EXPONENTS)
-    slots[:, 4] = _EXP_WORDS[exp_index.ravel()]
-    text = slots.view(np.uint8).reshape(x.size, 20)
-    fallback = np.flatnonzero(scalar)
-    if fallback.size:  # padded to 19 bytes, the longest "%.11e"
-        cells = ("%-19.11e" * fallback.size) % tuple(x[fallback].tolist())
-        cells = np.frombuffer(cells.encode("ascii"), np.uint8).reshape(-1, 19)
-        text[fallback, :19] = np.where(cells == 32, 0, cells)
-    return text.tobytes().replace(b"\0", b"").decode("ascii")
-
-
 def _csv_rows(rows) -> str:
     """CSV lines, every float cell exactly "%.11e" % cell.  One row is
     formatted cell by cell (its None, bool and int cells included); a longer
-    table is read as a 2-D float array and formatted in numpy chunks."""
+    table is a 2-D float array for the vectorised formatter."""
     if len(rows) == 1:
         return ",".join(map(_fmt, rows[0])) + "\n"
-    table = np.ascontiguousarray(rows, dtype=float)
-    cols = table.shape[1]
-    step = max(1, _CHUNK_CELLS // cols)
-    with np.errstate(all="ignore"):
-        return "".join([
-            _csv_block(table[i:i + step].ravel(), cols)
-            for i in range(0, len(table), step)
-        ])
+    from . import csvformat
+
+    return csvformat.csv_lines(rows)
 
 
 # Columns that echo an input and so may hold inf: steady's beta (inf is
@@ -422,15 +324,21 @@ _ECHO_COLUMNS = {"steady": ("beta",)}
 
 
 def _non_finite(header: list[str], rows, echo) -> str | None:
-    """'a NaN' or 'an inf' if a cell outside the echo columns holds one, else
-    None; the table is split as _csv_rows splits it."""
-    first = np.array([x if isinstance(x, float) else 0.0 for x in rows[0]])
-    table = np.asarray(rows[1:], dtype=float).reshape(-1, len(header))
-    if np.isfinite(first).all() and np.isfinite(table).all():
+    """'a NaN' or 'an inf' if a float cell outside the echo columns holds one,
+    else None; one row is checked cell by cell, as _csv_rows formats it."""
+    if len(rows) == 1:
+        cells = [x for name, x in zip(header, rows[0])
+                 if isinstance(x, float) and name not in echo]
+        tests = (("a NaN", math.isnan), ("an inf", math.isinf))
+        return next((what for what, test in tests if any(map(test, cells))), None)
+    import numpy as np
+
+    table = np.asarray(rows, dtype=float)
+    if np.isfinite(table).all():
         return None
     checked = np.array([name not in echo for name in header])
     for what, test in (("a NaN", np.isnan), ("an inf", np.isinf)):
-        if (checked & (test(first) | test(table).any(axis=0))).any():
+        if (checked & test(table).any(axis=0)).any():
             return what
     return None
 
@@ -457,6 +365,8 @@ def emit(header: list[str], rows, config: dict, echo=()) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_kernel(config: dict) -> Table:
+    import numpy as np
+
     from . import kernels as K
 
     _, beta, alpha = validate(config)
@@ -472,6 +382,8 @@ def cmd_kernel(config: dict) -> Table:
 
 
 def cmd_populations(config: dict) -> Table:
+    import numpy as np
+
     from . import master as M
 
     detector, beta, _ = validate(config)
@@ -534,6 +446,8 @@ def cmd_rates(config: dict) -> Table:
 
 
 def cmd_response(config: dict) -> Table:
+    import numpy as np
+
     from . import response as RS
 
     _, _, alpha = validate(config)
@@ -599,6 +513,8 @@ _SWEPT_FIELDS = {
 
 def _rate_columns(config: dict, detector: DetectorParams, alpha) -> list:
     """[vf, rr, total] of the rates section, refused where they do not exist."""
+    import numpy as np
+
     rep = _energy_rates(config, detector, alpha)
     if not rep.finite:
         lam = config["rates.lam"]
@@ -639,6 +555,8 @@ def _sweep_columns(config: dict, values: np.ndarray) -> list:
 
 
 def cmd_sweep(config: dict) -> Table:
+    import numpy as np
+
     param, quantity = config["sweep.param"], config["sweep.quantity"]
     fields = _SWEPT_FIELDS[quantity]
     if param not in fields:
@@ -665,6 +583,8 @@ def cmd_sweep(config: dict) -> Table:
 # ---------------------------------------------------------------------------
 
 def _verify_checks(config: dict):
+    import numpy as np
+
     from . import fermion as F
     from . import kernels as K
     from . import master as M

@@ -1,4 +1,5 @@
-"""Domain types, unit conventions and the config-to-model builder.
+"""Domain types, unit conventions, validate (a config to its model), and the
+Fermi function and coth-pole switch shared by the closed forms.
 
 Natural units (hbar = c = k_B = 1) are used throughout the package.  The
 model of a config is the detector, the inverse temperature beta in
@@ -8,9 +9,16 @@ acceleration alpha, where alpha = 0 is the inertial worldline.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
-import numpy as np
+# Nothing here imports numpy unless a check fails, so the scalar commands
+# (steady, fermion) run without it; array arguments work as numpy's own.
+
+# y below which coth y = 1/y + y/3 - ... rounds to 1/y (y^2/3 < 2^-54).  The
+# closed forms with a coth switch to 1/y there: y itself may have underflowed.
+COTH_POLE = 1e-8
 
 
 class DomainError(ValueError):
@@ -26,10 +34,22 @@ class NonConvergence(RuntimeError):
     """An extrapolation or truncated-sum sequence failed to contract."""
 
 
+def fermi(x: float) -> float:
+    """1 / (1 + e^x), 0.0 once e^x overflows."""
+    return 0.0 if x > 709.782712893384 else 1.0 / (1.0 + math.exp(x))
+
+
+def _all(ok) -> bool:
+    """ok, a Python bool or a numpy mask, holds at every element."""
+    return ok if isinstance(ok, bool) else bool(ok.all())
+
+
 def require_all(ok, values, what: str) -> None:
     """Raise DomainError(f"{what}, got {v}") for the first v of the array
     ``values`` at which the same-shaped mask ``ok`` is false."""
-    if not (ok.all() if isinstance(ok, np.ndarray) else ok):
+    if not _all(ok):
+        import numpy as np
+
         ok = np.asarray(ok)
         bad = np.broadcast_to(values, ok.shape)[~ok]
         raise DomainError(f"{what}, got {bad.flat[0]}")
@@ -37,7 +57,8 @@ def require_all(ok, values, what: str) -> None:
 
 def plain(x):
     """A numpy scalar as a Python float; an array passes through."""
-    return float(x) if isinstance(x, np.generic) else x
+    np = sys.modules.get("numpy")  # no numpy loaded, so x is not numpy's
+    return float(x) if np and isinstance(x, np.generic) else x
 
 
 def check_beta(beta):
@@ -57,8 +78,9 @@ class DetectorParams:
     mu: float = 1.0
 
     def __post_init__(self) -> None:
-        require_all(np.isfinite(self.omega0), self.omega0, "omega0 must be finite")
-        require_all(np.isfinite(self.mu), self.mu, "mu must be finite")
+        # abs(x) < inf refuses NaN and +-inf, scalar or array, with no warning
+        require_all(abs(self.omega0) < math.inf, self.omega0, "omega0 must be finite")
+        require_all(abs(self.mu) < math.inf, self.mu, "mu must be finite")
         require_all(self.omega0 > 0, self.omega0, "omega0 must be positive")
         require_all(self.mu >= 0, self.mu, "mu must be non-negative")
 
@@ -76,7 +98,7 @@ class OrderingParam:
     @property
     def is_symmetric(self) -> bool:
         """lam = 1/2, at every element of an array lam."""
-        return bool(np.all(self.lam == 0.5))
+        return _all(self.lam == 0.5)
 
 
 @dataclass(frozen=True)
@@ -113,6 +135,6 @@ def validate(config: dict) -> tuple[DetectorParams, float, float]:
     detector = DetectorParams(config["detector.omega0"], config["detector.mu"])
     beta = check_beta(config["thermal.beta"])
     alpha = config["trajectory.alpha"]
-    require_all(np.isfinite(alpha), alpha, "alpha must be finite")
+    require_all(abs(alpha) < math.inf, alpha, "alpha must be finite")
     require_all(alpha >= 0, alpha, "alpha must be >= 0")
     return detector, beta, abs(alpha)

@@ -12,10 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from .core import COTH_POLE, DomainError, check_beta, fermi
 
-from .core import DomainError, check_beta
-from .numerics import COTH_POLE, fermi
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "PopulationState",
@@ -68,6 +69,8 @@ class PopulationTrajectory:
     max_defect: float = 0.0
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         taus = np.asarray(self.taus, dtype=float)
         sigma_plus = np.asarray(self.sigma_plus, dtype=float)
         object.__setattr__(self, "taus", taus)
@@ -189,6 +192,8 @@ def evolve(
     max_defect is the largest |sigma_plus + (1 - sigma_plus) - 1| over the
     returned samples, i.e. the round-off of that representation.
     """
+    import numpy as np
+
     _check_params(omega0, beta)
     if not (math.isfinite(tau_end) and tau_end >= 0):
         raise DomainError(

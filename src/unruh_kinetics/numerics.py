@@ -1,4 +1,4 @@
-"""Shared numerical machinery: panel quadrature and fermi.
+"""Shared numerical machinery: panel quadrature.
 
 Integrals run on one composite 24-point Gauss-Legendre rule (Davis &
 Rabinowitz, *Methods of Numerical Integration*, ch. 2) over [0, u_max], for
@@ -20,7 +20,6 @@ from .core import DomainError
 
 __all__ = [
     "neville",
-    "fermi",
     "panel_rule",
     "panel_integral",
     "damped_line_integral",
@@ -29,9 +28,6 @@ __all__ = [
 
 # 10^4 panels are 2.4e5 nodes, ~4 MB per complex array.
 MAX_PANELS = 10_000
-# y below which coth y = 1/y + y/3 - ... rounds to 1/y (y^2/3 < 2^-54).  The
-# closed forms with a coth switch to 1/y there: y itself may have underflowed.
-COTH_POLE = 1e-8
 
 
 def neville(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
@@ -54,11 +50,6 @@ def neville(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
         ]
         last, prev = prev, v[0]
     return v[0], abs(v[0] - last)
-
-
-def fermi(x: float) -> float:
-    """1 / (1 + e^x), 0.0 once e^x overflows."""
-    return 0.0 if x > 709.782712893384 else 1.0 / (1.0 + math.exp(x))
 
 
 @functools.cache

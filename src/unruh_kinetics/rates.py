@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    COTH_POLE,
     AtomState,
     DetectorParams,
     DomainError,
@@ -32,7 +33,7 @@ from .core import (
     require_all,
 )
 from .kernels import _FOUR_PI_SQ, _TINY, image_sum_inverse_power
-from .numerics import COTH_POLE, panel_rule
+from .numerics import panel_rule
 
 __all__ = [
     "EnergyRateReport",
@@ -95,6 +96,8 @@ def planck_bracket(omega0, alpha):
     require_all(alpha >= 0, alpha, "alpha must be >= 0")
     with np.errstate(over="ignore", divide="ignore"):  # x = inf or 0 is not taken
         x = 2.0 * np.pi * omega0 / alpha
+        # 2 pi omega0 overflows above omega0 ~ 2.86e307, omega0 / alpha need not
+        x = np.where(x == np.inf, 2.0 * np.pi * (omega0 / alpha), x)
         bracket = np.where(x > 700.0, 1.0, 1.0 + 2.0 / np.expm1(x))
         pole = np.pi * omega0 < COTH_POLE * alpha
         bracket = np.where(pole, alpha / np.pi / omega0, bracket)

@@ -61,6 +61,8 @@ def response_accelerated(deltaE, alpha) -> ResponseResult:
     alpha = abs(alpha)  # -0.0 is the inertial worldline too
     with np.errstate(over="ignore", divide="ignore"):  # x = inf gives rate 0
         x = 2.0 * np.pi * deltaE / alpha
+        # 2 pi deltaE overflows above deltaE ~ 2.86e307, deltaE / alpha need not
+        x = np.where(x == np.inf, 2.0 * np.pi * (deltaE / alpha), x)
     with np.errstate(divide="ignore"):  # x = 0 is replaced below
         rate = deltaE * np.exp(-x) / (-2.0 * np.pi * np.expm1(-x))
     rate = np.where(x == 0.0, alpha / (4.0 * np.pi**2), rate)[()]

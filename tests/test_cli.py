@@ -904,46 +904,117 @@ def test_cli_and_numeric_rates_load_only_numpy_and_the_standard_library():
 
 
 _RATES_MODULES = {"cli", "core", "kernels", "numerics", "rates"}
-_STEADY_MODULES = {"cli", "core", "master", "numerics"}
+_STEADY_MODULES = {"cli", "core", "master"}
+# what a command that writes a table of more than one row adds
+_TABLE = {"csvformat"}
 
 
-# argv, the package modules it loads, and whether it integrates
-@pytest.mark.parametrize("argv, modules, integrates", [
-    (["kernel"], {"cli", "core", "kernels"}, False),
-    (["populations"], _STEADY_MODULES, False),
-    (["steady"], _STEADY_MODULES, False),
-    (["rates"], _RATES_MODULES, False),
-    (["rates", "--rates.numeric", "true"], _RATES_MODULES, True),
-    (["response"], _RATES_MODULES | {"response"}, False),
-    (["fermion"], {"cli", "core", "fermion", "numerics"}, False),
-    (["sweep"], _STEADY_MODULES, False),
-    (["sweep", "--sweep.quantity", "response"], _RATES_MODULES | {"response"}, False),
-    (["verify"], _RATES_MODULES | {"fermion", "master", "response"}, True),
-])
-def test_each_command_loads_only_the_modules_it_runs(argv, modules, integrates):
-    # numpy.polynomial is the quadrature's (older numpy imports it with numpy)
+def _fresh_interpreter(code: str, *args: str) -> list:
+    """The JSON of the last stdout line of code, run in a fresh interpreter
+    with src/ first on sys.path and numpy not yet imported."""
     src = Path(__file__).resolve().parents[1] / "src"
-    code = (
-        "import contextlib, io, json, sys, numpy\n"
-        "with_numpy = 'numpy.polynomial' in sys.modules\n"
-        "sys.path.insert(0, sys.argv[1])\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys\nsys.path.insert(0, sys.argv[1])\n" + code,
+         str(src), *args],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_importing_the_cli_loads_neither_numpy_nor_the_physics():
+    loaded = _fresh_interpreter(
+        "import json\n"
+        "assert 'numpy' not in sys.modules\n"
+        "import unruh_kinetics.cli\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m == 'numpy' or m.startswith('unruh_kinetics.'))))\n"
+    )
+    assert loaded == ["unruh_kinetics.cli", "unruh_kinetics.core"]
+
+
+@pytest.fixture(scope="module")
+def numpy_imports_polynomial():
+    """Whether import numpy itself imports numpy.polynomial (numpy 1.24 does)."""
+    return _fresh_interpreter(
+        "import json, numpy\nprint(json.dumps('numpy.polynomial' in sys.modules))\n"
+    )
+
+
+# argv, the package modules it loads, whether it loads numpy, and whether it
+# integrates
+@pytest.mark.parametrize("argv, modules, numpy, integrates", [
+    (["kernel"], {"cli", "core", "kernels"} | _TABLE, True, False),
+    (["populations"], _STEADY_MODULES | _TABLE, True, False),
+    (["steady"], _STEADY_MODULES, False, False),
+    (["rates"], _RATES_MODULES, True, False),
+    (["rates", "--rates.numeric", "true"], _RATES_MODULES, True, True),
+    (["response"], _RATES_MODULES | {"response"} | _TABLE, True, False),
+    (["fermion"], {"cli", "core", "fermion"}, False, False),
+    (["sweep"], _STEADY_MODULES | _TABLE, True, False),
+    (["sweep", "--sweep.quantity", "response"],
+     _RATES_MODULES | {"response"} | _TABLE, True, False),
+    (["verify"], _RATES_MODULES | {"fermion", "master", "response"}, True, True),
+])
+def test_each_command_loads_only_the_modules_it_runs(
+    argv, modules, numpy, integrates, numpy_imports_polynomial
+):
+    # started without numpy, so that a command that does not need it is seen
+    # not to load it; numpy.polynomial is the quadrature's
+    loaded, with_numpy, polynomial = _fresh_interpreter(
+        "import contextlib, io, json\n"
+        "assert 'numpy' not in sys.modules\n"
         "import unruh_kinetics.cli as cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert cli.main(sys.argv[2:]) == 0\n"
         "print(json.dumps([\n"
         "    sorted(m.split('.', 1)[1] for m in sys.modules\n"
         "           if m.startswith('unruh_kinetics.')),\n"
-        "    with_numpy, 'numpy.polynomial' in sys.modules,\n"
-        "]))\n"
+        "    'numpy' in sys.modules, 'numpy.polynomial' in sys.modules,\n"
+        "]))\n",
+        *argv,
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code, str(src), *argv],
-        capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    loaded, with_numpy, polynomial = json.loads(proc.stdout.splitlines()[-1])
     assert set(loaded) == modules
-    assert polynomial == (integrates or with_numpy)
+    assert with_numpy == numpy
+    assert polynomial == (integrates or (numpy and numpy_imports_polynomial))
+
+
+# The commands that run without numpy, on their error and edge paths: the
+# exit code and the exact stdout and stderr bytes.
+_STEADY_HEADER = "omega0,beta,sigma_plus,sigma_minus,balance_ratio\n"
+_SCALAR_PATHS = [
+    (["steady", "--detector.omega0", "NaN"], 1, "",
+     "error: omega0 must be finite, got nan\n"),
+    (["steady", "--detector.mu", "Infinity"], 1, "",
+     "error: mu must be finite, got inf\n"),
+    (["steady", "--thermal.beta", "-1"], 1, "",
+     "error: beta must be positive (or +inf), got -1.0\n"),
+    (["steady", "--thermal.beta", "inf", "--format", "json"], 0,
+     '[\n  {\n    "balance_ratio": 0.0,\n    "beta": "inf",\n    "omega0": 1.0,\n'
+     '    "sigma_minus": 1.0,\n    "sigma_plus": 0.0\n  }\n]\n', ""),
+    (["fermion", "--fermion.init", "[2,-1]"], 1, "",
+     "error: populations must be non-negative, got (2.0, -1.0)\n"),
+    (["fermion", "--fermion.dt", "0"], 1, "",
+     "error: dt must be positive and finite, got 0.0\n"),
+    (["steady", "--detector.omega0", "1e-320"], 0, _STEADY_HEADER
+     + "9.99988867183e-321,1.00000000000e+00,5.00000000000e-01,"
+       "5.00000000000e-01,1.00000000000e+00\n", ""),
+    # 1.5 omega0 overflows: numpy's linspace also printed a RuntimeWarning
+    (["fermion", "--detector.omega0", "1.7e308"], 1, "",
+     "error: mode frequency must be positive, got nan\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", _SCALAR_PATHS,
+                         ids=[" ".join(path[0]) for path in _SCALAR_PATHS])
+def test_scalar_commands_keep_their_error_paths(argv, code, out, err):
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "unruh_kinetics.cli", *argv],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
 
 
 def test_coupling_order_out_of_range_names_n(capsys):
@@ -1228,6 +1299,27 @@ def test_response_at_underflowing_exponent_is_its_limit(capsys):
     first = json.loads(out)[0]
     assert first["deltaE"] == 1e-320
     assert first["rate"] == pytest.approx(1e300 / (4.0 * math.pi**2), rel=1e-15)
+
+
+# 2 pi deltaE overflows at deltaE = 4e307; deltaE / alpha = 4 does not
+@pytest.mark.parametrize("args", [
+    ["response", "--response.deltaE.start", "4e307", "--response.deltaE.count", "1",
+     "--trajectory.alpha", "1e307"],
+    ["sweep", "--sweep.quantity", "response", "--sweep.param", "trajectory.alpha",
+     "--sweep.start", "1e307", "--sweep.stop", "1e307", "--sweep.count", "1",
+     "--detector.omega0", "4e307"],
+])
+def test_response_where_two_pi_deltaE_overflows_is_the_scaled_rate(capsys, args):
+    # the rate scales as lambda under (deltaE, alpha) -> lambda (deltaE, alpha)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *args, "--format", "json")
+    assert code == 0 and err == ""
+    (record,) = json.loads(out)
+    assert record["rate"] == pytest.approx(7.742287464073752e295, rel=1e-12)
+    assert record["rate"] == pytest.approx(
+        1e307 * RS.response_accelerated(4.0, 1.0).rate, rel=1e-12
+    )
 
 
 @pytest.mark.parametrize(

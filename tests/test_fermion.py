@@ -1,10 +1,11 @@
 """Fermion-bath rates, population dynamics, and the coarse-graining diagnostic."""
 
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from unruh_kinetics.core import DomainError
 from unruh_kinetics import fermion as F
@@ -163,3 +164,30 @@ def test_fermi_blocking_bound(g, beta):
 def test_coarse_graining_diagnostic_refuses_a_non_finite_ratio(v_typ, tau_c):
     with pytest.raises(DomainError, match="must be finite"):
         F.coarse_graining_diagnostic(v_typ, tau_c)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.floats(min_value=5e-324, max_value=1e-300),  # subnormal steps
+    st.floats(min_value=0.5, max_value=2.0),
+    st.floats(min_value=1e307, max_value=1.7976931348623157e308),  # 1.5 omega0 overflows
+    st.floats(min_value=5e-324, max_value=1.7976931348623157e308),
+))
+@example(5e-324)
+@example(1e-320)
+@example(1e-322)  # step = delta / 100 underflows to 0
+@example(2.2250738585072014e-308)
+@example(1.0)
+@example(1.1984620899082104e308)
+@example(1.7976931348623157e308)
+def test_default_bath_frequencies_are_numpy_linspace_bit_for_bit(omega0):
+    with np.errstate(all="ignore"):
+        want = np.linspace(0.5 * omega0, 1.5 * omega0, 101)
+    try:
+        got = [w for w, _ in F.default_bath(omega0, 1.0).modes]
+    except DomainError as exc:  # a zero or NaN frequency, refused as before
+        with pytest.raises(DomainError, match=re.escape(str(exc))):
+            F.BathSpectrum(tuple((float(w), 0.1) for w in want), 1.0)
+        return
+    assert all(type(w) is float for w in got)
+    assert np.array(got).tobytes() == want.tobytes()

@@ -24,7 +24,7 @@ def test_relaxation_rate_where_omega0_beta_underflows(omega0, beta):
 
 
 def test_relaxation_rate_is_continuous_where_coth_becomes_its_pole():
-    from unruh_kinetics.numerics import COTH_POLE
+    from unruh_kinetics.core import COTH_POLE
 
     beta = 1.0
     for x in (COTH_POLE * (1 - 1e-9), COTH_POLE * (1 + 1e-9)):
@@ -49,7 +49,7 @@ def test_rhs_where_omega0_beta_underflows(sp, omega0, beta):
 
 
 def test_rhs_is_continuous_where_the_thermal_weight_becomes_its_pole():
-    from unruh_kinetics.numerics import COTH_POLE
+    from unruh_kinetics.core import COTH_POLE
 
     beta, state = 1.0, M.PopulationState(0.7, 0.3)
     for x in (COTH_POLE * (1 - 1e-9), COTH_POLE * (1 + 1e-9)):

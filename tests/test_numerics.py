@@ -1,4 +1,4 @@
-"""Neville extrapolation, the Gauss-Legendre panel rule and fermi."""
+"""Neville extrapolation and the Gauss-Legendre panel rule."""
 
 import math
 
@@ -9,7 +9,6 @@ from unruh_kinetics.core import DomainError
 from unruh_kinetics.numerics import (
     MAX_PANELS,
     damped_line_integral,
-    fermi,
     half_line_cos_sin_integral,
     neville,
     panel_integral,
@@ -101,11 +100,3 @@ def test_half_line_integral_calls_f_with_one_float_per_node():
     assert len(seen) == panel_rule(0.01, 1.0, 20.0)[0].size
     assert all(type(u) is float for u in seen)
 
-
-def test_fermi_matches_the_logistic_and_saturates():
-    for x in (-30.0, -1.0, 0.0, 0.5, 40.0, 700.0):
-        assert fermi(x) == pytest.approx(1.0 / (1.0 + math.exp(x)), rel=1e-15)
-    assert fermi(709.78) > 0.0
-    assert fermi(709.79) == 0.0 and fermi(math.inf) == 0.0
-    assert fermi(-math.inf) == 1.0
-    assert math.isnan(fermi(math.nan))

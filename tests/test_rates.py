@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from unruh_kinetics.core import (
+    COTH_POLE,
     AtomState,
     DetectorParams,
     DomainError,
@@ -25,7 +26,6 @@ from unruh_kinetics.core import (
     OrderingParam,
 )
 from unruh_kinetics import rates as R
-from unruh_kinetics.numerics import COTH_POLE
 from unruh_kinetics.response import response_accelerated
 
 PLUS = AtomState.plus()
@@ -70,6 +70,16 @@ def test_energy_report_leaves_an_overflow_to_the_caller():
     rep = R.EnergyRateReport(total=math.nan, finite=True, vf=math.inf, rr=-math.inf)
     assert math.isnan(rep.total)
 
+
+
+@pytest.mark.parametrize("w0, alpha", [(4e307, 1e307), (1.7e308, 1e308), (1e308, 2e307)])
+def test_planck_bracket_where_two_pi_omega0_overflows(w0, alpha):
+    # 2 pi omega0 overflowed, so the bracket was 1.0: it depends on omega0 / alpha
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = R.planck_bracket(w0, alpha)
+    assert got == pytest.approx(1.0 / math.tanh(math.pi * (w0 / alpha)), rel=1e-15)
+    assert got > 1.0 and R.planck_bracket(w0, 0.0) == 1.0
 
 
 def test_planck_bracket_takes_its_pole_where_the_exponent_underflows():

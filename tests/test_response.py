@@ -151,3 +151,18 @@ def test_accelerated_rate_underflows_without_warnings():
 def test_accelerated_rate_rejects_bad_gap_in_arrays(bad):
     with pytest.raises(DomainError):
         RS.response_accelerated(np.array([1.0, bad]), 1.0)
+
+
+@pytest.mark.parametrize("de, alpha", [(4e307, 1e307), (1.7e308, 1e308), (1e308, 2e307)])
+def test_accelerated_rate_where_two_pi_deltaE_overflows_scales(de, alpha):
+    # x = 2 pi deltaE / alpha overflowed in 2 pi deltaE and gave rate 0; the
+    # rate scales as lambda under (deltaE, alpha) -> lambda (deltaE, alpha)
+    scale = alpha
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = RS.response_accelerated(de, alpha).rate
+        arr = RS.response_accelerated(np.array([1.0, de]), alpha).rate
+    want = scale * RS.response_accelerated(de / scale, alpha / scale).rate
+    assert got == pytest.approx(want, rel=1e-12) and got > 0.0
+    assert arr[1] == got
+    assert RS.response_accelerated(de, 0.0).rate == 0.0
