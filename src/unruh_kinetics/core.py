@@ -61,6 +61,21 @@ def plain(x):
     return float(x) if np and isinstance(x, np.generic) else x
 
 
+def check_populations(sigma_plus, sigma_minus) -> None:
+    """Refuse populations that do not sum to 1 (to 1e-9) or lie below -1e-12,
+    naming the first pair refused (of an array, at every element)."""
+    total = sigma_plus + sigma_minus
+    require_all(abs(total - 1.0) <= 1e-9, total, "populations must sum to 1")
+    ok = (sigma_plus >= -1e-12) & (sigma_minus >= -1e-12)
+    if not _all(ok):
+        import numpy as np
+
+        i = np.argmin(ok)  # the first False
+        sp, sm = (float(np.broadcast_to(x, np.shape(ok)).flat[i])
+                  for x in (sigma_plus, sigma_minus))
+        raise DomainError(f"populations must be non-negative, got ({sp}, {sm})")
+
+
 def check_beta(beta):
     """beta, if it lies in (0, +inf]; beta = +inf is zero temperature."""
     require_all(beta > 0, beta, "beta must be positive (or +inf)")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import DomainError, check_beta, fermi
+from .core import DomainError, check_beta, check_populations, fermi
 
 __all__ = [
     "BathSpectrum",
@@ -66,6 +66,10 @@ def default_bath(omega0: float, beta: float, g: float = 0.1) -> BathSpectrum:
     in the same operations: start + i step, the last one stop itself.
     """
     start, stop = 0.5 * omega0, 1.5 * omega0
+    if stop == math.inf:
+        raise DomainError(
+            f"default bath edge 1.5 * omega0 overflows a float, got omega0 = {omega0}"
+        )
     delta = stop - start
     step = delta / 100
     if step == 0:  # delta is subnormal: scale i / 100, as numpy does
@@ -119,12 +123,7 @@ def fermion_population_rhs(
     if len(diag) != 2:
         raise DomainError(f"two-level populations required, got {len(diag)}")
     s0, s1 = diag
-    if not math.isclose(s0 + s1, 1.0, rel_tol=0.0, abs_tol=1e-9):
-        raise DomainError(f"populations must sum to 1, got {s0 + s1}")
-    if s0 < -1e-12 or s1 < -1e-12:
-        raise DomainError(
-            f"populations must be non-negative, got ({float(s0)}, {float(s1)})"
-        )
+    check_populations(s0, s1)
     d1 = -rates.C * s1 + rates.T_F * s0
     return (-d1, d1)
 

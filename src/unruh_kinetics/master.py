@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import COTH_POLE, DomainError, check_beta, fermi
+from .core import (COTH_POLE, DomainError, check_beta, check_populations, fermi,
+                   plain, require_all)
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
@@ -39,57 +40,23 @@ MAX_STEPS = 2**53
 
 @dataclass(frozen=True)
 class PopulationState:
-    """Diagonal reduced density matrix (sigma_plus, sigma_minus) of the atom."""
+    """Diagonal reduced density matrix (sigma_plus, sigma_minus) of the atom;
+    arrays of them, checked at every element, on a grid of times."""
 
     sigma_plus: float
     sigma_minus: float
 
     def __post_init__(self) -> None:
-        s = self.sigma_plus + self.sigma_minus
-        if not math.isclose(s, 1.0, rel_tol=0.0, abs_tol=1e-9):
-            raise DomainError(f"populations must sum to 1, got {s}")
-        if self.sigma_plus < -1e-12 or self.sigma_minus < -1e-12:
-            raise DomainError(
-                f"populations must be non-negative, got "
-                f"({self.sigma_plus}, {self.sigma_minus})"
-            )
+        check_populations(self.sigma_plus, self.sigma_minus)
 
 
 @dataclass(frozen=True, eq=False)
 class PopulationTrajectory:
-    """Populations sampled on a strictly increasing proper-time grid.
-
-    ``taus`` and ``sigma_plus`` are equal-length float arrays; the lower level
-    is sigma_minus = 1 - sigma_plus at every sample.  ``states`` and ``final``
-    build PopulationState objects on demand.
-    """
+    """sigma_plus (and sigma_minus = 1 - sigma_plus) at the strictly
+    increasing proper times taus: two float arrays of one length."""
 
     taus: np.ndarray
     sigma_plus: np.ndarray
-    max_defect: float = 0.0
-
-    def __post_init__(self) -> None:
-        import numpy as np
-
-        taus = np.asarray(self.taus, dtype=float)
-        sigma_plus = np.asarray(self.sigma_plus, dtype=float)
-        object.__setattr__(self, "taus", taus)
-        object.__setattr__(self, "sigma_plus", sigma_plus)
-        if taus.ndim != 1 or taus.shape != sigma_plus.shape:
-            raise DomainError("grid and state list lengths differ")
-        if not np.all(np.diff(taus) > 0):
-            raise DomainError("proper-time grid must be strictly increasing")
-
-    @property
-    def states(self) -> tuple[PopulationState, ...]:
-        return tuple(
-            PopulationState(p, 1.0 - p) for p in self.sigma_plus.tolist()
-        )
-
-    @property
-    def final(self) -> PopulationState:
-        p = float(self.sigma_plus[-1])
-        return PopulationState(p, 1.0 - p)
 
 
 def _check_params(omega0: float, beta: float) -> None:
@@ -148,18 +115,20 @@ def detailed_balance_ratio(omega0: float, beta: float) -> float:
 
 
 def closed_form(
-    init: PopulationState, omega0: float, beta: float, tau: float
+    init: PopulationState, omega0: float, beta: float, tau
 ) -> PopulationState:
-    """Exact populations: exponential relaxation onto the Fermi-Dirac pair."""
+    """Exact populations: exponential relaxation onto the Fermi-Dirac pair.
+    tau may be an array; at tau = 0 the populations are init's own."""
+    import numpy as np
+
     _check_params(omega0, beta)
-    if tau < 0:
-        raise DomainError(f"tau must be non-negative, got {tau}")
-    if tau == 0.0:
-        return init
+    require_all(tau >= 0, tau, "tau must be non-negative")
     sp_inf = steady_state(omega0, beta).sigma_plus
-    decay = math.exp(-relaxation_rate(omega0, beta) * tau)
-    sp = sp_inf + (init.sigma_plus - sp_inf) * decay
-    return PopulationState(sp, 1.0 - sp)
+    with np.errstate(over="ignore"):  # Gamma tau = inf decays to 0
+        decay = np.exp(-relaxation_rate(omega0, beta) * tau)
+    sp = np.where(tau == 0, init.sigma_plus, sp_inf + (init.sigma_plus - sp_inf) * decay)
+    sm = np.where(tau == 0, init.sigma_minus, 1.0 - sp)
+    return PopulationState(plain(sp[()]), plain(sm[()]))
 
 
 def evolve(
@@ -189,8 +158,6 @@ def evolve(
     the cost scales with ``samples``, not with ``steps``.
 
     Conservation holds by construction: sigma_minus = 1 - sigma_plus.
-    max_defect is the largest |sigma_plus + (1 - sigma_plus) - 1| over the
-    returned samples, i.e. the round-off of that representation.
     """
     import numpy as np
 
@@ -202,7 +169,7 @@ def evolve(
     if samples is not None and samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
     if tau_end == 0:
-        return PopulationTrajectory([0.0], [init.sigma_plus])
+        return PopulationTrajectory(np.zeros(1), np.array([init.sigma_plus], dtype=float))
 
     gamma = relaxation_rate(omega0, beta)
     sp_inf = steady_state(omega0, beta).sigma_plus
@@ -223,5 +190,4 @@ def evolve(
     growth = np.exp(k * np.log1p(r_minus_1))
     sigma_plus = sp_inf + (init.sigma_plus - sp_inf) * growth
     sigma_plus[0] = init.sigma_plus
-    max_defect = float(np.max(np.abs(sigma_plus + (1.0 - sigma_plus) - 1.0)))
-    return PopulationTrajectory(k * h, sigma_plus, max_defect)
+    return PopulationTrajectory(k * h, sigma_plus)

@@ -76,13 +76,28 @@ class EnergyRateReport:
             raise DomainError("divergent ordering cannot carry vf/rr values")
 
 
-def _square(x):
-    """x * x, raising OverflowError where that overflows, as a float's x ** 2 does."""
+def _product(x, y):
+    """x * y, raising OverflowError where that overflows, as a float's x ** 2 does."""
     with np.errstate(over="ignore"):
-        square = np.multiply(x, x)
-    if np.isinf(square).any():
+        xy = np.multiply(x, y)
+    if np.isinf(xy).any():
         raise OverflowError(errno.ERANGE, os.strerror(errno.ERANGE))
-    return square
+    return xy
+
+
+def _normal(square):
+    """square, of omega0 or mu, is a normal float: not inf, 0 or subnormal."""
+    return (square >= 2.2250738585072014e-308) & (square < np.inf)
+
+
+def _squared_product(omega0, mu):
+    """omega0^2 mu^2, or (omega0 mu)^2 where omega0^2 or mu^2 is not _normal;
+    OverflowError where (omega0 mu)^2 overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is not taken
+        w2, mu2 = np.multiply(omega0, omega0), np.multiply(mu, mu)
+        rescaled = ~(_normal(w2) & _normal(mu2))
+        w0_mu = np.where(rescaled, np.multiply(omega0, mu), 0.0)
+        return np.where(rescaled, _product(w0_mu, w0_mu), w2 * mu2)
 
 
 def planck_bracket(omega0, alpha):
@@ -115,11 +130,16 @@ def atom_vf_rate(params: DetectorParams, alpha, atom: AtomState):
     w0, mu, r3 = params.omega0, params.mu, atom.r3_expectation
     pole = (alpha > 0.0) & (np.pi * w0 < COTH_POLE * alpha)
     # omega0^2 is not formed at the pole, where it may overflow and the rate not
-    w2, mu2 = _square(np.where(pole, 0.0, w0)), _square(mu)
+    w2mu2 = _squared_product(np.where(pole, 0.0, w0), mu)
     bracket = planck_bracket(w0, alpha)
     with np.errstate(over="ignore", invalid="ignore"):  # each branch's own point
+        mu2 = np.multiply(mu, mu)
         near = -(mu2 / (8.0 * np.pi**2)) * r3 * (w0 * alpha)
-        far = -(w2 * mu2 / (8.0 * np.pi)) * r3 * bracket
+        # mu^2 omega0 alpha as (omega0 mu)(mu alpha) where mu^2 is not _normal
+        rescaled = pole & ~_normal(mu2)
+        w0_mu, mu_alpha = (np.where(rescaled, x, 0.0) for x in (w0 * mu, mu * alpha))
+        near = np.where(rescaled, -(_product(w0_mu, mu_alpha) / (8.0 * np.pi**2)) * r3, near)
+        far = -(w2mu2 / (8.0 * np.pi)) * r3 * bracket
     return plain(np.where(pole, near, far)[()])
 
 
@@ -131,7 +151,7 @@ def atom_rr_rate(params: DetectorParams, alpha):
     not depend on the field's state, so no thermal factor enters.
     """
     require_all(alpha >= 0, alpha, "alpha must be >= 0")
-    return plain(-(_square(params.omega0) * _square(params.mu) / (16.0 * np.pi)))
+    return plain(-(_squared_product(params.omega0, params.mu) / (16.0 * np.pi))[()])
 
 
 def atom_total_rate(

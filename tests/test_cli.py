@@ -454,6 +454,10 @@ _SWEEP_CASES = [
     ["--sweep.quantity", "rates", *args] for args in [
         # a NaN VF (0 * inf at the pole) refused at the first point, an
         # omega0^2 overflow at the last
+        ["--rates.atom", "0", "--trajectory.alpha", "1e308", "--sweep.param",
+         "detector.omega0", "--sweep.start", "10", "--sweep.stop", "1e200",
+         "--sweep.scale", "log"],
+        # mu = 0: every rate is 0, though omega0 alpha and omega0^2 overflow
         ["--detector.mu", "0", "--trajectory.alpha", "1e308", "--sweep.param",
          "detector.omega0", "--sweep.start", "10", "--sweep.stop", "1e200",
          "--sweep.scale", "log"],
@@ -999,14 +1003,20 @@ _SCALAR_PATHS = [
     (["steady", "--detector.omega0", "1e-320"], 0, _STEADY_HEADER
      + "9.99988867183e-321,1.00000000000e+00,5.00000000000e-01,"
        "5.00000000000e-01,1.00000000000e+00\n", ""),
-    # 1.5 omega0 overflows: numpy's linspace also printed a RuntimeWarning
+    # the default bath's edge 1.5 omega0 overflows: this printed "mode
+    # frequency must be positive, got nan"
     (["fermion", "--detector.omega0", "1.7e308"], 1, "",
-     "error: mode frequency must be positive, got nan\n"),
+     "error: default bath edge 1.5 * omega0 overflows a float, got omega0 = 1.7e+308\n"),
+    # an int too large for a float: this exited 2 on float()'s OverflowError
+    (["steady", "--detector.omega0", "1" + "0" * 400], 1, "",
+     f"error: detector.omega0 must be a number, got 1{'0' * 400}\n"),
+    (["fermion", "--fermion.init", f"[1{'0' * 400},0]"], 1, "",
+     f"error: fermion.init must be a list of numbers, got [1{'0' * 400}, 0]\n"),
 ]
 
 
 @pytest.mark.parametrize("argv, code, out, err", _SCALAR_PATHS,
-                         ids=[" ".join(path[0]) for path in _SCALAR_PATHS])
+                         ids=[" ".join(path[0])[:60] for path in _SCALAR_PATHS])
 def test_scalar_commands_keep_their_error_paths(argv, code, out, err):
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
@@ -1343,3 +1353,132 @@ def test_integer_inputs_print_as_floats(capsys):
     code, out, _ = run(capsys, "steady", "--detector.omega0", "2", "--format", "json")
     assert code == 0
     assert '"omega0": 2.0' in out
+
+
+def test_populations_closed_column_is_closed_form_on_the_trajectory():
+    config = load_config(None, ["--populations.sigma_plus", "0.9", "--thermal.beta", "0.3",
+                                "--populations.samples", "17"])
+    header, table = cli.cmd_populations(config)
+    init = M.PopulationState(0.9, 1.0 - 0.9)
+    traj = M.evolve(init, 1.0, 0.3, config["populations.tau_end"], samples=17)
+    ref = M.closed_form(init, 1.0, 0.3, traj.taus)
+    assert header[2] == "sigma_plus_closed" and header[4] == "sigma_minus_closed"
+    assert np.array_equal(table[:, 0], traj.taus)
+    assert np.array_equal(table[:, 2], ref.sigma_plus)
+    assert np.array_equal(table[:, 4], ref.sigma_minus)
+    assert table[0, 2] == init.sigma_plus and table[0, 4] == init.sigma_minus
+
+
+# (fault, twin): omega0^2 or mu^2 alone left the normal float range, so the
+# rates printed -0.0 with exit 0 or overflowed with exit 2; each twin has the
+# same omega0 mu, mu alpha and omega0 / alpha, so the same rates
+_RATE_TWINS = [
+    (["--detector.omega0", "1e-200", "--trajectory.alpha", "1e-200",
+      "--detector.mu", "1e150"],
+     ["--detector.omega0", "1", "--trajectory.alpha", "1", "--detector.mu", "1e-50"]),
+    (["--detector.omega0", "1e-200", "--detector.mu", "1e200"],
+     ["--detector.omega0", "1e-100", "--trajectory.alpha", "1e100",
+      "--detector.mu", "1e100"]),
+    (["--detector.omega0", "4e307", "--trajectory.alpha", "1e307",
+      "--detector.mu", "1e-300"],
+     ["--detector.omega0", "4", "--trajectory.alpha", "1", "--detector.mu", "1e7"]),
+]
+
+
+def _sweep_point(args):
+    """The same point as a one-point sweep over detector.mu."""
+    i = args.index("--detector.mu")
+    mu, rest = args[i + 1], args[:i] + args[i + 2:]
+    return ["sweep", "--sweep.quantity", "rates", "--sweep.param", "detector.mu",
+            "--sweep.start", mu, "--sweep.stop", mu, "--sweep.count", "1", *rest]
+
+
+@pytest.mark.parametrize("fault, twin", _RATE_TWINS)
+@pytest.mark.parametrize("command", ["rates", "sweep"])
+def test_rates_where_a_square_leaves_the_float_range_match_their_twin(
+    capsys, fault, twin, command
+):
+    def record(args):
+        argv = ["rates", *args] if command == "rates" else _sweep_point(args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *argv, "--format", "json")
+        assert code == 0 and err == ""
+        return json.loads(out)[0]
+
+    got, want = record(fault), record(twin)
+    for key in ("vf", "rr", "total"):
+        assert got[key] != 0.0 and math.isfinite(got[key])
+        assert got[key] == pytest.approx(want[key], rel=1e-12)
+    assert want["vf"] == pytest.approx(
+        {"1e-50": -1.99688100885e-102, "1e100": -6.33257397765e197,
+         "1e7": -3.18309886192e13}[twin[-1]], rel=1e-11)
+
+
+def test_rates_at_mu_zero_are_zero_where_omega0_squared_overflows(capsys):
+    # omega0^2 = inf raised OverflowError (exit 2) though mu = 0 makes every rate 0
+    code, out, err = run(capsys, "rates", "--detector.omega0", "1e200",
+                         "--detector.mu", "0", "--format", "json")
+    assert code == 0 and err == ""
+    record = json.loads(out)[0]
+    assert record["vf"] == record["rr"] == record["total"] == 0.0
+
+
+def test_rates_whose_product_overflows_warn_nothing(capsys):
+    # omega0^2 and mu^2 are finite, their product is not: numpy's overflow
+    # warning used to reach stderr ahead of the error line
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "rates", "--detector.omega0", "1e100",
+                             "--detector.mu", "1e100")
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["numeric failure: rates computed an inf"]
+
+
+_HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("args, field", [
+    (["steady", "--detector.omega0", _HUGE], "detector.omega0"),
+    (["steady", "--detector.omega0", "-" + _HUGE], "detector.omega0"),
+    (["rates", "--rates.atom", _HUGE], "rates.atom"),
+    (["sweep", "--sweep.start", _HUGE], "sweep.start"),
+    (["fermion", "--fermion.init", f"[{_HUGE},0]"], "fermion.init"),
+])
+def test_an_int_too_large_for_a_float_is_a_domain_error(capsys, args, field):
+    # float() raised OverflowError on it, which exited 2 as a numeric failure
+    code, out, err = run(capsys, *args)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {field} must be ")
+
+
+def test_an_int_too_large_for_a_float_in_a_spectrum_is_a_domain_error(tmp_path, capsys):
+    spectrum = tmp_path / "bath.json"
+    spectrum.write_text(f'[{{"omega": {_HUGE}, "g": 0.1}}]')
+    code, out, err = run(capsys, "fermion", "--fermion.spectrum", str(spectrum))
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        f"error: spectrum {spectrum} must be a JSON array of "
+        '{"omega": <number>, "g": <number>} objects'
+    ]
+
+
+def test_integer_fields_keep_their_range_message_for_a_huge_int(capsys):
+    code, out, err = run(capsys, "sweep", "--sweep.count", _HUGE)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: sweep.count must be <= 1000000, got {_HUGE}"]
+
+
+def test_an_int_past_the_digit_limit_is_a_domain_error(tmp_path, capsys):
+    # where int() has a digit limit (4300 by default), json raised ValueError
+    # for a longer int and main printed a traceback
+    digits = "1" + "0" * 5000
+    code, out, err = run(capsys, "steady", "--detector.omega0", digits)
+    assert code == 1 and out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: detector.omega0 must be a number, got ")
+    cfg = tmp_path / "run.json"
+    cfg.write_text(f'{{"detector": {{"omega0": {digits}}}}}')
+    code, out, err = run(capsys, "steady", "--config", str(cfg))
+    assert code == 1 and out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: ")

@@ -107,15 +107,46 @@ def test_closed_form_unit_decay_point():
     assert got.sigma_plus == pytest.approx(
         sp_inf + (1.0 - sp_inf) * math.exp(-1.0), rel=1e-13
     )
-    num = M.evolve(init, 1.0, 1.0, tau).final
-    assert num.sigma_plus == pytest.approx(got.sigma_plus, abs=1e-8)
+    num = M.evolve(init, 1.0, 1.0, tau).sigma_plus[-1]
+    assert num == pytest.approx(got.sigma_plus, abs=1e-8)
+
+
+@given(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=1e-300, max_value=1e300),
+    st.one_of(st.floats(min_value=1e-300, max_value=1e300), st.just(math.inf)),
+    st.lists(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e300)),
+             min_size=1, max_size=8),
+)
+@example(0.8, 1.0, 1.0, [0.0, 1.0, 1e6, math.inf])
+@settings(max_examples=60, deadline=None)
+def test_closed_form_on_an_array_is_its_scalar_calls(sp, w0, beta, taus):
+    init = M.PopulationState(sp, 1.0 - sp)
+    got = M.closed_form(init, w0, beta, np.array(taus))
+    for i, tau in enumerate(taus):
+        one = M.closed_form(init, w0, beta, tau)
+        assert type(one.sigma_plus) is float and type(one.sigma_minus) is float
+        if tau == 0.0:
+            assert one == init
+        # bit for bit, -0.0 and NaN included
+        assert np.array_equal(got.sigma_plus[i], one.sigma_plus, equal_nan=True)
+        assert math.copysign(1.0, got.sigma_plus[i]) == math.copysign(1.0, one.sigma_plus)
+        assert np.array_equal(got.sigma_minus[i], one.sigma_minus, equal_nan=True)
+
+
+def test_closed_form_refuses_a_negative_tau():
+    init = M.PopulationState(0.8, 0.2)
+    with pytest.raises(DomainError, match=r"^tau must be non-negative, got -1.0$"):
+        M.closed_form(init, 1.0, 1.0, -1.0)
+    with pytest.raises(DomainError, match=r"^tau must be non-negative, got -2.0$"):
+        M.closed_form(init, 1.0, 1.0, np.array([0.0, 1.0, -2.0, -3.0]))
 
 
 def test_evolve_zero_span_returns_init():
     init = M.PopulationState(0.4, 0.6)
     traj = M.evolve(init, 1.0, 1.0, 0.0)
-    assert traj.taus == (0.0,)
-    assert traj.states == (init,)
+    assert traj.taus.tolist() == [0.0]
+    assert traj.sigma_plus.tolist() == [init.sigma_plus]
 
 
 def test_evolve_matches_closed_form_over_grid():
@@ -125,47 +156,54 @@ def test_evolve_matches_closed_form_over_grid():
             for sp in init_sps:
                 init = M.PopulationState(sp, 1.0 - sp)
                 traj = M.evolve(init, w0, beta, 25.0)
-                worst = max(
-                    abs(s.sigma_plus - M.closed_form(init, w0, beta, t).sigma_plus)
-                    for t, s in zip(traj.taus, traj.states)
-                )
-                assert worst < 1e-8
-                assert traj.max_defect < 1e-12
+                ref = M.closed_form(init, w0, beta, traj.taus)
+                assert np.max(np.abs(traj.sigma_plus - ref.sigma_plus)) < 1e-8
 
 
 def test_evolve_conservation():
     traj = M.evolve(M.PopulationState(0.9, 0.1), 1.0, 0.5, 50.0)
-    for s in traj.states:
-        assert abs(s.sigma_plus + s.sigma_minus - 1.0) < 1e-12
+    sigma_minus = 1.0 - traj.sigma_plus
+    assert np.max(np.abs(traj.sigma_plus + sigma_minus - 1.0)) < 1e-12
+    M.PopulationState(traj.sigma_plus, sigma_minus)  # every sample is a state
 
 
 def test_evolve_monotone_approach_to_steady_state():
     init = M.PopulationState(1.0, 0.0)
     traj = M.evolve(init, 1.0, 2.0, 40.0)
     target = M.steady_state(1.0, 2.0).sigma_plus
-    dists = [abs(s.sigma_plus - target) for s in traj.states]
-    assert all(b <= a + 1e-15 for a, b in zip(dists, dists[1:]))
+    dists = np.abs(traj.sigma_plus - target)
+    assert np.all(np.diff(dists) <= 1e-15)
 
 
 def test_population_state_invariants():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^populations must sum to 1, got 1.4$"):
         M.PopulationState(0.7, 0.7)
-    with pytest.raises(DomainError):
+    with pytest.raises(
+        DomainError, match=r"^populations must be non-negative, got \(1.2, -0.2\)$"
+    ):
         M.PopulationState(1.2, -0.2)
+
+
+def test_population_state_checks_arrays_and_names_the_first_bad_pair():
+    M.PopulationState(np.array([0.0, 0.5, 1.0]), np.array([1.0, 0.5, 0.0]))
+    with pytest.raises(DomainError, match=r"^populations must sum to 1, got 1.4$"):
+        M.PopulationState(np.array([0.5, 0.7, 0.9]), np.array([0.5, 0.7, 0.9]))
+    with pytest.raises(
+        DomainError, match=r"^populations must be non-negative, got \(1.2, -0.2\)$"
+    ):
+        M.PopulationState(np.array([0.5, 1.2, 1.5]), np.array([0.5, -0.2, -0.5]))
 
 
 def test_figure_regimes():
     # high temperature: both levels equally filled (up to the O(omega0 beta)
     # offset of the exact steady state from 1/2)
-    hot = M.evolve(M.PopulationState(0.01, 0.99), 1.0, 0.01, 500.0).final
-    assert abs(hot.sigma_plus - M.steady_state(1.0, 0.01).sigma_plus) < 1e-4
-    assert abs(hot.sigma_plus - 0.5) < 0.005
+    hot = M.evolve(M.PopulationState(0.01, 0.99), 1.0, 0.01, 500.0).sigma_plus[-1]
+    assert abs(hot - M.steady_state(1.0, 0.01).sigma_plus) < 1e-4
+    assert abs(hot - 0.5) < 0.005
     # low temperature: ground level fills almost completely
-    cold = M.evolve(M.PopulationState(0.9, 0.1), 1.0, 5.0, 400.0).final
-    assert cold.sigma_minus == pytest.approx(
-        math.exp(5.0) / (1.0 + math.exp(5.0)), abs=1e-6
-    )
-    assert cold.sigma_minus > 0.99
+    cold = 1.0 - M.evolve(M.PopulationState(0.9, 0.1), 1.0, 5.0, 400.0).sigma_plus[-1]
+    assert cold == pytest.approx(math.exp(5.0) / (1.0 + math.exp(5.0)), abs=1e-6)
+    assert cold > 0.99
 
 
 @given(
@@ -178,7 +216,7 @@ def test_evolve_closed_form_agreement_random(sp, w0, beta):
     init = M.PopulationState(sp, 1.0 - sp)
     traj = M.evolve(init, w0, beta, 10.0)
     ref = M.closed_form(init, w0, beta, 10.0)
-    assert traj.final.sigma_plus == pytest.approx(ref.sigma_plus, abs=1e-8)
+    assert traj.sigma_plus[-1] == pytest.approx(ref.sigma_plus, abs=1e-8)
 
 
 def _rk4_loop(init, w0, beta, tau_end, steps):
@@ -223,7 +261,6 @@ def test_evolve_matches_stepwise_rk4(sp, w0, beta, tau_end):
     assert traj.sigma_plus[0] == init.sigma_plus
     assert np.max(np.abs(traj.sigma_plus - ref)) < 1e-13
     assert np.array_equal(traj.taus, np.arange(n + 1) * h)
-    assert traj.max_defect < 1e-15
 
 
 @pytest.mark.parametrize("samples", [1, 2, 7, 101, 5000])
@@ -261,12 +298,4 @@ def test_evolve_rejects_step_counts_above_2_53():
     assert len(traj.taus) == 3
     assert traj.taus[-1] == pytest.approx(tau_end, rel=1e-15)
     sp_inf = M.steady_state(1.0, 1.0).sigma_plus
-    assert traj.final.sigma_plus == pytest.approx(sp_inf, rel=1e-15)
-
-
-def test_trajectory_invariants_are_checked():
-    with pytest.raises(DomainError):
-        M.PopulationTrajectory([0.0, 1.0], [1.0])
-    for taus in ([0.0, 1.0, 1.0], [0.0, math.nan]):
-        with pytest.raises(DomainError):
-            M.PopulationTrajectory(taus, [1.0] * len(taus))
+    assert traj.sigma_plus[-1] == pytest.approx(sp_inf, rel=1e-15)

@@ -15,7 +15,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from unruh_kinetics.core import (
     COTH_POLE,
@@ -117,6 +117,33 @@ def test_closed_forms_broadcast_as_the_scalar_calls():
                 assert (rep.vf[i, j, k], rep.rr[j, 0], rep.total[i, j, k]) == (
                     one.vf, one.rr, one.total)
                 assert bracket[j, k] == R.planck_bracket(w0, a)
+
+
+@given(
+    st.floats(min_value=0.1, max_value=10.0),
+    st.floats(min_value=0.1, max_value=10.0),
+    st.floats(min_value=0.1, max_value=10.0),
+    st.integers(min_value=-300, max_value=300),
+)
+@example(1.0, 1.0, 1e-50, -200)
+@example(4.0, 1.0, 1e7, 307)
+@settings(max_examples=100, deadline=None)
+def test_closed_forms_are_invariant_under_the_float_range_scaling(w0, alpha, mu, k):
+    # (omega0, alpha, mu) -> (s omega0, s alpha, mu / s) keeps omega0 mu and
+    # omega0 / alpha, so the rates; at |k| >~ 154 omega0^2 or mu^2 alone
+    # leaves the normal float range, which printed -0.0 or raised OverflowError
+    s = 10.0**k
+    for atom in (PLUS, MINUS):
+        want = R.atom_total_rate(DetectorParams(w0, mu), alpha, atom)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = R.atom_total_rate(DetectorParams(w0 * s, mu / s), alpha * s, atom)
+            arr = R.atom_total_rate(DetectorParams(np.array([w0, w0 * s]),
+                                                   np.array([mu, mu / s])),
+                                    np.array([alpha, alpha * s]), atom)
+        for key in ("vf", "rr", "total"):
+            assert getattr(got, key) == pytest.approx(getattr(want, key), rel=1e-12)
+            assert getattr(arr, key)[1] == getattr(got, key)
 
 
 def test_closed_forms_name_the_first_bad_element():
