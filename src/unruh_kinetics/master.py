@@ -126,8 +126,11 @@ def closed_form(
     sp_inf = steady_state(omega0, beta).sigma_plus
     with np.errstate(over="ignore"):  # Gamma tau = inf decays to 0
         decay = np.exp(-relaxation_rate(omega0, beta) * tau)
-    sp = np.where(tau == 0, init.sigma_plus, sp_inf + (init.sigma_plus - sp_inf) * decay)
-    sm = np.where(tau == 0, init.sigma_minus, 1.0 - sp)
+    sp = sp_inf + (init.sigma_plus - sp_inf) * decay
+    if not isinstance(tau, np.ndarray):  # np.where would make 0-d arrays of it
+        return init if tau == 0 else PopulationState(plain(sp), plain(1.0 - sp))
+    at_0 = tau == 0
+    sp, sm = np.where(at_0, init.sigma_plus, sp), np.where(at_0, init.sigma_minus, 1.0 - sp)
     return PopulationState(plain(sp[()]), plain(sm[()]))
 
 

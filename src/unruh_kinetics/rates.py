@@ -76,28 +76,19 @@ class EnergyRateReport:
             raise DomainError("divergent ordering cannot carry vf/rr values")
 
 
-def _product(x, y):
-    """x * y, raising OverflowError where that overflows, as a float's x ** 2 does."""
-    with np.errstate(over="ignore"):
-        xy = np.multiply(x, y)
-    if np.isinf(xy).any():
-        raise OverflowError(errno.ERANGE, os.strerror(errno.ERANGE))
-    return xy
-
-
-def _normal(square):
-    """square, of omega0 or mu, is a normal float: not inf, 0 or subnormal."""
-    return (square >= 2.2250738585072014e-308) & (square < np.inf)
-
-
 def _squared_product(omega0, mu):
-    """omega0^2 mu^2, or (omega0 mu)^2 where omega0^2 or mu^2 is not _normal;
-    OverflowError where (omega0 mu)^2 overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is not taken
-        w2, mu2 = np.multiply(omega0, omega0), np.multiply(mu, mu)
-        rescaled = ~(_normal(w2) & _normal(mu2))
-        w0_mu = np.where(rescaled, np.multiply(omega0, mu), 0.0)
-        return np.where(rescaled, _product(w0_mu, w0_mu), w2 * mu2)
+    """omega0^2 mu^2, formed on the frexp mantissas and scaled once (ldexp).
+
+    It has the bits of (omega0 omega0)(mu mu) wherever those are normal
+    floats, and is right wherever only omega0^2 or mu^2 leaves that range;
+    OverflowError where the product overflows, as a float's x ** 2 does.
+    """
+    (mw, ew), (mm, em) = np.frexp(omega0), np.frexp(mu)
+    with np.errstate(over="ignore"):
+        w2mu2 = np.ldexp((mw * mw) * (mm * mm), 2 * (ew + em))
+    if np.isinf(w2mu2).any():
+        raise OverflowError(errno.ERANGE, os.strerror(errno.ERANGE))
+    return w2mu2
 
 
 def planck_bracket(omega0, alpha):
@@ -129,16 +120,12 @@ def atom_vf_rate(params: DetectorParams, alpha, atom: AtomState):
     """
     w0, mu, r3 = params.omega0, params.mu, atom.r3_expectation
     pole = (alpha > 0.0) & (np.pi * w0 < COTH_POLE * alpha)
-    # omega0^2 is not formed at the pole, where it may overflow and the rate not
-    w2mu2 = _squared_product(np.where(pole, 0.0, w0), mu)
-    bracket = planck_bracket(w0, alpha)
+    w2mu2, bracket = _squared_product(w0, mu), planck_bracket(w0, alpha)
+    # mu^2 omega0 alpha <R3> as _squared_product forms omega0^2 mu^2
+    (mw, ew), (mm, em), (ma, ea), (mr, er) = map(np.frexp, (w0, mu, alpha, r3))
     with np.errstate(over="ignore", invalid="ignore"):  # each branch's own point
-        mu2 = np.multiply(mu, mu)
-        near = -(mu2 / (8.0 * np.pi**2)) * r3 * (w0 * alpha)
-        # mu^2 omega0 alpha as (omega0 mu)(mu alpha) where mu^2 is not _normal
-        rescaled = pole & ~_normal(mu2)
-        w0_mu, mu_alpha = (np.where(rescaled, x, 0.0) for x in (w0 * mu, mu * alpha))
-        near = np.where(rescaled, -(_product(w0_mu, mu_alpha) / (8.0 * np.pi**2)) * r3, near)
+        near = -(mm * mm / (8.0 * np.pi**2)) * mr * (mw * ma)
+        near = np.ldexp(near, 2 * em + er + ew + ea)
         far = -(w2mu2 / (8.0 * np.pi)) * r3 * bracket
     return plain(np.where(pole, near, far)[()])
 

@@ -1382,6 +1382,10 @@ _RATE_TWINS = [
     (["--detector.omega0", "4e307", "--trajectory.alpha", "1e307",
       "--detector.mu", "1e-300"],
      ["--detector.omega0", "4", "--trajectory.alpha", "1", "--detector.mu", "1e7"]),
+    # at the coth pole omega0 alpha overflowed with mu^2 normal
+    (["--detector.omega0", "1e10", "--trajectory.alpha", "1e300",
+      "--detector.mu", "1e-10"],
+     ["--detector.omega0", "1", "--trajectory.alpha", "1e290", "--detector.mu", "1"]),
 ]
 
 
@@ -1412,7 +1416,18 @@ def test_rates_where_a_square_leaves_the_float_range_match_their_twin(
         assert got[key] == pytest.approx(want[key], rel=1e-12)
     assert want["vf"] == pytest.approx(
         {"1e-50": -1.99688100885e-102, "1e100": -6.33257397765e197,
-         "1e7": -3.18309886192e13}[twin[-1]], rel=1e-11)
+         "1e7": -3.18309886192e13, "1": -6.33257397765e287}[twin[-1]], rel=1e-11)
+
+
+def test_rates_at_the_pole_with_no_inversion_are_finite_where_omega0_alpha_overflows(capsys):
+    # <R3> = 0 makes VF 0, but 0 * (omega0 alpha = inf) was NaN: exit 1 with
+    # "vf + rr must reproduce total"
+    code, out, err = run(capsys, "rates", "--rates.atom", "0", "--trajectory.alpha",
+                         "1e308", "--detector.omega0", "10", "--format", "json")
+    assert code == 0 and err == ""
+    record = json.loads(out)[0]
+    assert record["vf"] == 0.0
+    assert record["rr"] == record["total"] == pytest.approx(-100.0 / (16.0 * math.pi))
 
 
 def test_rates_at_mu_zero_are_zero_where_omega0_squared_overflows(capsys):
@@ -1426,13 +1441,15 @@ def test_rates_at_mu_zero_are_zero_where_omega0_squared_overflows(capsys):
 
 def test_rates_whose_product_overflows_warn_nothing(capsys):
     # omega0^2 and mu^2 are finite, their product is not: numpy's overflow
-    # warning used to reach stderr ahead of the error line
+    # warning used to reach stderr ahead of the error line; the product now
+    # overflows as omega0^2 alone does
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run(capsys, "rates", "--detector.omega0", "1e100",
                              "--detector.mu", "1e100")
     assert code == 2 and out == ""
-    assert err.splitlines() == ["numeric failure: rates computed an inf"]
+    assert err.splitlines() == [
+        "numeric failure: rates overflowed a float: Numerical result out of range"]
 
 
 _HUGE = "1" + "0" * 400
