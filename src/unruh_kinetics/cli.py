@@ -79,14 +79,16 @@ DEFAULT_CONFIG: dict = {
 }
 
 
-# Upper limit of every size field, each also at least 1.  kernel and response
-# evaluate a whole grid as arrays at once (10^6 rows are ~50 MB of CSV).
+# The range (low, high) of every integer field.  kernel and response evaluate
+# a whole grid as arrays at once (10^6 rows are ~50 MB of CSV); rates.n is a
+# derivative-coupling order, of which the rates module has 0..2.
 MAX_COUNT = 1_000_000
-_SIZE_LIMITS = {
-    "kernel.sweep.count": MAX_COUNT,
-    "response.deltaE.count": MAX_COUNT,
-    "sweep.count": MAX_COUNT,
-    "populations.samples": MAX_COUNT,
+_INT_RANGES = {
+    "kernel.sweep.count": (1, MAX_COUNT),
+    "response.deltaE.count": (1, MAX_COUNT),
+    "sweep.count": (1, MAX_COUNT),
+    "populations.samples": (1, MAX_COUNT),
+    "rates.n": (0, 2),
 }
 
 
@@ -151,12 +153,12 @@ def load_config(path: str | None, overrides: list[str], flags=None) -> dict:
         if value is not None:
             _set(config, name, value)
     _check_types(config)
-    for name, limit in _SIZE_LIMITS.items():
-        size = config[name]
-        if size < 1:
-            raise DomainError(f"{name} must be >= 1, got {size}")
-        if size > limit:
-            raise DomainError(f"{name} must be <= {limit}, got {size}")
+    for name, (low, high) in _INT_RANGES.items():
+        value = config[name]
+        if value < low:
+            raise DomainError(f"{name} must be >= {low}, got {value}")
+        if value > high:
+            raise DomainError(f"{name} must be <= {high}, got {value}")
     return config
 
 
@@ -319,17 +321,11 @@ def _csv_rows(rows) -> str:
     return csvformat.csv_lines(rows)
 
 
-# Columns that echo an input and so may hold inf: steady's beta (inf is
-# zero temperature).
-_ECHO_COLUMNS = {"steady": ("beta",)}
-
-
-def _non_finite(header: list[str], rows, echo) -> str | None:
-    """'a NaN' or 'an inf' if a float cell outside the echo columns holds one,
-    else None; one row is checked cell by cell, as _csv_rows formats it."""
+def _non_finite(rows) -> str | None:
+    """'a NaN' or 'an inf' if a float cell holds one, else None; one row is
+    checked cell by cell, as _csv_rows formats it."""
     if len(rows) == 1:
-        cells = [x for name, x in zip(header, rows[0])
-                 if isinstance(x, float) and name not in echo]
+        cells = [x for x in rows[0] if isinstance(x, float)]
         tests = (("a NaN", math.isnan), ("an inf", math.isinf))
         return next((what for what, test in tests if any(map(test, cells))), None)
     import numpy as np
@@ -337,26 +333,15 @@ def _non_finite(header: list[str], rows, echo) -> str | None:
     table = np.asarray(rows, dtype=float)
     if np.isfinite(table).all():
         return None
-    checked = np.array([name not in echo for name in header])
-    for what, test in (("a NaN", np.isnan), ("an inf", np.isinf)):
-        if (checked & test(table).any(axis=0)).any():
-            return what
-    return None
+    return "a NaN" if np.isnan(table).any() else "an inf"
 
 
-def emit(header: list[str], rows, config: dict, echo=()) -> None:
-    """Write rows (a list of rows or a 2-D float array) as CSV or JSON.
-
-    JSON has no inf: a non-finite cell of an ``echo`` column is written as
-    the string the config reads it from ("inf")."""
+def emit(header: list[str], rows, config: dict) -> None:
+    """Write rows (a list of rows or a 2-D float array) as CSV or JSON."""
     if config["output.format"] == "csv":
         text = ",".join(header) + "\n" + _csv_rows(rows)
     else:
-        records = [
-            {k: str(v) if k in echo and not math.isfinite(v) else v
-             for k, v in zip(header, row)}
-            for row in rows
-        ]
+        records = [dict(zip(header, row)) for row in rows]
         text = json.dumps(records, sort_keys=True, indent=2) + "\n"
     _write(text, config)
 
@@ -410,8 +395,9 @@ def cmd_steady(config: dict) -> Table:
     detector, beta, _ = validate(config)
     w0 = detector.omega0
     st = M.steady_state(w0, beta)
+    # beta = inf is written as the token the config reads (JSON has no inf)
     rows = [[
-        w0, beta, st.sigma_plus, st.sigma_minus,
+        w0, "inf" if beta == math.inf else beta, st.sigma_plus, st.sigma_minus,
         M.detailed_balance_ratio(w0, beta),
     ]]
     return ["omega0", "beta", "sigma_plus", "sigma_minus", "balance_ratio"], rows
@@ -492,13 +478,12 @@ _SWEEP_HEADERS = {
     "rates": ["param", "vf", "rr", "total"],
     "response": ["param", "rate"],
 }
-# The fields each quantity reads, which sweep.param may name: validate's, and
-# the ordering and atom state of the rates.
-_MODEL_FIELDS = ("detector.omega0", "detector.mu", "thermal.beta", "trajectory.alpha")
+# The fields each quantity reads, which sweep.param may name.
 _SWEPT_FIELDS = {
-    "steady": _MODEL_FIELDS,
-    "response": _MODEL_FIELDS,
-    "rates": (*_MODEL_FIELDS, "rates.lam", "rates.atom"),
+    "steady": ("detector.omega0", "thermal.beta"),
+    "response": ("detector.omega0", "trajectory.alpha"),
+    "rates": ("detector.omega0", "detector.mu", "trajectory.alpha", "rates.lam",
+              "rates.atom"),
 }
 
 
@@ -574,8 +559,6 @@ def cmd_sweep(config: dict) -> Table:
 # ---------------------------------------------------------------------------
 
 def _verify_checks(config: dict):
-    import numpy as np
-
     from . import fermion as F
     from . import kernels as K
     from . import master as M
@@ -584,52 +567,48 @@ def _verify_checks(config: dict):
 
     detector, _, _ = validate(config)
 
+    def worst(pairs):
+        """The largest relative error |value - ref| / |ref| of the pairs."""
+        return max(abs(value - ref) / abs(ref) for value, ref in pairs)
+
     def lattice_sum():
-        worst = 0.0
-        for u, b in [(0.5, 1.0), (1.0, 2.0), (2.0, 4.0)]:
-            s = K.thermal_image_sum(u, b)
-            c = K.thermal_image_closed(u, b)
-            worst = max(worst, abs(s - c) / abs(c))
-        return worst, 1e-8
+        pairs = [(K.thermal_image_sum(u, b), K.thermal_image_closed(u, b))
+                 for u, b in [(0.5, 1.0), (1.0, 2.0), (2.0, 4.0)]]
+        return worst(pairs), 1e-8
 
     def accelerated_image_sum():
-        s = K.wightman_vacuum_accelerated_sum(1.0, 1.0)
-        c = K.wightman_vacuum_accelerated(1.0, 1.0)
-        return abs(s.value - c.value) / abs(c.value), 1e-8
+        pair = (K.wightman_vacuum_accelerated_sum(1.0, 1.0).value,
+                K.wightman_vacuum_accelerated(1.0, 1.0).value)
+        return worst([pair]), 1e-8
 
     def inertial_finite_v():
-        g = K.g_thermal_inertial(1.0, 1.0, 0.5)
-        s = K.g_thermal_inertial_sum(1.0, 1.0, 0.5)
-        return abs(g.value - s.value) / abs(g.value), 1e-8
+        pair = (K.g_thermal_inertial_sum(1.0, 1.0, 0.5).value,
+                K.g_thermal_inertial(1.0, 1.0, 0.5).value)
+        return worst([pair]), 1e-8
 
     def unruh_correspondence():
-        worst = 0.0
-        for alpha in np.linspace(0.5, 4.0, 5):
-            ga = K.g_thermal_accelerated(1.0, 0.0, math.inf, float(alpha))
-            gi = K.thermal_image_closed(1.0, 2.0 * math.pi / float(alpha))
-            worst = max(worst, abs(ga.value - gi) / abs(gi))
-        return worst, 1e-14
+        pairs = [(K.g_thermal_accelerated(1.0, 0.0, math.inf, a).value,
+                  K.thermal_image_closed(1.0, 2.0 * math.pi / a))
+                 for a in (0.5, 1.375, 2.25, 3.125, 4.0)]
+        return worst(pairs), 1e-14
 
     def master_oracle():
         init = M.PopulationState(0.9, 0.1)
-        worst = 0.0
+        errors = []
         for w0, b in [(0.5, 1.0), (1.0, 10.0), (2.0, 0.1)]:
             traj = M.evolve(init, w0, b, 20.0)
             ref = M.closed_form(init, w0, b, traj.taus[-1])
-            worst = max(worst, abs(traj.sigma_plus[-1] - ref.sigma_plus))
-        return worst, 1e-8
+            errors.append(abs(traj.sigma_plus[-1] - ref.sigma_plus))
+        return max(errors), 1e-8
 
     def steady_fixed_point():
         d_plus, _ = M.rate_rhs(M.steady_state(1.0, 1.0), 1.0, 1.0)
         return abs(d_plus), 1e-14
 
     def planck_bracket_identity():
-        worst = 0.0
-        for w0, a in [(1.0, 1.0), (2.0, 0.5), (0.5, 3.0)]:
-            lhs = R.planck_bracket(w0, a)
-            rhs = 1.0 / math.tanh(math.pi * w0 / a)
-            worst = max(worst, abs(lhs - rhs) / rhs)
-        return worst, 1e-12
+        pairs = [(R.planck_bracket(w0, a), 1.0 / math.tanh(math.pi * w0 / a))
+                 for w0, a in [(1.0, 1.0), (2.0, 0.5), (0.5, 3.0)]]
+        return worst(pairs), 1e-12
 
     def energy_decomposition():
         rep = R.atom_total_rate(detector, 1.0, AtomState.plus())
@@ -646,32 +625,22 @@ def _verify_checks(config: dict):
         return err, 1e-4
 
     def planck_response():
-        oracle = RS.planck_response_oracle(1.0, 2.0)
-        closed = RS.response_accelerated(1.0, 2.0).rate
-        return abs(oracle - closed) / closed, 1e-4
+        pair = (RS.planck_response_oracle(1.0, 2.0),
+                RS.response_accelerated(1.0, 2.0).rate)
+        return worst([pair]), 1e-4
 
     def response_energy_rate():
         # ground-state total energy rate = mu^2 omega0 F / 4
-        worst = 0.0
-        for w0, a in [(1.0, 1.0), (1.0, 2.0), (0.5, 3.0)]:
-            total = R.atom_total_rate(DetectorParams(w0), a, AtomState.minus()).total
-            want = w0 * RS.response_accelerated(w0, a).rate / 4.0
-            worst = max(worst, abs(total - want) / want)
-        return worst, 1e-12
+        pairs = [(R.atom_total_rate(DetectorParams(w0), a, AtomState.minus()).total,
+                  w0 * RS.response_accelerated(w0, a).rate / 4.0)
+                 for w0, a in [(1.0, 1.0), (1.0, 2.0), (0.5, 3.0)]]
+        return worst(pairs), 1e-12
 
-    return [
-        ("lattice_sum", lattice_sum),
-        ("accelerated_image_sum", accelerated_image_sum),
-        ("inertial_finite_v", inertial_finite_v),
-        ("unruh_correspondence", unruh_correspondence),
-        ("master_oracle", master_oracle),
-        ("steady_fixed_point", steady_fixed_point),
-        ("planck_bracket_identity", planck_bracket_identity),
-        ("energy_decomposition", energy_decomposition),
-        ("fermion_limits", fermion_limits),
-        ("planck_response", planck_response),
-        ("response_energy_rate", response_energy_rate),
-    ]
+    return [(check.__name__, check) for check in (
+        lattice_sum, accelerated_image_sum, inertial_finite_v, unruh_correspondence,
+        master_oracle, steady_fixed_point, planck_bracket_identity,
+        energy_decomposition, fermion_limits, planck_response, response_energy_rate,
+    )]
 
 
 def _overflowed(exc: OverflowError) -> str:
@@ -749,11 +718,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":  # its exit code is its checks' verdict
             return result
         header, rows, *warnings = result
-        echo = _ECHO_COLUMNS.get(args.command, ())
-        bad = _non_finite(header, rows, echo)
+        bad = _non_finite(rows)
         if bad:
             raise NonConvergence(f"{args.command} computed {bad}")
-        emit(header, rows, config, echo)
+        emit(header, rows, config)
         for text in warnings:
             print(f"warning: {text}", file=sys.stderr)
         return 0

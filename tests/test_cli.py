@@ -20,7 +20,7 @@ from unruh_kinetics import kernels as K
 from unruh_kinetics import master as M
 from unruh_kinetics import rates as R
 from unruh_kinetics import response as RS
-from unruh_kinetics.cli import _SIZE_LIMITS, emit, load_config, main
+from unruh_kinetics.cli import _INT_RANGES, emit, load_config, main
 from unruh_kinetics.core import (
     AtomState,
     DetectorParams,
@@ -168,7 +168,7 @@ def test_sweep_rows_in_grid_order(capsys):
 
 
 def test_sweep_leaves_its_config_unchanged():
-    config = load_config(None, ["--sweep.quantity", "rates",
+    config = load_config(None, ["--sweep.quantity", "steady",
                                 "--sweep.param", "thermal.beta"])
     before = copy.deepcopy(config)
     defaults = copy.deepcopy(cli.DEFAULT_CONFIG)
@@ -369,12 +369,12 @@ def test_sweep_param_must_name_a_number_field(capsys, param):
 
 
 @pytest.mark.parametrize(
-    "args", [["--sweep.param", "rates.atom", "--sweep.start", "-0.5",
-              "--sweep.stop", "0.5"],
-             ["--sweep.param", "thermal.beta"]],
+    "args", [["--sweep.quantity", "rates", "--sweep.param", "rates.atom",
+              "--sweep.start", "-0.5", "--sweep.stop", "0.5"],
+             ["--sweep.quantity", "steady", "--sweep.param", "thermal.beta"]],
 )
 def test_sweep_takes_number_fields_of_more_than_one_kind(capsys, args):
-    code, out, err = run(capsys, "sweep", "--sweep.quantity", "rates", *args)
+    code, out, err = run(capsys, "sweep", *args)
     assert code == 0 and err == "" and len(out.splitlines()) == 5
 
 
@@ -382,24 +382,42 @@ def test_sweep_takes_number_fields_of_more_than_one_kind(capsys, args):
     "quantity, param",
     [("steady", "kernel.sweep.start"), ("response", "fermion.dt"),
      ("steady", "rates.lam"), ("response", "rates.atom"),
-     ("rates", "populations.tau_end"), ("rates", "response.deltaE.start")],
+     ("rates", "populations.tau_end"), ("rates", "response.deltaE.start"),
+     ("steady", "trajectory.alpha"), ("steady", "detector.mu"),
+     ("response", "thermal.beta"), ("response", "detector.mu"),
+     ("rates", "thermal.beta")],
 )
 def test_sweep_param_must_be_a_field_the_quantity_reads(capsys, quantity, param):
     # these printed identical rows with exit 0: the quantity never read param
     code, out, err = run(capsys, "sweep", "--sweep.quantity", quantity,
                          "--sweep.param", param)
     assert code == 1 and out == ""
-    fields = ", ".join(cli._SWEPT_FIELDS[quantity])
-    assert err.splitlines() == [
-        f"error: sweep.param must be a field sweep.quantity {quantity} reads "
-        f"({fields}), got '{param}'"
-    ]
+    assert err.splitlines() == [f"error: {_refusal(quantity, param)}"]
+
+
+# The fields each quantity's evaluator reads: steady_state, the response at
+# deltaE = omega0, and the rates of an atom state under an ordering.  validate
+# checks all four of _VALIDATED whatever the quantity.
+_VALIDATED = ("detector.omega0", "detector.mu", "thermal.beta", "trajectory.alpha")
+_READS = {
+    "steady": ("detector.omega0", "thermal.beta"),
+    "response": ("detector.omega0", "trajectory.alpha"),
+    "rates": ("detector.omega0", "detector.mu", "trajectory.alpha", "rates.lam",
+              "rates.atom"),
+}
+
+
+def _refusal(quantity: str, param: str) -> str:
+    return (f"sweep.param must be a field sweep.quantity {quantity} reads "
+            f"({', '.join(_READS[quantity])}), got '{param}'")
 
 
 def _sweep_point_by_point(config):
     """The reference sweep: validate and the scalar library calls at each
     grid point in turn, so an error is that of the first point that fails."""
     param, quantity = config["sweep.param"], config["sweep.quantity"]
+    if param not in _READS[quantity]:
+        raise DomainError(_refusal(quantity, param))
     point, rows = dict(config), []
     for value in cli._grid(config, "sweep").tolist():
         point[param] = value
@@ -427,7 +445,8 @@ def _sweep_point_by_point(config):
 
 
 # (start, stop, scale): increasing and decreasing, linear and log, and
-# linear grids through 0, which every field refuses on one side or at 0
+# linear grids through 0, which every field refuses on one side or at 0.  The
+# grids over a field the quantity does not read are refused before the grid.
 _GRIDS = [("0.5", "2.0", "linear"), ("2.0", "0.5", "linear"), ("0.1", "0.4", "log"),
           ("3.0", "0.25", "log"), ("-1", "1", "linear"), ("1", "-1", "linear"),
           ("-0.5", "0.5", "linear"), ("0.5", "-0.5", "linear")]
@@ -439,7 +458,7 @@ _SWEEP_CASES = [
         ("response", [[], ["--trajectory.alpha", "0"]]),
         ("rates", [[], ["--rates.atom", "minus"], ["--rates.lam", "0.3"]]),
     ]
-    for param in cli._SWEPT_FIELDS[quantity]
+    for param in dict.fromkeys(_VALIDATED + _READS[quantity])
     for start, stop, scale in _GRIDS
     for extra in extras
     if f"--{param}" not in extra
@@ -447,7 +466,7 @@ _SWEEP_CASES = [
     # the numeric pipeline, point by point: n > 0 and rates.numeric
     ["--sweep.quantity", "rates", "--sweep.param", param, "--sweep.start", start,
      "--sweep.stop", stop, "--sweep.count", "3", *extra]
-    for param in cli._SWEPT_FIELDS["rates"]
+    for param in dict.fromkeys(_VALIDATED + _READS["rates"])
     for start, stop in [("0.5", "2.0"), ("1", "-1"), ("-0.5", "0.5")]
     for extra in [["--rates.n", "1"], ["--rates.n", "2"], ["--rates.numeric", "true"]]
 ] + [
@@ -785,14 +804,16 @@ def test_kernel_on_an_inertial_trajectory_is_the_thermal_kernel(capsys, args, pa
 )
 def test_row_counts_above_the_cap_are_domain_errors(capsys, command, field):
     # rejected while the config loads, before any array is allocated
-    cap = _SIZE_LIMITS[field]
+    cap = _INT_RANGES[field][1]
     code, out, err = run(capsys, command, f"--{field}", str(cap + 1))
     assert code == 1 and out == ""
     assert err.splitlines() == [f"error: {field} must be <= {cap}, got {cap + 1}"]
     load_config(None, [f"--{field}", str(cap)])  # the cap itself is allowed
 
 
-@pytest.mark.parametrize("field", sorted(_SIZE_LIMITS))
+@pytest.mark.parametrize(
+    "field", sorted(field for field, (low, _) in _INT_RANGES.items() if low == 1)
+)
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_row_counts_below_one_are_domain_errors(capsys, field, value):
     # the message named no field ("grid count must be >= 1"), and a command
@@ -801,6 +822,21 @@ def test_row_counts_below_one_are_domain_errors(capsys, field, value):
         code, out, err = run(capsys, command, f"--{field}", value)
         assert code == 1 and out == ""
         assert err.splitlines() == [f"error: {field} must be >= 1, got {value}"]
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    # the first two printed the n = 0 rates labelled coupling_order -1 with
+    # exit 0: only the numeric branch (n > 0) reached the library's range check
+    [(["rates", "--rates.n", "-1"], "rates.n must be >= 0, got -1"),
+     (["sweep", "--sweep.quantity", "rates", "--rates.n", "-1"],
+      "rates.n must be >= 0, got -1"),
+     (["steady", "--rates.n", "3"], "rates.n must be <= 2, got 3")],
+)
+def test_coupling_orders_outside_0_to_2_are_domain_errors(capsys, args, message):
+    code, out, err = run(capsys, *args)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: {message}"]
 
 
 def _reference_csv(rows) -> str:
@@ -1028,9 +1064,9 @@ def test_scalar_commands_keep_their_error_paths(argv, code, out, err):
 
 
 def test_coupling_order_out_of_range_names_n(capsys):
-    code, _, err = run(capsys, "rates", "--rates.n", "40")
+    code, _, err = run(capsys, "rates", "--rates.n", "3")
     assert code == 1
-    assert "coupling order n must be in 0..2, got 40" in err
+    assert err.splitlines() == ["error: rates.n must be <= 2, got 3"]
 
 
 def test_populations_cost_follows_samples_not_steps(capsys):
@@ -1156,16 +1192,16 @@ def test_inf_cell_is_numeric_failure_and_nothing_is_written(
     assert err.splitlines() == ["numeric failure: response computed an inf"]
 
 
-def test_only_steady_may_echo_an_infinite_beta(capsys, monkeypatch):
-    rows = [[1.0, math.inf, 0.0, 1.0, 0.0], [2.0, math.inf, 0.0, 1.0, 0.0]]
+@pytest.mark.parametrize("command", sorted(set(cli._COMMANDS) - {"verify"}))
+@pytest.mark.parametrize("rows", [[[1.0, math.inf, 0.0, 1.0, 0.0]],
+                                  [[1.0, math.inf, 0.0, 1.0, 0.0]] * 2])
+def test_no_table_command_may_print_a_float_inf(capsys, monkeypatch, command, rows):
+    # steady included: it writes beta = inf as the token "inf", not a float
     header = ["omega0", "beta", "sigma_plus", "sigma_minus", "balance_ratio"]
-    _inject(monkeypatch, "steady", header, rows)
-    code, out, err = run(capsys, "steady")
-    assert code == 0 and err == "" and out.count(",inf,") == 2
-    _inject(monkeypatch, "fermion", header, rows)
-    code, out, err = run(capsys, "fermion")
+    _inject(monkeypatch, command, header, rows)
+    code, out, err = run(capsys, command)
     assert code == 2 and out == ""
-    assert err.splitlines() == ["numeric failure: fermion computed an inf"]
+    assert err.splitlines() == [f"numeric failure: {command} computed an inf"]
 
 
 def _reject_constant(token):
