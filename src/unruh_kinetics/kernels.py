@@ -121,25 +121,25 @@ def _truncated(partial) -> complex:
 # ---------------------------------------------------------------------------
 
 def image_sum_inverse_power(m: int, z: complex, alpha: float) -> complex:
-    """S_m(z) = sum_k (z + i 2 pi k / alpha)^-m in closed form, m = 2..6.
+    """S_m(z) = sum_k (z + i 2 pi k / alpha)^-m in closed form, m = 2, 3, 4, 6.
 
     Obtained by repeated differentiation of the m = 2 lattice identity
-    S_2(z) = (alpha/2)^2 csch^2(alpha z / 2) via S_{m+1} = -S_m' / m.
-    z may be an array.
+    S_2(z) = (alpha/2)^2 csch^2(alpha z / 2) via S_{m+1} = -S_m' / m, in
+    u = h^2 csch^2(h z) and v = h coth(h z), h = alpha/2: no power of h is
+    formed on its own, where it may underflow.  z may be an array.
     """
     h = alpha / 2.0
     c, s2 = _coth_csch2(h * z)
+    u, v = h**2 * s2, h * c
     if m == 2:
-        return h**2 * s2
+        return u
     if m == 3:
-        return h**3 * s2 * c
+        return u * v
     if m == 4:
-        return (h**4 / 3.0) * s2 * (2.0 * c * c + s2)
-    if m == 5:
-        return (h**5 / 3.0) * c * s2 * (c * c + 2.0 * s2)
+        return u * (2.0 * v * v + u) / 3.0
     if m == 6:
-        return (h**6 / 15.0) * s2 * (2.0 * c**4 + 11.0 * c * c * s2 + 2.0 * s2 * s2)
-    raise DomainError(f"image_sum_inverse_power supports m in 2..6, got {m}")
+        return u * (2.0 * v**4 + 11.0 * v * v * u + 2.0 * u * u) / 15.0
+    raise DomainError(f"image_sum_inverse_power supports m in 2, 3, 4, 6, got {m}")
 
 
 def image_sum_inverse_power_sum(

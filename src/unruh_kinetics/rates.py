@@ -3,7 +3,8 @@
 Closed-form atom-side rates under the symmetric operator ordering, the
 ordering-independent total, numerically evaluated field-side rates, and the
 derivative-coupling generalization in which the interaction carries n proper-
-time derivatives of the field on each leg.
+time derivatives of the field on each leg.  Every source splits its rates
+through one `_split` of K = omega0^2 mu^2 / 16 pi.
 
 All numeric rates share one pipeline: the image sum S_m(z) is analytic in
 the strip 0 < Im z < 2 pi/alpha, so the eps -> 0+ value of each rate integral
@@ -22,17 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    COTH_POLE,
-    AtomState,
-    DetectorParams,
-    DomainError,
-    NonConvergence,
-    OrderingParam,
-    plain,
-    require_all,
-)
-from .kernels import _FOUR_PI_SQ, _TINY, image_sum_inverse_power
+from .core import (COTH_POLE, AtomState, DetectorParams, DomainError, NonConvergence,
+                   OrderingParam, plain, require_all)
+from .kernels import _TINY, image_sum_inverse_power
 from .numerics import panel_rule
 
 __all__ = [
@@ -64,31 +57,50 @@ class EnergyRateReport:
         if self.finite:
             if self.vf is None or self.rr is None:
                 raise DomainError("finite report requires vf and rr values")
-            # written so that a NaN fails it; an infinite vf or rr is a float
-            # overflow, which the CLI reports as a numeric failure
-            vf, rr = abs(self.vf), abs(self.rr)
+            # relative to |vf| + |rr| and written so that a NaN fails it; an
+            # infinite vf or rr is a float overflow, which the CLI reports
+            scale = abs(self.vf) + abs(self.rr)
             with np.errstate(invalid="ignore"):  # inf - inf
-                miss = abs(self.vf + self.rr - self.total)
-            ok = (miss <= 1e-12 * np.fmax(1.0, vf + rr)) | (vf == np.inf) | (rr == np.inf)
-            if not (ok.all() if isinstance(ok, np.ndarray) else ok):
+                ok = abs(self.vf + self.rr - self.total) <= 1e-12 * np.fmax(_TINY, scale)
+            if not np.all(ok | (scale == np.inf)):
                 raise DomainError("vf + rr must reproduce total")
         elif self.vf is not None or self.rr is not None:
             raise DomainError("divergent ordering cannot carry vf/rr values")
 
 
-def _squared_product(omega0, mu):
-    """omega0^2 mu^2, formed on the frexp mantissas and scaled once (ldexp).
-
-    It has the bits of (omega0 omega0)(mu mu) wherever those are normal
-    floats, and is right wherever only omega0^2 or mu^2 leaves that range;
-    OverflowError where the product overflows, as a float's x ** 2 does.
+def _product(*terms):
+    """The product of x^p over the (x, p) terms, p an int, formed on the
+    frexp mantissas of the x and scaled once (ldexp): no partial product over-
+    or underflows.  OverflowError where the product does, as a float's x ** 2
+    raises; so too for a 0 * inf, which only an infinite x makes.
     """
-    (mw, ew), (mm, em) = np.frexp(omega0), np.frexp(mu)
-    with np.errstate(over="ignore"):
-        w2mu2 = np.ldexp((mw * mw) * (mm * mm), 2 * (ew + em))
-    if np.isinf(w2mu2).any():
+    mantissa, exponent = 1.0, 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for x, p in terms:
+            m, e = np.frexp(x)
+            power = m
+            for _ in range(abs(p) - 1):
+                power = power * m
+            mantissa = mantissa * power if p > 0 else mantissa / power
+            exponent = exponent + p * e
+        product = np.ldexp(mantissa, exponent)
+    if not np.isfinite(product).all():
         raise OverflowError(errno.ERANGE, os.strerror(errno.ERANGE))
-    return w2mu2
+    return product
+
+
+def _split(params: DetectorParams, r3, a, b) -> EnergyRateReport:
+    """vf = -2<R3>(Ka + 2Kb), rr = -Ka, total = -(1 + 2<R3>)Ka - 4<R3>Kb.
+
+    a and b are `_product` terms; Ka and 4<R3>Kb are one product each, so
+    <R3> = 0 gives 0 where Kb alone overflows.  In the ground state the total
+    is 2Kb, with no cancellation of VF against RR.
+    """
+    k = ((params.omega0, 2), (params.mu, 2), (16.0 * math.pi, -1))
+    ka, r3kb4 = _product(*k, *a), _product(*k, *b, (4.0 * r3, 1))
+    with np.errstate(over="ignore"):  # an inf vf is the caller's overflow
+        vf, total = -2.0 * r3 * ka - r3kb4, -(1.0 + 2.0 * r3) * ka - r3kb4
+    return EnergyRateReport(total=plain(total), finite=True, vf=plain(vf), rr=plain(-ka))
 
 
 def planck_bracket(omega0, alpha):
@@ -110,24 +122,30 @@ def planck_bracket(omega0, alpha):
     return plain(np.where(alpha == 0.0, 1.0, bracket)[()])
 
 
+def _closed_form(params: DetectorParams, alpha, r3) -> EnergyRateReport:
+    """`_split` with a = 1 and b = nbar = 1/(e^x - 1), x = 2 pi omega0 / alpha,
+    taken as (alpha / omega0) nu with nu = x nbar / 2 pi, which stays normal
+    where x underflows and nbar overflows (at the coth pole, y = x/2 below
+    COTH_POLE, nu = (1 - y) / 2 pi).  alpha = 0 (or -0.0) gives nbar = 0.
+    """
+    w0, alpha = params.omega0, np.float64(alpha)
+    require_all(alpha >= 0, alpha, "alpha must be >= 0")
+    alpha = abs(alpha)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # capped: e^-x is 0 beyond x = 746, and x e^-x must not be inf * 0
+        x = np.minimum(2.0 * np.pi * (w0 / alpha), 1e3)
+        pole = np.pi * w0 < COTH_POLE * alpha
+        nu = np.where(pole, 1.0 - 0.5 * x, x * np.exp(-x) / -np.expm1(-x)) / (2.0 * np.pi)
+    return _split(params, r3, (), ((alpha, 1), (w0, -1), (nu, 1)))
+
+
 def atom_vf_rate(params: DetectorParams, alpha, atom: AtomState):
     """Vacuum-fluctuation rate -(omega0^2 mu^2 / 8 pi) <R3> coth(pi omega0/alpha).
 
     Excites the ground state, de-excites the excited state; symmetric
-    ordering assumed.  Below y = pi omega0 / alpha = COTH_POLE, omega0^2 coth y
-    is omega0 alpha / pi, where the bracket may overflow and omega0^2 underflow.
-    The parameters broadcast as arrays.
+    ordering assumed.  The parameters broadcast as arrays.
     """
-    w0, mu, r3 = params.omega0, params.mu, atom.r3_expectation
-    pole = (alpha > 0.0) & (np.pi * w0 < COTH_POLE * alpha)
-    w2mu2, bracket = _squared_product(w0, mu), planck_bracket(w0, alpha)
-    # mu^2 omega0 alpha <R3> as _squared_product forms omega0^2 mu^2
-    (mw, ew), (mm, em), (ma, ea), (mr, er) = map(np.frexp, (w0, mu, alpha, r3))
-    with np.errstate(over="ignore", invalid="ignore"):  # each branch's own point
-        near = -(mm * mm / (8.0 * np.pi**2)) * mr * (mw * ma)
-        near = np.ldexp(near, 2 * em + er + ew + ea)
-        far = -(w2mu2 / (8.0 * np.pi)) * r3 * bracket
-    return plain(np.where(pole, near, far)[()])
+    return _closed_form(params, alpha, atom.r3_expectation).vf
 
 
 def atom_rr_rate(params: DetectorParams, alpha):
@@ -137,8 +155,7 @@ def atom_rr_rate(params: DetectorParams, alpha):
     the acceleration: it comes from the field commutator, a c-number that does
     not depend on the field's state, so no thermal factor enters.
     """
-    require_all(alpha >= 0, alpha, "alpha must be >= 0")
-    return plain(-(_squared_product(params.omega0, params.mu) / (16.0 * np.pi))[()])
+    return _closed_form(params, alpha, 0.0).rr
 
 
 def atom_total_rate(
@@ -159,14 +176,8 @@ def atom_total_rate(
     the symmetric ordering, so non-symmetric lam yields finite=False.  The
     parameters broadcast as arrays.
     """
-    vf = atom_vf_rate(params, alpha, atom)
-    rr = atom_rr_rate(params, alpha)
-    # total is the split's own sum for every ordering, so the decomposition
-    # identity and ordering independence are exact in floating point
-    total = vf + rr
-    if lam.is_symmetric:
-        return EnergyRateReport(total=total, finite=True, vf=vf, rr=rr)
-    return EnergyRateReport(total=total, finite=False)
+    report = _closed_form(params, alpha, atom.r3_expectation)
+    return report if lam.is_symmetric else EnergyRateReport(report.total, finite=False)
 
 
 # ---------------------------------------------------------------------------
@@ -177,48 +188,57 @@ def atom_total_rate(
 _RAY = complex(math.sqrt(0.5), -math.sqrt(0.5))
 
 
-def _line_integral(m: int, omega0: float, alpha: float) -> complex:
-    """J_- = int e^{-i omega0 z} S_m(z) dz on Im z = d = min(pi/alpha, 1/omega0).
+def _line_integral(m: int, omega0: float, alpha: float) -> tuple[complex, float]:
+    """(J, w): J_- = int e^{-i w z} S_m(z) dz on Im z = 1, in units of d.
 
-    S_m is analytic in the strip 0 < Im z < 2 pi/alpha, so by Cauchy J_- is
-    the eps -> 0+ value on every line inside it.  S_m(-z) = (-1)^m S_m(z) and
-    S_m(conj z) = conj S_m(z) fold the line onto t >= 0 as I + (-1)^m conj I,
-    with I taken on the ray z = id + t e^{-i pi/4}: all poles lie on Re z = 0,
-    and the integrand decays like e^{-(omega0 + alpha) t / sqrt 2}.  The
-    strip's period makes J_+ = int e^{+i omega0 z} S_m dz = e^{-x} conj J_-,
-    x = 2 pi omega0/alpha.  J_- does not depend on d, so the ray from d/2 must
-    agree to 1e-9 relative, or NonConvergence.  The known causes of a
-    disagreement are cancellation (for m > 2, S_m along the ray is of size
-    (alpha/pi)^(m-1) while J_- is ~omega0^(m-2) alpha) and overflow of S_m ~
-    z^-m once omega0^m passes 1e308.
+    With d = min(pi/alpha, 1/omega0), w = omega0 d <= 1, a = alpha d <= pi
+    and J_-(m; 1, alpha/omega0) = w^(1-m) J.  S_m is analytic in the strip
+    0 < Im z < 2 pi/a and of parity (-1)^m with S_m(conj z) = conj S_m(z), so
+    J is I + (-1)^m conj I, I on the ray z = i + t e^{-i pi/4}, t >= 0, where
+    the integrand decays like e^{-(w + a) t / sqrt 2}; J_+ = e^{-x} conj J,
+    x = 2 pi w/a.  The ray from Im z = 1/2 must agree to 1e-9 relative, and
+    each ray's rounding floor 2^-52 sum |weight f| lie below 2e-9 |J| (errors
+    measured 0.1-0.4 of it), or NonConvergence.  For m > 2 the integrand is
+    ~1 while J is ~w^(m-2): the floor rises at large alpha/omega0, where the
+    two rays can agree by chance far off.  Below alpha/omega0 ~ 1e-153, S_m's
+    (a/2)^2 csch^2(a z/2) is 0 * inf.
     """
-
-    def on_ray(d: float) -> complex:
-        # in units of d: panels double from 1/100 to 1, then stay 1 wide
-        t_max = 50.0 * math.sqrt(2.0) / ((omega0 + alpha) * d) + 10.0
-        s, w = panel_rule(1.0, 1.0, t_max)
-        z = 1j * d + d * _RAY * s
-        f = np.exp(-1j * omega0 * z) * image_sum_inverse_power(m, z, alpha)
-        i = complex((d * _RAY * w) @ f)
-        return i + (-1) ** m * i.conjugate()
-
     d = min(math.pi / alpha, 1.0 / omega0)
+    w, a = omega0 * d, alpha * d
+
+    def on_ray(h: float) -> tuple[complex, float]:
+        # panels double from h/100 to h, then stay h wide
+        t_max = 50.0 * math.sqrt(2.0) / ((w + a) * h) + 10.0
+        s, weights = panel_rule(1.0, 1.0, t_max)
+        z = 1j * h + h * _RAY * s
+        f = np.exp(-1j * w * z) * image_sum_inverse_power(m, z, a)
+        i = complex((h * _RAY * weights) @ f)
+        return i + (-1) ** m * i.conjugate(), float((h * weights) @ np.abs(f))
+
     with np.errstate(all="ignore"):  # a NaN or inf fails the check below
-        j, j_half = on_ray(d), on_ray(0.5 * d)
-    where = f"line integral of S_{m} at omega0 = {omega0:.12g}, alpha = {alpha:.12g}"
-    if not abs(j - j_half) <= 1e-9 * abs(j):
+        (j, floor), (j_half, floor_half) = on_ray(1.0), on_ray(0.5)
+    floor = np.finfo(float).eps * max(floor, floor_half)
+    if not (abs(j - j_half) <= 1e-9 * abs(j) and floor < 2e-9 * abs(j)):
         raise NonConvergence(
-            f"{where} differs by {abs(j - j_half):.3e} between Im z = d "
-            f"and d/2 for a value of magnitude {abs(j):.3e}; the integral "
-            "cancels at small omega0/alpha and overflows at large omega0"
+            f"line integral of S_{m} at omega0 = {omega0:.12g}, alpha = "
+            f"{alpha:.12g} differs by {abs(j - j_half):.3e} between Im z = d "
+            f"and d/2, with a rounding floor of {floor:.3e}, for a value of "
+            f"magnitude {abs(j):.3e}; the integral cancels at large "
+            "alpha/omega0 and underflows at small alpha/omega0"
         )
-    # both rays agree at 0 once S_m ~ z^-m underflows on them
-    if not abs(j) >= _TINY:
-        raise NonConvergence(
-            f"{where} has magnitude {abs(j):.3e}, below the smallest normal "
-            f"float; S_{m} underflows at small omega0 and alpha"
-        )
-    return j
+    return j, w
+
+
+def _numeric_split(params: DetectorParams, alpha: float, atom: AtomState, m: int, c):
+    """`_split` with a = c(1 - e^{-x}), b = c e^{-x}, x = 2 pi omega0/alpha: c(J)
+    ~ 1 + nbar is the source's dimensionless rate, its scale w^(1-m) a term."""
+    if not alpha > 0:
+        raise DomainError(f"alpha must be positive, got {alpha}")
+    j, w = _line_integral(m, params.omega0, alpha)
+    x = 2.0 * math.pi * (params.omega0 / alpha)
+    terms = ((c(j), 1), (w, 1 - m))
+    return _split(params, atom.r3_expectation,
+                  (*terms, (-math.expm1(-x), 1)), (*terms, (math.exp(-x), 1)))
 
 
 def field_rates(
@@ -229,17 +249,11 @@ def field_rates(
     """(vf_field, rr_field): energy-variation rates on the field side.
 
     Cubic image-sum kernel S_3 integrated against sin (VF) / cos (RR) of the
-    level splitting: with J_- = `_line_integral` and J_+ its partner, these
-    half-line integrals are (J_+ - J_-)/2i and (J_+ + J_-)/4i.
+    level splitting: J_- = `_line_integral` is imaginary for odd m, and
+    c = Im J_- / pi.
     """
-    if not alpha > 0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
-    w0, mu = params.omega0, params.mu
-    # J_- is imaginary for odd m
-    kj = mu**2 / _FOUR_PI_SQ * _line_integral(3, w0, alpha).imag
-    x = 2.0 * math.pi * w0 / alpha
-    vf = -0.5 * kj * atom.r3_expectation * (1.0 + math.exp(-x))
-    return vf, 0.25 * kj * math.expm1(-x)
+    report = _numeric_split(params, alpha, atom, 3, lambda j: j.imag / math.pi)
+    return report.vf, report.rr
 
 
 def derivative_coupling_rates(
@@ -253,25 +267,10 @@ def derivative_coupling_rates(
     The n-fold proper-time derivatives act on each image term analytically:
     (u + ic)^-2 -> (-1)^n (2n+1)! (u + ic)^-(2n+2); the interaction carries a
     compensating omega0^-2n so all orders share the same dimensions.  n is
-    limited to 0..2, the orders whose image sums have closed forms.
+    limited to 0..2, the orders whose image sums have closed forms.  J_- =
+    `_line_integral` is real for even m, and c = (-1)^{n+1} (2n+1)! J_- / 2 pi.
     """
-    if not alpha > 0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
     if not 0 <= n <= 2:
         raise DomainError(f"coupling order n must be in 0..2, got {n}")
-    w0, mu = params.omega0, params.mu
-    k = mu**2 * w0 ** (1 - 2 * n) * (-1.0) ** n * math.factorial(2 * n + 1)
-    # With J_- = `_line_integral` (real for even m) and J_+ = e^{-x} J_-, the VF
-    # and RR half-line integrals are (J_+ + J_-)/2 and (J_- - J_+)/4.  The total
-    # is formed directly: in the ground state it is J_+ alone, with no VF - RR
-    # cancellation.
-    kj = k / (8.0 * _FOUR_PI_SQ) * _line_integral(2 * n + 2, w0, alpha).real
-    x = 2.0 * math.pi * w0 / alpha
-    q = math.exp(-x)
-    r = 2.0 * atom.r3_expectation
-    return EnergyRateReport(
-        total=kj * ((1.0 + r) - (1.0 - r) * q),
-        finite=True,
-        vf=kj * r * (1.0 + q),
-        rr=-kj * math.expm1(-x),
-    )
+    k = (-1) ** (n + 1) * math.factorial(2 * n + 1) / (2.0 * math.pi)
+    return _numeric_split(params, alpha, atom, 2 * n + 2, lambda j: k * j.real)

@@ -1226,7 +1226,8 @@ def test_infinite_beta_is_echoed_by_steady(capsys, fmt):
         # Python float ** raises OverflowError instead of returning inf
         ["rates", "--detector.omega0", "1e308"],
         ["rates", "--detector.mu", "1e200"],
-        ["rates", "--rates.numeric", "true", "--trajectory.alpha", "1e300"],
+        # omega0^2 mu^2 of the numeric rates' prefactor
+        ["rates", "--rates.numeric", "true", "--detector.mu", "1e200"],
         # verify writes an overflowing check into its report instead, see
         # test_verify_reports_a_check_that_overflows
         ["sweep", "--sweep.quantity", "rates", "--detector.mu", "1e200"],
@@ -1239,11 +1240,31 @@ def test_overflow_is_numeric_failure(capsys, args):
 
 
 def test_numeric_rates_that_underflow_are_numeric_failures(capsys):
-    # J_- underflowed to 0 on both rays and the rates printed -0.0 with exit 0
-    code, out, err = run(capsys, "rates", "--rates.n", "1", "--detector.omega0", "1e-100",
-                         "--trajectory.alpha", "1e-100", "--detector.mu", "1e100")
+    # alpha/omega0 = 1e-200: S_4's (alpha d/2)^2 csch^2 is 0 * inf on the rays
+    code, out, err = run(capsys, "rates", "--rates.n", "1", "--detector.omega0", "1e200",
+                         "--detector.mu", "1e-200")
     assert code == 2 and out == "" and len(err.splitlines()) == 1
     assert err.startswith("numeric failure: line integral of S_4")
+
+
+@pytest.mark.parametrize(
+    "args, point",
+    [
+        # the pair (omega0, alpha) = (1, 1e300) overflowed on the ray: exit 2
+        (["--rates.numeric", "true", "--trajectory.alpha", "1e300"], (1.0, 1e300, 1.0)),
+        # J_- at (1e-100, 1e-100) underflowed to 0: -0.0 rows, then exit 2
+        (["--rates.n", "1", "--detector.omega0", "1e-100", "--trajectory.alpha", "1e-100",
+          "--detector.mu", "1e100"], (1e-100, 1e-100, 1e100)),
+    ],
+)
+def test_numeric_rates_once_refused_match_the_closed_form(capsys, args, point):
+    code, out, err = run(capsys, "rates", *args, "--format", "json")
+    assert code == 0 and err == ""
+    row = json.loads(out)[0]
+    w0, alpha, mu = point
+    want = R.atom_total_rate(DetectorParams(w0, mu), alpha, AtomState.plus())
+    for key in ("vf", "rr", "total"):
+        assert row[key] == pytest.approx(getattr(want, key), rel=1e-9), key
 
 
 def test_overflow_line_names_the_command(tmp_path, capsys):

@@ -11,6 +11,7 @@ they failed while the closed form carried a thermal factor coth(pi omega0/alpha)
 import errno
 import math
 import os
+import re
 import warnings
 
 import numpy as np
@@ -229,14 +230,57 @@ def test_total_rate_decomposition():
 def test_total_vanishes_in_ground_state():
     p = DetectorParams(1.0)
     assert R.atom_total_rate(p, 0.0, MINUS).total == 0.0
-    # an accelerated ground-state atom absorbs energy at the Planck rate:
-    # total = mu^2 omega0 F / 4; vf + rr cancels to rounding at the scale
-    # omega0^2 mu^2 / 16 pi, so the bound is absolute at that scale
-    scale = p.omega0**2 * p.mu**2 / (16.0 * math.pi)
-    for alpha in (0.5, 3.0):
-        rep = R.atom_total_rate(p, alpha, MINUS)
-        want = p.mu**2 * p.omega0 * response_accelerated(p.omega0, alpha).rate / 4
-        assert abs(rep.total - want) < 1e-14 * scale
+
+
+# x = 2 pi omega0 / alpha at alpha = 1, where the rates and the response form
+# the same x; 1e-300 lies below COTH_POLE, 700 where e^-x is near underflow
+GROUND_X = st.floats(min_value=1e-300, max_value=700.0)
+
+
+@given(GROUND_X)
+@example(1e-300)
+@example(2.0 * COTH_POLE)
+@example(31.4)
+@example(700.0)
+@settings(max_examples=300, deadline=None)
+def test_ground_state_total_is_the_planck_rate(x):
+    # an accelerated ground-state atom absorbs energy at the Planck rate,
+    # total = mu^2 omega0 F / 4; vf + rr cancels it to ~e^-x of vf, and the
+    # total formed as vf + rr printed 0 from x ~ 37 on
+    w0 = x / (2.0 * math.pi)
+    total = R.atom_total_rate(DetectorParams(w0), 1.0, MINUS).total
+    want = w0 * response_accelerated(w0, 1.0).rate / 4.0
+    assert total == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+@given(GROUND_X)
+@example(31.4)
+@example(700.0)
+@settings(max_examples=300, deadline=None)
+def test_ground_to_excited_total_ratio_is_detailed_balance(x):
+    w0 = x / (2.0 * math.pi)
+    minus = R.atom_total_rate(DetectorParams(w0), 1.0, MINUS).total
+    plus = R.atom_total_rate(DetectorParams(w0), 1.0, PLUS).total
+    assert minus / -plus == pytest.approx(math.exp(-2.0 * math.pi * w0), rel=1e-14, abs=0.0)
+
+
+@given(
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.floats(min_value=-1.0, max_value=1.0),
+    st.floats(min_value=-0.5, max_value=0.5),
+)
+@example(0.0, -1.0, -0.5)
+@example(0.0, 1.0, 0.5)
+@settings(max_examples=100, deadline=None)
+def test_closed_form_matches_the_numeric_n0_rates(log_w0, log_ratio, r3):
+    # the two share only _split: b = nbar in closed form, b = c e^-x from the
+    # line integral at n = 0; 1e-9 is the line integral's two-ray gate
+    w0 = 10.0**log_w0
+    p, alpha, atom = DetectorParams(w0, 0.7), w0 * 10.0**log_ratio, AtomState(r3)
+    closed = R.atom_total_rate(p, alpha, atom)
+    numeric = R.derivative_coupling_rates(p, alpha, atom, 0)
+    for key in ("vf", "rr", "total"):
+        assert getattr(numeric, key) == pytest.approx(getattr(closed, key), rel=1e-9), key
 
 
 def test_total_inertial_excited_state():
@@ -273,6 +317,55 @@ def test_mu_squared_scaling():
 
 
 # --- numeric pipeline -----------------------------------------------------
+
+# alpha/omega0 at which the numeric rates with S_m (m = 2n + 2; m = 3 is the
+# field side) return, and just outside it where they refuse.  Below 1e-153
+# S_m's (alpha d/2)^2 csch^2 is 0 * inf on the ray.  At the top the integral
+# cancels to its rounding floor; m = 2 does not cancel and returns up to the
+# largest float.
+RATIO_WINDOW = {2: ((1e-153, 1.7e308), (1e-154, None)),
+                3: ((1e-153, 1e6), (1e-154, 1e8)),
+                4: ((1e-153, 300.0), (1e-154, 1e4)),
+                6: ((1e-153, 10.0), (1e-154, 100.0))}
+
+
+def _rates_with_s(m, w0, ratio):
+    p, alpha = DetectorParams(w0, 1.0 / w0), w0 * ratio
+    if m == 3:
+        return R.field_rates(p, alpha, PLUS)
+    rep = R.derivative_coupling_rates(p, alpha, PLUS, (m - 2) // 2)
+    return rep.vf, rep.rr
+
+
+@pytest.mark.parametrize("m", sorted(RATIO_WINDOW))
+@pytest.mark.parametrize("w0", [1.0, 2.0**-100])
+def test_numeric_rates_window_in_alpha_over_omega0(m, w0):
+    # the window depends on alpha/omega0 alone: at omega0 = 2^-100 the ray
+    # integral runs at the same reduced pair as at omega0 = 1.  At the low
+    # end, S_4 and S_6 formed (alpha d/2)^m on its own, which was subnormal
+    # there: n = 1 was 4.0e-3 off at 1e-80 and passed the two-ray check
+    accepted, refused = RATIO_WINDOW[m]
+    p = DetectorParams(w0, 1.0 / w0)
+    for ratio in accepted:
+        vf, rr = _rates_with_s(m, w0, ratio)
+        assert vf == pytest.approx(R.atom_vf_rate(p, w0 * ratio, PLUS), rel=1e-9)
+        assert rr == pytest.approx(R.atom_rr_rate(p, w0 * ratio), rel=1e-9)
+    for ratio in filter(None, refused):
+        with pytest.raises(NonConvergence, match=f"line integral of S_{m} "):
+            _rates_with_s(m, w0, ratio)
+
+
+@pytest.mark.parametrize("m", [3, 4, 6])
+def test_numeric_rates_refuse_where_the_integral_cancels_to_its_rounding_floor(m):
+    # beyond the top of the window the two rays agreed by chance: the field
+    # rates at alpha/omega0 = 2.39e13 were 2.4e-3 off
+    for ratio in np.geomspace(RATIO_WINDOW[m][1][1], 1e14, 60):
+        with pytest.raises(NonConvergence) as exc:
+            _rates_with_s(m, 1.0, float(ratio))
+        floor, value = map(float, re.search(
+            r"rounding floor of (\S+), for a value of magnitude (\S+);", str(exc.value)).groups())
+        assert floor >= 2e-9 * value, (ratio, floor, value)
+
 
 def test_derivative_coupling_n0_vf_matches_closed_form():
     p = DetectorParams(1.0, 1.0)
@@ -333,11 +426,21 @@ def test_numeric_rates_match_closed_forms(omega0, alpha):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_numeric_rates_refuse_a_line_integral_that_underflows(n):
-    # S_m ~ z^-m underflowed to 0 on both rays, J_- = 0 passed the two-ray
-    # check, and the rates were printed as -0.0
-    p = DetectorParams(1e-100, 1e100)
-    with pytest.raises(NonConvergence, match="below the smallest normal float"):
-        R.derivative_coupling_rates(p, 1e-100, PLUS, n)
+    # alpha/omega0 = 1e-200: S_m's (alpha d/2)^2 underflows to 0 on the
+    # rays while csch^2 overflows
+    with pytest.raises(NonConvergence, match="differs by nan"):
+        R.derivative_coupling_rates(DetectorParams(1e200, 1e-200), 1.0, PLUS, n)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_numeric_rates_at_tiny_omega0_and_alpha_match_their_twin(n):
+    # the ray integral ran at omega0 = alpha = 1e-100, where S_m underflowed
+    # to 0 on both rays: -0.0 rows, then a refusal; in units of d it runs at
+    # omega0 d = alpha d = 1, as for the twin with the same omega0 mu
+    got = R.derivative_coupling_rates(DetectorParams(1e-100, 1e100), 1e-100, PLUS, n)
+    want = R.derivative_coupling_rates(DetectorParams(1.0, 1.0), 1.0, PLUS, n)
+    for key in ("vf", "rr", "total"):
+        assert getattr(got, key) == pytest.approx(getattr(want, key), rel=1e-12)
 
 
 def test_field_vf_balances_atom_vf():

@@ -80,7 +80,7 @@ def test_field_rates_equal_two_kernel_form(omega0, alpha):
         assert np.all(np.abs(got - _field_rates_ref(p, alpha, atom)) <= TOL * scale)
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("m", [2, 3, 4, 6])
 def test_image_sum_is_conjugate_symmetric_off_the_real_axis(m):
     # and periodic in Im z with period 2 pi/alpha, and of parity (-1)^m: the
     # identities that fold the pipeline's line integral onto its ray
