@@ -1,5 +1,5 @@
 """Domain types, unit conventions, validate (a config to its model), and the
-Fermi function and coth-pole switch shared by the closed forms.
+Fermi function and Planck factor shared by the closed forms.
 
 Natural units (hbar = c = k_B = 1) are used throughout the package.  The
 model of a config is the detector, the inverse temperature beta in
@@ -13,12 +13,10 @@ import math
 import sys
 from dataclasses import dataclass
 
-# Nothing here imports numpy unless a check fails, so the scalar commands
+# Only planck and a failing check import numpy, so the scalar commands
 # (steady, fermion) run without it; array arguments work as numpy's own.
 
-# y below which coth y = 1/y + y/3 - ... rounds to 1/y (y^2/3 < 2^-54).  The
-# closed forms with a coth switch to 1/y there: y itself may have underflowed.
-COTH_POLE = 1e-8
+_TINY = sys.float_info.min  # the smallest normal double
 
 
 class DomainError(ValueError):
@@ -37,6 +35,22 @@ class NonConvergence(RuntimeError):
 def fermi(x: float) -> float:
     """1 / (1 + e^x), 0.0 once e^x overflows."""
     return 0.0 if x > 709.782712893384 else 1.0 / (1.0 + math.exp(x))
+
+
+def planck(x):
+    """(a, b) with a b = x / (e^x - 1), the Planck factor x nbar(x), for x in
+    [0, +inf] (arrays too): a = x / (2 sinh(x/2)) and b = e^{-x/2}, both in
+    [0, 1] and normal up to x ~ 1416, so a product that takes them one at a
+    time does not underflow where it is normal.  planck(0) = (1, 1) and
+    planck(inf) = (0, 0); scalars and arrays share one numpy evaluation.
+    """
+    import numpy as np
+
+    # x/2 clipped to [_TINY, 746]: h / sinh h and e^-h are 1 below it and 0
+    # above it, and no h is subnormal, 0 / 0 or inf / inf
+    h = np.minimum(np.maximum(0.5 * np.float64(x), _TINY), 746.0)
+    with np.errstate(over="ignore"):  # sinh h = inf above h ~ 710.5: a = 0
+        return h / np.sinh(h), np.exp(-h)
 
 
 def _all(ok) -> bool:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, NonConvergence, SingularInput, require_all
+from .core import _TINY, DomainError, NonConvergence, SingularInput, planck, require_all
 
 __all__ = [
     "KernelValue",
@@ -52,7 +52,6 @@ TRUNC_TOL = 1e-8
 N_MAX = 10_000
 
 _FOUR_PI_SQ = 4.0 * math.pi**2
-_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -294,7 +293,8 @@ def g_thermal_accelerated(tau1, tau2, beta, alpha) -> KernelValue:
         coth A1 - coth A2 = 2 e^{-2 A2} expm1(-2 D) / (expm1(-2 A1) expm1(-2 A2))
     and cosh(a t1) - cosh(a t2) = 2 sinh c sinh x turn g into
         g = -[e^{-x} / (2 pi u F(2x))]^2 e^{-2 A2} F(2D) / (F(2 A1) F(2 A2))
-    with u = |t1 - t2| and F(z) = (1 - e^{-z}) / z (F(0) = 1).  Every
+    with u = |t1 - t2| and F(z) = (1 - e^{-z}) / z (F(0) = 1), so that
+    e^{-z} / F(z) is the Planck factor z / (e^z - 1) of `core.planck`.  Every
     exponential decays and nothing cancels, so the one formula covers
     beta = +inf (A1 = A2 = 0: the csch^2 vacuum form), alpha = 0 (the
     inertial thermal kernel), t1 = -t2 (D = 0: -csch^2(A1) / 4 beta^2) and
@@ -325,7 +325,8 @@ def g_thermal_accelerated(tau1, tau2, beta, alpha) -> KernelValue:
     )
     d = a1 * -np.expm1(-alpha * sa)
     q = np.exp(-x) / (2.0 * np.pi * u * f)
-    g = -(q * q) * (np.exp(-2.0 * a2) / _exprel_neg(2.0 * a2)) * (
-        _exprel_neg(2.0 * d) / _exprel_neg(2.0 * a1)
-    )
+    # e^{-2 A2} / F(2 A2) = pa pb, one factor at a time so that no partial
+    # product underflows where g is normal (the F ratio is large only if pa is small)
+    pa, pb = planck(2.0 * a2)
+    g = -(q * q) * pa * (_exprel_neg(2.0 * d) / _exprel_neg(2.0 * a1)) * pb
     return KernelValue(_complex(g))

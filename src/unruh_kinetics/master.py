@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import (COTH_POLE, DomainError, check_beta, check_populations, fermi,
-                   plain, require_all)
+from .core import (DomainError, check_beta, check_populations, fermi, planck, plain,
+                   require_all)
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
@@ -66,13 +66,12 @@ def _check_params(omega0: float, beta: float) -> None:
 
 
 def relaxation_rate(omega0: float, beta: float) -> float:
-    """Gamma = (omega0 / 8 pi) coth(omega0 beta / 2); coth -> 1 at beta = +inf,
-    and Gamma -> 1 / (4 pi beta) below omega0 beta / 2 = COTH_POLE."""
+    """Gamma = (omega0 / 8 pi) coth(omega0 beta / 2) = (omega0 + 2 P / beta) / 8 pi,
+    P = a b of `core.planck` at x = omega0 beta: 1 / (4 pi beta) where x
+    underflows, omega0 / 8 pi at beta = +inf."""
     _check_params(omega0, beta)
-    if 0.5 * omega0 * beta < COTH_POLE:
-        return 1.0 / (4.0 * math.pi * beta)
-    coth = 1.0 if math.isinf(beta) else 1.0 / math.tanh(0.5 * omega0 * beta)
-    return omega0 * coth / (8.0 * math.pi)
+    a, b = planck(omega0 * beta)
+    return (omega0 + 2.0 * (float(a * b) / beta)) / (8.0 * math.pi)
 
 
 def rate_rhs(
@@ -81,21 +80,15 @@ def rate_rhs(
     """(d sigma_plus / d tau, d sigma_minus / d tau); the pair sums to zero.
 
     d sigma_plus / d tau
-        = -(omega0 / 8 pi) { sigma_minus
-                             + [1 - e^{-omega0 beta}]^-1 (sigma_plus - sigma_minus) }
+        = -(omega0 / 8 pi) [sigma_plus + nbar (sigma_plus - sigma_minus)],
 
-    Below omega0 beta / 2 = COTH_POLE, omega0 [1 - e^{-omega0 beta}]^-1 is
-    its pole 1/beta + omega0/2, where omega0 beta may underflow to 0.
+    nbar = 1 / (e^{omega0 beta} - 1), and omega0 nbar = P / beta with P = a b
+    of `core.planck` at x = omega0 beta, finite where x underflows.
     """
     _check_params(omega0, beta)
+    a, b = planck(omega0 * beta)
     gap = state.sigma_plus - state.sigma_minus
-    if 0.5 * omega0 * beta < COTH_POLE:
-        d_plus = -(omega0 * (state.sigma_minus + 0.5 * gap) + gap / beta) / (
-            8.0 * math.pi
-        )
-    else:
-        w = 1.0 if math.isinf(beta) else 1.0 / -math.expm1(-omega0 * beta)
-        d_plus = -(omega0 / (8.0 * math.pi)) * (state.sigma_minus + w * gap)
+    d_plus = -(omega0 * state.sigma_plus + float(a * b) * (gap / beta)) / (8.0 * math.pi)
     return d_plus, -d_plus
 
 

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (COTH_POLE, AtomState, DetectorParams, DomainError, NonConvergence,
-                   OrderingParam, plain, require_all)
-from .kernels import _TINY, image_sum_inverse_power
+from .core import (_TINY, AtomState, DetectorParams, DomainError, NonConvergence,
+                   OrderingParam, planck, plain, require_all)
+from .kernels import image_sum_inverse_power
 from .numerics import panel_rule
 
 __all__ = [
@@ -106,37 +106,31 @@ def _split(params: DetectorParams, r3, a, b) -> EnergyRateReport:
 def planck_bracket(omega0, alpha):
     """[1 + 2/(e^{2 pi omega0 / alpha} - 1)] = coth(pi omega0 / alpha); 1 at alpha=0.
 
-    Below y = pi omega0 / alpha = COTH_POLE it is the pole 1/y, where 2 y may
-    underflow to 0.  omega0 and alpha broadcast as arrays.
+    Formed as 1 + (alpha / pi omega0) P, P = a b of `core.planck` at x = 2 pi
+    omega0 / alpha: 1 + 1/y where y = pi omega0 / alpha underflows, inf where
+    1/y overflows.  omega0 and alpha broadcast as arrays.
     """
     omega0, alpha = np.float64(omega0), np.float64(alpha)
     require_all(omega0 > 0, omega0, "omega0 must be positive")
     require_all(alpha >= 0, alpha, "alpha must be >= 0")
-    with np.errstate(over="ignore", divide="ignore"):  # x = inf or 0 is not taken
-        x = 2.0 * np.pi * omega0 / alpha
-        # 2 pi omega0 overflows above omega0 ~ 2.86e307, omega0 / alpha need not
-        x = np.where(x == np.inf, 2.0 * np.pi * (omega0 / alpha), x)
-        bracket = np.where(x > 700.0, 1.0, 1.0 + 2.0 / np.expm1(x))
-        pole = np.pi * omega0 < COTH_POLE * alpha
-        bracket = np.where(pole, alpha / np.pi / omega0, bracket)
-    return plain(np.where(alpha == 0.0, 1.0, bracket)[()])
+    with np.errstate(over="ignore", divide="ignore"):  # x or 1 / y = inf
+        a, b = planck(2.0 * np.pi * (omega0 / alpha))
+        return plain((1.0 + alpha / np.pi / omega0 * (a * b))[()])
 
 
 def _closed_form(params: DetectorParams, alpha, r3) -> EnergyRateReport:
     """`_split` with a = 1 and b = nbar = 1/(e^x - 1), x = 2 pi omega0 / alpha,
-    taken as (alpha / omega0) nu with nu = x nbar / 2 pi, which stays normal
-    where x underflows and nbar overflows (at the coth pole, y = x/2 below
-    COTH_POLE, nu = (1 - y) / 2 pi).  alpha = 0 (or -0.0) gives nbar = 0.
+    taken as (alpha / 2 pi omega0) pa pb with (pa, pb) = `core.planck`: each
+    term is normal where x underflows and nbar overflows, and where e^-x
+    underflows while K nbar is normal.  alpha = 0 (or -0.0) gives nbar = 0.
     """
     w0, alpha = params.omega0, np.float64(alpha)
     require_all(alpha >= 0, alpha, "alpha must be >= 0")
     alpha = abs(alpha)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        # capped: e^-x is 0 beyond x = 746, and x e^-x must not be inf * 0
-        x = np.minimum(2.0 * np.pi * (w0 / alpha), 1e3)
-        pole = np.pi * w0 < COTH_POLE * alpha
-        nu = np.where(pole, 1.0 - 0.5 * x, x * np.exp(-x) / -np.expm1(-x)) / (2.0 * np.pi)
-    return _split(params, r3, (), ((alpha, 1), (w0, -1), (nu, 1)))
+    with np.errstate(over="ignore", divide="ignore"):  # x = inf gives P = 0
+        pa, pb = planck(2.0 * np.pi * (w0 / alpha))
+    nbar = ((alpha, 1), (w0, -1), (2.0 * np.pi, -1), (pa, 1), (pb, 1))
+    return _split(params, r3, (), nbar)
 
 
 def atom_vf_rate(params: DetectorParams, alpha, atom: AtomState):

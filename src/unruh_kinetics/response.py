@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AtomState, DetectorParams, DomainError, plain, require_all
+from .core import AtomState, DetectorParams, DomainError, planck, plain, require_all
 from .kernels import _FOUR_PI_SQ
 from .numerics import damped_line_integral
 from .rates import derivative_coupling_rates
@@ -48,25 +48,20 @@ def _check_gap(deltaE) -> None:
 def response_accelerated(deltaE, alpha) -> ResponseResult:
     """Planck-distributed rate (1/2 pi) deltaE / (e^{2 pi deltaE / alpha} - 1).
 
-    deltaE and alpha broadcast as arrays (many gaps, or many worldlines).  Written as
-    deltaE e^{-x} / (2 pi (1 - e^{-x})), x = 2 pi deltaE / alpha, the rate
-    underflows to 0 at large x instead of overflowing.  Where x underflows to
-    0 the rate is its x -> 0 limit alpha / 4 pi^2.  alpha = 0 is the inertial
-    worldline: x = inf and the rate is exactly 0, inertial detectors never
-    excite.
+    deltaE and alpha broadcast as arrays (many gaps, or many worldlines).  The
+    rate is (alpha / 4 pi^2) a b, (a, b) = `core.planck` at x = 2 pi deltaE /
+    alpha, multiplied in one factor at a time: each is at most 1, so no
+    partial product underflows where the rate is normal.  alpha = 0 is the
+    inertial worldline: x = inf and the rate is exactly 0, inertial detectors
+    never excite.
     """
     deltaE, alpha = np.float64(deltaE), np.float64(alpha)
     _check_gap(deltaE)
     require_all(alpha >= 0, alpha, "alpha must be >= 0")
     alpha = abs(alpha)  # -0.0 is the inertial worldline too
-    with np.errstate(over="ignore", divide="ignore"):  # x = inf gives rate 0
-        x = 2.0 * np.pi * deltaE / alpha
-        # 2 pi deltaE overflows above deltaE ~ 2.86e307, deltaE / alpha need not
-        x = np.where(x == np.inf, 2.0 * np.pi * (deltaE / alpha), x)
-    with np.errstate(divide="ignore"):  # x = 0 is replaced below
-        rate = deltaE * np.exp(-x) / (-2.0 * np.pi * np.expm1(-x))
-    rate = np.where(x == 0.0, alpha / (4.0 * np.pi**2), rate)[()]
-    return ResponseResult(plain(rate))
+    with np.errstate(over="ignore", divide="ignore"):  # x = inf gives P = 0
+        a, b = planck(2.0 * np.pi * (deltaE / alpha))
+    return ResponseResult(plain((alpha / _FOUR_PI_SQ * a * b)[()]))
 
 
 def unruh_temperature(alpha: float) -> float:

@@ -19,6 +19,7 @@ from unruh_kinetics.core import (
     OrderingParam,
     check_beta,
     fermi,
+    planck,
     plain,
     require_all,
     validate,
@@ -141,6 +142,36 @@ def test_fermi_matches_the_logistic_and_saturates():
     assert fermi(709.79) == 0.0 and fermi(math.inf) == 0.0
     assert fermi(-math.inf) == 1.0
     assert math.isnan(fermi(math.nan))
+
+
+# 0, subnormals, the old coth pole, the e^-x underflow, past sinh's overflow
+_PLANCK_X = np.concatenate([
+    [0.0, 5e-324, 1e-310, 2e-8, 1.0, 745.0, 1416.0, 1421.0, 1e300, math.inf],
+    np.geomspace(1e-320, 2e3, 4001),
+])
+
+
+def test_planck_ends_and_no_warning():
+    assert planck(0.0) == (1.0, 1.0)
+    a, b = planck(math.inf)
+    assert a * b == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a, b = planck(_PLANCK_X)
+    assert np.all((0.0 <= a) & (a <= 1.0) & (0.0 <= b) & (b <= 1.0))
+
+
+def test_planck_is_x_over_expm1_to_4_ulps():
+    x = np.geomspace(1e-6, 700.0, 100_001)
+    a, b = planck(x)
+    want = x / np.expm1(x)
+    assert np.all(np.abs(a * b - want) <= 4.0 * np.spacing(want))
+
+
+def test_planck_of_an_array_is_its_scalar_calls():
+    a, b = planck(_PLANCK_X)
+    for x, ai, bi in zip(_PLANCK_X.tolist(), a, b):
+        assert planck(x) == (ai, bi)
 
 
 # The checks as written with numpy throughout (np.isfinite, np.all): the

@@ -24,10 +24,8 @@ def test_relaxation_rate_where_omega0_beta_underflows(omega0, beta):
 
 
 def test_relaxation_rate_is_continuous_where_coth_becomes_its_pole():
-    from unruh_kinetics.core import COTH_POLE
-
     beta = 1.0
-    for x in (COTH_POLE * (1 - 1e-9), COTH_POLE * (1 + 1e-9)):
+    for x in (1e-8 * (1 - 1e-9), 1e-8 * (1 + 1e-9)):  # where a pole branch was
         omega0 = 2.0 * x / beta
         want = omega0 / (8.0 * math.pi * math.tanh(x))
         assert M.relaxation_rate(omega0, beta) == pytest.approx(want, rel=1e-15)
@@ -49,10 +47,8 @@ def test_rhs_where_omega0_beta_underflows(sp, omega0, beta):
 
 
 def test_rhs_is_continuous_where_the_thermal_weight_becomes_its_pole():
-    from unruh_kinetics.core import COTH_POLE
-
     beta, state = 1.0, M.PopulationState(0.7, 0.3)
-    for x in (COTH_POLE * (1 - 1e-9), COTH_POLE * (1 + 1e-9)):
+    for x in (1e-8 * (1 - 1e-9), 1e-8 * (1 + 1e-9)):  # where a pole branch was
         omega0 = 2.0 * x / beta
         weight = 1.0 / -math.expm1(-omega0 * beta)
         want = -(omega0 / (8.0 * math.pi)) * (0.3 + 0.4 * weight)

@@ -19,7 +19,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from unruh_kinetics.core import (
-    COTH_POLE,
     AtomState,
     DetectorParams,
     DomainError,
@@ -90,13 +89,13 @@ def test_planck_bracket_takes_its_pole_where_the_exponent_underflows():
     assert R.planck_bracket(1e-300, 1e-10) == pytest.approx(
         1e-10 / (math.pi * 1e-300), rel=1e-15
     )
-    for y in (COTH_POLE * (1 - 1e-9), COTH_POLE * (1 + 1e-9)):
+    for y in (1e-8 * (1 - 1e-9), 1e-8 * (1 + 1e-9)):  # where a pole branch was
         assert R.planck_bracket(y / math.pi, 1.0) == pytest.approx(
             1.0 / math.tanh(y), rel=1e-15
         )
 
-# omega0 / alpha across the pole (pi omega0 / alpha < COTH_POLE), the expm1
-# bracket and its x > 700 cut, with alpha = 0 (inertial) among them
+# omega0 / alpha across the old coth pole (pi omega0 / alpha < 1e-8) and the
+# old x > 700 cut, with alpha = 0 (inertial) among them
 _W0 = np.geomspace(1e-12, 1e4, 301)
 _ALPHA = np.concatenate([[0.0], np.geomspace(1e-4, 1e6, 301)])
 
@@ -197,7 +196,7 @@ def test_vf_at_tiny_omega0_is_its_small_y_limit(omega0, alpha):
 
 def test_vf_is_continuous_where_coth_becomes_its_pole():
     alpha = 1.0
-    for y in (COTH_POLE * (1 - 1e-9), COTH_POLE * (1 + 1e-9)):
+    for y in (1e-8 * (1 - 1e-9), 1e-8 * (1 + 1e-9)):  # where a pole branch was
         omega0 = y * alpha / math.pi
         vf = R.atom_vf_rate(DetectorParams(omega0), alpha, MINUS)
         want = (omega0**2 / (16.0 * math.pi)) / math.tanh(y)
@@ -233,13 +232,14 @@ def test_total_vanishes_in_ground_state():
 
 
 # x = 2 pi omega0 / alpha at alpha = 1, where the rates and the response form
-# the same x; 1e-300 lies below COTH_POLE, 700 where e^-x is near underflow
+# the same x; 1e-300 lies below the old coth pole at x = 2e-8, 700 where e^-x
+# is near underflow
 GROUND_X = st.floats(min_value=1e-300, max_value=700.0)
 
 
 @given(GROUND_X)
 @example(1e-300)
-@example(2.0 * COTH_POLE)
+@example(2e-8)
 @example(31.4)
 @example(700.0)
 @settings(max_examples=300, deadline=None)
@@ -251,6 +251,27 @@ def test_ground_state_total_is_the_planck_rate(x):
     total = R.atom_total_rate(DetectorParams(w0), 1.0, MINUS).total
     want = w0 * response_accelerated(w0, 1.0).rate / 4.0
     assert total == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+@given(st.floats(min_value=700.0, max_value=1400.0))
+@example(750.0)
+@example(1400.0)
+@settings(max_examples=200, deadline=None)
+def test_ground_state_total_is_normal_where_e_to_the_minus_x_underflows(x):
+    # e^-x underflows from x ~ 745 on, and the total (omega0^2 / 8 pi) nbar =
+    # omega0 F / 4 and F = (omega0 / 2 pi) nbar printed 0 there; at omega0 =
+    # 1e150 the total is a normal float up to x ~ 1396, F up to x ~ 1051
+    w0 = 1e150
+    alpha = 2.0 * math.pi * w0 / x
+    x = 2.0 * math.pi * (w0 / alpha)  # the x of the rates at (w0, alpha)
+    total = R.atom_total_rate(DetectorParams(w0), alpha, MINUS).total
+    rate = response_accelerated(w0, alpha).rate
+    want = math.exp(2.0 * math.log(w0) - math.log(8.0 * math.pi) - x)
+    assert total != 0.0
+    assert total == pytest.approx(want, rel=1e-12, abs=0.0)
+    if x < 1051.0:
+        assert rate != 0.0
+        assert w0 * rate / 4.0 == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 @given(GROUND_X)

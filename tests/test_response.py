@@ -62,6 +62,16 @@ def test_small_gap_limit():
     assert got == pytest.approx(1.0 / (4.0 * math.pi**2), rel=1e-6)
 
 
+@pytest.mark.parametrize("x", [5e-324, 1e-320, 1e-310, 1e-300, 1e-9])
+def test_rate_where_x_is_subnormal_is_the_small_x_limit(x):
+    # x = 2 pi deltaE / alpha; formed as deltaE / (2 pi x), the rate carried
+    # the few digits of a subnormal x: 1.85e-4 off at alpha = 1e21
+    de = 1e-300
+    alpha = 2.0 * math.pi * de / x
+    want = alpha / (4.0 * math.pi**2) * (1.0 - x / 2.0)
+    assert RS.response_accelerated(de, alpha).rate == pytest.approx(want, rel=1e-15)
+
+
 @given(
     st.floats(min_value=0.1, max_value=5.0),
     st.floats(min_value=0.2, max_value=5.0),
