@@ -91,20 +91,56 @@ def _exprel_neg(z):
     return -np.expm1(-z) / z
 
 
+def _log_ratio(x, y):
+    """ln(x / y) for x > 0 finite and y in (0, +inf].
+
+    The log of the ratio where x / y is normal or exact (x / inf = 0 gives
+    -inf), else the split ln x - ln y, which keeps only ~|ln x| 2^-52
+    absolute accuracy.  The division raises its underflow or overflow flag
+    only for a ratio rounded to a subnormal, 0 or inf, so where none is,
+    this is one division and one log.
+    """
+    try:
+        with np.errstate(under="raise", over="raise", divide="ignore"):
+            return np.log(x / y)
+    except FloatingPointError:
+        with np.errstate(all="ignore"):
+            r = x / y
+            # r y == x: r is x / y to within 2^-53, as an exact ratio is
+            ok = ((r >= _TINY) & (r < np.inf)) | (r * y == x)
+            return np.where(ok, np.log(r), np.log(x) - np.log(y))
+
+
 def _coth(x: float) -> float:
     return 1.0 / math.tanh(x)
 
 
-def _truncated(partial) -> complex:
-    """partial(N_MAX), an image sum over |n| <= N_MAX with a midpoint tail.
+def _image_sums(terms, tail) -> tuple[complex, complex]:
+    """(S_N, S_{N/2}): an image sum over |n| <= N = N_MAX and over |n| <= N
+    // 2, each with its midpoint tail, from one array of terms.
 
-    The midpoint tail's error falls as n^-3, so the error of partial(N_MAX //
-    2) is 8 times that of partial(N_MAX) and their difference is 7 times it.
-    Raises NonConvergence unless that estimate is within TRUNC_TOL relative;
-    a NaN fails too.
+    terms(n) is the array of terms at an integer array n, tail(N) the tail
+    beyond |n| <= N.  The 2N + 1 terms are formed once; S_{N/2} sums the
+    middle 2(N // 2) + 1 of them, the same values summed in the same order
+    as terms(n) at |n| <= N // 2 alone.
+    """
+    n_max = N_MAX
+    half = n_max // 2
+    t = terms(np.arange(-n_max, n_max + 1))
+    return (complex(np.sum(t) + tail(n_max)),
+            complex(np.sum(t[n_max - half:n_max + half + 1]) + tail(half)))
+
+
+def _truncated(terms, tail) -> complex:
+    """S_N of `_image_sums`, checked against S_{N/2}.
+
+    The midpoint tail's error falls as n^-3, so the error of S_{N/2} is 8
+    times that of S_N and their difference is 7 times it.  Raises
+    NonConvergence unless that estimate is within TRUNC_TOL relative; a NaN
+    fails too.
     """
     with np.errstate(all="ignore"):  # an overflow gives a NaN that the gate refuses
-        value, half = partial(N_MAX), partial(N_MAX // 2)
+        value, half = _image_sums(terms, tail)
     error = abs(value - half) / 7.0
     if not error <= TRUNC_TOL * abs(value):
         raise NonConvergence(
@@ -141,17 +177,29 @@ def image_sum_inverse_power(m: int, z: complex, alpha: float) -> complex:
     raise DomainError(f"image_sum_inverse_power supports m in 2, 3, 4, 6, got {m}")
 
 
+def _inverse_power_series(m: int, z: complex, alpha: float):
+    """(terms, tail) of S_m(z) for `_image_sums`: the terms (z + i P n)^-m,
+    P = 2 pi / alpha, and the Euler-Maclaurin midpoint tail, sum_{|n|>N} f(n)
+    ~ the integral over |n| > N + 1/2."""
+    period = 2.0 * math.pi / alpha
+
+    def terms(n):
+        return (z + 1j * period * n) ** (-m)
+
+    def tail(n_max: int) -> complex:
+        edge = period * (n_max + 0.5)
+        return ((1.0 / (m - 1)) * ((z + 1j * edge) ** (1 - m) - (z - 1j * edge) ** (1 - m))
+                / (1j * period))
+
+    return terms, tail
+
+
 def image_sum_inverse_power_sum(
     m: int, z: complex, alpha: float, n_max: int
 ) -> complex:
     """Brute-force symmetric truncation of S_m(z) with a midpoint tail estimate."""
-    period = 2.0 * math.pi / alpha
-    n = np.arange(-n_max, n_max + 1)
-    total = np.sum((z + 1j * period * n) ** (-m))
-    # Euler-Maclaurin midpoint tail: sum_{|n|>N} f(n) ~ int over |n|>N+1/2
-    edge = period * (n_max + 0.5)
-    tail = (1.0 / (m - 1)) * ((z + 1j * edge) ** (1 - m) - (z - 1j * edge) ** (1 - m)) / (1j * period)
-    return complex(total + tail)
+    terms, tail = _inverse_power_series(m, z, alpha)
+    return complex(np.sum(terms(np.arange(-n_max, n_max + 1))) + tail(n_max))
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +230,7 @@ def wightman_vacuum_accelerated_sum(u: float, alpha: float) -> KernelValue:
         raise DomainError(f"alpha must be positive, got {alpha}")
     if u == 0.0:
         raise SingularInput("u = 0 is singular")
-    s = _truncated(lambda n_max: image_sum_inverse_power_sum(2, u, alpha, n_max))
+    s = _truncated(*_inverse_power_series(2, u, alpha))
     return KernelValue(-(1.0 / _FOUR_PI_SQ) * s)
 
 
@@ -259,18 +307,18 @@ def g_thermal_inertial_sum(u: float, beta: float, v: float) -> KernelValue:
     m_p = -1j * gamma * u * (1.0 - v) / beta
     m_m = -1j * gamma * u * (1.0 + v) / beta
 
+    def terms(m):
+        return 1.0 / (beta**2 * (m - m_p) * (m - m_m))
+
     def tail_antideriv(mm: float) -> complex:
         # int dm / (beta^2 (m - m_p)(m - m_m)) evaluated at m = mm .. sign handled
         return np.log((mm - m_p) / (mm - m_m)) / (beta**2 * (m_p - m_m))
 
-    def partial(n_max: int) -> complex:
-        m = np.arange(-n_max, n_max + 1.0)
-        total = np.sum(1.0 / (beta**2 * (m - m_p) * (m - m_m)))
+    def tail(n_max: int) -> complex:
         edge = n_max + 0.5
-        tail = -tail_antideriv(edge) + tail_antideriv(-edge)
-        return complex(total + tail)
+        return -tail_antideriv(edge) + tail_antideriv(-edge)
 
-    return KernelValue(_truncated(partial) / _FOUR_PI_SQ)
+    return KernelValue(_truncated(terms, tail) / _FOUR_PI_SQ)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +366,7 @@ def g_thermal_accelerated(tau1, tau2, beta, alpha) -> KernelValue:
     # A1,2 = F(2x) exp(log_r + x +- c) with log_r = ln(pi u / beta), -inf at
     # beta = +inf; x + c = a (u + |s|) / 2 and, free of the cancellation of
     # x against c, x - c = -2 a t1 t2 / (u + |s|).
-    log_r = np.log(np.pi * u) - np.log(beta)
+    log_r = _log_ratio(np.pi * u, beta)
     a1 = f * np.exp(np.minimum(log_r + 0.5 * alpha * (u + sa), 700.0))
     a2 = f * np.exp(
         np.minimum(log_r - 2.0 * alpha * (tau1 * (tau2 / (u + sa))), 700.0)

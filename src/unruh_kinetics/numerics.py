@@ -4,8 +4,9 @@ Integrals run on one composite 24-point Gauss-Legendre rule (Davis &
 Rabinowitz, *Methods of Numerical Integration*, ch. 2) over [0, u_max], for
 kernels that spike on a scale |c| at u = 0 and oscillate at a frequency omega:
 panel widths double from |c|/100 up to h = min(1, 1/|omega|), then stay h.
-The rate pipeline runs the rule in units of its contour's height d above the
-nearest pole (c = omega = 1), so its panels double from d/100 up to d.
+`composite_rule` lays the same 24 points on any panel edges; the rate
+pipeline's ray rule (`rates._line_integral`) is one fixed set of edges whose
+widths double all the way out, since its integrand decays exponentially.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .core import DomainError
 __all__ = [
     "neville",
     "panel_rule",
+    "composite_rule",
     "panel_integral",
     "damped_line_integral",
     "half_line_cos_sin_integral",
@@ -79,6 +81,12 @@ def panel_rule(c: float, omega: float, u_max: float) -> tuple[np.ndarray, np.nda
             f"{MAX_PANELS} panels"
         )
     edges = np.append(edges, np.linspace(knee, u_max, math.ceil(uniform) + 1))
+    return composite_rule(edges)
+
+
+def composite_rule(edges) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) of the 24-point rule on each panel between
+    consecutive edges, a 1-D increasing array."""
     gl_nodes, gl_weights = _gauss_legendre()
     half = 0.5 * np.diff(edges)[:, None]
     nodes = 0.5 * (edges[1:] + edges[:-1])[:, None] + half * gl_nodes

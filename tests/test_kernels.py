@@ -3,6 +3,7 @@
 import cmath
 import math
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -103,6 +104,35 @@ def test_truncation_estimate_tracks_the_true_error(monkeypatch, oracle, closed, 
     floor = 4.0 * np.finfo(float).eps * abs(want)
     assert estimate <= 2.0 * error + floor
     assert error <= 2.0 * estimate + floor
+
+
+@pytest.mark.parametrize("u, alpha", [(1.0, 1.0), (0.3, 2.5), (2.0, 0.4), (0.05, 7.0)])
+def test_oracle_truncations_share_their_terms(u, alpha):
+    # S_N and S_{N/2}, summed from one array of 2N + 1 terms, are the two
+    # truncations the oracles once formed by separate calls, bit for bit
+    value, half = K._image_sums(*K._inverse_power_series(2, u, alpha))
+    assert value == K.image_sum_inverse_power_sum(2, u, alpha, K.N_MAX)
+    assert half == K.image_sum_inverse_power_sum(2, u, alpha, K.N_MAX // 2)
+
+
+def _inertial_partial(u, beta, v, n_max):
+    """g_thermal_inertial_sum's truncation at |n| <= n_max with its tail, as
+    one call per n_max formed it."""
+    gamma = 1.0 / math.sqrt(1.0 - v * v)
+    m_p = -1j * gamma * u * (1.0 - v) / beta
+    m_m = -1j * gamma * u * (1.0 + v) / beta
+    m = np.arange(-n_max, n_max + 1.0)
+    total = np.sum(1.0 / (beta**2 * (m - m_p) * (m - m_m)))
+    antideriv = lambda mm: np.log((mm - m_p) / (mm - m_m)) / (beta**2 * (m_p - m_m))
+    edge = n_max + 0.5
+    tail = -antideriv(edge) + antideriv(-edge)
+    return complex(total + tail)
+
+
+@pytest.mark.parametrize("u, beta, v", [(1.0, 1.0, 0.5), (1.3, 2.0, 0.4), (0.2, 0.7, 0.9)])
+def test_inertial_oracle_is_its_separate_call_value(u, beta, v):
+    got = K.g_thermal_inertial_sum(u, beta, v).value
+    assert got == _inertial_partial(u, beta, v, K.N_MAX) / FOUR_PI_SQ
 
 
 # --- inertial thermal kernel ---------------------------------------------
@@ -289,6 +319,41 @@ def test_accelerated_thermal_large_arguments_stay_finite():
         )
     with pytest.raises(SingularInput):
         K.g_thermal_accelerated(1e-200, 0.0, 1.0, 1.0)
+
+
+_PI_50 = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+
+
+def test_accelerated_thermal_keeps_its_digits_at_tiny_u_and_beta():
+    # at u = 1e-140, ln(pi u) - ln(beta) kept only ~322 * 2^-52 absolute
+    # accuracy of ln(pi u / beta), and g ~ e^{-2 pi u / beta}, pi u / beta ~
+    # 6000, multiplies it by ~10^4: g was up to 4.0e-11 off.  The reference
+    # is -csch^2(pi u / beta) / 4 beta^2 at 50 digits (thermal_image_closed's
+    # e^-2y underflows here); a subnormal g carries 2^-1075 absolute
+    u, betas = 1e-140, np.linspace(4e-143, 9e-143, 51)
+    got = K.g_thermal_accelerated(u, 0.0, betas, 0.0).value
+    assert np.all(got.imag == 0.0)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for beta, g in zip(betas.tolist(), got.real.tolist()):
+            y = _PI_50 * Decimal(u) / Decimal(beta)
+            want = -1 / ((y.exp() - (-y).exp()) ** 2 * Decimal(beta) ** 2)
+            assert abs(Decimal(g) - want) <= Decimal("5e-12") * abs(want) + Decimal(2) ** -1074, beta
+
+
+def test_accelerated_thermal_where_pi_u_over_beta_leaves_the_normal_range():
+    # pi u / beta rounded to a subnormal, exactly a subnormal (2^-1060), 0,
+    # and inf, among normal ratios: an array matches its scalar calls
+    x = math.pi * 1e-150
+    betas = np.array([1.3, 1e160, math.ldexp(x, 1060), 1e200, math.inf, 5e-324])
+    for alpha in (0.0, 0.3):
+        arr = K.g_thermal_accelerated(1e-150, 0.0, betas, alpha).value
+        one = [K.g_thermal_accelerated(1e-150, 0.0, float(b), alpha).value for b in betas]
+        assert np.array_equal(arr, np.array(one))
+        # A1 = A2 ~ pi u / beta -> 0: the vacuum value -1 / (4 pi^2 u^2)
+        assert arr[1:5].real == pytest.approx(-1.0 / (FOUR_PI_SQ * 1e-300), rel=1e-12)
+    exact = K._log_ratio(np.float64(x), np.float64(math.ldexp(x, 1060)))
+    assert exact == pytest.approx(-1060.0 * math.log(2.0), rel=1e-15)
 
 
 # --- image-sum closed forms ----------------------------------------------

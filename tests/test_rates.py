@@ -26,6 +26,8 @@ from unruh_kinetics.core import (
     OrderingParam,
 )
 from unruh_kinetics import rates as R
+from unruh_kinetics.kernels import image_sum_inverse_power
+from unruh_kinetics.numerics import composite_rule
 from unruh_kinetics.response import response_accelerated
 
 PLUS = AtomState.plus()
@@ -386,6 +388,58 @@ def test_numeric_rates_refuse_where_the_integral_cancels_to_its_rounding_floor(m
         floor, value = map(float, re.search(
             r"rounding floor of (\S+), for a value of magnitude (\S+);", str(exc.value)).groups())
         assert floor >= 2e-9 * value, (ratio, floor, value)
+
+
+@pytest.mark.parametrize("m", sorted(RATIO_WINDOW))
+def test_every_alpha_over_omega0_the_ray_accepts_is_right(m):
+    # the ray rule decides where the window ends; wherever it returns, on
+    # 810 ratios from below the window to the largest float, the rates are
+    # the closed forms to 1e-9
+    p = DetectorParams(1.0, 1.0)
+    for ratio in np.geomspace(1e-160, 1.7e308, 810).tolist():
+        try:
+            vf, rr = _rates_with_s(m, 1.0, ratio)
+        except NonConvergence:
+            continue
+        assert vf == pytest.approx(R.atom_vf_rate(p, ratio, PLUS), rel=1e-9), ratio
+        assert rr == pytest.approx(R.atom_rr_rate(p, ratio), rel=1e-9), ratio
+
+
+def _fine_line_integral(m, omega0, alpha):
+    """J of `R._line_integral` on the ray from Im z = d alone, by 0.25-wide
+    panels out to s = 100, where the integrand has decayed below e^-70."""
+    d = min(math.pi / alpha, 1.0 / omega0)
+    w, a = omega0 * d, alpha * d
+    s, weights = composite_rule(np.arange(0.0, 100.25, 0.25))
+    z = 1j + R._RAY * s
+    i = complex((R._RAY * weights) @ (np.exp(-1j * w * z) * image_sum_inverse_power(m, z, a)))
+    return i + (-1) ** m * i.conjugate()
+
+
+@pytest.mark.parametrize("m", sorted(RATIO_WINDOW))
+def test_ray_rule_matches_a_fine_panel_rule(m):
+    for w0 in (0.3, 0.7, 1.5, 3.0, 7.0):
+        for alpha in (0.1, 0.3, 1.0, 2.0, 5.0, 10.0):
+            if alpha / w0 > RATIO_WINDOW[m][0][1]:
+                continue
+            j, _ = R._line_integral(m, w0, alpha)
+            want = _fine_line_integral(m, w0, alpha)
+            assert abs(j - want) <= 1e-10 * abs(want), (w0, alpha)
+
+
+@pytest.mark.parametrize("m", sorted(RATIO_WINDOW))
+def test_line_integral_evaluates_its_integrand_once_on_few_nodes(monkeypatch, m):
+    # both rays in one call, on at most 512 nodes in all, so that the rule's
+    # cost cannot grow back unnoticed
+    sizes = []
+
+    def counted(m, z, alpha):
+        sizes.append(np.size(z))
+        return image_sum_inverse_power(m, z, alpha)
+
+    monkeypatch.setattr(R, "image_sum_inverse_power", counted)
+    R._line_integral(m, 1.3, 2.1)
+    assert len(sizes) == 1 and sizes[0] <= 512, sizes
 
 
 def test_derivative_coupling_n0_vf_matches_closed_form():
