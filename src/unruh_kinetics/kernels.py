@@ -6,6 +6,11 @@ g(tau', tau'') in both frames.  Every closed form has a brute-force
 truncated-image-sum companion used as an oracle.  At u != 0 no image lies on
 the real axis, so each oracle sums at eps = 0 and checks its truncation.
 
+Both thermal kernels are a prefactor times coth A1 - coth A2, A1 >= A2 >= 0,
+evaluated by one exact identity in decaying exponentials, free of cancellation:
+    coth A1 - coth A2 = -e^{-2 A2} D F(2D) / (A1 A2 F(2 A1) F(2 A2)),
+D = A1 - A2 and F(z) = (1 - e^{-z}) / z (F(0) = 1); see _coth_difference.
+
 Sign conventions follow the -1/(4 pi^2) normalization of the massless-field
 Wightman function throughout.
 """
@@ -32,9 +37,6 @@ __all__ = [
     "thermal_image_closed",
 ]
 
-# Below this speed the finite-v coth closed form loses ~all significant digits
-# to cancellation; switch to the v -> 0 csch^2 limit.
-V_CROSSOVER = 1e-6
 # |Re w| beyond which coth w and csch^2 w are evaluated from their value at
 # Re w = +-W_CLIP (see _coth_csch2).
 W_CLIP = 20.0
@@ -91,6 +93,16 @@ def _exprel_neg(z):
     return -np.expm1(-z) / z
 
 
+def _coth_difference(q, a1, a2, d):
+    """-q^2 e^{-2 A2} F(2D) / (F(2 A1) F(2 A2)), D = A1 - A2 >= 0: a thermal
+    kernel whose prefactor times D / (A1 A2) is -q^2.  A1 and D are at most
+    ~e^700, where F of them has saturated; A2 may be +inf."""
+    # e^{-2 A2} / F(2 A2) = pa pb, one factor at a time so that no partial
+    # product underflows where g is normal (the F ratio is large only if pa is small)
+    pa, pb = planck(2.0 * a2)
+    return -(q * q) * pa * (_exprel_neg(2.0 * d) / _exprel_neg(2.0 * a1)) * pb
+
+
 def _log_ratio(x, y):
     """ln(x / y) for x > 0 finite and y in (0, +inf].
 
@@ -109,10 +121,6 @@ def _log_ratio(x, y):
             # r y == x: r is x / y to within 2^-53, as an exact ratio is
             ok = ((r >= _TINY) & (r < np.inf)) | (r * y == x)
             return np.where(ok, np.log(r), np.log(x) - np.log(y))
-
-
-def _coth(x: float) -> float:
-    return 1.0 / math.tanh(x)
 
 
 def _image_sums(terms, tail) -> tuple[complex, complex]:
@@ -238,14 +246,22 @@ def wightman_vacuum_accelerated_sum(u: float, alpha: float) -> KernelValue:
 # thermal kernels, inertial frame
 # ---------------------------------------------------------------------------
 
+def _check_inertial(u, beta, v=0.0) -> None:
+    """Refuse a speed v outside [0, 1), a beta that is not positive and
+    finite, and u = 0, at every element of an array."""
+    require_all((v >= 0.0) & (v < 1.0), v, "speed must satisfy 0 <= v < 1")
+    require_all((beta > 0.0) & (beta < math.inf), beta, "beta must be positive and finite")
+    if np.any(u == 0.0):
+        raise SingularInput("u = 0 is singular")
+
+
 def thermal_image_closed(u, beta) -> complex:
     """-(1 / 4 beta^2) csch^2(pi u / beta), the v -> 0 thermal kernel.
 
     u and beta broadcast as arrays; the value is real, returned as complex.
     """
     u, beta = np.float64(u), np.float64(beta)
-    if np.any(u == 0.0):
-        raise SingularInput("u = 0 is singular")
+    _check_inertial(u, beta)
     _, s2 = _coth_csch2(np.pi * u / beta + 0j)
     return _complex(-(1.0 / (4.0 * beta**2)) * s2)
 
@@ -257,36 +273,31 @@ def thermal_image_sum(u: float, beta: float) -> complex:
     Oracle for thermal_image_closed through the lattice-sum identity
     sum_n (u - i beta n)^-2 = (pi^2 / beta^2) csch^2(pi u / beta).
     """
-    if not math.isfinite(beta) or beta <= 0:
-        raise DomainError(f"beta must be positive and finite, got {beta}")
+    _check_inertial(u, beta)
     return wightman_vacuum_accelerated_sum(u, 2.0 * math.pi / beta).value
 
 
 def g_thermal_inertial(u: float, beta: float, v: float) -> KernelValue:
-    """Finite-v inertial thermal kernel (coth closed form).
+    """Finite-v inertial thermal kernel, even in u.
 
     g = sqrt(1-v^2) [coth(gamma (v-1) pi u / beta) + coth(gamma (v+1) pi u / beta)]
         / (8 pi beta v u)
 
-    For v below the cancellation crossover the v -> 0 limit
-    -(1/4 beta^2) csch^2(pi u / beta) is returned instead.
+    With x = pi |u| / beta and s = sqrt((1-v)(1+v)), the bracket over u is
+    coth A1 - coth A2 over |u|, A1 = (1+v) x / s and A2 = (1-v) x / s.  As
+    A1 A2 = x^2 and D = 2 v x / s, D / (A1 A2) = 2 gamma v / x, so g is
+    _coth_difference at q = 1 / (2 pi |u|) for every v: at v = 0 (D = 0) it
+    is -csch^2(x) / 4 beta^2.  A1 (and D <= A1) is capped at e^700, so x =
+    +inf gives 0.
     """
-    if not 0.0 <= v < 1.0:
-        raise DomainError(f"speed must satisfy 0 <= v < 1, got {v}")
-    if not math.isfinite(beta) or beta <= 0:
-        raise DomainError(f"beta must be positive and finite, got {beta}")
-    if u == 0.0:
-        raise SingularInput("u = 0 is singular")
-    if v < V_CROSSOVER:
-        return KernelValue(thermal_image_closed(u, beta))
-    gamma = 1.0 / math.sqrt(1.0 - v * v)
-    x = math.pi * u / beta
-    val = (
-        math.sqrt(1.0 - v * v)
-        * (_coth(gamma * (v - 1.0) * x) + _coth(gamma * (v + 1.0) * x))
-        / (8.0 * math.pi * beta * v * u)
-    )
-    return KernelValue(complex(val))
+    _check_inertial(u, beta, v)
+    x = math.pi * abs(u) / beta
+    # (1-v)(1+v), not 1 - v^2, which loses digits near v = 1
+    s = math.sqrt((1.0 - v) * (1.0 + v))
+    a1 = min((1.0 + v) * x / s, math.exp(700.0))
+    d = a1 * (2.0 * v / (1.0 + v))
+    q = 1.0 / (2.0 * math.pi * abs(u))
+    return KernelValue(_complex(_coth_difference(q, a1, (1.0 - v) * x / s, d)))
 
 
 def g_thermal_inertial_sum(u: float, beta: float, v: float) -> KernelValue:
@@ -295,12 +306,7 @@ def g_thermal_inertial_sum(u: float, beta: float, v: float) -> KernelValue:
     (1/4 pi^2) sum_n [i 2 beta (gamma-1) u n - (u - i beta n)^2]^-1,
     symmetric truncation plus a partial-fraction tail, checked by _truncated.
     """
-    if not 0.0 <= v < 1.0:
-        raise DomainError(f"speed must satisfy 0 <= v < 1, got {v}")
-    if not math.isfinite(beta) or beta <= 0:
-        raise DomainError(f"beta must be positive and finite, got {beta}")
-    if u == 0.0:
-        raise SingularInput("u = 0 is singular")
+    _check_inertial(u, beta, v)
     gamma = 1.0 / math.sqrt(1.0 - v * v)
     # denominator = beta^2 m^2 + 2 i beta gamma u m - u^2 at m = n, roots
     # m_pm = -i gamma u (1 -+ v) / beta
@@ -337,13 +343,9 @@ def g_thermal_accelerated(tau1, tau2, beta, alpha) -> KernelValue:
     ARG_MAX.
     g is symmetric under t1 <-> t2 and under (t1, t2) -> (-t2, -t1), so with
     x = a |t1 - t2| / 2 and c = a |t1 + t2| / 2 >= 0, A1 >= A2 >= 0 and
-    D = A1 - A2 = A1 (1 - e^{-2c}).  The exact identity
-        coth A1 - coth A2 = 2 e^{-2 A2} expm1(-2 D) / (expm1(-2 A1) expm1(-2 A2))
-    and cosh(a t1) - cosh(a t2) = 2 sinh c sinh x turn g into
-        g = -[e^{-x} / (2 pi u F(2x))]^2 e^{-2 A2} F(2D) / (F(2 A1) F(2 A2))
-    with u = |t1 - t2| and F(z) = (1 - e^{-z}) / z (F(0) = 1), so that
-    e^{-z} / F(z) is the Planck factor z / (e^z - 1) of `core.planck`.  Every
-    exponential decays and nothing cancels, so the one formula covers
+    D = A1 - A2 = A1 (1 - e^{-2c}).  The module's identity and cosh(a t1) -
+    cosh(a t2) = 2 sinh c sinh x make g _coth_difference at q = e^{-x} / (2
+    pi u F(2x)), u = |t1 - t2|, so the one formula covers
     beta = +inf (A1 = A2 = 0: the csch^2 vacuum form), alpha = 0 (the
     inertial thermal kernel), t1 = -t2 (D = 0: -csch^2(A1) / 4 beta^2) and
     large a t without overflow.  A1 and A2 are capped at ~e^700, where every
@@ -373,8 +375,4 @@ def g_thermal_accelerated(tau1, tau2, beta, alpha) -> KernelValue:
     )
     d = a1 * -np.expm1(-alpha * sa)
     q = np.exp(-x) / (2.0 * np.pi * u * f)
-    # e^{-2 A2} / F(2 A2) = pa pb, one factor at a time so that no partial
-    # product underflows where g is normal (the F ratio is large only if pa is small)
-    pa, pb = planck(2.0 * a2)
-    g = -(q * q) * pa * (_exprel_neg(2.0 * d) / _exprel_neg(2.0 * a1)) * pb
-    return KernelValue(_complex(g))
+    return KernelValue(_complex(_coth_difference(q, a1, a2, d)))

@@ -2,8 +2,9 @@
 
 import cmath
 import math
+import re
 import warnings
-from decimal import Decimal, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -64,12 +65,17 @@ def test_lattice_sum_nonconvergence_on_impossible_tolerance(monkeypatch):
 def test_oracles_refuse_a_nan_sum_and_a_bad_beta():
     with pytest.raises(NonConvergence):
         K.wightman_vacuum_accelerated_sum(math.nan, 1.0)
-    # beta = 0 divided by zero, and beta < 0 returned a value
+    # beta = 0 divided by zero, and beta < 0 returned a value; the closed
+    # form gave nan + nanj at beta = 0, inf and nan and -0.00187 at beta = -1
     for beta in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(DomainError):
-            K.thermal_image_sum(1.0, beta)
-        with pytest.raises(DomainError):
-            K.g_thermal_inertial_sum(1.0, beta, 0.5)
+        message = re.escape(f"beta must be positive and finite, got {beta}")
+        for call in (lambda b: K.thermal_image_sum(1.0, b),
+                     lambda b: K.g_thermal_inertial_sum(1.0, b, 0.5),
+                     lambda b: K.g_thermal_inertial(1.0, b, 0.5),
+                     lambda b: K.thermal_image_closed(1.0, b),
+                     lambda b: K.thermal_image_closed(np.array([1.0, 2.0]), np.array([1.0, b]))):
+            with pytest.raises(DomainError, match=message):
+                call(beta)
 
 
 def test_accelerated_sum_checks_its_truncation(monkeypatch):
@@ -137,16 +143,62 @@ def test_inertial_oracle_is_its_separate_call_value(u, beta, v):
 
 # --- inertial thermal kernel ---------------------------------------------
 
-def test_inertial_thermal_small_v_limit():
-    g = K.g_thermal_inertial(1.0, 1.0, 1e-8)
-    want = -0.25 / math.sinh(math.pi) ** 2
-    assert g.value.real == pytest.approx(want, rel=1e-6)
+def _inertial_reference(u, beta, v):
+    """-sinh(A1 - A2) / (sinh A1 sinh A2) sqrt(1 - v^2) / (8 pi beta v u),
+    A1,2 = (1 +- v) x / sqrt(1 - v^2) and x = pi |u| / beta, or at v = 0
+    -1 / (4 beta^2 sinh^2 x), at 50 digits of the double arguments."""
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = 50, MAX_EMAX, MIN_EMIN
+        u, beta, v = abs(Decimal(u)), Decimal(beta), Decimal(v)
+        sinh = lambda z: (z.exp() - (-z).exp()) / 2
+        x = _PI_50 * u / beta
+        if v == 0:
+            return -1 / (4 * beta**2 * sinh(x) ** 2)
+        s = ((1 - v) * (1 + v)).sqrt()
+        a1, a2 = (1 + v) * x / s, (1 - v) * x / s
+        return -sinh(a1 - a2) / (sinh(a1) * sinh(a2)) * s / (8 * _PI_50 * beta * v * u)
 
 
-def test_inertial_thermal_matches_sum_oracle():
-    g = K.g_thermal_inertial(1.0, 1.0, 0.5)
-    s = K.g_thermal_inertial_sum(1.0, 1.0, 0.5)
+@pytest.mark.parametrize(
+    "beta, v",
+    [(0.7, v) for v in (0.0, 1e-9, 1e-6, 1e-3, 0.5, 0.9, 1.0 - 1e-9)] + [(1.0, 1e-8)],
+)
+def test_inertial_thermal_matches_a_50_digit_reference(beta, v):
+    # the coth sum cancelled: 26 % off at (u, beta, v) = (10, 1, 0.5), 0 for
+    # -1.7e-16 at (3, 0.5, 1e-3) and 3.7e-9 off near v = 1; below v = 1e-6
+    # the v -> 0 limit stood in.  u = 1, then x = pi |u| / beta from 1e-3 up
+    # to where g leaves the normal range
+    checked = 0
+    for u in [1.0] + [x * beta / math.pi for x in np.geomspace(1e-3, 1e9, 145).tolist()]:
+        want = _inertial_reference(u, beta, v)
+        if abs(want) < Decimal(2) ** -1022:
+            break
+        for sign in (1.0, -1.0):
+            got = K.g_thermal_inertial(sign * u, beta, v).value
+            assert got.imag == 0.0
+            assert abs(Decimal(got.real) - want) <= Decimal("1e-12") * abs(want), (u, v)
+        checked += 1
+    assert checked >= 40 and abs(want) < Decimal(2) ** -1022
+
+
+@pytest.mark.parametrize("u, beta, v", [(1.0, 1.0, 0.5), (2.0, 1.0, 1e-6)])
+def test_inertial_thermal_matches_sum_oracle(u, beta, v):
+    # at v = 1e-6 the cancelling coth sum was 3.1e-7 off the oracle
+    g = K.g_thermal_inertial(u, beta, v)
+    s = K.g_thermal_inertial_sum(u, beta, v)
     assert abs(g.value - s.value) / abs(g.value) < 1e-8
+
+
+def test_inertial_thermal_far_outside_the_float_range():
+    # 1 / tanh(0) raised ZeroDivisionError at the first point; -inf is the
+    # value only where |g| ~ 1 / (4 pi^2 u^2) exceeds the float range, and
+    # at x = pi u / beta = +inf g underflows to 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert K.g_thermal_inertial(1e-300, 1e300, 0.3).value == -math.inf
+        assert K.g_thermal_inertial(1e300, 1e-10, 0.5).value == 0.0
+        assert K.g_thermal_inertial(1e-150, 1e300, 0.3).value.real == pytest.approx(
+            -1.0 / (FOUR_PI_SQ * 1e-300), rel=1e-14)
 
 
 def test_inertial_thermal_sum_v_to_zero():
@@ -158,7 +210,7 @@ def test_inertial_thermal_sum_v_to_zero():
 @given(
     st.floats(min_value=0.2, max_value=3.0),
     st.floats(min_value=0.5, max_value=3.0),
-    st.floats(min_value=0.05, max_value=0.9),
+    st.floats(min_value=0.0, max_value=0.999),
 )
 @settings(max_examples=25, deadline=None)
 def test_inertial_thermal_even_in_u(u, beta, v):
