@@ -125,18 +125,36 @@ def _log_ratio(x, y):
 
 def _image_sums(terms, tail) -> tuple[complex, complex]:
     """(S_N, S_{N/2}): an image sum over |n| <= N = N_MAX and over |n| <= N
-    // 2, each with its midpoint tail, from one array of terms.
+    // 2, each with its midpoint tail, from one buffer of 2N + 1 terms.
 
-    terms(n) is the array of terms at an integer array n, tail(N) the tail
-    beyond |n| <= N.  The 2N + 1 terms are formed once; S_{N/2} sums the
-    middle 2(N // 2) + 1 of them, the same values summed in the same order
-    as terms(n) at |n| <= N // 2 alone.
+    terms(t) turns a complex array t holding integers n into the terms at n,
+    in place; tail(N) is the tail beyond |n| <= N.  Only the n >= 0 half is
+    formed: both oracles have a real centre, so the term at -n is the
+    conjugate of the term at n bit for bit, and the n < 0 half is that
+    half's mirrored conjugate.  One buffer and no temporary of its size
+    keeps each call from faulting fresh pages in.  S_{N/2} sums the middle
+    2(N // 2) + 1 terms, the same values summed in the same order as a sum
+    over |n| <= N // 2 alone.
     """
     n_max = N_MAX
     half = n_max // 2
-    t = terms(np.arange(-n_max, n_max + 1))
+    t = np.arange(-n_max, n_max + 1, dtype=complex)
+    right = terms(t[n_max:])
+    np.conjugate(right[:0:-1], out=t[:n_max])
     return (complex(np.sum(t) + tail(n_max)),
             complex(np.sum(t[n_max - half:n_max + half + 1]) + tail(half)))
+
+
+def _check_image_sum(u, alpha) -> None:
+    """Refuse what the image-sum oracles cannot sum: a complex u, whose
+    n < 0 terms are not the conjugates of its n > 0 ones (see _image_sums),
+    and an alpha, 2 pi / beta for a thermal sum, that is not positive and
+    finite: at alpha = +inf every image sits on u and the tail divides by 0."""
+    if np.iscomplexobj(u):
+        raise DomainError(f"u must be real, got {u}")
+    if not 0.0 < alpha < math.inf:
+        raise DomainError(f"alpha (2 pi / beta of a thermal sum) must be positive "
+                          f"and finite, got {alpha}")
 
 
 def _truncated(terms, tail) -> complex:
@@ -187,12 +205,15 @@ def image_sum_inverse_power(m: int, z: complex, alpha: float) -> complex:
 
 def _inverse_power_series(m: int, z: complex, alpha: float):
     """(terms, tail) of S_m(z) for `_image_sums`: the terms (z + i P n)^-m,
-    P = 2 pi / alpha, and the Euler-Maclaurin midpoint tail, sum_{|n|>N} f(n)
-    ~ the integral over |n| > N + 1/2."""
+    P = 2 pi / alpha, formed in place in the order z + (i P) n, and the
+    Euler-Maclaurin midpoint tail, sum_{|n|>N} f(n) ~ the integral over
+    |n| > N + 1/2."""
     period = 2.0 * math.pi / alpha
 
-    def terms(n):
-        return (z + 1j * period * n) ** (-m)
+    def terms(t):
+        t *= 1j * period
+        t += z
+        return np.power(t, -m, out=t)
 
     def tail(n_max: int) -> complex:
         edge = period * (n_max + 0.5)
@@ -205,9 +226,11 @@ def _inverse_power_series(m: int, z: complex, alpha: float):
 def image_sum_inverse_power_sum(
     m: int, z: complex, alpha: float, n_max: int
 ) -> complex:
-    """Brute-force symmetric truncation of S_m(z) with a midpoint tail estimate."""
+    """Brute-force symmetric truncation of S_m(z) with a midpoint tail
+    estimate.  z may be complex, so all 2 n_max + 1 terms are formed."""
     terms, tail = _inverse_power_series(m, z, alpha)
-    return complex(np.sum(terms(np.arange(-n_max, n_max + 1))) + tail(n_max))
+    t = terms(np.arange(-n_max, n_max + 1, dtype=complex))
+    return complex(np.sum(t) + tail(n_max))
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +257,7 @@ def wightman_vacuum_accelerated_sum(u: float, alpha: float) -> KernelValue:
     Symmetric truncation at |n| <= N_MAX plus a midpoint tail estimate, at
     eps = 0 and checked by _truncated.
     """
-    if not alpha > 0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
+    _check_image_sum(u, alpha)
     if u == 0.0:
         raise SingularInput("u = 0 is singular")
     s = _truncated(*_inverse_power_series(2, u, alpha))
@@ -300,31 +322,49 @@ def g_thermal_inertial(u: float, beta: float, v: float) -> KernelValue:
     return KernelValue(_complex(_coth_difference(q, a1, (1.0 - v) * x / s, d)))
 
 
-def g_thermal_inertial_sum(u: float, beta: float, v: float) -> KernelValue:
-    """Truncated-sum oracle for g_thermal_inertial.
+def _inertial_series(u: float, beta: float, v: float):
+    """(terms, tail) of g_thermal_inertial_sum's sum for `_image_sums`.
 
-    (1/4 pi^2) sum_n [i 2 beta (gamma-1) u n - (u - i beta n)^2]^-1,
-    symmetric truncation plus a partial-fraction tail, checked by _truncated.
+    The denominator is beta^2 m^2 + 2 i beta gamma u m - u^2 at m = n, with
+    roots m_pm = -i gamma u (1 -+ v) / beta; the terms 1 / (beta^2 (m - m_p)
+    (m - m_m)) are formed in place in that order, and the tail is the
+    integral of the term over |m| > N + 1/2 by its antiderivative: the
+    partial-fraction log, or at m_p == m_m (v = 0) the double pole's
+    -1 / (beta^2 (m - m_p)).
     """
-    _check_inertial(u, beta, v)
     gamma = 1.0 / math.sqrt(1.0 - v * v)
-    # denominator = beta^2 m^2 + 2 i beta gamma u m - u^2 at m = n, roots
-    # m_pm = -i gamma u (1 -+ v) / beta
     m_p = -1j * gamma * u * (1.0 - v) / beta
     m_m = -1j * gamma * u * (1.0 + v) / beta
 
-    def terms(m):
-        return 1.0 / (beta**2 * (m - m_p) * (m - m_m))
+    def terms(t):
+        second = t - m_m
+        t -= m_p
+        t *= beta**2
+        t *= second
+        return np.divide(1.0, t, out=t)
 
     def tail_antideriv(mm: float) -> complex:
-        # int dm / (beta^2 (m - m_p)(m - m_m)) evaluated at m = mm .. sign handled
+        if m_p == m_m:
+            return -1.0 / (beta**2 * (mm - m_p))
         return np.log((mm - m_p) / (mm - m_m)) / (beta**2 * (m_p - m_m))
 
     def tail(n_max: int) -> complex:
         edge = n_max + 0.5
         return -tail_antideriv(edge) + tail_antideriv(-edge)
 
-    return KernelValue(_truncated(terms, tail) / _FOUR_PI_SQ)
+    return terms, tail
+
+
+def g_thermal_inertial_sum(u: float, beta: float, v: float) -> KernelValue:
+    """Truncated-sum oracle for g_thermal_inertial.
+
+    (1/4 pi^2) sum_n [i 2 beta (gamma-1) u n - (u - i beta n)^2]^-1,
+    symmetric truncation plus the integral tail of _inertial_series (v = 0
+    included), checked by _truncated.
+    """
+    _check_inertial(u, beta, v)
+    _check_image_sum(u, 2.0 * math.pi / beta)
+    return KernelValue(_truncated(*_inertial_series(u, beta, v)) / _FOUR_PI_SQ)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import cmath
 import math
 import re
+import tracemalloc
 import warnings
 from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 
@@ -95,7 +96,9 @@ def test_accelerated_sum_checks_its_truncation(monkeypatch):
     + [pytest.param(K.wightman_vacuum_accelerated_sum, K.wightman_vacuum_accelerated,
                     (1.0, 1.0), id="accelerated"),
        pytest.param(K.g_thermal_inertial_sum, K.g_thermal_inertial, (1.0, 1.0, 0.5),
-                    id="inertial")],
+                    id="inertial"),
+       pytest.param(K.g_thermal_inertial_sum, lambda u, beta, v: K.thermal_image_closed(u, beta),
+                    (1.0, 1.0, 0.0), id="inertial-v0")],
 )
 def test_truncation_estimate_tracks_the_true_error(monkeypatch, oracle, closed, args):
     # criterion 1's grid and verify's points: the estimate that the oracles
@@ -114,31 +117,120 @@ def test_truncation_estimate_tracks_the_true_error(monkeypatch, oracle, closed, 
 
 @pytest.mark.parametrize("u, alpha", [(1.0, 1.0), (0.3, 2.5), (2.0, 0.4), (0.05, 7.0)])
 def test_oracle_truncations_share_their_terms(u, alpha):
-    # S_N and S_{N/2}, summed from one array of 2N + 1 terms, are the two
-    # truncations the oracles once formed by separate calls, bit for bit
-    value, half = K._image_sums(*K._inverse_power_series(2, u, alpha))
-    assert value == K.image_sum_inverse_power_sum(2, u, alpha, K.N_MAX)
-    assert half == K.image_sum_inverse_power_sum(2, u, alpha, K.N_MAX // 2)
+    # S_N and S_{N/2}, summed from one buffer of 2N + 1 terms whose n < 0
+    # half mirrors the n >= 0 one, are the truncations that all 2N + 1 and
+    # all 2(N // 2) + 1 terms, each formed by its own call, give, bit for bit
+    terms, tail = K._inverse_power_series(2, u, alpha)
+    value, half = K._image_sums(terms, tail)
+    for got, n_max in ((value, K.N_MAX), (half, K.N_MAX // 2)):
+        t = terms(np.arange(-n_max, n_max + 1, dtype=complex))
+        assert got == complex(np.sum(t) + tail(n_max))
+        assert got == K.image_sum_inverse_power_sum(2, u, alpha, n_max)
+
+
+def _accelerated_partial(u, alpha, n_max):
+    """The accelerated oracle's truncation at |n| <= n_max with its tail,
+    every term formed from the full array of n."""
+    period = 2.0 * math.pi / alpha
+    total = np.sum((u + 1j * period * np.arange(-n_max, n_max + 1)) ** -2)
+    edge = period * (n_max + 0.5)
+    return complex(total + ((u + 1j * edge) ** -1 - (u - 1j * edge) ** -1) / (1j * period))
 
 
 def _inertial_partial(u, beta, v, n_max):
     """g_thermal_inertial_sum's truncation at |n| <= n_max with its tail, as
-    one call per n_max formed it."""
+    one call per n_max formed it from the full array of n."""
     gamma = 1.0 / math.sqrt(1.0 - v * v)
     m_p = -1j * gamma * u * (1.0 - v) / beta
     m_m = -1j * gamma * u * (1.0 + v) / beta
     m = np.arange(-n_max, n_max + 1.0)
     total = np.sum(1.0 / (beta**2 * (m - m_p) * (m - m_m)))
-    antideriv = lambda mm: np.log((mm - m_p) / (mm - m_m)) / (beta**2 * (m_p - m_m))
+    if m_p == m_m:
+        antideriv = lambda mm: -1.0 / (beta**2 * (mm - m_p))
+    else:
+        antideriv = lambda mm: np.log((mm - m_p) / (mm - m_m)) / (beta**2 * (m_p - m_m))
     edge = n_max + 0.5
     tail = -antideriv(edge) + antideriv(-edge)
     return complex(total + tail)
+
+
+def _bits(values):
+    return [(complex(c).real.hex(), complex(c).imag.hex()) for c in values]
+
+
+_SIGNED = st.floats(min_value=1e-3, max_value=1e3).flatmap(
+    lambda x: st.sampled_from([x, -x]))
+
+
+@given(_SIGNED, st.floats(min_value=1e-3, max_value=1e3))
+@settings(max_examples=60, deadline=None)
+def test_accelerated_mirror_is_the_full_array_bit_for_bit(u, alpha):
+    # the n < 0 half, the conjugate of the n >= 0 half, changes no bit of
+    # S_N or S_{N/2}
+    got = K._image_sums(*K._inverse_power_series(2, u, alpha))
+    want = [_accelerated_partial(u, alpha, n) for n in (K.N_MAX, K.N_MAX // 2)]
+    assert _bits(got) == _bits(want)
+
+
+@given(_SIGNED, st.floats(min_value=1e-3, max_value=1e3),
+       st.sampled_from([0.0, 5e-324, 1e-9, 0.5, 0.999]))
+@settings(max_examples=60, deadline=None)
+def test_inertial_mirror_is_the_full_array_bit_for_bit(u, beta, v):
+    got = K._image_sums(*K._inertial_series(u, beta, v))
+    want = [_inertial_partial(u, beta, v, n) for n in (K.N_MAX, K.N_MAX // 2)]
+    assert _bits(got) == _bits(want)
 
 
 @pytest.mark.parametrize("u, beta, v", [(1.0, 1.0, 0.5), (1.3, 2.0, 0.4), (0.2, 0.7, 0.9)])
 def test_inertial_oracle_is_its_separate_call_value(u, beta, v):
     got = K.g_thermal_inertial_sum(u, beta, v).value
     assert got == _inertial_partial(u, beta, v, K.N_MAX) / FOUR_PI_SQ
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: K.wightman_vacuum_accelerated_sum(1.0, 1.3), id="accelerated"),
+    pytest.param(lambda: K.thermal_image_sum(1.0, 2.0), id="lattice"),
+    pytest.param(lambda: K.g_thermal_inertial_sum(1.0, 2.0, 0.5), id="inertial"),
+])
+def test_oracles_form_their_terms_in_one_buffer(call):
+    # one buffer of 2N + 1 complex terms plus, for the inertial sum, one
+    # factor of its n >= 0 half; full-array temporaries peaked at 2.5 and
+    # 2.9 buffers and faulted fresh pages in at every call
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * 16 * (2 * K.N_MAX + 1)
+
+
+def test_sum_oracles_refuse_what_the_mirror_cannot_sum():
+    # a complex u has no mirror-image terms: (0.7 + 0.2j, 1.3) would give
+    # -0.037339... for -0.037145...
+    for call in (lambda: K.wightman_vacuum_accelerated_sum(0.7 + 0.2j, 1.3),
+                 lambda: K.thermal_image_sum(np.complex128(0.7 + 0.2j), 1.0),
+                 lambda: K.g_thermal_inertial_sum(0.7 + 0.2j, 1.0, 0.5)):
+        with pytest.raises(DomainError, match=re.escape("u must be real")):
+            call()
+    # alpha = +inf, also as 2 pi / beta at beta = 5e-324, raised
+    # ZeroDivisionError from the tail
+    for call in (lambda: K.wightman_vacuum_accelerated_sum(1.0, math.inf),
+                 lambda: K.thermal_image_sum(1.0, 5e-324),
+                 lambda: K.g_thermal_inertial_sum(1.0, 5e-324, 0.5)):
+        with pytest.raises(DomainError, match="must be positive and finite, got inf"):
+            call()
+
+
+@pytest.mark.parametrize("u, beta", [(1.0, 1.0), (0.3, 2.0), (-0.7, 1.5)])
+@pytest.mark.parametrize("v", [0.0, 5e-324])
+def test_inertial_sum_at_v_zero_is_the_lattice_sum(u, beta, v):
+    # m_+ == m_-: the partial-fraction tail divided by zero and the oracle
+    # raised NonConvergence for an estimated error of nan
+    got = K.g_thermal_inertial_sum(u, beta, v).value
+    want = K.thermal_image_closed(u, beta)
+    assert abs(got - want) <= 1e-8 * abs(want)
 
 
 # --- inertial thermal kernel ---------------------------------------------
