@@ -17,6 +17,7 @@ Wightman function throughout.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -37,8 +38,8 @@ __all__ = [
     "thermal_image_closed",
 ]
 
-# |Re w| beyond which coth w and csch^2 w are evaluated from their value at
-# Re w = +-W_CLIP (see _coth_csch2).
+# |Re w| beyond which coth w and csch w are evaluated from their value at
+# Re w = +-W_CLIP (see _h_coth_csch).
 W_CLIP = 20.0
 # |tau1 - tau2| below which the accelerated kernel, ~ -1/(4 pi^2 u^2), is
 # treated as singular: below ~1e-154 its value overflows a double.
@@ -48,12 +49,19 @@ U_MIN = 1e-150
 ARG_MAX = 1e150
 
 # Settings of the image-sum oracles, read at each call: each sums |n| <= N_MAX
-# and raises NonConvergence unless its truncation error estimate is within
-# TRUNC_TOL relative (see _truncated).
+# plus an Euler-Maclaurin tail, and raises NonConvergence unless both its
+# truncation estimate and its rounding floor are within TRUNC_TOL relative
+# (see _truncated).
 TRUNC_TOL = 1e-8
-N_MAX = 10_000
+N_MAX = 128
 
 _FOUR_PI_SQ = 4.0 * math.pi**2
+
+# (k, weight of f^(k)(e)) in the midpoint Euler-Maclaurin formula at the
+# edge e = N + 1/2 (Abramowitz & Stegun 23.1.30-32):
+#   sum_{n > N} f(n) = int_e^inf f + f'(e) / 24 - 7 f'''(e) / 5760
+#                      + 31 f^(5)(e) / 967680 + O(f^(7)(e)).
+_EM_WEIGHTS = ((1, 1.0 / 24.0), (3, -7.0 / 5760.0), (5, 31.0 / 967680.0))
 
 
 @dataclass(frozen=True)
@@ -68,19 +76,43 @@ def _complex(x):
     return complex(x) if isinstance(x, np.generic) else x + 0j
 
 
-def _coth_csch2(w):
-    """(coth w, csch^2 w) for any w, without overflow.
+def _h_coth_csch(w, z, h, log_h):
+    """(h coth w, h csch w) at w = h z, h > 0, for any w, without overflow
+    and without an underflow that the result does not have.
 
-    Re w is clipped to +-W_CLIP and the excess carried as e^{-2|excess|}:
-    beyond the clip sinh(w) = sinh(w_clipped) e^{+-excess} and coth(w) =
-    coth(w_clipped) to within e^{-2 W_CLIP} ~ 4e-18 relative, below double
-    rounding.  Inside it this is 1 / sinh^2 and cosh / sinh exactly.
+    Re w is clipped to +-W_CLIP and the excess |Re w| - W_CLIP >= 0 carried
+    as e^{-excess}: beyond the clip sinh(w) = sinh(w_clipped) e^{+-excess}
+    and coth(w) = coth(w_clipped) to within e^{-2 W_CLIP} ~ 4e-18 relative,
+    below double rounding.  There h csch w = e^{ln h - excess} /
+    sinh(w_clipped), so no power of h multiplies an underflowed e^{-excess}.
+    Inside the clip it is h / sinh w, or 1 / z where |w| is below the
+    smallest normal double: w = h z has lost digits there, and w / sinh w
+    is 1.  Re w = +-inf gives h csch w = 0.
     """
     a = w.real
-    excess = a - np.clip(a, -W_CLIP, W_CLIP)
-    w = w - excess
-    sh = np.sinh(w)
-    return np.cosh(w) / sh, np.exp(-2.0 * np.abs(excess)) / sh**2
+    clipped = np.minimum(np.maximum(a, -W_CLIP), W_CLIP)
+    excess = np.abs(a - clipped)
+    tiny = np.abs(w) < _TINY
+    w = clipped + 1j * w.imag
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # in the branches that np.where drops
+        csch = 1.0 / np.sinh(w)
+        inside = h * csch
+        if tiny.any():
+            inside = np.where(tiny, 1.0 / z, inside)
+        hc = np.where(excess > 0.0, np.exp(log_h - excess) * csch, inside)
+    return np.cosh(w) * inside, hc
+
+
+def _vacuum_csch2(w, z, h, log_h):
+    """-(h csch w)^2 / 4 pi^2 at a real w = h z, as a real, divided by 2 pi
+    before it is squared, so that it overflows only where its value does.
+    Callers form w and call this with floating-point warnings off:
+    w = inf gives the value -0, where it underflows, a value beyond the
+    float range is -inf, as in the other kernels, and h coth w, which is
+    dropped, may be inf or NaN."""
+    hc = _h_coth_csch(w, z, h, log_h)[1].real / (2.0 * math.pi)
+    return -(hc * hc)
 
 
 def _exprel_neg(z):
@@ -123,26 +155,31 @@ def _log_ratio(x, y):
             return np.where(ok, np.log(r), np.log(x) - np.log(y))
 
 
-def _image_sums(terms, tail) -> tuple[complex, complex]:
-    """(S_N, S_{N/2}): an image sum over |n| <= N = N_MAX and over |n| <= N
-    // 2, each with its midpoint tail, from one buffer of 2N + 1 terms.
+def _image_sums(terms, tail) -> tuple[complex, complex, float]:
+    """(S_N, S_{N/2}, floor): an image sum over |n| <= N = N_MAX and over
+    |n| <= N // 2, each with its tail, from one buffer of 2N + 1 terms, and
+    the rounding floor of S_N, 2^-52 times the sum of the magnitudes of its
+    terms and of its two one-sided tails.
 
     terms(t) turns a complex array t holding integers n into the terms at n,
-    in place; tail(N) is the tail beyond |n| <= N.  Only the n >= 0 half is
-    formed: both oracles have a real centre, so the term at -n is the
-    conjugate of the term at n bit for bit, and the n < 0 half is that
-    half's mirrored conjugate.  One buffer and no temporary of its size
-    keeps each call from faulting fresh pages in.  S_{N/2} sums the middle
-    2(N // 2) + 1 terms, the same values summed in the same order as a sum
-    over |n| <= N // 2 alone.
+    in place; tail(N) is the pair (sum over n > N, sum over n < -N).  Only
+    the n >= 0 half is formed: both oracles have a real centre, so the term
+    at -n is the conjugate of the term at n bit for bit, and the n < 0 half
+    is that half's mirrored conjugate.  S_{N/2} sums the middle 2(N // 2) + 1
+    terms, the same values summed in the same order as a sum over
+    |n| <= N // 2 alone.
     """
     n_max = N_MAX
     half = n_max // 2
     t = np.arange(-n_max, n_max + 1, dtype=complex)
     right = terms(t[n_max:])
+    size = 2.0 * float(np.abs(right).sum()) - abs(right[0])
     np.conjugate(right[:0:-1], out=t[:n_max])
-    return (complex(np.sum(t) + tail(n_max)),
-            complex(np.sum(t[n_max - half:n_max + half + 1]) + tail(half)))
+    sides = tail(n_max)
+    floor = np.finfo(float).eps * (size + sum(map(abs, sides)))
+    return (complex(np.sum(t) + sum(sides)),
+            complex(np.sum(t[n_max - half:n_max + half + 1]) + sum(tail(half))),
+            floor)
 
 
 def _check_image_sum(u, alpha) -> None:
@@ -158,20 +195,24 @@ def _check_image_sum(u, alpha) -> None:
 
 
 def _truncated(terms, tail) -> complex:
-    """S_N of `_image_sums`, checked against S_{N/2}.
+    """S_N of `_image_sums`, checked against S_{N/2} and its rounding floor.
 
-    The midpoint tail's error falls as n^-3, so the error of S_{N/2} is 8
-    times that of S_N and their difference is 7 times it.  Raises
-    NonConvergence unless that estimate is within TRUNC_TOL relative; a NaN
-    fails too.
+    The Euler-Maclaurin tail leaves an error of order f^(7)(N + 1/2), which
+    for terms ~ n^-2 falls as N^-9: S_N - S_{N/2} is S_{N/2}'s error to
+    within ~2^-9 of it, and S_N's error is ~2^-9 of the difference.  Raises
+    NonConvergence unless both that difference and the rounding floor are
+    within TRUNC_TOL relative; a NaN fails too.  The floor refuses an
+    exponentially small sum of O(1) terms, which rounds to noise that the
+    two truncations share.
     """
     with np.errstate(all="ignore"):  # an overflow gives a NaN that the gate refuses
-        value, half = _image_sums(terms, tail)
-    error = abs(value - half) / 7.0
-    if not error <= TRUNC_TOL * abs(value):
+        value, half, floor = _image_sums(terms, tail)
+    error = abs(value - half)
+    if not (error <= TRUNC_TOL * abs(value) and floor <= TRUNC_TOL * abs(value)):
         raise NonConvergence(
-            f"image sum truncated at |n| <= {N_MAX} has an estimated error of "
-            f"{error:.3e} for a value of magnitude {abs(value):.3e} "
+            f"image sum truncated at |n| <= {N_MAX} differs by {error:.3e} from "
+            f"its truncation at |n| <= {N_MAX // 2}, with a rounding floor of "
+            f"{floor:.3e}, for a value of magnitude {abs(value):.3e} "
             f"(tolerance {TRUNC_TOL:.1e})"
         )
     return value
@@ -186,12 +227,12 @@ def image_sum_inverse_power(m: int, z: complex, alpha: float) -> complex:
 
     Obtained by repeated differentiation of the m = 2 lattice identity
     S_2(z) = (alpha/2)^2 csch^2(alpha z / 2) via S_{m+1} = -S_m' / m, in
-    u = h^2 csch^2(h z) and v = h coth(h z), h = alpha/2: no power of h is
+    u = (h csch(h z))^2 and v = h coth(h z), h = alpha/2: no power of h is
     formed on its own, where it may underflow.  z may be an array.
     """
     h = alpha / 2.0
-    c, s2 = _coth_csch2(h * z)
-    u, v = h**2 * s2, h * c
+    v, hc = _h_coth_csch(h * z, z, h, np.log(h))
+    u = hc * hc
     if m == 2:
         return u
     if m == 3:
@@ -205,20 +246,31 @@ def image_sum_inverse_power(m: int, z: complex, alpha: float) -> complex:
 
 def _inverse_power_series(m: int, z: complex, alpha: float):
     """(terms, tail) of S_m(z) for `_image_sums`: the terms (z + i P n)^-m,
-    P = 2 pi / alpha, formed in place in the order z + (i P) n, and the
-    Euler-Maclaurin midpoint tail, sum_{|n|>N} f(n) ~ the integral over
-    |n| > N + 1/2."""
+    P = 2 pi / alpha, formed in place in the order z + (i P) n, and the two
+    one-sided tails T(z, P) and T(z, -P), T(z, p) = sum_{n > N} (z + i p n)^-m.
+
+    With w = z + i p e, e = N + 1/2, and r = i p / w, the integral over
+    n > e is w^(1-m) / ((m - 1) i p) and f^(k)(e) = (-m)(-m-1)...(-m-k+1)
+    r^(k+1) w^(1-m) / (i p), so T is w^(1-m) / (i p) times a polynomial in
+    r^2, with |r| <= 1 / e at a real z.  z may be complex: the two tails are
+    summed as they are, not as twice the real part of one.
+    """
     period = 2.0 * math.pi / alpha
+    c1, c3, c5 = (c * math.prod(range(-m, -m - k, -1)) for k, c in _EM_WEIGHTS)
 
     def terms(t):
         t *= 1j * period
         t += z
         return np.power(t, -m, out=t)
 
-    def tail(n_max: int) -> complex:
-        edge = period * (n_max + 0.5)
-        return ((1.0 / (m - 1)) * ((z + 1j * edge) ** (1 - m) - (z - 1j * edge) ** (1 - m))
-                / (1j * period))
+    def one_sided(ip: complex, edge: float) -> complex:
+        w = z + ip * edge
+        r2 = (ip / w) ** 2
+        return (1.0 / (m - 1) + r2 * (c1 + r2 * (c3 + r2 * c5))) * w ** (1 - m) / ip
+
+    def tail(n_max: int) -> tuple[complex, complex]:
+        edge = n_max + 0.5
+        return one_sided(1j * period, edge), one_sided(-1j * period, edge)
 
     return terms, tail
 
@@ -226,11 +278,12 @@ def _inverse_power_series(m: int, z: complex, alpha: float):
 def image_sum_inverse_power_sum(
     m: int, z: complex, alpha: float, n_max: int
 ) -> complex:
-    """Brute-force symmetric truncation of S_m(z) with a midpoint tail
-    estimate.  z may be complex, so all 2 n_max + 1 terms are formed."""
+    """Brute-force symmetric truncation of S_m(z) with the Euler-Maclaurin
+    tail of `_inverse_power_series`.  z may be complex, so all 2 n_max + 1
+    terms are formed."""
     terms, tail = _inverse_power_series(m, z, alpha)
     t = terms(np.arange(-n_max, n_max + 1, dtype=complex))
-    return complex(np.sum(t) + tail(n_max))
+    return complex(np.sum(t) + sum(tail(n_max)))
 
 
 # ---------------------------------------------------------------------------
@@ -244,18 +297,20 @@ def wightman_vacuum_accelerated(u, alpha) -> KernelValue:
     u and alpha broadcast as arrays.
     """
     u, alpha = np.float64(u), np.float64(alpha)
-    require_all(alpha > 0, alpha, "alpha must be positive")
+    require_all((alpha > 0.0) & (alpha < np.inf), alpha, "alpha must be positive and finite")
     if np.any(u == 0.0):
         raise SingularInput("u = 0 is singular")
-    w = -(1.0 / _FOUR_PI_SQ) * image_sum_inverse_power(2, u + 0j, alpha)
+    with np.errstate(all="ignore"):  # see _vacuum_csch2; ln h is -inf at h = 0
+        h = alpha / 2.0
+        w = _vacuum_csch2(h * u + 0j, u, h, np.log(h))
     return KernelValue(_complex(w))
 
 
 def wightman_vacuum_accelerated_sum(u: float, alpha: float) -> KernelValue:
     """Truncated-image-sum oracle for wightman_vacuum_accelerated.
 
-    Symmetric truncation at |n| <= N_MAX plus a midpoint tail estimate, at
-    eps = 0 and checked by _truncated.
+    Symmetric truncation at |n| <= N_MAX plus the Euler-Maclaurin tail of
+    _inverse_power_series, at eps = 0 and checked by _truncated.
     """
     _check_image_sum(u, alpha)
     if u == 0.0:
@@ -284,8 +339,9 @@ def thermal_image_closed(u, beta) -> complex:
     """
     u, beta = np.float64(u), np.float64(beta)
     _check_inertial(u, beta)
-    _, s2 = _coth_csch2(np.pi * u / beta + 0j)
-    return _complex(-(1.0 / (4.0 * beta**2)) * s2)
+    with np.errstate(all="ignore"):  # see _vacuum_csch2
+        w = _vacuum_csch2(np.pi * (u / beta) + 0j, u, np.pi / beta, _log_ratio(np.pi, beta))
+    return _complex(w)
 
 
 def thermal_image_sum(u: float, beta: float) -> complex:
@@ -326,15 +382,22 @@ def _inertial_series(u: float, beta: float, v: float):
     """(terms, tail) of g_thermal_inertial_sum's sum for `_image_sums`.
 
     The denominator is beta^2 m^2 + 2 i beta gamma u m - u^2 at m = n, with
-    roots m_pm = -i gamma u (1 -+ v) / beta; the terms 1 / (beta^2 (m - m_p)
-    (m - m_m)) are formed in place in that order, and the tail is the
-    integral of the term over |m| > N + 1/2 by its antiderivative: the
-    partial-fraction log, or at m_p == m_m (v = 0) the double pole's
-    -1 / (beta^2 (m - m_p)).
+    roots m_pm = c -+ d, c = -i gamma u / beta and d = -i gamma u v / beta;
+    the terms f(m) = 1 / (beta^2 (m - m_p)(m - m_m)) are formed in place in
+    that order.  The one-sided tails are the sums over m > N of f(s m),
+    s = +-1, whose poles are s m_pm.  The integral over m > e = N + 1/2 is
+    atanh(t) / (t beta^2 (e - s c)), t = s d / (e - s c): the partial-
+    fraction log of the same integral loses ~2^-52 / v relative.  At t = 0
+    (v = 0, or t underflowed) it is the double pole's 1 / (beta^2 (e - s c)).
+    By Leibniz, f^(k)(e) = (-1)^k k! p q sum_{j=0..k} p^j q^(k-j) / beta^2,
+    p, q = 1 / (e - s m_pm), which has no cancellation at small v either.
     """
-    gamma = 1.0 / math.sqrt(1.0 - v * v)
+    # (1-v)(1+v), not 1 - v^2, which loses digits near v = 1
+    gamma = 1.0 / math.sqrt((1.0 - v) * (1.0 + v))
     m_p = -1j * gamma * u * (1.0 - v) / beta
     m_m = -1j * gamma * u * (1.0 + v) / beta
+    centre, spread = -1j * gamma * u / beta, -1j * gamma * u * v / beta
+    w1, w3, w5 = (c * (-1) ** k * math.factorial(k) for k, c in _EM_WEIGHTS)
 
     def terms(t):
         second = t - m_m
@@ -343,14 +406,18 @@ def _inertial_series(u: float, beta: float, v: float):
         t *= second
         return np.divide(1.0, t, out=t)
 
-    def tail_antideriv(mm: float) -> complex:
-        if m_p == m_m:
-            return -1.0 / (beta**2 * (mm - m_p))
-        return np.log((mm - m_p) / (mm - m_m)) / (beta**2 * (m_p - m_m))
+    def one_sided(sign: float, edge: float) -> complex:
+        x = edge - sign * centre
+        t = sign * spread / x
+        p, q = 1.0 / (edge - sign * m_p), 1.0 / (edge - sign * m_m)
+        p2, q2 = p * p, q * q
+        # sum_j p^j q^(k-j) is (p + q), (p + q)(p^2 + q^2), (p + q)(p^4 + p^2 q^2 + q^4)
+        corrections = (p + q) * (w1 + (p2 + q2) * w3 + (p2 * p2 + p2 * q2 + q2 * q2) * w5)
+        return ((cmath.atanh(t) / t if t else 1.0) / x + p * q * corrections) / beta**2
 
-    def tail(n_max: int) -> complex:
+    def tail(n_max: int) -> tuple[complex, complex]:
         edge = n_max + 0.5
-        return -tail_antideriv(edge) + tail_antideriv(-edge)
+        return one_sided(1.0, edge), one_sided(-1.0, edge)
 
     return terms, tail
 
@@ -359,8 +426,8 @@ def g_thermal_inertial_sum(u: float, beta: float, v: float) -> KernelValue:
     """Truncated-sum oracle for g_thermal_inertial.
 
     (1/4 pi^2) sum_n [i 2 beta (gamma-1) u n - (u - i beta n)^2]^-1,
-    symmetric truncation plus the integral tail of _inertial_series (v = 0
-    included), checked by _truncated.
+    symmetric truncation plus the Euler-Maclaurin tail of _inertial_series
+    (v = 0 included), checked by _truncated.
     """
     _check_inertial(u, beta, v)
     _check_image_sum(u, 2.0 * math.pi / beta)

@@ -216,8 +216,8 @@ def _line_integral(m: int, omega0: float, alpha: float) -> tuple[complex, float]
     rounding floor 2^-52 sum |weight f| lie below 2e-9 |J| (errors measured
     0.1-0.4 of it), or NonConvergence.  For m > 2 the integrand is ~1 while J
     is ~w^(m-2): the floor rises at large alpha/omega0, where the two rays
-    can agree by chance far off.  Below alpha/omega0 ~ 1e-153, S_m's (a/2)^2
-    csch^2(a z/2) is 0 * inf.
+    can agree by chance far off.  At small alpha/omega0, S_m tends to its
+    one image z^-m and stays accurate down to the smallest positive a.
     """
     d = min(math.pi / alpha, 1.0 / omega0)
     w, a = omega0 * d, alpha * d
@@ -235,7 +235,7 @@ def _line_integral(m: int, omega0: float, alpha: float) -> tuple[complex, float]
             f"{alpha:.12g} differs by {abs(j - j_half):.3e} between Im z = d "
             f"and d/2, with a rounding floor of {floor:.3e}, for a value of "
             f"magnitude {abs(j):.3e}; the integral cancels at large "
-            "alpha/omega0 and underflows at small alpha/omega0"
+            "alpha/omega0"
         )
     return j, w
 

@@ -1239,14 +1239,6 @@ def test_overflow_is_numeric_failure(capsys, args):
     assert len(err.splitlines()) == 1 and err.startswith("numeric failure:")
 
 
-def test_numeric_rates_that_underflow_are_numeric_failures(capsys):
-    # alpha/omega0 = 1e-200: S_4's (alpha d/2)^2 csch^2 is 0 * inf on the rays
-    code, out, err = run(capsys, "rates", "--rates.n", "1", "--detector.omega0", "1e200",
-                         "--detector.mu", "1e-200")
-    assert code == 2 and out == "" and len(err.splitlines()) == 1
-    assert err.startswith("numeric failure: line integral of S_4")
-
-
 @pytest.mark.parametrize(
     "args, point",
     [
@@ -1255,6 +1247,11 @@ def test_numeric_rates_that_underflow_are_numeric_failures(capsys):
         # J_- at (1e-100, 1e-100) underflowed to 0: -0.0 rows, then exit 2
         (["--rates.n", "1", "--detector.omega0", "1e-100", "--trajectory.alpha", "1e-100",
           "--detector.mu", "1e100"], (1e-100, 1e-100, 1e100)),
+        # alpha/omega0 = 1e-200: S_4's (alpha d/2)^2 csch^2 was 0 * inf on the
+        # rays: exit 2
+        (["--rates.n", "1", "--detector.omega0", "1e200", "--detector.mu", "1e-200"],
+         (1e200, 1.0, 1e-200)),
+        (["--rates.numeric", "true", "--trajectory.alpha", "1e-320"], (1.0, 1e-320, 1.0)),
     ],
 )
 def test_numeric_rates_once_refused_match_the_closed_form(capsys, args, point):
@@ -1396,11 +1393,12 @@ def test_response_where_two_pi_deltaE_overflows_is_the_scaled_rate(capsys, args)
     ],
 )
 def test_regulator_ladder_overflow_gives_no_warning(capsys, args):
-    # the NaN it produces fails the rates' d vs d/2 check instead
+    # S_m at alpha/omega0 = 1e-320 was a NaN that failed the rates' d vs d/2
+    # check (exit 2); it is now the closed-form rate, still without a warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, _, _ = run(capsys, *args)
-    assert code == 2
+    assert code == 0
 
 
 def test_integer_inputs_print_as_floats(capsys):

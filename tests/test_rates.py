@@ -342,14 +342,16 @@ def test_mu_squared_scaling():
 # --- numeric pipeline -----------------------------------------------------
 
 # alpha/omega0 at which the numeric rates with S_m (m = 2n + 2; m = 3 is the
-# field side) return, and just outside it where they refuse.  Below 1e-153
-# S_m's (alpha d/2)^2 csch^2 is 0 * inf on the ray.  At the top the integral
-# cancels to its rounding floor; m = 2 does not cancel and returns up to the
-# largest float.
-RATIO_WINDOW = {2: ((1e-153, 1.7e308), (1e-154, None)),
-                3: ((1e-153, 1e6), (1e-154, 1e8)),
-                4: ((1e-153, 300.0), (1e-154, 1e4)),
-                6: ((1e-153, 10.0), (1e-154, 100.0))}
+# field side) return, and just outside it where they refuse.  There is no
+# low end: below 1e-153 S_m's (alpha d/2)^2 csch^2 was 0 * inf on the ray,
+# and S_m is now formed from h csch(h z) = (w / sinh w) / z there (see
+# test_numeric_rates_below_1e_153_match_the_closed_forms).  At the top the
+# integral cancels to its rounding floor; m = 2 does not cancel and returns
+# up to the largest float.
+RATIO_WINDOW = {2: ((1e-250, 1.7e308), (None, None)),
+                3: ((1e-250, 1e6), (None, 1e8)),
+                4: ((1e-250, 300.0), (None, 1e4)),
+                6: ((1e-250, 10.0), (None, 100.0))}
 
 
 def _rates_with_s(m, w0, ratio):
@@ -499,12 +501,19 @@ def test_numeric_rates_match_closed_forms(omega0, alpha):
         assert abs(vf_f - vf) <= 1e-12 * scale and abs(rr_f - rr) <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_numeric_rates_refuse_a_line_integral_that_underflows(n):
-    # alpha/omega0 = 1e-200: S_m's (alpha d/2)^2 underflows to 0 on the
-    # rays while csch^2 overflows
-    with pytest.raises(NonConvergence, match="differs by nan"):
-        R.derivative_coupling_rates(DetectorParams(1e200, 1e-200), 1.0, PLUS, n)
+@pytest.mark.parametrize("m", sorted(RATIO_WINDOW))
+def test_numeric_rates_below_1e_153_match_the_closed_forms(m):
+    # (alpha d/2)^2 underflowed to 0 on the rays while csch^2 overflowed, so
+    # below alpha/omega0 ~ 1e-153 the line integral was NaN and refused
+    # (alpha/omega0 = 1e-200 exited 2); 2.1e-13 measured down to 5e-324
+    p = DetectorParams(1.0, 1.0)
+    for ratio in [5e-324, 1e-320, 2.2e-308] + np.geomspace(1e-300, 1e-153, 16).tolist():
+        vf, rr = _rates_with_s(m, 1.0, ratio)
+        assert vf == pytest.approx(R.atom_vf_rate(p, ratio, PLUS), rel=1e-12), ratio
+        assert rr == pytest.approx(R.atom_rr_rate(p, ratio), rel=1e-12), ratio
+    rep = R.derivative_coupling_rates(DetectorParams(1e200, 1e-200), 1.0, PLUS, 1)
+    want = R.atom_total_rate(DetectorParams(1e200, 1e-200), 1.0, PLUS)
+    assert rep.total == pytest.approx(want.total, rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2])
