@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _TINY, DomainError, NonConvergence, SingularInput, planck, require_all
+from .core import (_TINY, DomainError, NonConvergence, SingularInput, check_beta, planck,
+                   require_all)
 
 __all__ = [
     "KernelValue",
@@ -140,19 +141,13 @@ def _log_ratio(x, y):
 
     The log of the ratio where x / y is normal or exact (x / inf = 0 gives
     -inf), else the split ln x - ln y, which keeps only ~|ln x| 2^-52
-    absolute accuracy.  The division raises its underflow or overflow flag
-    only for a ratio rounded to a subnormal, 0 or inf, so where none is,
-    this is one division and one log.
+    absolute accuracy.
     """
-    try:
-        with np.errstate(under="raise", over="raise", divide="ignore"):
-            return np.log(x / y)
-    except FloatingPointError:
-        with np.errstate(all="ignore"):
-            r = x / y
-            # r y == x: r is x / y to within 2^-53, as an exact ratio is
-            ok = ((r >= _TINY) & (r < np.inf)) | (r * y == x)
-            return np.where(ok, np.log(r), np.log(x) - np.log(y))
+    with np.errstate(all="ignore"):
+        r = x / y
+        # r y == x: r is x / y to within 2^-53, as an exact ratio is
+        ok = ((r >= _TINY) & (r < np.inf)) | (r * y == x)
+        return np.where(ok, np.log(r), np.log(x) - np.log(y))
 
 
 def _image_sums(terms, tail) -> tuple[complex, complex, float]:
@@ -461,7 +456,7 @@ def g_thermal_accelerated(tau1, tau2, beta, alpha) -> KernelValue:
     tau1, tau2, beta, alpha = map(np.float64, (tau1, tau2, beta, alpha))
     require_all((alpha >= 0.0) & (alpha <= ARG_MAX), alpha,
                 f"alpha must lie in [0, {ARG_MAX:g}]")
-    require_all(beta > 0.0, beta, "beta must be positive (or +inf)")
+    check_beta(beta)
     t_max = np.maximum(abs(tau1), abs(tau2))
     require_all(t_max <= ARG_MAX, t_max, f"|tau1| and |tau2| must be <= {ARG_MAX:g}")
     s = tau1 + tau2

@@ -1424,23 +1424,36 @@ def test_populations_closed_column_is_closed_form_on_the_trajectory():
     assert table[0, 2] == init.sigma_plus and table[0, 4] == init.sigma_minus
 
 
-# (fault, twin): omega0^2 or mu^2 alone left the normal float range, so the
-# rates printed -0.0 with exit 0 or overflowed with exit 2; each twin has the
-# same omega0 mu, mu alpha and omega0 / alpha, so the same rates
+# (fault, twin, the twin's vf): omega0^2 or mu^2 alone left the normal float
+# range, so the rates printed -0.0 with exit 0 or overflowed with exit 2; each
+# twin has the same omega0 mu, mu alpha and omega0 / alpha, so the same rates
 _RATE_TWINS = [
     (["--detector.omega0", "1e-200", "--trajectory.alpha", "1e-200",
       "--detector.mu", "1e150"],
-     ["--detector.omega0", "1", "--trajectory.alpha", "1", "--detector.mu", "1e-50"]),
+     ["--detector.omega0", "1", "--trajectory.alpha", "1", "--detector.mu", "1e-50"],
+     -1.99688100885e-102),
     (["--detector.omega0", "1e-200", "--detector.mu", "1e200"],
      ["--detector.omega0", "1e-100", "--trajectory.alpha", "1e100",
-      "--detector.mu", "1e100"]),
+      "--detector.mu", "1e100"],
+     -6.33257397765e197),
     (["--detector.omega0", "4e307", "--trajectory.alpha", "1e307",
       "--detector.mu", "1e-300"],
-     ["--detector.omega0", "4", "--trajectory.alpha", "1", "--detector.mu", "1e7"]),
+     ["--detector.omega0", "4", "--trajectory.alpha", "1", "--detector.mu", "1e7"],
+     -3.18309886192e13),
     # at the coth pole omega0 alpha overflowed with mu^2 normal
     (["--detector.omega0", "1e10", "--trajectory.alpha", "1e300",
       "--detector.mu", "1e-10"],
-     ["--detector.omega0", "1", "--trajectory.alpha", "1e290", "--detector.mu", "1"]),
+     ["--detector.omega0", "1", "--trajectory.alpha", "1e290", "--detector.mu", "1"],
+     -6.33257397765e287),
+    # the numeric rates' line integral, before it ran in units of d =
+    # min(pi / alpha, 1 / omega0), underflowed (exit 2) or overflowed
+    (["--rates.n", "1", "--detector.omega0", "1e-100", "--trajectory.alpha", "1e-100",
+      "--detector.mu", "1e100"],
+     ["--rates.n", "1", "--detector.mu", "1"],
+     -1.99688100885e-2),
+    (["--rates.n", "1", "--detector.omega0", "1e100", "--detector.mu", "1"],
+     ["--rates.n", "1", "--trajectory.alpha", "1e-100", "--detector.mu", "1e100"],
+     -1.98943678865e198),
 ]
 
 
@@ -1452,10 +1465,10 @@ def _sweep_point(args):
             "--sweep.start", mu, "--sweep.stop", mu, "--sweep.count", "1", *rest]
 
 
-@pytest.mark.parametrize("fault, twin", _RATE_TWINS)
+@pytest.mark.parametrize("fault, twin, vf", _RATE_TWINS)
 @pytest.mark.parametrize("command", ["rates", "sweep"])
 def test_rates_where_a_square_leaves_the_float_range_match_their_twin(
-    capsys, fault, twin, command
+    capsys, fault, twin, vf, command
 ):
     def record(args):
         argv = ["rates", *args] if command == "rates" else _sweep_point(args)
@@ -1469,9 +1482,7 @@ def test_rates_where_a_square_leaves_the_float_range_match_their_twin(
     for key in ("vf", "rr", "total"):
         assert got[key] != 0.0 and math.isfinite(got[key])
         assert got[key] == pytest.approx(want[key], rel=1e-12)
-    assert want["vf"] == pytest.approx(
-        {"1e-50": -1.99688100885e-102, "1e100": -6.33257397765e197,
-         "1e7": -3.18309886192e13, "1": -6.33257397765e287}[twin[-1]], rel=1e-11)
+    assert want["vf"] == pytest.approx(vf, rel=1e-11)
 
 
 def test_rates_at_the_pole_with_no_inversion_are_finite_where_omega0_alpha_overflows(capsys):

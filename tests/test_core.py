@@ -4,14 +4,18 @@ import math
 import subprocess
 import sys
 import warnings
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from decimal_reference import digits, pi, planck as planck_reference
 from unruh_kinetics import fermion as F
 from unruh_kinetics import master as M
+from unruh_kinetics import rates as R
+from unruh_kinetics import response as RS
 from unruh_kinetics.core import (
     AtomState,
     DetectorParams,
@@ -172,6 +176,47 @@ def test_planck_of_an_array_is_its_scalar_calls():
     a, b = planck(_PLANCK_X)
     for x, ai, bi in zip(_PLANCK_X.tolist(), a, b):
         assert planck(x) == (ai, bi)
+
+
+def _coth_half(x):
+    """coth(x / 2) = 1 + 2 P(x) / x, P(x) = x / (e^x - 1)."""
+    return 1 + 2 * planck_reference(x) / x
+
+
+# name: (closed form, its reference at Decimal arguments, relative bound)
+_PLANCK_CLOSED_FORMS = {
+    "planck_bracket": (R.planck_bracket,
+                       lambda w0, alpha: _coth_half(2 * pi() * w0 / alpha), 6e-16),
+    "relaxation_rate": (M.relaxation_rate,
+                        lambda w0, beta: w0 / (8 * pi()) * _coth_half(w0 * beta), 6e-16),
+    "response_accelerated": (
+        lambda de, alpha: RS.response_accelerated(de, alpha).rate,
+        lambda de, alpha: alpha / (4 * pi() ** 2) * planck_reference(2 * pi() * de / alpha),
+        3e-13),
+}
+_LOG_UNIFORM = st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0**e)
+
+
+@pytest.mark.parametrize("name", sorted(_PLANCK_CLOSED_FORMS))
+@given(_LOG_UNIFORM, _LOG_UNIFORM)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_planck_closed_forms_over_the_float_range(name, x, y):
+    # both arguments log-uniform over [1e-300, 1e300], against 50 digits of
+    # x / (e^x - 1).  Measured on 48000 points: the bracket and the
+    # relaxation rate are within 4.0e-16; the response carries the x 2^-53
+    # conditioning of e^-x up to x ~ 1400, where it is still normal: 1.4e-13.
+    # A subnormal value carries 2^-1074 absolute; beyond the float range
+    # the bracket is inf; no call warns
+    call, reference, bound = _PLANCK_CLOSED_FORMS[name]
+    with digits(50):
+        want = reference(Decimal(x), Decimal(y))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = call(x, y)
+    if want > Decimal(sys.float_info.max):
+        assert got == math.inf
+    else:
+        assert abs(Decimal(got) - want) <= Decimal(bound) * want + Decimal(2) ** -1074, (got, want)
 
 
 # The checks as written with numpy throughout (np.isfinite, np.all): the

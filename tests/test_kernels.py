@@ -6,11 +6,13 @@ import re
 import sys
 import tracemalloc
 import warnings
-from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
+from decimal import Decimal
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from decimal_reference import cosh, coth_csch2, digits, pi, sinh
 
 from unruh_kinetics.core import DomainError, NonConvergence, SingularInput
 from unruh_kinetics import kernels as K
@@ -293,16 +295,14 @@ def _inertial_reference(u, beta, v):
     """-sinh(A1 - A2) / (sinh A1 sinh A2) sqrt(1 - v^2) / (8 pi beta v u),
     A1,2 = (1 +- v) x / sqrt(1 - v^2) and x = pi |u| / beta, or at v = 0
     -1 / (4 beta^2 sinh^2 x), at 50 digits of the double arguments."""
-    with localcontext() as ctx:
-        ctx.prec, ctx.Emax, ctx.Emin = 50, MAX_EMAX, MIN_EMIN
-        u, beta, v = abs(Decimal(u)), Decimal(beta), Decimal(v)
-        sinh = lambda z: (z.exp() - (-z).exp()) / 2
-        x = _PI_50 * u / beta
+    with digits(50):
+        u, beta, v, p = abs(Decimal(u)), Decimal(beta), Decimal(v), pi()
+        x = p * u / beta
         if v == 0:
-            return -1 / (4 * beta**2 * sinh(x) ** 2)
+            return -coth_csch2(x)[1] / (4 * beta**2)
         s = ((1 - v) * (1 + v)).sqrt()
         a1, a2 = (1 + v) * x / s, (1 - v) * x / s
-        return -sinh(a1 - a2) / (sinh(a1) * sinh(a2)) * s / (8 * _PI_50 * beta * v * u)
+        return -sinh(a1 - a2) / (sinh(a1) * sinh(a2)) * s / (8 * p * beta * v * u)
 
 
 @pytest.mark.parametrize(
@@ -423,26 +423,26 @@ def test_accelerated_thermal_singular_at_equal_times():
 def _g_reference(t1, t2, beta, alpha):
     """The defining coth - coth form.  At t2 = 0, A2 <= pi / (alpha beta)
     and coth A1 - coth A2 cancels ~2 A2 / ln 10 digits, so the precision
-    grows with 1 / (alpha beta).  The t1 = -t2 limit is -csch^2(A2) / 4 beta^2."""
-    mp = pytest.importorskip("mpmath")
-    digits = 40 + int(2.0 * math.pi / (alpha * beta) / math.log(10.0))
-    with mp.workdps(digits):
-        t1, t2, a = mp.mpf(t1), mp.mpf(t2), mp.mpf(alpha)
+    grows with 1 / (alpha beta).  The t1 = -t2 limit is -csch^2(A2) / 4 beta^2.
+    A1 reaches ~e^4000 at u = 800, so coth A1 is formed from e^{-2 A1}."""
+    with digits(40 + int(2.0 * math.pi / (alpha * beta) / math.log(10.0))):
+        t1, t2, a, p = Decimal(t1), Decimal(t2), Decimal(alpha), pi()
         if math.isinf(beta):
-            return float(-(a / (4 * mp.pi)) ** 2 / mp.sinh(a * (t1 - t2) / 2) ** 2)
-        b = mp.mpf(beta)
-        a2 = 2 * mp.pi * mp.exp(-a * (t1 + t2) / 2) * mp.sinh(a * (t1 - t2) / 2) / (a * b)
+            return float(-(a / (4 * p)) ** 2 * coth_csch2(a * (t1 - t2) / 2)[1])
+        b = Decimal(beta)
+        a2 = 2 * p * (-a * (t1 + t2) / 2).exp() * sinh(a * (t1 - t2) / 2) / (a * b)
+        coth_a2, csch2_a2 = coth_csch2(a2)
         if t1 == -t2:
-            return float(-1 / (4 * b**2 * mp.sinh(a2) ** 2))
-        a1 = mp.pi * (mp.exp(a * t1) - mp.exp(a * t2)) / (a * b)
-        den = 8 * mp.pi * b * (mp.cosh(a * t1) - mp.cosh(a * t2))
-        return float(a * (mp.coth(a1) - mp.coth(a2)) / den)
+            return float(-csch2_a2 / (4 * b * b))
+        a1 = p * ((a * t1).exp() - (a * t2).exp()) / (a * b)
+        den = 8 * p * b * (cosh(a * t1) - cosh(a * t2))
+        return float(a * (coth_csch2(a1)[0] - coth_a2) / den)
 
 
 @pytest.mark.parametrize("u", [-0.5, 0.5, 1.0, 800.0])
 @pytest.mark.parametrize("beta", [0.05, 0.1, 0.4, 1.3, 5.0, math.inf])
 @pytest.mark.parametrize("alpha", [0.1, 0.7, 2.0, 5.0])
-def test_accelerated_thermal_matches_mpmath(u, beta, alpha):
+def test_accelerated_thermal_matches_a_decimal_reference(u, beta, alpha):
     # the parent's coth - coth form returned exactly 0 at u = 1, alpha = 1,
     # beta <= 0.1, lost digits at small beta and overflowed at u = 800
     for t1, t2 in ((u, 0.0), (u / 2, -u / 2)):
@@ -519,9 +519,6 @@ def test_accelerated_thermal_large_arguments_stay_finite():
         K.g_thermal_accelerated(1e-200, 0.0, 1.0, 1.0)
 
 
-_PI_50 = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
-
-
 def test_accelerated_thermal_keeps_its_digits_at_tiny_u_and_beta():
     # at u = 1e-140, ln(pi u) - ln(beta) kept only ~322 * 2^-52 absolute
     # accuracy of ln(pi u / beta), and g ~ e^{-2 pi u / beta}, pi u / beta ~
@@ -531,11 +528,10 @@ def test_accelerated_thermal_keeps_its_digits_at_tiny_u_and_beta():
     u, betas = 1e-140, np.linspace(4e-143, 9e-143, 51)
     got = K.g_thermal_accelerated(u, 0.0, betas, 0.0).value
     assert np.all(got.imag == 0.0)
-    with localcontext() as ctx:
-        ctx.prec = 50
+    with digits(50):
+        p = pi()
         for beta, g in zip(betas.tolist(), got.real.tolist()):
-            y = _PI_50 * Decimal(u) / Decimal(beta)
-            want = -1 / ((y.exp() - (-y).exp()) ** 2 * Decimal(beta) ** 2)
+            want = -coth_csch2(p * Decimal(u) / Decimal(beta))[1] / (4 * Decimal(beta) ** 2)
             assert abs(Decimal(g) - want) <= Decimal("5e-12") * abs(want) + Decimal(2) ** -1074, beta
 
 
@@ -585,24 +581,19 @@ def test_image_sum_closed_forms(m):
 
 # --- vacuum closed forms across the float range ----------------------------
 
-def _csch2_reference(u, h):
-    """-(h / sinh(h |u|))^2 / 4 pi^2 at 50 digits, h a Decimal: the
-    accelerated vacuum kernel at h = alpha / 2 and the v = 0 thermal kernel
-    at h = pi / beta.  0 where h |u| > 5000: h <= pi / 5e-324 < e^746, so
-    the value is below e^-8000 there."""
-    with localcontext() as ctx:
-        ctx.prec, ctx.Emax, ctx.Emin = 50, MAX_EMAX, MIN_EMIN
-        w = abs(Decimal(u)) * h
-        if w > 5000:
-            return Decimal(0)
-        sinh = w * (1 + w * w / 6) if w < Decimal("1e-10") else (w.exp() - (-w).exp()) / 2
-        return -((h / sinh) ** 2) / (4 * _PI_50**2)
+def _csch2_reference(u, h, x):
+    """-(h csch(h |u|))^2 / 4 pi^2 at 50 digits, h = h(x) of the Decimal x:
+    the accelerated vacuum kernel at h = alpha / 2 and the v = 0 thermal
+    kernel at h = pi / beta."""
+    with digits(50):
+        h = h(Decimal(x))
+        return -h * h * coth_csch2(abs(Decimal(u)) * h)[1] / (4 * pi() ** 2)
 
 
 _VACUUM_CLOSED_FORMS = {
     "accelerated": (lambda u, x: K.wightman_vacuum_accelerated(u, x).value,
-                    lambda x: Decimal(x) / 2),
-    "thermal": (K.thermal_image_closed, lambda x: _PI_50 / Decimal(x)),
+                    lambda alpha: alpha / 2),
+    "thermal": (K.thermal_image_closed, lambda beta: pi() / beta),
 }
 
 
@@ -618,7 +609,7 @@ _VACUUM_CLOSED_FORMS = {
 def test_vacuum_closed_forms_where_a_factor_leaves_the_float_range(name, u, x, want):
     # the parent returned -inf + nanj and three times -0
     call, h = _VACUUM_CLOSED_FORMS[name]
-    ref = _csch2_reference(u, h(x))
+    ref = _csch2_reference(u, h, x)
     assert abs(ref - Decimal(want)) < Decimal("1e-4") * abs(ref)
     got = complex(call(u, x))
     assert got.imag == 0.0
@@ -639,7 +630,7 @@ def test_vacuum_closed_forms_over_the_float_range(name, u, sign, x):
     # points.  A subnormal value carries 2^-1074 absolute; beyond the float
     # range the value is -inf; no call warns
     call, h = _VACUUM_CLOSED_FORMS[name]
-    want = _csch2_reference(u, h(x))
+    want = _csch2_reference(u, h, x)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = complex(call(sign * u, x))
