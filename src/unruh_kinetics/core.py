@@ -17,6 +17,7 @@ from dataclasses import dataclass
 # (steady, fermion) run without it; array arguments work as numpy's own.
 
 _TINY = sys.float_info.min  # the smallest normal double
+_EPS = sys.float_info.epsilon  # 2^-52, the spacing of the doubles at 1
 
 
 class DomainError(ValueError):
@@ -55,7 +56,7 @@ def planck(x):
 
 def _all(ok) -> bool:
     """ok, a Python bool or a numpy mask, holds at every element."""
-    return ok if isinstance(ok, bool) else bool(ok.all())
+    return bool(ok) if getattr(ok, "ndim", 0) == 0 else bool(ok.all())
 
 
 def require_all(ok, values, what: str) -> None:

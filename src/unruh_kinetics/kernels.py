@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (_TINY, DomainError, NonConvergence, SingularInput, check_beta, planck,
+from .core import (_EPS, _TINY, DomainError, NonConvergence, SingularInput, check_beta, planck,
                    require_all)
 
 __all__ = [
@@ -39,9 +39,6 @@ __all__ = [
     "thermal_image_closed",
 ]
 
-# |Re w| beyond which coth w and csch w are evaluated from their value at
-# Re w = +-W_CLIP (see _h_coth_csch).
-W_CLIP = 20.0
 # |tau1 - tau2| below which the accelerated kernel, ~ -1/(4 pi^2 u^2), is
 # treated as singular: below ~1e-154 its value overflows a double.
 U_MIN = 1e-150
@@ -81,28 +78,26 @@ def _h_coth_csch(w, z, h, log_h):
     """(h coth w, h csch w) at w = h z, h > 0, for any w, without overflow
     and without an underflow that the result does not have.
 
-    Re w is clipped to +-W_CLIP and the excess |Re w| - W_CLIP >= 0 carried
-    as e^{-excess}: beyond the clip sinh(w) = sinh(w_clipped) e^{+-excess}
-    and coth(w) = coth(w_clipped) to within e^{-2 W_CLIP} ~ 4e-18 relative,
-    below double rounding.  There h csch w = e^{ln h - excess} /
-    sinh(w_clipped), so no power of h multiplies an underflowed e^{-excess}.
-    Inside the clip it is h / sinh w, or 1 / z where |w| is below the
-    smallest normal double: w = h z has lost digits there, and w / sinh w
-    is 1.  Re w = +-inf gives h csch w = 0.
-    """
-    a = w.real
-    clipped = np.minimum(np.maximum(a, -W_CLIP), W_CLIP)
-    excess = np.abs(a - clipped)
-    tiny = np.abs(w) < _TINY
-    w = clipped + 1j * w.imag
+    Both are odd: w is folded onto Re w' >= 0 on the sign bit of Re z (that
+    of Re w is lost: (h + 0i)(-0 - iy) has Re +0), so the parity holds bit
+    for bit.  With 1 - E = -expm1(-(w' + w')), E = e^{-2 w'} (-2 w' would
+    turn Re w' = inf into NaN), h coth w' = h (2 / (1 - E) - 1) and h csch w'
+    = 2 e^{ln h - w'} / (1 - E): no power of h multiplies an underflowed
+    e^{-w'}, and nothing overflows.  Where |w| is subnormal both are 1 / z:
+    w = h z has lost digits there."""
+    flip = np.signbit(np.real(z))
+    fold = flip.any()  # never on the rays of the numeric rates
+    w = np.where(flip, -w, w) if fold else w
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # in the branches that np.where drops
-        csch = 1.0 / np.sinh(w)
-        inside = h * csch
+        r = 2.0 / -np.expm1(-(w + w))
+        coth, csch = h * (r - 1.0), np.exp(log_h - w) * r
+        if fold:
+            coth, csch = np.where(flip, -coth, coth), np.where(flip, -csch, csch)
+        tiny = np.abs(w) < _TINY
         if tiny.any():
-            inside = np.where(tiny, 1.0 / z, inside)
-        hc = np.where(excess > 0.0, np.exp(log_h - excess) * csch, inside)
-    return np.cosh(w) * inside, hc
+            coth, csch = (np.where(tiny, 1.0 / z, x) for x in (coth, csch))
+    return coth, csch
 
 
 def _vacuum_csch2(w, z, h, log_h):
@@ -171,7 +166,7 @@ def _image_sums(terms, tail) -> tuple[complex, complex, float]:
     size = 2.0 * float(np.abs(right).sum()) - abs(right[0])
     np.conjugate(right[:0:-1], out=t[:n_max])
     sides = tail(n_max)
-    floor = np.finfo(float).eps * (size + sum(map(abs, sides)))
+    floor = _EPS * (size + sum(map(abs, sides)))
     return (complex(np.sum(t) + sum(sides)),
             complex(np.sum(t[n_max - half:n_max + half + 1]) + sum(tail(half))),
             floor)

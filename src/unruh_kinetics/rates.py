@@ -21,12 +21,13 @@ import errno
 import functools
 import math
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (_TINY, AtomState, DetectorParams, DomainError, NonConvergence,
-                   OrderingParam, planck, plain, require_all)
+from .core import (_EPS, _TINY, AtomState, DetectorParams, DomainError, NonConvergence,
+                   OrderingParam, _all, planck, plain, require_all)
 from .kernels import image_sum_inverse_power
 from .numerics import composite_rule
 
@@ -39,6 +40,11 @@ __all__ = [
     "field_rates",
     "derivative_coupling_rates",
 ]
+
+
+def _ignoring(values, **errors):
+    """np.errstate(**errors), a no-op if every value is a Python float."""
+    return nullcontext() if all(type(v) is float for v in values) else np.errstate(**errors)
 
 
 @dataclass(frozen=True)
@@ -62,9 +68,9 @@ class EnergyRateReport:
             # relative to |vf| + |rr| and written so that a NaN fails it; an
             # infinite vf or rr is a float overflow, which the CLI reports
             scale = abs(self.vf) + abs(self.rr)
-            with np.errstate(invalid="ignore"):  # inf - inf
+            with _ignoring((self.vf, self.rr, self.total), invalid="ignore"):  # inf - inf
                 ok = abs(self.vf + self.rr - self.total) <= 1e-12 * np.fmax(_TINY, scale)
-            if not np.all(ok | (scale == np.inf)):
+            if not _all(ok | (scale == np.inf)):
                 raise DomainError("vf + rr must reproduce total")
         elif self.vf is not None or self.rr is not None:
             raise DomainError("divergent ordering cannot carry vf/rr values")
@@ -72,21 +78,24 @@ class EnergyRateReport:
 
 def _product(*terms):
     """The product of x^p over the (x, p) terms, p an int, formed on the
-    frexp mantissas of the x and scaled once (ldexp): no partial product over-
-    or underflows.  OverflowError where the product does, as a float's x ** 2
-    raises; so too for a 0 * inf, which only an infinite x makes.
-    """
+    frexp mantissas of the x and scaled once (ldexp), math's for Python
+    floats and numpy's else, with the same bits: no partial product over- or
+    underflows.  OverflowError where the product does, as a float's x ** 2
+    raises; so too for a 0 * inf, which only an infinite x makes."""
+    floats = all(type(x) is float for x, _ in terms)
+    frexp, ldexp = (math.frexp, math.ldexp) if floats else (np.frexp, np.ldexp)
     mantissa, exponent = 1.0, 0
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for x, p in terms:
-            m, e = np.frexp(x)
-            power = m
-            for _ in range(abs(p) - 1):
-                power = power * m
-            mantissa = mantissa * power if p > 0 else mantissa / power
-            exponent = exponent + p * e
-        product = np.ldexp(mantissa, exponent)
-    if not np.isfinite(product).all():
+    try:
+        with nullcontext() if floats else np.errstate(all="ignore"):
+            for x, p in terms:
+                m, e = frexp(x)
+                power = math.prod([m] * abs(p))
+                mantissa = mantissa * power if p > 0 else mantissa / power
+                exponent = exponent + p * e
+            product = ldexp(mantissa, exponent)
+    except (OverflowError, ZeroDivisionError):  # math.ldexp's overflow; a float's x / 0
+        product = math.inf
+    if not _all(np.isfinite(product)):
         raise OverflowError(errno.ERANGE, os.strerror(errno.ERANGE))
     return product
 
@@ -100,7 +109,7 @@ def _split(params: DetectorParams, r3, a, b) -> EnergyRateReport:
     """
     k = ((params.omega0, 2), (params.mu, 2), (16.0 * math.pi, -1))
     ka, r3kb4 = _product(*k, *a), _product(*k, *b, (4.0 * r3, 1))
-    with np.errstate(over="ignore"):  # an inf vf is the caller's overflow
+    with _ignoring((r3, ka, r3kb4), over="ignore"):  # an inf vf is the caller's overflow
         vf, total = -2.0 * r3 * ka - r3kb4, -(1.0 + 2.0 * r3) * ka - r3kb4
     return EnergyRateReport(total=plain(total), finite=True, vf=plain(vf), rr=plain(-ka))
 
@@ -187,10 +196,11 @@ _HEIGHTS = np.array([1.0, 0.5])
 
 @functools.cache
 def _ray_rule() -> tuple[np.ndarray, np.ndarray]:
-    """(nodes, weights) in s of the rule every ray shares: panels from
-    [0, 1/4] doubling in width out to s = 255.75, 10 panels and 240 nodes.
-    A constant, built on first use."""
-    return composite_rule(0.25 * (2.0 ** np.arange(11) - 1.0))
+    """(z, weights): both rays' nodes, a row per h in _HEIGHTS, and the
+    weights in s of their shared rule, panels from [0, 1/4] doubling in width
+    out to s = 255.75, 10 panels and 240 nodes.  Built on first use."""
+    s, weights = composite_rule(0.25 * (2.0 ** np.arange(11) - 1.0))
+    return _HEIGHTS[:, None] * (1j + _RAY * s), weights
 
 
 def _line_integral(m: int, omega0: float, alpha: float) -> tuple[complex, float]:
@@ -202,15 +212,15 @@ def _line_integral(m: int, omega0: float, alpha: float) -> tuple[complex, float]
     J is I + (-1)^m conj I, I on the ray z = h (i + s e^{-i pi/4}), s >= 0,
     h = 1; J_+ = e^{-x} conj J, x = 2 pi w/a.
 
-    Both rays, h = 1 and 1/2, run on one rule in s (`_ray_rule`), as one
-    (2, n) array.  It fits every (w, a, h): w + a lies in [1, 1 + pi], so in
-    s the nearest poles, z = 0 and z = 2 pi i/a, sit at least 1/sqrt 2 from
-    the ray, and the integrand decays like e^{-(w + a) h s / sqrt 2}, at a
-    rate of at least 0.5/sqrt 2, to e^-56 by s = 160.  Panel widths double
-    away from s = 0, so each panel's pole distance stays in proportion to its
-    width and every panel converges at the Gauss rule's Bernstein-ellipse
-    rate (Trefethen, *Approximation Theory and Approximation Practice*,
-    ch. 19).
+    Both rays, h = 1 and 1/2, run on one rule in s, as the one (2, n) array
+    of nodes that `_ray_rule` builds once.  The rule fits every (w, a, h):
+    w + a lies in [1, 1 + pi], so in s the nearest poles, z = 0 and
+    z = 2 pi i/a, sit at least 1/sqrt 2 from the ray, and the integrand
+    decays like e^{-(w + a) h s / sqrt 2}, at a rate of at least 0.5/sqrt 2,
+    to e^-56 by s = 160.  Panel widths double away from s = 0, so each
+    panel's pole distance stays in proportion to its width and every panel
+    converges at the Gauss rule's Bernstein-ellipse rate (Trefethen,
+    *Approximation Theory and Approximation Practice*, ch. 19).
 
     The ray from Im z = 1/2 must agree to 1e-9 relative, and each ray's
     rounding floor 2^-52 sum |weight f| lie below 2e-9 |J| (errors measured
@@ -221,14 +231,13 @@ def _line_integral(m: int, omega0: float, alpha: float) -> tuple[complex, float]
     """
     d = min(math.pi / alpha, 1.0 / omega0)
     w, a = omega0 * d, alpha * d
-    s, weights = _ray_rule()
+    z, weights = _ray_rule()
     with np.errstate(all="ignore"):  # a NaN or inf fails the check below
-        z = _HEIGHTS[:, None] * (1j + _RAY * s)
         f = np.exp(-1j * w * z) * image_sum_inverse_power(m, z, a)
         i = _HEIGHTS * _RAY * (f @ weights)
         floors = _HEIGHTS * (np.abs(f) @ weights)
     j, j_half = (complex(v + (-1) ** m * v.conjugate()) for v in i)
-    floor = np.finfo(float).eps * max(floors.tolist())
+    floor = _EPS * max(floors.tolist())
     if not (abs(j - j_half) <= 1e-9 * abs(j) and floor < 2e-9 * abs(j)):
         raise NonConvergence(
             f"line integral of S_{m} at omega0 = {omega0:.12g}, alpha = "
@@ -252,11 +261,7 @@ def _numeric_split(params: DetectorParams, alpha: float, atom: AtomState, m: int
                   (*terms, (-math.expm1(-x), 1)), (*terms, (math.exp(-x), 1)))
 
 
-def field_rates(
-    params: DetectorParams,
-    alpha: float,
-    atom: AtomState,
-) -> tuple[float, float]:
+def field_rates(params: DetectorParams, alpha: float, atom: AtomState) -> tuple[float, float]:
     """(vf_field, rr_field): energy-variation rates on the field side.
 
     Cubic image-sum kernel S_3 integrated against sin (VF) / cos (RR) of the
@@ -267,12 +272,8 @@ def field_rates(
     return report.vf, report.rr
 
 
-def derivative_coupling_rates(
-    params: DetectorParams,
-    alpha: float,
-    atom: AtomState,
-    n: int = 0,
-) -> EnergyRateReport:
+def derivative_coupling_rates(params: DetectorParams, alpha: float, atom: AtomState,
+                              n: int = 0) -> EnergyRateReport:
     """Numeric VF/RR rates for the n-th derivative coupling, symmetric ordering.
 
     The n-fold proper-time derivatives act on each image term analytically:

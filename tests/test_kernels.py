@@ -1,6 +1,5 @@
 """Two-point kernels against brute-force oracles and closed-form limits."""
 
-import cmath
 import math
 import re
 import sys
@@ -12,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from decimal_reference import cosh, coth_csch2, digits, pi, sinh
+from decimal_reference import cosh, coth_csch, coth_csch2, digits, pi, sinh
 
 from unruh_kinetics.core import DomainError, NonConvergence, SingularInput
 from unruh_kinetics import kernels as K
@@ -552,15 +551,6 @@ def test_accelerated_thermal_where_pi_u_over_beta_leaves_the_normal_range():
 
 # --- image-sum closed forms ----------------------------------------------
 
-@pytest.mark.parametrize("re_w", [0.3, 19.0, 21.0, 40.0, 300.0])
-def test_coth_csch_beyond_the_clip(re_w):
-    h = 1.3
-    for w in (complex(re_w, 0.4), complex(-re_w, -1.1)):
-        h_coth, h_csch = K._h_coth_csch(np.complex128(w), w / h, h, math.log(h))
-        assert h_coth == pytest.approx(h / cmath.tanh(w), rel=1e-14)
-        assert h_csch == pytest.approx(h / cmath.sinh(w), rel=1e-13)
-
-
 def test_image_sums_do_not_overflow_at_large_alpha():
     # alpha = 50 used to print 14 overflow warnings from np.sinh / np.cosh
     z = np.linspace(0.01, 60.0, 1000) - 0.02j
@@ -640,3 +630,70 @@ def test_vacuum_closed_forms_over_the_float_range(name, u, sign, x):
     else:
         tol = Decimal("3e-13") * abs(want) + Decimal(2) ** -1074
         assert abs(Decimal(got.real) - want) <= tol, (got, want)
+
+
+# --- (h coth w, h csch w), the helper of every csch closed form ------------
+
+def _h_coth_csch_reference(w: complex, h: float) -> tuple[complex, complex]:
+    """(h coth w, h csch w) at 50 digits, rounded to complex floats."""
+    with digits(50):
+        (c_re, c_im), (s_re, s_im) = coth_csch(Decimal(w.real), Decimal(w.imag))
+        h = Decimal(h)
+        return complex(h * c_re, h * c_im), complex(h * s_re, h * s_im)
+
+
+def _h_coth_csch(w: complex, h: float):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return K._h_coth_csch(np.complex128(w), w / h, h, math.log(h))
+
+
+_PART = st.tuples(st.floats(min_value=-300.0, max_value=3.0), st.sampled_from([1.0, -1.0]))
+
+
+@given(_PART, _PART, _LOG_UNIFORM)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_h_coth_csch_over_both_half_planes(re, im, h):
+    # Re w log-uniform over +-[1e-300, 1e3], Im w over +-[1e-300, 1e3] and h
+    # over [1e-300, 1e300].  h csch w = 2 e^{ln h - w} / (1 - E) carries the
+    # |ln h - Re w| 2^-53 conditioning of its exponential: 1.1e-13 relative
+    # measured on 20000 points.  h coth w = h (2 / (1 - E) - 1) cancels
+    # near its zeros, w = i pi (k + 1/2), to ~2^-53 h absolute: 2.7e-16
+    # of |h coth w| + h.  A subnormal value carries 2^-1070 absolute; values
+    # beyond 1e300 are left out; no call warns.  |w| below the smallest
+    # normal double is test_h_coth_csch_at_its_edges' case
+    w = complex(re[1] * 10.0 ** re[0], im[1] * 10.0 ** im[0])
+    if abs(w) < sys.float_info.min:
+        return
+    (coth, csch), (want_coth, want_csch) = _h_coth_csch(w, h), _h_coth_csch_reference(w, h)
+    if abs(want_coth) <= 1e300:
+        assert abs(complex(coth) - want_coth) <= 1e-15 * (abs(want_coth) + h), (w, h)
+    if abs(want_csch) <= 1e300:
+        tol = 2e-13 * abs(want_csch) + 2.0**-1070
+        assert abs(complex(csch) - want_csch) <= tol, (w, h)
+
+
+def test_h_coth_csch_at_its_edges():
+    h = 1.3
+    # Re w = +-0: coth and csch of i y, odd bit for bit.  (h + 0i)(-0 - iy)
+    # has real part +0, so the fold reads the sign of Re z
+    z = complex(0.0, 0.5)
+    for re in (0.0, -0.0):
+        w = complex(re, h * z.imag)
+        for got, want in zip(_h_coth_csch(w, h), _h_coth_csch_reference(w, h)):
+            assert abs(complex(got) - want) <= 1e-15 * abs(want)
+    up, down = (K._h_coth_csch(h * x, x, h, math.log(h)) for x in (np.complex128(z), -z))
+    assert np.array_equal(down, [-x for x in up])
+    # Re w = +-inf: h coth w = +-h and h csch w = 0
+    for sign in (1.0, -1.0):
+        coth, csch = _h_coth_csch(complex(sign * math.inf, 0.4), h)
+        assert coth == pytest.approx(sign * h, rel=1e-15) and csch == 0.0
+    # |w| subnormal: w = h z has lost digits, and both are 1 / z
+    z, tiny = complex(3e-10, -1e-10), 1e-300
+    coth, csch = K._h_coth_csch(tiny * np.complex128(z), z, tiny, math.log(tiny))
+    assert coth == csch == pytest.approx(1.0 / z, rel=1e-15)
+    # ln h carried in the exponent: a tiny h at large Re w, and a large h
+    # where e^-w underflows while h csch w = 1e-134 is normal
+    for w, h in ((complex(100.0, 0.3), 1e-250), (complex(1000.0, 0.3), 1e300)):
+        for got, want in zip(_h_coth_csch(w, h), _h_coth_csch_reference(w, h)):
+            assert abs(complex(got) - want) <= 2e-13 * abs(want), (w, h)

@@ -77,6 +77,64 @@ def test_energy_report_leaves_an_overflow_to_the_caller():
     assert math.isnan(rep.total)
 
 
+def _outcome(call):
+    """call()'s value, or the args of the OverflowError it raises."""
+    try:
+        return call()
+    except OverflowError as exc:
+        return exc.args
+
+
+def _product_bits(terms, cast):
+    return _outcome(lambda: float(R._product(*((cast(x), p) for x, p in terms))).hex())
+
+
+_PRODUCTS = {
+    "normal": ((3.0, 2), (0.1, -1), (1e-5, 3)),
+    "subnormal": ((1e-160, 2), (3.0, 1)),
+    "underflow to 0": ((1e-200, 2), (-7.0, 1)),
+    "overflow": ((1e200, 2), (0.5, 1)),
+    "over- and underflow": ((1e300, 2), (1e-300, 2), (1e-300, 1)),
+    "infinite term": ((math.inf, 1), (2.0, -1)),
+    "0 * inf": ((math.inf, 1), (0.0, 1)),
+    "1 / 0": ((0.0, -1), (2.0, 1)),
+    "NaN term": ((math.nan, 1),),
+}
+
+
+@pytest.mark.parametrize("terms", _PRODUCTS.values(), ids=_PRODUCTS)
+def test_product_of_python_floats_is_that_of_numpy(terms):
+    # Python floats take math.frexp / math.ldexp, 0-d arrays numpy's: the
+    # same bits, or the same OverflowError(ERANGE), which the CLI reports
+    as_float = _product_bits(terms, float)
+    assert as_float == _product_bits(terms, np.array)
+    if isinstance(as_float, tuple):
+        assert as_float == (errno.ERANGE, os.strerror(errno.ERANGE))
+
+
+@given(st.lists(st.tuples(st.floats(allow_nan=False), st.integers(-3, 3)), max_size=6))
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_product_of_any_python_floats_is_that_of_numpy(terms):
+    assert _product_bits(terms, float) == _product_bits(terms, np.array)
+
+
+@pytest.mark.parametrize("w0, mu, r3, a, b", [
+    (1.3, 0.7, 0.5, ((0.25, 1), (1.2, -1)), ((0.25, 1), (0.01, 1))),
+    (1e-160, 1.0, -0.5, ((3.0, 1),), ((1e-150, 1),)),  # a subnormal Ka
+    (1e160, 1e150, 0.5, ((1.0, 1),), ((1.0, 1),)),  # K overflows
+    (1e150, 1e4, 0.5, ((1.0, 1),), ((3.0, 1),)),  # vf and the total overflow
+])
+def test_split_of_python_floats_is_that_of_numpy(w0, mu, r3, a, b):
+    def report(cast):
+        rep = R._split(DetectorParams(cast(w0), cast(mu)), cast(r3),
+                       tuple((cast(x), p) for x, p in a), tuple((cast(x), p) for x, p in b))
+        return tuple(float(getattr(rep, key)).hex() for key in ("vf", "rr", "total"))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _outcome(lambda: report(float)) == _outcome(lambda: report(np.array))
+
+
 
 @pytest.mark.parametrize("w0, alpha", [(4e307, 1e307), (1.7e308, 1e308), (1e308, 2e307)])
 def test_planck_bracket_where_two_pi_omega0_overflows(w0, alpha):
