@@ -83,8 +83,8 @@ def _h_coth_csch(w, z, h, log_h):
     for bit.  With 1 - E = -expm1(-(w' + w')), E = e^{-2 w'} (-2 w' would
     turn Re w' = inf into NaN), h coth w' = h (2 / (1 - E) - 1) and h csch w'
     = 2 e^{ln h - w'} / (1 - E): no power of h multiplies an underflowed
-    e^{-w'}, and nothing overflows.  Where |w| is subnormal both are 1 / z:
-    w = h z has lost digits there."""
+    e^{-w'}, and nothing overflows.  Below the smallest normal |w| both are
+    1 / z: w = h z has lost digits there."""
     flip = np.signbit(np.real(z))
     fold = flip.any()  # never on the rays of the numeric rates
     w = np.where(flip, -w, w) if fold else w
