@@ -220,9 +220,20 @@ def image_sum_inverse_power(m: int, z: complex, alpha: float) -> complex:
     u = (h csch(h z))^2 and v = h coth(h z), h = alpha/2: no power of h is
     formed on its own, where it may underflow.  z may be an array.
     """
+    return _inverse_power(m, *_inverse_power_uv(z, alpha))
+
+
+def _inverse_power_uv(z, alpha: float):
+    """(u, v) = ((h csch(h z))^2, h coth(h z)), h = alpha/2, of which every
+    S_m is a polynomial (`_inverse_power`)."""
     h = alpha / 2.0
     v, hc = _h_coth_csch(h * z, z, h, np.log(h))
-    u = hc * hc
+    return hc * hc, v
+
+
+def _inverse_power(m: int, u, v):
+    """S_m of `image_sum_inverse_power` from (u, v) of `_inverse_power_uv`:
+    the one home of its polynomials in u and v."""
     if m == 2:
         return u
     if m == 3:

@@ -12,7 +12,10 @@ is exact on any contour inside it (Birrell & Davies, *Quantum Fields in
 Curved Space*, sec. 3.3).  One integral of e^{-i omega0 z} S_m(z), taken on a
 ray from the line Im z = d, gives VF, RR and the total; the same ray from
 Im z = d/2 checks it.  Both rays run on one fixed graded Gauss-Legendre rule
-in one array evaluation.
+in one array evaluation.  In units of d the node values, e^{-i omega0 z} and
+the two functions that every S_m is a polynomial in, depend on alpha/omega0
+alone: they are formed once per point and shared by every order m and every
+source at that point.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 
 from .core import (_EPS, _TINY, AtomState, DetectorParams, DomainError, NonConvergence,
                    OrderingParam, _all, planck, plain, require_all)
-from .kernels import image_sum_inverse_power
+from .kernels import _inverse_power, _inverse_power_uv
 from .numerics import composite_rule
 
 __all__ = [
@@ -203,6 +206,22 @@ def _ray_rule() -> tuple[np.ndarray, np.ndarray]:
     return _HEIGHTS[:, None] * (1j + _RAY * s), weights
 
 
+@functools.lru_cache(maxsize=1)
+def _ray_values(w: float, a: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(e^{-i w z}, u, v) on `_ray_rule`'s nodes z, with u = (h csch hz)^2
+    and v = h coth hz, h = a/2, from which `kernels._inverse_power` forms
+    every S_m.  They depend on (w, a) alone, and each caller asks for
+    several m at one point, so the last point's values are kept (~23 KB).
+    The arrays are read-only: they are shared."""
+    z, _ = _ray_rule()
+    with np.errstate(all="ignore"):  # a NaN or inf fails _line_integral's check
+        phase = np.exp(-1j * w * z)
+        u, v = _inverse_power_uv(z, a)
+    for x in (phase, u, v):
+        x.flags.writeable = False
+    return phase, u, v
+
+
 def _line_integral(m: int, omega0: float, alpha: float) -> tuple[complex, float]:
     """(J, w): J_- = int e^{-i w z} S_m(z) dz on Im z = 1, in units of d.
 
@@ -213,7 +232,10 @@ def _line_integral(m: int, omega0: float, alpha: float) -> tuple[complex, float]
     h = 1; J_+ = e^{-x} conj J, x = 2 pi w/a.
 
     Both rays, h = 1 and 1/2, run on one rule in s, as the one (2, n) array
-    of nodes that `_ray_rule` builds once.  The rule fits every (w, a, h):
+    of nodes that `_ray_rule` builds once.  The node values come from
+    `_ray_values`, shared per (w, a) by every m: the VF/RR split, the field
+    side and the other couplings at one point evaluate the nodes once.
+    The rule fits every (w, a, h):
     w + a lies in [1, 1 + pi], so in s the nearest poles, z = 0 and
     z = 2 pi i/a, sit at least 1/sqrt 2 from the ray, and the integrand
     decays like e^{-(w + a) h s / sqrt 2}, at a rate of at least 0.5/sqrt 2,
@@ -231,12 +253,13 @@ def _line_integral(m: int, omega0: float, alpha: float) -> tuple[complex, float]
     """
     d = min(math.pi / alpha, 1.0 / omega0)
     w, a = omega0 * d, alpha * d
-    z, weights = _ray_rule()
+    phase, u, v = _ray_values(w, a)
+    _, weights = _ray_rule()
     with np.errstate(all="ignore"):  # a NaN or inf fails the check below
-        f = np.exp(-1j * w * z) * image_sum_inverse_power(m, z, a)
+        f = phase * _inverse_power(m, u, v)
         i = _HEIGHTS * _RAY * (f @ weights)
         floors = _HEIGHTS * (np.abs(f) @ weights)
-    j, j_half = (complex(v + (-1) ** m * v.conjugate()) for v in i)
+    j, j_half = (complex(x + (-1) ** m * x.conjugate()) for x in i)
     floor = _EPS * max(floors.tolist())
     if not (abs(j - j_half) <= 1e-9 * abs(j) and floor < 2e-9 * abs(j)):
         raise NonConvergence(

@@ -88,7 +88,10 @@ def inertial_silence_oracle(
 
 def planck_response_oracle(deltaE: float, alpha: float) -> float:
     """F = 4 total / deltaE from the numeric ground-state energy rate at mu = 1,
-    which is mu^2 deltaE F / 4 (Audretsch & Mueller, PRA 50, 1755 (1994))."""
+    which is mu^2 deltaE F / 4 (Audretsch & Mueller, PRA 50, 1755 (1994)).
+    Its S_2 integral shares the ray node values that `rates._ray_values`
+    keeps for the last point: called right after the numeric rates at
+    omega0 = deltaE and the same alpha, it evaluates no nodes."""
     _check_gap(deltaE)
     report = derivative_coupling_rates(
         DetectorParams(deltaE, 1.0), alpha, AtomState.minus(), 0

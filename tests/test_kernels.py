@@ -9,7 +9,7 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from decimal_reference import cosh, coth_csch, coth_csch2, digits, pi, sinh
 
@@ -451,6 +451,34 @@ def test_accelerated_thermal_matches_a_decimal_reference(u, beta, alpha):
         # values below ~1e-300 (down to e^-4000 at u = 800) round to 0 or
         # to a denormal: only the absolute floor applies there
         assert abs(got.real - want) <= 1e-12 * abs(want) + 1e-300, (t1, t2)
+
+
+_SIGNED_TIME = st.tuples(st.sampled_from([1.0, -1.0]),
+                        st.floats(min_value=-150.0, max_value=150.0)).map(lambda p: p[0] * 10.0**p[1])
+
+
+@given(_SIGNED_TIME, _SIGNED_TIME, st.floats(min_value=-300.0, max_value=150.0).map(lambda e: 10.0**e))
+@example(-2.9930455877137226e-136, -3.504197964000513e-149, 2.3998008061252962e138)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_accelerated_thermal_at_zero_temperature_over_the_float_range(t1, t2, alpha):
+    # tau1 and tau2 log-uniform over +-[1e-150, 1e150] and alpha over
+    # [1e-300, 1e150], the kernel's domain, against 50 digits of
+    # -(alpha / 4 pi)^2 csch^2(alpha (t1 - t2) / 2).  The error is the x 2^-53
+    # conditioning of e^-x, x = alpha |t1 - t2| / 2, and of the rounded
+    # t1 - t2: 7.3e-14 measured on 40000 log-uniform points (the example),
+    # 2.3e-13 on 20000 with x in [1, 745].  A subnormal value carries
+    # 2^-1074 absolute; no call warns
+    if abs(t1 - t2) < K.U_MIN:
+        return
+    with digits(50):
+        a = Decimal(alpha)
+        want = -(a / (4 * pi())) ** 2 * coth_csch2(a * (Decimal(t1) - Decimal(t2)) / 2)[1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = K.g_thermal_accelerated(t1, t2, math.inf, alpha).value
+    assert got.imag == 0.0
+    tol = Decimal("4e-13") * abs(want) + Decimal(2) ** -1074
+    assert abs(Decimal(got.real) - want) <= tol, (got, want)
 
 
 def test_accelerated_thermal_at_opposite_times_is_the_csch2_limit():

@@ -30,9 +30,9 @@ from unruh_kinetics.core import (
     OrderingParam,
 )
 from unruh_kinetics import rates as R
-from unruh_kinetics.kernels import image_sum_inverse_power
+from unruh_kinetics.kernels import _inverse_power_uv, image_sum_inverse_power
 from unruh_kinetics.numerics import composite_rule
-from unruh_kinetics.response import response_accelerated
+from unruh_kinetics.response import planck_response_oracle, response_accelerated
 
 PLUS = AtomState.plus()
 MINUS = AtomState.minus()
@@ -535,19 +535,84 @@ def test_ray_rule_matches_a_fine_panel_rule(m):
             assert abs(j - want) <= 1e-10 * abs(want), (w0, alpha)
 
 
+# (m, rate): the numeric rates a scan asks for at one point, S_2, S_4 and
+# S_6 of the couplings, S_3 of the field side and S_2 in the ground state
+_AT_ONE_POINT = [
+    (2, lambda p, alpha: R.derivative_coupling_rates(p, alpha, PLUS, 0)),
+    (4, lambda p, alpha: R.derivative_coupling_rates(p, alpha, PLUS, 1)),
+    (6, lambda p, alpha: R.derivative_coupling_rates(p, alpha, PLUS, 2)),
+    (3, lambda p, alpha: R.field_rates(p, alpha, PLUS)),
+    (2, lambda p, alpha: planck_response_oracle(p.omega0, alpha)),
+]
+
+
+def _rates_at_one_point(omega0, alpha, first=2):
+    """Every rate of _AT_ONE_POINT, those of S_first called first, as the
+    hex strings of their floats."""
+    p = DetectorParams(omega0, 1.0)
+    values = []
+    for _, rate in sorted(_AT_ONE_POINT, key=lambda pair: pair[0] != first):
+        value = rate(p, alpha)
+        if isinstance(value, R.EnergyRateReport):
+            value = (value.vf, value.rr, value.total)
+        values.extend(float(x).hex() for x in np.atleast_1d(value))
+    return values
+
+
 @pytest.mark.parametrize("m", sorted(RATIO_WINDOW))
 def test_line_integral_evaluates_its_integrand_once_on_few_nodes(monkeypatch, m):
-    # both rays in one call, on at most 512 nodes in all, so that the rule's
-    # cost cannot grow back unnoticed
+    # both rays in one evaluation of the nodes, on at most 512 nodes in all,
+    # so that the rule's cost cannot grow back unnoticed; all five rates at
+    # one point share it, whichever order comes first, and a new point costs
+    # exactly one more
     sizes = []
 
-    def counted(m, z, alpha):
+    def counted(z, alpha):
         sizes.append(np.size(z))
-        return image_sum_inverse_power(m, z, alpha)
+        return _inverse_power_uv(z, alpha)
 
-    monkeypatch.setattr(R, "image_sum_inverse_power", counted)
-    R._line_integral(m, 1.3, 2.1)
+    monkeypatch.setattr(R, "_inverse_power_uv", counted)
+    R._ray_values.cache_clear()
+    _rates_at_one_point(1.3, 2.1, first=m)
     assert len(sizes) == 1 and sizes[0] <= 512, sizes
+    _rates_at_one_point(1.3, 2.2, first=m)
+    assert len(sizes) == 2, sizes
+
+
+def test_shared_node_values_do_not_depend_on_the_points_before():
+    # points A, B, A, C, D, C: each gives the bits of an evaluation from an
+    # empty memo.  In units of d, B has A's w = 1 and D has C's a = pi
+    points = [(1.3, 2.1), (0.7, 0.2), (1.3, 2.1), (0.5, 3.0), (1.0, 8.0), (0.5, 3.0)]
+    warm = [_rates_at_one_point(*point) for point in points]
+    cold = []
+    for point in points:
+        R._ray_values.cache_clear()
+        cold.append(_rates_at_one_point(*point))
+    assert warm == cold
+
+
+def test_shared_node_values_are_read_only():
+    for x in R._ray_values(1.0, 1.0):
+        assert not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            np.negative(x, out=x)
+
+
+def test_a_refused_order_leaves_the_rates_of_the_others():
+    # S_6 cancels to its rounding floor at the top of its window and refuses
+    # after its node values are kept; S_2 on them has the bits of S_2 from
+    # an empty memo
+    p, alpha = DetectorParams(1.0, 1.0), RATIO_WINDOW[6][1][1]
+    R._ray_values.cache_clear()
+    with pytest.raises(NonConvergence, match="line integral of S_6 "):
+        R.derivative_coupling_rates(p, alpha, PLUS, 2)
+    after = R.derivative_coupling_rates(p, alpha, PLUS, 0)
+    R._ray_values.cache_clear()
+    cold = R.derivative_coupling_rates(p, alpha, PLUS, 0)
+    assert [x.hex() for x in (after.vf, after.rr, after.total)] == \
+        [x.hex() for x in (cold.vf, cold.rr, cold.total)]
 
 
 def test_derivative_coupling_n0_vf_matches_closed_form():
