@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 _TINY = sys.float_info.min  # the smallest normal double
 _EPS = sys.float_info.epsilon  # 2^-52, the spacing of the doubles at 1
+# the 4 pi^2 of the massless field's -1 / (4 pi^2 u^2) Wightman function
+_FOUR_PI_SQ = 4.0 * math.pi**2
 
 
 class DomainError(ValueError):

@@ -2,9 +2,13 @@
 
 Every float cell is exactly CPython's "%.11e" of it (12 significant digits):
 numpy computes the digits, and CPython formats the cells near a rounding tie,
-the non-finite ones and those of magnitude below 1e-11 or from 1e34 on.  Its
-lookup tables are built when the module is imported, so only a command that
-writes such a table imports it.
+the non-finite ones and those of magnitude below 1e-99 or from 1e99 on (a
+three-digit exponent).  The digits come from the cell scaled by a power of
+ten, which is exact only up to 10^22; beyond it the rounded power adds an
+error to that of the scaling, and the scaled value stays within 1.9e-4 of
+the exact one, well inside the tie guard's 0.001 margin.  Its lookup tables
+are built when the module is imported, so only a command that writes such a
+table imports it.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ def _words(cells) -> np.ndarray:
 
 # "00" .. "99"
 _DIGITS_2 = np.column_stack(np.divmod(np.arange(100, dtype=np.uint8), 10)) + 48
-_E_MIN, _E_MAX = -11, 33  # the decimal exponents the vector path takes
+_E_MIN, _E_MAX = -99, 98  # the decimal exponents the vector path takes
 _EXPONENTS = np.arange(_E_MIN, _E_MAX + 2)  # + 1 for a round-up to 10^12
 # Index 100 * negative + the first two digits.
 _LEAD_WORDS = _words(np.column_stack([
@@ -44,8 +48,7 @@ _EXP_WORDS = _words(np.column_stack([
     np.tile(_DIGITS_2[np.abs(_EXPONENTS)], (2, 1)),
     np.repeat([44, 10], len(_EXPONENTS)),
 ]))
-# 10^(11 - e) as an exact multiplier (e <= 11) or divisor (e > 11), index
-# _E_MAX - e: 10^22 is the largest power of ten a double holds exactly.
+# 10^(11 - e) as a multiplier (e <= 11) or divisor (e > 11), index _E_MAX - e.
 _SHIFTS = [11 - e for e in range(_E_MAX, _E_MIN - 1, -1)]
 _SCALE_UP = np.array([float(10 ** max(j, 0)) for j in _SHIFTS])
 _SCALE_DOWN = np.array([float(10 ** max(-j, 0)) for j in _SHIFTS])
@@ -54,7 +57,8 @@ _CHUNK_CELLS = 1 << 14
 
 
 def _scaled(ax: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """ax * 10^(11 - e), one rounding."""
+    """ax * 10^(11 - e) in one rounding, by a power of ten that is exact up to
+    10^22 and the nearest double beyond."""
     k = (_E_MAX - e).astype(np.intp)
     return ax * _SCALE_UP[k] / _SCALE_DOWN[k]
 
@@ -64,11 +68,16 @@ def _csv_block(x: np.ndarray, cols: int) -> str:
 
     The 12 digits are r = rint(|x| 10^(11 - e)) with e = floor(log10 |x|),
     taken one lower where the scaled value falls below 10^11 and one higher
-    where r rounds up to 10^12.  The scaled value is within half an ulp,
-    6.1e-5, of the exact one, so r is the correctly rounded digit string
-    wherever it is more than 0.499 from a tie.  CPython formats the cells
-    nearer a tie, the non-finite ones and those with e outside
-    [_E_MIN, _E_MAX].
+    where r rounds up to 10^12.  The exact scaled value is below 10^12 <
+    2^40, so the rounding of the scaling is at most half an ulp, 2^-14 =
+    6.1e-5.  For |11 - e| <= 22 the power of ten is exact and that is the
+    only error; beyond, the power is the nearest double, off by at most
+    2^-53 relative, which moves the scaled value by at most 2^-13 = 1.2e-4
+    more.  So the scaled value is within 1.9e-4 of the exact one, and r is
+    the correctly rounded digit string wherever the scaled value is more
+    than 0.499 from a tie: the exact value is then more than 0.498 from it.
+    CPython formats the cells nearer a tie, the non-finite ones and those
+    with e outside [_E_MIN, _E_MAX].
     """
     ax = np.abs(x)
     e = np.floor(np.log10(ax))
@@ -108,7 +117,8 @@ def _csv_block(x: np.ndarray, cols: int) -> str:
         cells = ("%-19.11e" * fallback.size) % tuple(x[fallback].tolist())
         cells = np.frombuffer(cells.encode("ascii"), np.uint8).reshape(-1, 19)
         text[fallback, :19] = np.where(cells == 32, 0, cells)
-    return text.tobytes().replace(b"\0", b"").decode("ascii")
+    # translate deletes the pad bytes in about half the time replace takes
+    return text.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def csv_lines(rows) -> str:

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (_EPS, _TINY, DomainError, NonConvergence, SingularInput, check_beta, planck,
-                   require_all)
+from .core import (_EPS, _FOUR_PI_SQ, _TINY, DomainError, NonConvergence, SingularInput,
+                   check_beta, planck, require_all)
 
 __all__ = [
     "KernelValue",
@@ -53,7 +53,7 @@ ARG_MAX = 1e150
 TRUNC_TOL = 1e-8
 N_MAX = 128
 
-_FOUR_PI_SQ = 4.0 * math.pi**2
+_LOG_2PI = math.log(2.0 * math.pi)
 
 # (k, weight of f^(k)(e)) in the midpoint Euler-Maclaurin formula at the
 # edge e = N + 1/2 (Abramowitz & Stegun 23.1.30-32):
@@ -366,17 +366,29 @@ def g_thermal_inertial(u: float, beta: float, v: float) -> KernelValue:
     coth A1 - coth A2 over |u|, A1 = (1+v) x / s and A2 = (1-v) x / s.  As
     A1 A2 = x^2 and D = 2 v x / s, D / (A1 A2) = 2 gamma v / x, so g is
     _coth_difference at q = 1 / (2 pi |u|) for every v: at v = 0 (D = 0) it
-    is -csch^2(x) / 4 beta^2.  A1 (and D <= A1) is capped at e^700, so x =
-    +inf gives 0.
+    is -csch^2(x) / 4 beta^2.  A1 (and D, A2 <= A1) is capped at e^700, so
+    x = +inf gives 0.
+
+    At tiny u, q^2 overflows, and beyond A2 ~ 710 planck's e^{-2 A2} factor
+    is 0, before a factor that brings g back into the float range applies.
+    There g is -(P F(2D) / (F(2 A1) F(2 A2))) P with P = q e^{-A2} =
+    e^{ln q - A2}: -inf beyond the float range, 0 below it, no NaN.
     """
     _check_inertial(u, beta, v)
     x = math.pi * abs(u) / beta
     # (1-v)(1+v), not 1 - v^2, which loses digits near v = 1
     s = math.sqrt((1.0 - v) * (1.0 + v))
     a1 = min((1.0 + v) * x / s, math.exp(700.0))
+    a2 = min((1.0 - v) * x / s, a1)
     d = a1 * (2.0 * v / (1.0 + v))
     q = 1.0 / (2.0 * math.pi * abs(u))
-    return KernelValue(_complex(_coth_difference(q, a1, (1.0 - v) * x / s, d)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = _coth_difference(q, a1, a2, d)
+        if not 0.0 < abs(g) < math.inf:  # a partial product left the float range
+            p = np.exp(-(_LOG_2PI + math.log(abs(u))) - a2)
+            ratio = _exprel_neg(2.0 * d) / _exprel_neg(2.0 * a1)
+            g = -(p * ratio / _exprel_neg(2.0 * a2)) * p
+    return KernelValue(_complex(g))
 
 
 def _inertial_series(u: float, beta: float, v: float):

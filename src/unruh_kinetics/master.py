@@ -175,7 +175,10 @@ def evolve(
     if samples is None:
         k = np.arange(steps + 1, dtype=float)
     else:
-        k = np.unique(np.linspace(0, steps, samples).round())
+        k = np.linspace(0, steps, samples).round()
+        # k is nondecreasing, so a repeat follows its first copy; np.unique
+        # would sort it again and import numpy.ma on its first call
+        k = k[np.append(True, k[1:] != k[:-1])]
     z = gamma * h
     # R(z)^k as exp(k log1p(R(z) - 1)): rounding R(z) itself to a double
     # would put a relative error ~k * 1e-16 on R(z)^k.

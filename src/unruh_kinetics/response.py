@@ -2,7 +2,9 @@
 
 The transition probability per unit (coupling)^2 x (matrix-element sum): zero
 for inertial motion, Planckian for uniform acceleration; their oracles are a
-damped quadrature and the numeric ground-state energy rate.
+damped quadrature and the numeric ground-state energy rate.  The oracles
+import the quadrature and the rates when called, so the closed form, all that
+the response command and its sweep run, loads neither.
 """
 
 from __future__ import annotations
@@ -12,10 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AtomState, DetectorParams, DomainError, planck, plain, require_all
-from .kernels import _FOUR_PI_SQ
-from .numerics import damped_line_integral
-from .rates import derivative_coupling_rates
+from .core import (_FOUR_PI_SQ, AtomState, DetectorParams, DomainError, planck, plain,
+                   require_all)
 
 __all__ = [
     "ResponseResult",
@@ -82,6 +82,8 @@ def inertial_silence_oracle(
     to eps, which keeps the estimate monotone in eps instead of bottoming out
     at the quadrature noise floor.
     """
+    from .numerics import damped_line_integral
+
     _check_gap(deltaE)
     return -damped_line_integral(deltaE, -eps, eps, u_max) / _FOUR_PI_SQ
 
@@ -92,6 +94,8 @@ def planck_response_oracle(deltaE: float, alpha: float) -> float:
     Its S_2 integral shares the ray node values that `rates._ray_values`
     keeps for the last point: called right after the numeric rates at
     omega0 = deltaE and the same alpha, it evaluates no nodes."""
+    from .rates import derivative_coupling_rates
+
     _check_gap(deltaE)
     report = derivative_coupling_rates(
         DetectorParams(deltaE, 1.0), alpha, AtomState.minus(), 0

@@ -870,7 +870,7 @@ def test_csv_rows_are_cpython_percent_e_for_every_float(table):
 
 
 def _powers_of_ten_and_neighbours():
-    powers = np.array([10.0**k for k in range(-30, 40)])
+    powers = np.array([10.0**k for k in range(-110, 111)])
     return np.concatenate([
         powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
     ])
@@ -897,10 +897,12 @@ def test_csv_rows_edge_cells_are_cpython_percent_e(cells):
 
 def test_csv_rows_round_13_digit_decimal_ties_as_cpython():
     # (12-digit integer + 0.5) * 10^(e - 11) for every e the vector path
-    # takes; each double lies a little off its decimal tie
+    # takes, [-99, 98], and one beyond each end; each double lies a little
+    # off its decimal tie, and beyond 10^22 the power of ten it is scaled by
+    # is inexact too
     rng = np.random.default_rng(13)
-    digits = rng.integers(10**11, 10**12, (45, 2000)) + 0.5
-    scales = 10.0 ** np.arange(-22, 23)[:, None]
+    digits = rng.integers(10**11, 10**12, (200, 1000)) + 0.5
+    scales = 10.0 ** np.arange(-111, 89)[:, None]
     table = (digits * scales).reshape(-1, 4)
     assert cli._csv_rows(table) == _reference_csv(table.tolist())
 
@@ -911,7 +913,7 @@ def test_csv_rows_trust_the_log10_exponent_only_to_within_one(monkeypatch, bias)
     log10 = np.log10
     monkeypatch.setattr(np, "log10", lambda x: log10(x) + bias)
     rng = np.random.default_rng(7)
-    exponents = rng.integers(-13, 36, (2000, 3))
+    exponents = rng.integers(-101, 101, (2000, 3))
     table = rng.uniform(1.0, 10.0, exponents.shape) * 10.0**exponents
     assert cli._csv_rows(table) == _reference_csv(table.tolist())
 
@@ -974,11 +976,13 @@ def test_importing_the_cli_loads_neither_numpy_nor_the_physics():
 
 
 @pytest.fixture(scope="module")
-def numpy_imports_polynomial():
-    """Whether import numpy itself imports numpy.polynomial (numpy 1.24 does)."""
-    return _fresh_interpreter(
-        "import json, numpy\nprint(json.dumps('numpy.polynomial' in sys.modules))\n"
-    )
+def numpy_imports():
+    """Whether import numpy itself imports numpy.polynomial and numpy.ma
+    (numpy 1.24 imports both)."""
+    return dict(zip(("polynomial", "ma"), _fresh_interpreter(
+        "import json, numpy\n"
+        "print(json.dumps(['numpy.polynomial' in sys.modules, 'numpy.ma' in sys.modules]))\n"
+    )))
 
 
 # argv, the package modules it loads, whether it loads numpy, and whether it
@@ -989,19 +993,20 @@ def numpy_imports_polynomial():
     (["steady"], _STEADY_MODULES, False, False),
     (["rates"], _RATES_MODULES, True, False),
     (["rates", "--rates.numeric", "true"], _RATES_MODULES, True, True),
-    (["response"], _RATES_MODULES | {"response"} | _TABLE, True, False),
+    (["response"], {"cli", "core", "response"} | _TABLE, True, False),
     (["fermion"], {"cli", "core", "fermion"}, False, False),
     (["sweep"], _STEADY_MODULES | _TABLE, True, False),
     (["sweep", "--sweep.quantity", "response"],
-     _RATES_MODULES | {"response"} | _TABLE, True, False),
+     {"cli", "core", "response"} | _TABLE, True, False),
     (["verify"], _RATES_MODULES | {"fermion", "master", "response"}, True, True),
 ])
 def test_each_command_loads_only_the_modules_it_runs(
-    argv, modules, numpy, integrates, numpy_imports_polynomial
+    argv, modules, numpy, integrates, numpy_imports
 ):
     # started without numpy, so that a command that does not need it is seen
-    # not to load it; numpy.polynomial is the quadrature's
-    loaded, with_numpy, polynomial = _fresh_interpreter(
+    # not to load it; numpy.polynomial is the quadrature's, and numpy.ma,
+    # which np.unique imported on its first call, no command needs
+    loaded, with_numpy, polynomial, ma = _fresh_interpreter(
         "import contextlib, io, json\n"
         "assert 'numpy' not in sys.modules\n"
         "import unruh_kinetics.cli as cli\n"
@@ -1011,12 +1016,14 @@ def test_each_command_loads_only_the_modules_it_runs(
         "    sorted(m.split('.', 1)[1] for m in sys.modules\n"
         "           if m.startswith('unruh_kinetics.')),\n"
         "    'numpy' in sys.modules, 'numpy.polynomial' in sys.modules,\n"
+        "    'numpy.ma' in sys.modules,\n"
         "]))\n",
         *argv,
     )
     assert set(loaded) == modules
     assert with_numpy == numpy
-    assert polynomial == (integrates or (numpy and numpy_imports_polynomial))
+    assert polynomial == (integrates or (numpy and numpy_imports["polynomial"]))
+    assert ma == (numpy and numpy_imports["ma"])
 
 
 # The commands that run without numpy, on their error and edge paths: the
