@@ -3,10 +3,10 @@
 One JSON config document drives every subcommand; any field can be overridden
 on the command line by its dotted name (e.g. --detector.omega0 2.0).  Output
 is deterministic CSV or JSON.  Every float cell of a CSV table is exactly
-CPython's "%.11e" of it (12 significant digits).  For a table of more than
-one row, numpy computes the digits, and CPython formats the cells near a
-rounding tie, the non-finite ones and those of magnitude below 1e-11 or from
-1e34 on.
+CPython's "%.11e" of it (12 significant digits).  A table of Python floats,
+one row or a small linear grid, is formatted cell by cell; for a larger one
+numpy computes the digits, and CPython formats the cells near a rounding tie,
+the non-finite ones and those of magnitude below 1e-99 or from 1e99 on.
 
 Exit codes: 0 success, 1 domain or usage error, 2 numeric non-convergence
 (a NaN or inf in the output table or a float overflow included), 3 I/O error.
@@ -20,8 +20,8 @@ import math
 import sys
 
 # numpy and the modules of the physics are imported in the commands that run
-# them, so that a process loads only what its command needs: steady and
-# fermion never import numpy.
+# them, so that a process loads only what its command needs: steady, fermion,
+# the closed-form rates and a small linear grid never import numpy.
 from .core import (
     AtomState,
     DetectorParams,
@@ -90,6 +90,11 @@ _INT_RANGES = {
     "populations.samples": (1, MAX_COUNT),
     "rates.n": (0, 2),
 }
+# A linear grid of at most SMALL_GRID points is a list of Python floats,
+# which response and sweep evaluate point by point with math, in less time
+# than numpy takes to import: the closed-form rates, the slowest at ~25 us a
+# point, break even near 3000 points.
+SMALL_GRID = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -245,21 +250,39 @@ def _check_types(config: dict) -> None:
             config[name] = list(value)
 
 
-def _grid(config: dict, prefix: str) -> np.ndarray:
-    """The grid of the fields prefix.start, .stop, .count and .scale."""
-    import numpy as np
+def _linspace(start: float, stop: float, count: int) -> list[float]:
+    """np.linspace(start, stop, count) as a list, bit for bit: i step +
+    start, where a step that underflows to 0 is i / div delta + start, and
+    stop last."""
+    div = max(count - 1, 1)
+    delta = stop - start
+    step = delta / div
+    if step == 0:  # numpy's branch for a subnormal step
+        grid = [i / div * delta + start for i in range(count)]
+    else:
+        grid = [i * step + start for i in range(count)]
+    if count > 1:
+        grid[-1] = stop
+    return grid
 
+
+def _grid(config: dict, prefix: str) -> list[float] | np.ndarray:
+    """The grid of the fields prefix.start, .stop, .count and .scale: a list
+    if it is linear and of at most SMALL_GRID points, else an array."""
     start, stop = config[f"{prefix}.start"], config[f"{prefix}.stop"]
     count = config[f"{prefix}.count"]
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise DomainError(f"grid ends must be finite, got {start} and {stop}")
     if not math.isfinite(stop - start):  # linspace would overflow and warn
         raise DomainError(f"grid span stop - start overflows, got {start} and {stop}")
-    if config[f"{prefix}.scale"] == "linear":
-        return np.linspace(start, stop, count)
-    if min(start, stop) <= 0:
+    linear = config[f"{prefix}.scale"] == "linear"
+    if linear and count <= SMALL_GRID:
+        return _linspace(start, stop, count)
+    if not linear and min(start, stop) <= 0:
         raise DomainError(f"log grid ends must be > 0, got {start} and {stop}")
-    return np.geomspace(start, stop, count)
+    import numpy as np
+
+    return (np.linspace if linear else np.geomspace)(start, stop, count)
 
 
 def _atom(name) -> AtomState:
@@ -311,21 +334,21 @@ def _write(text: str, config: dict) -> None:
 
 
 def _csv_rows(rows) -> str:
-    """CSV lines, every float cell exactly "%.11e" % cell.  One row is
-    formatted cell by cell (its None, bool and int cells included); a longer
-    table is a 2-D float array for the vectorised formatter."""
-    if len(rows) == 1:
-        return ",".join(map(_fmt, rows[0])) + "\n"
+    """CSV lines, every float cell exactly "%.11e" % cell.  A list of rows is
+    formatted cell by cell (its None, bool and int cells included); a 2-D
+    float array by the vectorised formatter."""
+    if isinstance(rows, list):
+        return "".join(",".join(map(_fmt, row)) + "\n" for row in rows)
     from . import csvformat
 
     return csvformat.csv_lines(rows)
 
 
 def _non_finite(rows) -> str | None:
-    """'a NaN' or 'an inf' if a float cell holds one, else None; one row is
-    checked cell by cell, as _csv_rows formats it."""
-    if len(rows) == 1:
-        cells = [x for x in rows[0] if isinstance(x, float)]
+    """'a NaN' or 'an inf' if a float cell holds one, else None; a list of
+    rows is checked cell by cell, as _csv_rows formats it."""
+    if isinstance(rows, list):
+        cells = [x for row in rows for x in row if isinstance(x, float)]
         tests = (("a NaN", math.isnan), ("an inf", math.isinf))
         return next((what for what, test in tests if any(map(test, cells))), None)
     import numpy as np
@@ -358,7 +381,7 @@ def cmd_kernel(config: dict) -> Table:
     _, beta, alpha = validate(config)
     u = config["kernel.u"]
     param = config["kernel.sweep.param"]
-    values = _grid(config, "kernel.sweep")
+    values = np.asarray(_grid(config, "kernel.sweep"))
     if param == "alpha":
         g = K.g_thermal_accelerated(u, 0.0, beta, values).value
     else:
@@ -423,15 +446,17 @@ def cmd_rates(config: dict) -> Table:
 
 
 def cmd_response(config: dict) -> Table:
-    import numpy as np
-
     from . import response as RS
 
     _, _, alpha = validate(config)
     grid = _grid(config, "response.deltaE")
+    header = ["deltaE", "alpha", "rate"]
+    if isinstance(grid, list):
+        return header, [[e, alpha, RS.response_accelerated(e, alpha).rate] for e in grid]
+    import numpy as np
+
     rate = RS.response_accelerated(grid, alpha).rate
-    table = np.column_stack([grid, np.full(len(grid), alpha), rate])
-    return ["deltaE", "alpha", "rate"], table
+    return header, np.column_stack([grid, np.full(len(grid), alpha), rate])
 
 
 def cmd_fermion(config: dict) -> Table:
@@ -489,50 +514,51 @@ _SWEPT_FIELDS = {
 
 def _rate_columns(config: dict, detector: DetectorParams, alpha) -> list:
     """[vf, rr, total] of the rates section, refused where they do not exist."""
-    import numpy as np
-
     rep = _energy_rates(config, detector, alpha)
     if not rep.finite:
         lam = config["rates.lam"]
-        require_all(np.equal(lam, 0.5), lam, "VF and RR exist only at rates.lam 0.5")
+        require_all(lam == 0.5, lam, "VF and RR exist only at rates.lam 0.5")
     return [rep.vf, rep.rr, rep.total]
 
 
-def _sweep_columns(config: dict, values: np.ndarray) -> list:
+def _sweep_columns(config: dict, values: list[float] | np.ndarray) -> list:
     """The sweep's columns after param, with param set to the grid values.
 
-    One validate checks every point.  response and the closed-form rates are
-    one array call each; steady and the numeric rates are evaluated point by
-    point, the numeric pipeline being scalar.
+    One validate checks every point: an array at once, a list at its least
+    point, as every check validate makes of a field a sweep sets is a lower
+    bound.  Over an array, response and the closed-form rates are one array
+    call each; every other sweep is evaluated point by point in Python
+    floats, the numeric pipeline and steady being scalar.
     """
     param, quantity = config["sweep.param"], config["sweep.quantity"]
     swept = dict(config)
-    swept[param] = values
+    swept[param] = min(values) if isinstance(values, list) else values
     detector, _, alpha = validate(swept)
-    if quantity == "response":
-        from . import response as RS
-
-        return [RS.response_accelerated(detector.omega0, alpha).rate]
-    if quantity == "rates" and not (config["rates.numeric"] or config["rates.n"] > 0):
-        return _rate_columns(swept, detector, alpha)
     if quantity == "steady":
         from . import master as M
+    elif quantity == "response":
+        from . import response as RS
+    if not isinstance(values, list):
+        if quantity == "response":
+            return [RS.response_accelerated(detector.omega0, alpha).rate]
+        if quantity == "rates" and not (config["rates.numeric"] or config["rates.n"] > 0):
+            return _rate_columns(swept, detector, alpha)
+        values = values.tolist()
     point, rows = dict(config), []
-    for value in values.tolist():
+    for value in values:
         point[param] = value
-        w0 = point["detector.omega0"]
+        w0, alpha = point["detector.omega0"], abs(point["trajectory.alpha"])
         if quantity == "steady":
             st = M.steady_state(w0, point["thermal.beta"])
             rows.append([st.sigma_plus, st.sigma_minus])
+        elif quantity == "response":
+            rows.append([RS.response_accelerated(w0, alpha).rate])
         else:
-            params = DetectorParams(w0, point["detector.mu"])
-            rows.append(_rate_columns(point, params, abs(point["trajectory.alpha"])))
+            rows.append(_rate_columns(point, DetectorParams(w0, point["detector.mu"]), alpha))
     return list(zip(*rows))
 
 
 def cmd_sweep(config: dict) -> Table:
-    import numpy as np
-
     param, quantity = config["sweep.param"], config["sweep.quantity"]
     fields = _SWEPT_FIELDS[quantity]
     if param not in fields:
@@ -550,8 +576,11 @@ def cmd_sweep(config: dict) -> Table:
         for i in range(len(values)):
             _sweep_columns(config, values[i:i + 1])
         raise
-    columns = np.broadcast_arrays(values, *columns)
-    return _SWEEP_HEADERS[quantity], np.column_stack(columns)
+    if isinstance(values, list):
+        return _SWEEP_HEADERS[quantity], [list(row) for row in zip(values, *columns)]
+    import numpy as np
+
+    return _SWEEP_HEADERS[quantity], np.column_stack(np.broadcast_arrays(values, *columns))
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import math
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 
-# Only planck and a failing check import numpy, so the scalar commands
-# (steady, fermion) run without it; array arguments work as numpy's own.
+# numpy is imported only for an array (or a numpy scalar) and by a failing
+# check: math evaluates Python floats, so steady, fermion and the small tables
+# of rates, response and sweep run without it.
 
 _TINY = sys.float_info.min  # the smallest normal double
 _EPS = sys.float_info.epsilon  # 2^-52, the spacing of the doubles at 1
@@ -40,20 +42,56 @@ def fermi(x: float) -> float:
     return 0.0 if x > 709.782712893384 else 1.0 / (1.0 + math.exp(x))
 
 
+class _FloatMath:
+    """numpy's names for math's functions of Python floats.  sinh and divide
+    give numpy's inf or NaN where math's raise; exp and ldexp raise
+    OverflowError, as math's do; max and min are numpy's maximum, minimum and
+    fmax where no argument is NaN."""
+
+    maximum, minimum, fmax, float64 = max, min, max, float
+    exp, frexp, ldexp, isfinite = math.exp, math.frexp, math.ldexp, math.isfinite
+    errstate = staticmethod(lambda **_: nullcontext())
+
+    @staticmethod
+    def sinh(x: float) -> float:
+        try:
+            return math.sinh(x)
+        except OverflowError:  # |x| > ~710.5
+            return math.copysign(math.inf, x)
+
+    @staticmethod
+    def divide(p: float, q: float) -> float:
+        try:
+            return p / q
+        except ZeroDivisionError:
+            return p * math.copysign(math.inf, q) if p else math.nan
+
+
+def math_or_numpy(*values):
+    """The functions to evaluate values with, under numpy's names: math's if
+    each value is a Python float, so that one formula text serves both, else
+    numpy (imported here)."""
+    if all(type(v) is float for v in values):
+        return _FloatMath
+    import numpy
+
+    return numpy
+
+
 def planck(x):
     """(a, b) with a b = x / (e^x - 1), the Planck factor x nbar(x), for x in
     [0, +inf] (arrays too): a = x / (2 sinh(x/2)) and b = e^{-x/2}, both in
     [0, 1] and normal up to x ~ 1416, so a product that takes them one at a
     time does not underflow where it is normal.  planck(0) = (1, 1) and
-    planck(inf) = (0, 0); scalars and arrays share one numpy evaluation.
+    planck(inf) = (0, 0).  A Python float is evaluated with math, anything
+    else with numpy (`math_or_numpy`); the two differ by a few ulps.
     """
-    import numpy as np
-
+    xp = math_or_numpy(x)
     # x/2 clipped to [_TINY, 746]: h / sinh h and e^-h are 1 below it and 0
     # above it, and no h is subnormal, 0 / 0 or inf / inf
-    h = np.minimum(np.maximum(0.5 * np.float64(x), _TINY), 746.0)
-    with np.errstate(over="ignore"):  # sinh h = inf above h ~ 710.5: a = 0
-        return h / np.sinh(h), np.exp(-h)
+    h = xp.minimum(xp.maximum(0.5 * xp.float64(x), _TINY), 746.0)
+    with xp.errstate(over="ignore"):  # sinh h = inf above h ~ 710.5: a = 0
+        return h / xp.sinh(h), xp.exp(-h)
 
 
 def _all(ok) -> bool:

@@ -126,8 +126,9 @@ def _coth_difference(q, a1, a2, d):
     kernel whose prefactor times D / (A1 A2) is -q^2.  A1 and D are at most
     ~e^700, where F of them has saturated; A2 may be +inf."""
     # e^{-2 A2} / F(2 A2) = pa pb, one factor at a time so that no partial
-    # product underflows where g is normal (the F ratio is large only if pa is small)
-    pa, pb = planck(2.0 * a2)
+    # product underflows where g is normal (the F ratio is large only if pa is
+    # small); numpy's, as for every other factor, also for a Python float A2
+    pa, pb = planck(np.float64(2.0 * a2))
     return -(q * q) * pa * (_exprel_neg(2.0 * d) / _exprel_neg(2.0 * a1)) * pb
 
 

@@ -64,13 +64,22 @@ def _check_params(omega0: float, beta: float) -> None:
     check_beta(beta)
 
 
+def _planck_product(x: float) -> float:
+    """P = a b of `core.planck` at x, evaluated by numpy for a Python float
+    too: the populations tables print rounding-level defects, which math's
+    last bits would move."""
+    import numpy as np
+
+    a, b = planck(np.float64(x))
+    return float(a * b)
+
+
 def relaxation_rate(omega0: float, beta: float) -> float:
     """Gamma = (omega0 / 8 pi) coth(omega0 beta / 2) = (omega0 + 2 P / beta) / 8 pi,
     P = a b of `core.planck` at x = omega0 beta: 1 / (4 pi beta) where x
     underflows, omega0 / 8 pi at beta = +inf."""
     _check_params(omega0, beta)
-    a, b = planck(omega0 * beta)
-    return (omega0 + 2.0 * (float(a * b) / beta)) / (8.0 * math.pi)
+    return (omega0 + 2.0 * (_planck_product(omega0 * beta) / beta)) / (8.0 * math.pi)
 
 
 def rate_rhs(
@@ -85,9 +94,8 @@ def rate_rhs(
     of `core.planck` at x = omega0 beta, finite where x underflows.
     """
     _check_params(omega0, beta)
-    a, b = planck(omega0 * beta)
-    gap = state.sigma_plus - state.sigma_minus
-    d_plus = -(omega0 * state.sigma_plus + float(a * b) * (gap / beta)) / (8.0 * math.pi)
+    p, gap = _planck_product(omega0 * beta), state.sigma_plus - state.sigma_minus
+    d_plus = -(omega0 * state.sigma_plus + p * (gap / beta)) / (8.0 * math.pi)
     return d_plus, -d_plus
 
 

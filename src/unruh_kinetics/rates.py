@@ -15,7 +15,9 @@ Im z = d/2 checks it.  Both rays run on one fixed graded Gauss-Legendre rule
 in one array evaluation.  In units of d the node values, e^{-i omega0 z} and
 the two functions that every S_m is a polynomial in, depend on alpha/omega0
 alone: they are formed once per point and shared by every order m and every
-source at that point.
+source at that point.  numpy, the kernels and the quadrature are imported by
+the pipeline's first call, so the closed forms of Python floats run without
+them.
 """
 
 from __future__ import annotations
@@ -24,15 +26,14 @@ import errno
 import functools
 import math
 import os
-from contextlib import nullcontext
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import (_EPS, _TINY, AtomState, DetectorParams, DomainError, NonConvergence,
-                   OrderingParam, _all, planck, plain, require_all)
-from .kernels import _inverse_power, _inverse_power_uv
-from .numerics import composite_rule
+                   OrderingParam, _all, math_or_numpy, planck, plain, require_all)
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "EnergyRateReport",
@@ -43,11 +44,6 @@ __all__ = [
     "field_rates",
     "derivative_coupling_rates",
 ]
-
-
-def _ignoring(values, **errors):
-    """np.errstate(**errors), a no-op if every value is a Python float."""
-    return nullcontext() if all(type(v) is float for v in values) else np.errstate(**errors)
 
 
 @dataclass(frozen=True)
@@ -70,10 +66,11 @@ class EnergyRateReport:
                 raise DomainError("finite report requires vf and rr values")
             # relative to |vf| + |rr| and written so that a NaN fails it; an
             # infinite vf or rr is a float overflow, which the CLI reports
+            xp = math_or_numpy(self.vf, self.rr, self.total)
             scale = abs(self.vf) + abs(self.rr)
-            with _ignoring((self.vf, self.rr, self.total), invalid="ignore"):  # inf - inf
-                ok = abs(self.vf + self.rr - self.total) <= 1e-12 * np.fmax(_TINY, scale)
-            if not _all(ok | (scale == np.inf)):
+            with xp.errstate(invalid="ignore"):  # inf - inf
+                ok = abs(self.vf + self.rr - self.total) <= 1e-12 * xp.fmax(_TINY, scale)
+            if not _all(ok | (scale == math.inf)):
                 raise DomainError("vf + rr must reproduce total")
         elif self.vf is not None or self.rr is not None:
             raise DomainError("divergent ordering cannot carry vf/rr values")
@@ -85,20 +82,19 @@ def _product(*terms):
     floats and numpy's else, with the same bits: no partial product over- or
     underflows.  OverflowError where the product does, as a float's x ** 2
     raises; so too for a 0 * inf, which only an infinite x makes."""
-    floats = all(type(x) is float for x, _ in terms)
-    frexp, ldexp = (math.frexp, math.ldexp) if floats else (np.frexp, np.ldexp)
+    xp = math_or_numpy(*[x for x, _ in terms])
     mantissa, exponent = 1.0, 0
     try:
-        with nullcontext() if floats else np.errstate(all="ignore"):
+        with xp.errstate(all="ignore"):
             for x, p in terms:
-                m, e = frexp(x)
+                m, e = xp.frexp(x)
                 power = math.prod([m] * abs(p))
                 mantissa = mantissa * power if p > 0 else mantissa / power
                 exponent = exponent + p * e
-            product = ldexp(mantissa, exponent)
+            product = xp.ldexp(mantissa, exponent)
     except (OverflowError, ZeroDivisionError):  # math.ldexp's overflow; a float's x / 0
         product = math.inf
-    if not _all(np.isfinite(product)):
+    if not _all(xp.isfinite(product)):
         raise OverflowError(errno.ERANGE, os.strerror(errno.ERANGE))
     return product
 
@@ -112,7 +108,8 @@ def _split(params: DetectorParams, r3, a, b) -> EnergyRateReport:
     """
     k = ((params.omega0, 2), (params.mu, 2), (16.0 * math.pi, -1))
     ka, r3kb4 = _product(*k, *a), _product(*k, *b, (4.0 * r3, 1))
-    with _ignoring((r3, ka, r3kb4), over="ignore"):  # an inf vf is the caller's overflow
+    xp = math_or_numpy(r3, ka, r3kb4)
+    with xp.errstate(over="ignore"):  # an inf vf is the caller's overflow
         vf, total = -2.0 * r3 * ka - r3kb4, -(1.0 + 2.0 * r3) * ka - r3kb4
     return EnergyRateReport(total=plain(total), finite=True, vf=plain(vf), rr=plain(-ka))
 
@@ -124,12 +121,13 @@ def planck_bracket(omega0, alpha):
     omega0 / alpha: 1 + 1/y where y = pi omega0 / alpha underflows, inf where
     1/y overflows.  omega0 and alpha broadcast as arrays.
     """
-    omega0, alpha = np.float64(omega0), np.float64(alpha)
+    xp = math_or_numpy(omega0, alpha)
+    omega0, alpha = xp.float64(omega0), xp.float64(alpha)
     require_all(omega0 > 0, omega0, "omega0 must be positive")
     require_all(alpha >= 0, alpha, "alpha must be >= 0")
-    with np.errstate(over="ignore", divide="ignore"):  # x or 1 / y = inf
-        a, b = planck(2.0 * np.pi * (omega0 / alpha))
-        return plain((1.0 + alpha / np.pi / omega0 * (a * b))[()])
+    with xp.errstate(over="ignore", divide="ignore"):  # x or 1 / y = inf
+        a, b = planck(2.0 * math.pi * xp.divide(omega0, alpha))
+        return plain(1.0 + alpha / math.pi / omega0 * (a * b))
 
 
 def _closed_form(params: DetectorParams, alpha, r3) -> EnergyRateReport:
@@ -138,12 +136,14 @@ def _closed_form(params: DetectorParams, alpha, r3) -> EnergyRateReport:
     term is normal where x underflows and nbar overflows, and where e^-x
     underflows while K nbar is normal.  alpha = 0 (or -0.0) gives nbar = 0.
     """
-    w0, alpha = params.omega0, np.float64(alpha)
+    w0 = params.omega0
+    xp = math_or_numpy(w0, alpha)
+    alpha = xp.float64(alpha)
     require_all(alpha >= 0, alpha, "alpha must be >= 0")
     alpha = abs(alpha)
-    with np.errstate(over="ignore", divide="ignore"):  # x = inf gives P = 0
-        pa, pb = planck(2.0 * np.pi * (w0 / alpha))
-    nbar = ((alpha, 1), (w0, -1), (2.0 * np.pi, -1), (pa, 1), (pb, 1))
+    with xp.errstate(over="ignore", divide="ignore"):  # x = inf gives P = 0
+        pa, pb = planck(2.0 * math.pi * xp.divide(w0, alpha))
+    nbar = ((alpha, 1), (w0, -1), (2.0 * math.pi, -1), (pa, 1), (pb, 1))
     return _split(params, r3, (), nbar)
 
 
@@ -194,16 +194,32 @@ def atom_total_rate(
 
 # The rays z = h (i + s e^{-i pi/4}), s >= 0, of `_line_integral`, at these h.
 _RAY = complex(math.sqrt(0.5), -math.sqrt(0.5))
-_HEIGHTS = np.array([1.0, 0.5])
+_HEIGHTS = (1.0, 0.5)
 
 
 @functools.cache
-def _ray_rule() -> tuple[np.ndarray, np.ndarray]:
-    """(z, weights): both rays' nodes, a row per h in _HEIGHTS, and the
-    weights in s of their shared rule, panels from [0, 1/4] doubling in width
-    out to s = 255.75, 10 panels and 240 nodes.  Built on first use."""
+def _pipeline():
+    """(numpy, kernels), imported on the pipeline's first call: the closed
+    forms of Python floats need neither."""
+    import numpy
+
+    from . import kernels
+
+    return numpy, kernels
+
+
+@functools.cache
+def _ray_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(h, z, weights): _HEIGHTS as an array, both rays' nodes, a row per h,
+    and the weights in s of their shared rule, panels from [0, 1/4] doubling
+    in width out to s = 255.75, 10 panels and 240 nodes.  Built on first
+    use."""
+    from .numerics import composite_rule
+
+    np, _ = _pipeline()
+    h = np.array(_HEIGHTS)
     s, weights = composite_rule(0.25 * (2.0 ** np.arange(11) - 1.0))
-    return _HEIGHTS[:, None] * (1j + _RAY * s), weights
+    return h, h[:, None] * (1j + _RAY * s), weights
 
 
 @functools.lru_cache(maxsize=1)
@@ -213,10 +229,11 @@ def _ray_values(w: float, a: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     every S_m.  They depend on (w, a) alone, and each caller asks for
     several m at one point, so the last point's values are kept (~23 KB).
     The arrays are read-only: they are shared."""
-    z, _ = _ray_rule()
+    np, K = _pipeline()
+    _, z, _ = _ray_rule()
     with np.errstate(all="ignore"):  # a NaN or inf fails _line_integral's check
         phase = np.exp(-1j * w * z)
-        u, v = _inverse_power_uv(z, a)
+        u, v = K._inverse_power_uv(z, a)
     for x in (phase, u, v):
         x.flags.writeable = False
     return phase, u, v
@@ -251,14 +268,15 @@ def _line_integral(m: int, omega0: float, alpha: float) -> tuple[complex, float]
     can agree by chance far off.  At small alpha/omega0, S_m tends to its
     one image z^-m and stays accurate down to the smallest positive a.
     """
+    np, K = _pipeline()
     d = min(math.pi / alpha, 1.0 / omega0)
     w, a = omega0 * d, alpha * d
     phase, u, v = _ray_values(w, a)
-    _, weights = _ray_rule()
+    h, _, weights = _ray_rule()
     with np.errstate(all="ignore"):  # a NaN or inf fails the check below
-        f = phase * _inverse_power(m, u, v)
-        i = _HEIGHTS * _RAY * (f @ weights)
-        floors = _HEIGHTS * (np.abs(f) @ weights)
+        f = phase * K._inverse_power(m, u, v)
+        i = h * _RAY * (f @ weights)
+        floors = h * (np.abs(f) @ weights)
     j, j_half = (complex(x + (-1) ** m * x.conjugate()) for x in i)
     floor = _EPS * max(floors.tolist())
     if not (abs(j - j_half) <= 1e-9 * abs(j) and floor < 2e-9 * abs(j)):

@@ -12,10 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core import (_FOUR_PI_SQ, AtomState, DetectorParams, DomainError, planck, plain,
-                   require_all)
+from .core import (_FOUR_PI_SQ, AtomState, DetectorParams, DomainError, math_or_numpy,
+                   planck, plain, require_all)
 
 __all__ = [
     "ResponseResult",
@@ -36,12 +34,12 @@ class ResponseResult:
     rate: float
 
     def __post_init__(self) -> None:
-        require_all(np.float64(self.rate) >= 0.0, self.rate,
-                    "rate must be non-negative")
+        rate = math_or_numpy(self.rate).float64(self.rate)
+        require_all(rate >= 0.0, self.rate, "rate must be non-negative")
 
 
 def _check_gap(deltaE) -> None:
-    require_all((deltaE > 0.0) & (deltaE < np.inf), deltaE,
+    require_all((deltaE > 0.0) & (deltaE < math.inf), deltaE,
                 "deltaE must be positive and finite")
 
 
@@ -53,15 +51,17 @@ def response_accelerated(deltaE, alpha) -> ResponseResult:
     alpha, multiplied in one factor at a time: each is at most 1, so no
     partial product underflows where the rate is normal.  alpha = 0 is the
     inertial worldline: x = inf and the rate is exactly 0, inertial detectors
-    never excite.
+    never excite.  Python floats are evaluated with math, anything else with
+    numpy.
     """
-    deltaE, alpha = np.float64(deltaE), np.float64(alpha)
+    xp = math_or_numpy(deltaE, alpha)
+    deltaE, alpha = xp.float64(deltaE), xp.float64(alpha)
     _check_gap(deltaE)
     require_all(alpha >= 0, alpha, "alpha must be >= 0")
     alpha = abs(alpha)  # -0.0 is the inertial worldline too
-    with np.errstate(over="ignore", divide="ignore"):  # x = inf gives P = 0
-        a, b = planck(2.0 * np.pi * (deltaE / alpha))
-    return ResponseResult(plain((alpha / _FOUR_PI_SQ * a * b)[()]))
+    with xp.errstate(over="ignore", divide="ignore"):  # x = inf gives P = 0
+        a, b = planck(2.0 * math.pi * xp.divide(deltaE, alpha))
+    return ResponseResult(plain(alpha / _FOUR_PI_SQ * a * b))
 
 
 def unruh_temperature(alpha: float) -> float:

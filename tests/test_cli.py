@@ -419,7 +419,7 @@ def _sweep_point_by_point(config):
     if param not in _READS[quantity]:
         raise DomainError(_refusal(quantity, param))
     point, rows = dict(config), []
-    for value in cli._grid(config, "sweep").tolist():
+    for value in np.asarray(cli._grid(config, "sweep")).tolist():
         point[param] = value
         detector, beta, alpha = validate(point)
         if quantity == "steady":
@@ -991,13 +991,16 @@ def numpy_imports():
     (["kernel"], {"cli", "core", "kernels"} | _TABLE, True, False),
     (["populations"], _STEADY_MODULES | _TABLE, True, False),
     (["steady"], _STEADY_MODULES, False, False),
-    (["rates"], _RATES_MODULES, True, False),
+    (["rates"], {"cli", "core", "rates"}, False, False),
     (["rates", "--rates.numeric", "true"], _RATES_MODULES, True, True),
-    (["response"], {"cli", "core", "response"} | _TABLE, True, False),
+    (["response"], {"cli", "core", "response"}, False, False),
     (["fermion"], {"cli", "core", "fermion"}, False, False),
-    (["sweep"], _STEADY_MODULES | _TABLE, True, False),
-    (["sweep", "--sweep.quantity", "response"],
-     {"cli", "core", "response"} | _TABLE, True, False),
+    (["sweep"], _STEADY_MODULES, False, False),
+    (["sweep", "--sweep.quantity", "response"], {"cli", "core", "response"}, False, False),
+    (["sweep", "--sweep.quantity", "rates"], {"cli", "core", "rates"}, False, False),
+    # one point past a small grid: an array, and the vectorised formatter
+    (["sweep", "--sweep.count", str(cli.SMALL_GRID + 1)], _STEADY_MODULES | _TABLE,
+     True, False),
     (["verify"], _RATES_MODULES | {"fermion", "master", "response"}, True, True),
 ])
 def test_each_command_loads_only_the_modules_it_runs(
@@ -1024,6 +1027,50 @@ def test_each_command_loads_only_the_modules_it_runs(
     assert with_numpy == numpy
     assert polynomial == (integrates or (numpy and numpy_imports["polynomial"]))
     assert ma == (numpy and numpy_imports["ma"])
+
+
+def _stdout(argv: list[str], hide_numpy: bool) -> str:
+    """The stdout of the CLI on argv in a fresh interpreter, in which import
+    numpy raises ImportError if hide_numpy."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys\n"
+        + ("sys.modules['numpy'] = None\n" if hide_numpy else "")
+        + "from unruh_kinetics.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True,
+        timeout=60, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("command", ["steady", "fermion", "sweep", "response", "rates"])
+def test_default_commands_run_where_numpy_cannot_be_imported(command):
+    assert _stdout([command], hide_numpy=True) == _stdout([command], hide_numpy=False)
+
+
+def test_a_small_linear_grid_is_numpy_linspace_bit_for_bit():
+    # counts 1 to 3000 over spans of random sign and magnitude, then spans
+    # whose step is subnormal (numpy's step == 0 branch, i / div * delta),
+    # with +-0.0 ends, with start == stop, and the widest span a grid takes
+    def bits(grid):
+        return np.asarray(grid, dtype=float).view(np.int64)
+
+    rng = np.random.default_rng(36)
+    ends = rng.choice([-1.0, 1.0], (3000, 2)) * 10.0 ** rng.uniform(-300, 300, (3000, 2))
+    for count, (start, stop) in enumerate(ends.tolist(), start=1):
+        assert np.array_equal(bits(cli._linspace(start, stop, count)),
+                              bits(np.linspace(start, stop, count))), (start, stop, count)
+    spans = [(0.0, 1e-321), (1e-321, -1e-321), (-5e-324, 5e-324), (1.0, 1.0 + 2**-52),
+             (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (-0.0, 1.0), (1.0, -0.0),
+             (2.5, 2.5), (-8e307, 8e307), (1e-300, 1e-300)]
+    for start, stop in spans:
+        for count in (1, 2, 3, 5, 100, 405, 406, 407, 1000, 1001, 3000):
+            assert np.array_equal(bits(cli._linspace(start, stop, count)),
+                                  bits(np.linspace(start, stop, count))), (start, stop, count)
 
 
 # The commands that run without numpy, on their error and edge paths: the

@@ -2,11 +2,13 @@
 
 import math
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from decimal_reference import digits, pi, planck as planck_reference
 from unruh_kinetics.core import DomainError
 from unruh_kinetics import response as RS
 
@@ -122,18 +124,34 @@ def test_planck_oracle_to_rounding(de, alpha):
     assert abs(oracle - closed) <= 1e-12 * closed
 
 
-def test_accelerated_rate_arrays_match_scalar_calls():
+def _meet_the_reference(rates, deltaE, alpha):
+    """Each rate lies within 3e-13 relative, or 2^-1074 absolute, of 50
+    digits of the rate at (deltaE, alpha): the bound of the float-range test
+    of `response_accelerated`, which carries the x 2^-53 conditioning of
+    e^-x at x = 2 pi deltaE / alpha (measured here: 6.0e-14 for both)."""
+    with digits(50):
+        de, a = Decimal(deltaE), abs(Decimal(alpha))
+        want = a / (4 * pi() ** 2) * planck_reference(2 * pi() * de / a) if a else 0
+        tol = Decimal("3e-13") * want + Decimal(2) ** -1074
+    for rate in rates:
+        assert abs(Decimal(rate) - want) <= tol, (deltaE, alpha, rate, want)
+
+
+def test_accelerated_rate_arrays_and_scalar_calls_meet_the_reference():
+    # an array is evaluated with numpy, a Python float with math: their last
+    # bits may differ, and both are held to one bound
     grid = np.linspace(1e-6, 60.0, 2001)
     for alpha in (0.05, 1.3, 40.0):
         arr = RS.response_accelerated(grid, alpha)
-        one = [RS.response_accelerated(float(de), alpha).rate for de in grid]
+        one = [RS.response_accelerated(de, alpha).rate for de in grid.tolist()]
         assert all(type(r) is float for r in one)
-        assert np.array_equal(arr.rate, one)
         assert arr.rate.shape == grid.shape
+        for de, r_arr, r_one in zip(grid.tolist(), arr.rate.tolist(), one):
+            _meet_the_reference((r_arr, r_one), de, alpha)
     assert np.array_equal(RS.response_accelerated(grid, 0.0).rate, np.zeros_like(grid))
 
 
-def test_accelerated_rate_over_an_alpha_array_matches_scalar_calls():
+def test_accelerated_rate_over_an_alpha_array_and_scalar_calls_meet_the_reference():
     # one gap on many worldlines, the rows of an alpha sweep; alpha = 0 and
     # -0.0 are inertial, and the first negative alpha is named
     alphas = np.concatenate([[0.0, -0.0], np.geomspace(1e-3, 1e3, 500)])
@@ -141,8 +159,9 @@ def test_accelerated_rate_over_an_alpha_array_matches_scalar_calls():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             arr = RS.response_accelerated(de, alphas).rate
-        one = [RS.response_accelerated(de, float(a)).rate for a in alphas]
-        assert np.array_equal(arr, one)
+            one = [RS.response_accelerated(de, a).rate for a in alphas.tolist()]
+        for a, r_arr, r_one in zip(alphas.tolist(), arr.tolist(), one):
+            _meet_the_reference((r_arr, r_one), de, a)
     with pytest.raises(DomainError, match="alpha must be >= 0, got -2.0"):
         RS.response_accelerated(1.0, np.array([1.0, -2.0, math.nan]))
 
