@@ -526,7 +526,7 @@ def _sweep_columns(config: dict, values: list[float] | np.ndarray) -> list:
 
     One validate checks every point: an array at once, a list at its least
     point, as every check validate makes of a field a sweep sets is a lower
-    bound.  Over an array, response and the closed-form rates are one array
+    bound (a test holds this).  Over an array, response and the closed-form rates are one array
     call each; every other sweep is evaluated point by point in Python
     floats, the numeric pipeline and steady being scalar.
     """

@@ -526,6 +526,23 @@ def test_a_sweep_validates_once(capsys, monkeypatch, args, rows):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("field", ["detector.omega0", "detector.mu", "thermal.beta",
+                                   "trajectory.alpha"])
+def test_validate_bounds_each_swept_field_from_below(field):
+    # a list grid is validated once, at its least point: that covers every
+    # point only while each check validate makes of a field is a lower bound,
+    # so the finite values it accepts run up from some value to the largest
+    values = [-1e308, -1.0, -1e-300, -5e-324, -0.0, 0.0, 5e-324, 1e-300, 1.0, 1e308]
+    accepted = []
+    for value in values:
+        try:
+            validate({**cli.DEFAULT_CONFIG, field: value})
+            accepted.append(value)
+        except DomainError:
+            pass
+    assert accepted and accepted == values[values.index(accepted[0]):], (field, accepted)
+
+
 ENUM_FIELDS = {
     name: kinds for name, kinds in cli._FIELD_KINDS.items()
     if any(k.startswith("'") and k != "'inf'" for k in kinds)

@@ -174,31 +174,40 @@ def test_closed_forms_broadcast_as_the_scalar_calls():
         rep = R.atom_total_rate(p, _ALPHA, atom)
         bracket = R.planck_bracket(_W0[:, None], _ALPHA)
     assert rep.vf.shape == (4, len(_W0), len(_ALPHA)) and rep.rr.shape == (len(_W0), 1)
-    # the arrays are evaluated with numpy, the Python floats with math: their
-    # last bits may differ, and both are held to one bound of 50 digits of
-    # (vf, rr, total) and of the bracket, relative or 2^-1073 absolute.  It
-    # is that of the ground-state total over the float range, whose e^-x
-    # carries the x 2^-53 conditioning; the bracket is 1 + 2 nbar, as vf
-    for j in range(0, len(_W0), 10):
-        for k in range(0, len(_ALPHA), 10):
-            w0, a = float(_W0[j]), float(_ALPHA[k])
+    for i, r3 in enumerate((-0.5, 0.0, 0.2, 0.5)):
+        for j in range(0, len(_W0), 10):
+            for k in range(0, len(_ALPHA), 10):
+                w0, a = _W0[j], _ALPHA[k]  # numpy floats: evaluated with numpy
+                one = R.atom_total_rate(DetectorParams(w0, 0.7), a, AtomState(r3))
+                assert type(one.vf) is float and type(one.total) is float
+                assert (rep.vf[i, j, k], rep.rr[j, 0], rep.total[i, j, k]) == (
+                    one.vf, one.rr, one.total)
+                assert bracket[j, k] == R.planck_bracket(w0, a)
+
+
+def test_closed_forms_of_python_floats_meet_the_reference():
+    # Python floats are evaluated with math, whose last bits may differ from
+    # numpy's: each of vf, rr, total and the bracket is held to one bound of
+    # 50 digits, relative or 2^-1073 absolute.  It is that of the
+    # ground-state total over the float range, whose e^-x carries the
+    # x 2^-53 conditioning; the bracket is 1 + 2 nbar, as vf
+    for w0 in _W0[::10].tolist():
+        for a in _ALPHA[::10].tolist():
             with digits(50):
                 kk, x = Decimal(w0) ** 2 * Decimal("0.49") / (16 * pi()), 2 * pi() * Decimal(w0)
                 nbar = planck_reference(x / Decimal(a)) * Decimal(a) / x if a else 0
-            pairs = [(bracket[j, k], R.planck_bracket(w0, a), 1 + 2 * nbar)]
-            for i, r3 in enumerate((-0.5, 0.0, 0.2, 0.5)):
+            pairs = [(R.planck_bracket(w0, a), 1 + 2 * nbar)]
+            for r3 in (-0.5, 0.0, 0.2, 0.5):
                 one = R.atom_total_rate(DetectorParams(w0, 0.7), a, AtomState(r3))
                 assert type(one.vf) is float and type(one.total) is float
                 with digits(50):
                     want = (-2 * Decimal(r3) * kk * (1 + 2 * nbar), -kk,
                             -(1 + 2 * Decimal(r3)) * kk - 4 * Decimal(r3) * kk * nbar)
-                pairs += zip((rep.vf[i, j, k], rep.rr[j, 0], rep.total[i, j, k]),
-                             (one.vf, one.rr, one.total), want)
-            for got_array, got_float, ref in pairs:
+                pairs += zip((one.vf, one.rr, one.total), want)
+            for got, ref in pairs:
                 with digits(50):
                     tol = Decimal("2e-13") * abs(ref) + Decimal(2) ** -1073
-                for got in (got_array, got_float):
-                    assert abs(Decimal(float(got)) - ref) <= tol, (w0, a, got, ref)
+                assert abs(Decimal(got) - ref) <= tol, (w0, a, got, ref)
 
 
 @given(
@@ -223,11 +232,13 @@ def test_closed_forms_are_invariant_under_the_float_range_scaling(w0, alpha, mu,
             arr = R.atom_total_rate(DetectorParams(np.array([w0, w0 * s]),
                                                    np.array([mu, mu / s])),
                                     np.array([alpha, alpha * s]), atom)
-        # the array is evaluated with numpy, the floats with math: both meet
-        # the one bound
+            # numpy floats are evaluated with numpy, as the array is
+            got64 = R.atom_total_rate(DetectorParams(np.float64(w0 * s), np.float64(mu / s)),
+                                      np.float64(alpha * s), atom)
         for key in ("vf", "rr", "total"):
             assert getattr(got, key) == pytest.approx(getattr(want, key), rel=1e-12)
-            assert getattr(arr, key)[1] == pytest.approx(getattr(want, key), rel=1e-12)
+            assert getattr(got64, key) == pytest.approx(getattr(want, key), rel=1e-12)
+            assert getattr(arr, key)[1] == getattr(got64, key)
 
 
 def test_closed_forms_name_the_first_bad_element():
