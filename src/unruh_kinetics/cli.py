@@ -28,6 +28,7 @@ from .core import (
     DomainError,
     NonConvergence,
     OrderingParam,
+    linspace,
     require_all,
     validate,
 )
@@ -250,22 +251,6 @@ def _check_types(config: dict) -> None:
             config[name] = list(value)
 
 
-def _linspace(start: float, stop: float, count: int) -> list[float]:
-    """np.linspace(start, stop, count) as a list, bit for bit: i step +
-    start, where a step that underflows to 0 is i / div delta + start, and
-    stop last."""
-    div = max(count - 1, 1)
-    delta = stop - start
-    step = delta / div
-    if step == 0:  # numpy's branch for a subnormal step
-        grid = [i / div * delta + start for i in range(count)]
-    else:
-        grid = [i * step + start for i in range(count)]
-    if count > 1:
-        grid[-1] = stop
-    return grid
-
-
 def _grid(config: dict, prefix: str) -> list[float] | np.ndarray:
     """The grid of the fields prefix.start, .stop, .count and .scale: a list
     if it is linear and of at most SMALL_GRID points, else an array."""
@@ -277,7 +262,7 @@ def _grid(config: dict, prefix: str) -> list[float] | np.ndarray:
         raise DomainError(f"grid span stop - start overflows, got {start} and {stop}")
     linear = config[f"{prefix}.scale"] == "linear"
     if linear and count <= SMALL_GRID:
-        return _linspace(start, stop, count)
+        return linspace(start, stop, count)
     if not linear and min(start, stop) <= 0:
         raise DomainError(f"log grid ends must be > 0, got {start} and {stop}")
     import numpy as np
@@ -512,11 +497,23 @@ _SWEPT_FIELDS = {
 }
 
 
-def _rate_columns(config: dict, detector: DetectorParams, alpha) -> list:
-    """[vf, rr, total] of the rates section, refused where they do not exist."""
-    rep = _energy_rates(config, detector, alpha)
+def _columns(point: dict, detector: DetectorParams, beta, alpha) -> list:
+    """The sweep quantity's columns after param at point, its model given, in
+    one library call (over an array if the swept field is one); the rates'
+    [vf, rr, total] are refused where they do not exist."""
+    quantity = point["sweep.quantity"]
+    if quantity == "steady":
+        from . import master as M
+
+        st = M.steady_state(detector.omega0, beta)
+        return [st.sigma_plus, st.sigma_minus]
+    if quantity == "response":
+        from . import response as RS
+
+        return [RS.response_accelerated(detector.omega0, alpha).rate]
+    rep = _energy_rates(point, detector, alpha)
     if not rep.finite:
-        lam = config["rates.lam"]
+        lam = point["rates.lam"]
         require_all(lam == 0.5, lam, "VF and RR exist only at rates.lam 0.5")
     return [rep.vf, rep.rr, rep.total]
 
@@ -526,35 +523,24 @@ def _sweep_columns(config: dict, values: list[float] | np.ndarray) -> list:
 
     One validate checks every point: an array at once, a list at its least
     point, as every check validate makes of a field a sweep sets is a lower
-    bound (a test holds this).  Over an array, response and the closed-form rates are one array
-    call each; every other sweep is evaluated point by point in Python
-    floats, the numeric pipeline and steady being scalar.
+    bound (a test holds this).  An array is one _columns call; a list, and
+    an array for the numeric pipeline, which is scalar, one per point in
+    Python floats.
     """
-    param, quantity = config["sweep.param"], config["sweep.quantity"]
-    swept = dict(config)
+    param, swept = config["sweep.param"], dict(config)
     swept[param] = min(values) if isinstance(values, list) else values
-    detector, _, alpha = validate(swept)
-    if quantity == "steady":
-        from . import master as M
-    elif quantity == "response":
-        from . import response as RS
+    model = validate(swept)
     if not isinstance(values, list):
-        if quantity == "response":
-            return [RS.response_accelerated(detector.omega0, alpha).rate]
-        if quantity == "rates" and not (config["rates.numeric"] or config["rates.n"] > 0):
-            return _rate_columns(swept, detector, alpha)
+        if swept["sweep.quantity"] != "rates" or not (
+                swept["rates.numeric"] or swept["rates.n"] > 0):
+            return _columns(swept, *model)
         values = values.tolist()
-    point, rows = dict(config), []
+    rows = []
     for value in values:
-        point[param] = value
-        w0, alpha = point["detector.omega0"], abs(point["trajectory.alpha"])
-        if quantity == "steady":
-            st = M.steady_state(w0, point["thermal.beta"])
-            rows.append([st.sigma_plus, st.sigma_minus])
-        elif quantity == "response":
-            rows.append([RS.response_accelerated(w0, alpha).rate])
-        else:
-            rows.append(_rate_columns(point, DetectorParams(w0, point["detector.mu"]), alpha))
+        swept[param] = value
+        detector = DetectorParams(swept["detector.omega0"], swept["detector.mu"])
+        rows.append(_columns(swept, detector, swept["thermal.beta"],
+                             abs(swept["trajectory.alpha"])))
     return list(zip(*rows))
 
 

@@ -1,5 +1,5 @@
 """Domain types, unit conventions, validate (a config to its model), and the
-Fermi function and Planck factor shared by the closed forms.
+Fermi function, Planck factor and list linspace that the modules share.
 
 Natural units (hbar = c = k_B = 1) are used throughout the package.  The
 model of a config is the detector, the inverse temperature beta in
@@ -37,27 +37,26 @@ class NonConvergence(RuntimeError):
     """An extrapolation or truncated-sum sequence failed to contract."""
 
 
-def fermi(x: float) -> float:
-    """1 / (1 + e^x), 0.0 once e^x overflows."""
-    return 0.0 if x > 709.782712893384 else 1.0 / (1.0 + math.exp(x))
+def _inf_on_overflow(f):
+    """math's f, giving numpy's signed inf where it raises OverflowError."""
+    def f_or_inf(x: float) -> float:
+        try:
+            return f(x)
+        except OverflowError:  # exp past x ~ 709.8, sinh past |x| ~ 710.5
+            return math.copysign(math.inf, x)
+    return staticmethod(f_or_inf)
 
 
 class _FloatMath:
-    """numpy's names for math's functions of Python floats.  sinh and divide
-    give numpy's inf or NaN where math's raise; exp and ldexp raise
-    OverflowError, as math's do; max and min are numpy's maximum, minimum and
-    fmax where no argument is NaN."""
+    """numpy's names for math's functions of Python floats.  exp, sinh and
+    divide give numpy's inf or NaN where math's raise; ldexp raises
+    OverflowError, as math's does; max and min are numpy's maximum, minimum
+    and fmax where no argument is NaN."""
 
     maximum, minimum, fmax, float64 = max, min, max, float
-    exp, frexp, ldexp, isfinite = math.exp, math.frexp, math.ldexp, math.isfinite
+    frexp, ldexp, isfinite = math.frexp, math.ldexp, math.isfinite
+    exp, sinh = _inf_on_overflow(math.exp), _inf_on_overflow(math.sinh)
     errstate = staticmethod(lambda **_: nullcontext())
-
-    @staticmethod
-    def sinh(x: float) -> float:
-        try:
-            return math.sinh(x)
-        except OverflowError:  # |x| > ~710.5
-            return math.copysign(math.inf, x)
 
     @staticmethod
     def divide(p: float, q: float) -> float:
@@ -76,6 +75,29 @@ def math_or_numpy(*values):
     import numpy
 
     return numpy
+
+
+def fermi(x):
+    """1 / (1 + e^x), 0.0 once e^x overflows, of a float or an array."""
+    xp = math_or_numpy(x)
+    with xp.errstate(over="ignore"):
+        return 1.0 / (1.0 + xp.exp(x))
+
+
+def linspace(start: float, stop: float, count: int) -> list[float]:
+    """np.linspace(start, stop, count) as a list, bit for bit: i step +
+    start, where a step that underflows to 0 is i / div delta + start, and
+    stop last."""
+    div = max(count - 1, 1)
+    delta = stop - start
+    step = delta / div
+    if step == 0:  # numpy's branch for a subnormal step
+        grid = [i / div * delta + start for i in range(count)]
+    else:
+        grid = [i * step + start for i in range(count)]
+    if count > 1:
+        grid[-1] = stop
+    return grid
 
 
 def planck(x):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import DomainError, check_beta, check_populations, fermi
+from .core import DomainError, check_beta, check_populations, fermi, linspace
 
 __all__ = [
     "BathSpectrum",
@@ -62,21 +62,15 @@ class FermionRates:
 def default_bath(omega0: float, beta: float, g: float = 0.1) -> BathSpectrum:
     """101 equally coupled modes spanning [0.5 omega0, 1.5 omega0].
 
-    The frequencies are np.linspace(0.5 omega0, 1.5 omega0, 101) bit for bit,
-    in the same operations: start + i step, the last one stop itself.
+    The frequencies are np.linspace(0.5 omega0, 1.5 omega0, 101) bit for bit
+    (`core.linspace`).
     """
     start, stop = 0.5 * omega0, 1.5 * omega0
     if stop == math.inf:
         raise DomainError(
             f"default bath edge 1.5 * omega0 overflows a float, got omega0 = {omega0}"
         )
-    delta = stop - start
-    step = delta / 100
-    if step == 0:  # delta is subnormal: scale i / 100, as numpy does
-        freqs = [start + i / 100 * delta for i in range(100)]
-    else:
-        freqs = [start + i * step for i in range(100)]
-    return BathSpectrum(tuple((float(w), g) for w in [*freqs, stop]), beta)
+    return BathSpectrum(tuple((float(w), g) for w in linspace(start, stop, 101)), beta)
 
 
 def _window_weight(detuning: float, dt: float) -> float:

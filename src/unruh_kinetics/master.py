@@ -59,8 +59,7 @@ class PopulationTrajectory:
 
 
 def _check_params(omega0: float, beta: float) -> None:
-    if not omega0 > 0:
-        raise DomainError(f"omega0 must be positive, got {omega0}")
+    require_all(omega0 > 0, omega0, "omega0 must be positive")
     check_beta(beta)
 
 
@@ -100,7 +99,8 @@ def rate_rhs(
 
 
 def steady_state(omega0: float, beta: float) -> PopulationState:
-    """Fermi-Dirac pair (1/(1+e^{omega0 beta}), e^{omega0 beta}/(1+e^{omega0 beta}))."""
+    """Fermi-Dirac pair (1/(1+e^{omega0 beta}), e^{omega0 beta}/(1+e^{omega0 beta}));
+    omega0 or beta may be an array, which `core.fermi` evaluates with numpy."""
     _check_params(omega0, beta)
     sp = fermi(omega0 * beta)  # 0.0 at beta = +inf
     return PopulationState(sp, 1.0 - sp)
@@ -125,8 +125,6 @@ def closed_form(
     with np.errstate(over="ignore"):  # Gamma tau = inf decays to 0
         decay = np.exp(-relaxation_rate(omega0, beta) * tau)
     sp = sp_inf + (init.sigma_plus - sp_inf) * decay
-    if not isinstance(tau, np.ndarray):  # np.where would make 0-d arrays of it
-        return init if tau == 0 else PopulationState(plain(sp), plain(1.0 - sp))
     at_0 = tau == 0
     sp, sm = np.where(at_0, init.sigma_plus, sp), np.where(at_0, init.sigma_minus, 1.0 - sp)
     return PopulationState(plain(sp[()]), plain(sm[()]))

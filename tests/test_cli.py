@@ -526,6 +526,21 @@ def test_a_sweep_validates_once(capsys, monkeypatch, args, rows):
     assert len(calls) == 1
 
 
+def test_a_steady_sweep_of_an_array_grid_is_one_library_call(capsys, monkeypatch):
+    # past SMALL_GRID the grid is an array, which steady_state broadcasts
+    calls, steady_state = [], M.steady_state
+
+    def counted(omega0, beta):
+        calls.append(omega0)
+        return steady_state(omega0, beta)
+
+    monkeypatch.setattr(M, "steady_state", counted)
+    count = cli.SMALL_GRID + 1
+    code, out, err = run(capsys, "sweep", "--sweep.count", str(count))
+    assert code == 0 and err == "" and len(out.splitlines()) == count + 1
+    assert len(calls) == 1 and np.shape(calls[0]) == (count,)
+
+
 @pytest.mark.parametrize("field", ["detector.omega0", "detector.mu", "thermal.beta",
                                    "trajectory.alpha"])
 def test_validate_bounds_each_swept_field_from_below(field):
@@ -1079,14 +1094,14 @@ def test_a_small_linear_grid_is_numpy_linspace_bit_for_bit():
     rng = np.random.default_rng(36)
     ends = rng.choice([-1.0, 1.0], (3000, 2)) * 10.0 ** rng.uniform(-300, 300, (3000, 2))
     for count, (start, stop) in enumerate(ends.tolist(), start=1):
-        assert np.array_equal(bits(cli._linspace(start, stop, count)),
+        assert np.array_equal(bits(core.linspace(start, stop, count)),
                               bits(np.linspace(start, stop, count))), (start, stop, count)
     spans = [(0.0, 1e-321), (1e-321, -1e-321), (-5e-324, 5e-324), (1.0, 1.0 + 2**-52),
              (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (-0.0, 1.0), (1.0, -0.0),
              (2.5, 2.5), (-8e307, 8e307), (1e-300, 1e-300)]
     for start, stop in spans:
         for count in (1, 2, 3, 5, 100, 405, 406, 407, 1000, 1001, 3000):
-            assert np.array_equal(bits(cli._linspace(start, stop, count)),
+            assert np.array_equal(bits(core.linspace(start, stop, count)),
                                   bits(np.linspace(start, stop, count))), (start, stop, count)
 
 

@@ -142,10 +142,18 @@ def test_validate_never_clamps(omega0, beta):
 def test_fermi_matches_the_logistic_and_saturates():
     for x in (-30.0, -1.0, 0.0, 0.5, 40.0, 700.0):
         assert fermi(x) == pytest.approx(1.0 / (1.0 + math.exp(x)), rel=1e-15)
-    assert fermi(709.78) > 0.0
-    assert fermi(709.79) == 0.0 and fermi(math.inf) == 0.0
     assert fermi(-math.inf) == 1.0
-    assert math.isnan(fermi(math.nan))
+    # e^x overflows past x ~ 709.78: math's exp raises OverflowError there and
+    # numpy's warns; fermi of a float or of an array gives 0.0, with no warning
+    xs = [709.78, 709.79, 710.0, 1e308, math.inf, math.nan]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        floats = [fermi(x) for x in xs]
+        array = fermi(np.array(xs))
+    assert all(type(f) is float for f in floats)
+    for got in (floats, array.tolist()):
+        assert 0.0 < got[0] < sys.float_info.min  # subnormal, not yet 0
+        assert got[1:5] == [0.0] * 4 and math.isnan(got[5])
 
 
 # 0, subnormals, the old coth pole, the e^-x underflow, past sinh's overflow
