@@ -497,10 +497,11 @@ _SWEPT_FIELDS = {
 }
 
 
-def _columns(point: dict, detector: DetectorParams, beta, alpha) -> list:
-    """The sweep quantity's columns after param at point, its model given, in
-    one library call (over an array if the swept field is one); the rates'
-    [vf, rr, total] are refused where they do not exist."""
+def _columns(point: dict) -> list:
+    """The sweep quantity's columns after param at point, which validate
+    checks, in one library call (over an array if the swept field is one);
+    the rates' [vf, rr, total] are refused where they do not exist."""
+    detector, beta, alpha = validate(point)
     quantity = point["sweep.quantity"]
     if quantity == "steady":
         from . import master as M
@@ -521,26 +522,27 @@ def _columns(point: dict, detector: DetectorParams, beta, alpha) -> list:
 def _sweep_columns(config: dict, values: list[float] | np.ndarray) -> list:
     """The sweep's columns after param, with param set to the grid values.
 
-    One validate checks every point: an array at once, a list at its least
-    point, as every check validate makes of a field a sweep sets is a lower
-    bound (a test holds this).  An array is one _columns call; a list, and
-    an array for the numeric pipeline, which is scalar, one per point in
-    Python floats.
+    An array is one _columns call.  A list, and an array for the numeric
+    pipeline, which is scalar, is one _columns call per point in grid order,
+    so the first point to fail raises its own error.  A check of an array
+    names the first element it refuses, which need not be the first point
+    to fail, so a failed array call is swept once more as that list; if the
+    list passes, the array's error stands.
     """
     param, swept = config["sweep.param"], dict(config)
-    swept[param] = min(values) if isinstance(values, list) else values
-    model = validate(swept)
     if not isinstance(values, list):
         if swept["sweep.quantity"] != "rates" or not (
                 swept["rates.numeric"] or swept["rates.n"] > 0):
-            return _columns(swept, *model)
+            try:
+                return _columns({**swept, param: values})
+            except (DomainError, NonConvergence, OverflowError):
+                _sweep_columns(config, values.tolist())
+                raise
         values = values.tolist()
     rows = []
     for value in values:
         swept[param] = value
-        detector = DetectorParams(swept["detector.omega0"], swept["detector.mu"])
-        rows.append(_columns(swept, detector, swept["thermal.beta"],
-                             abs(swept["trajectory.alpha"])))
+        rows.append(_columns(swept))
     return list(zip(*rows))
 
 
@@ -553,15 +555,7 @@ def cmd_sweep(config: dict) -> Table:
             f"({', '.join(fields)}), got '{param}'"
         )
     values = _grid(config, "sweep")
-    try:
-        columns = _sweep_columns(config, values)
-    except (DomainError, NonConvergence, OverflowError):
-        # a check of the whole grid names the first element it refuses, which
-        # need not be the first point to fail: sweep one point at a time to
-        # raise that point's error
-        for i in range(len(values)):
-            _sweep_columns(config, values[i:i + 1])
-        raise
+    columns = _sweep_columns(config, values)
     if isinstance(values, list):
         return _SWEEP_HEADERS[quantity], [list(row) for row in zip(values, *columns)]
     import numpy as np

@@ -15,8 +15,8 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 
 # numpy is imported only for an array (or a numpy scalar) and by a failing
-# check: math evaluates Python floats, so steady, fermion and the small tables
-# of rates, response and sweep run without it.
+# check: math evaluates Python floats and ints, so steady, fermion and the
+# small tables of rates, response and sweep run without it.
 
 _TINY = sys.float_info.min  # the smallest normal double
 _EPS = sys.float_info.epsilon  # 2^-52, the spacing of the doubles at 1
@@ -68,9 +68,9 @@ class _FloatMath:
 
 def math_or_numpy(*values):
     """The functions to evaluate values with, under numpy's names: math's if
-    each value is a Python float, so that one formula text serves both, else
-    numpy (imported here)."""
-    if all(type(v) is float for v in values):
+    each value is a Python float or int (not a bool), so that one formula
+    text serves both, else numpy (imported here)."""
+    if all(type(v) in (float, int) for v in values):
         return _FloatMath
     import numpy
 
@@ -105,8 +105,8 @@ def planck(x):
     [0, +inf] (arrays too): a = x / (2 sinh(x/2)) and b = e^{-x/2}, both in
     [0, 1] and normal up to x ~ 1416, so a product that takes them one at a
     time does not underflow where it is normal.  planck(0) = (1, 1) and
-    planck(inf) = (0, 0).  A Python float is evaluated with math, anything
-    else with numpy (`math_or_numpy`); the two differ by a few ulps.
+    planck(inf) = (0, 0).  A Python float or int is evaluated with math,
+    anything else with numpy (`math_or_numpy`); the two differ by a few ulps.
     """
     xp = math_or_numpy(x)
     # x/2 clipped to [_TINY, 746]: h / sinh h and e^-h are 1 below it and 0

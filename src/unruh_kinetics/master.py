@@ -152,9 +152,9 @@ def evolve(
     the requested step indices; the result is the RK4 solution, not the exact
     exponential (see closed_form).  The row for step 0 is init.sigma_plus.
 
-    ``samples=None`` returns every step 0..steps.  Otherwise only steps
-    round(linspace(0, steps, samples)) are evaluated (duplicates dropped), so
-    the cost scales with ``samples``, not with ``steps``.
+    Only steps round(linspace(0, steps, samples)) are evaluated (duplicates
+    dropped), so the cost scales with ``samples``, not with ``steps``;
+    ``samples=None`` is samples = steps + 1, every step 0..steps.
 
     Conservation holds by construction: sigma_minus = 1 - sigma_plus.
     """
@@ -178,13 +178,10 @@ def evolve(
     steps = max(1, math.ceil(need))
 
     h = tau_end / steps
-    if samples is None:
-        k = np.arange(steps + 1, dtype=float)
-    else:
-        k = np.linspace(0, steps, samples).round()
-        # k is nondecreasing, so a repeat follows its first copy; np.unique
-        # would sort it again and import numpy.ma on its first call
-        k = k[np.append(True, k[1:] != k[:-1])]
+    k = np.linspace(0, steps, steps + 1 if samples is None else samples).round()
+    # k is nondecreasing, so a repeat follows its first copy; np.unique would
+    # sort it again and import numpy.ma on its first call
+    k = k[np.append(True, k[1:] != k[:-1])]
     z = gamma * h
     # R(z)^k as exp(k log1p(R(z) - 1)): rounding R(z) itself to a double
     # would put a relative error ~k * 1e-16 on R(z)^k.

@@ -51,8 +51,8 @@ def response_accelerated(deltaE, alpha) -> ResponseResult:
     alpha, multiplied in one factor at a time: each is at most 1, so no
     partial product underflows where the rate is normal.  alpha = 0 is the
     inertial worldline: x = inf and the rate is exactly 0, inertial detectors
-    never excite.  Python floats are evaluated with math, anything else with
-    numpy.
+    never excite.  Python floats and ints are evaluated with math, anything
+    else with numpy.
     """
     xp = math_or_numpy(deltaE, alpha)
     deltaE, alpha = xp.float64(deltaE), xp.float64(alpha)

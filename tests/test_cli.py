@@ -504,26 +504,30 @@ def test_sweep_matches_the_point_by_point_reference(capsys, monkeypatch, args):
 
 
 @pytest.mark.parametrize(
-    "args, rows",
-    [(["--sweep.count", "50"], 50),
+    "args, rows, calls",
+    [(["--sweep.count", "50"], 50, 50),
      (["--sweep.quantity", "response", "--sweep.param", "trajectory.alpha",
-       "--sweep.count", "50"], 50),
+       "--sweep.count", "50"], 50, 50),
      (["--sweep.quantity", "rates", "--sweep.param", "rates.atom", "--sweep.start",
-       "-0.5", "--sweep.stop", "0.5", "--sweep.count", "50"], 50),
-     (["--sweep.quantity", "rates", "--rates.n", "1", "--sweep.count", "3"], 3)],
+       "-0.5", "--sweep.stop", "0.5", "--sweep.count", "50"], 50, 50),
+     (["--sweep.quantity", "rates", "--rates.n", "1", "--sweep.count", "3"], 3, 3),
+     # past SMALL_GRID the grid is an array, validated at once
+     (["--sweep.count", str(cli.SMALL_GRID + 1)], cli.SMALL_GRID + 1, 1)],
 )
-def test_a_sweep_validates_once(capsys, monkeypatch, args, rows):
-    calls = []
+def test_a_sweep_validates_an_array_once_and_a_list_per_point(
+    capsys, monkeypatch, args, rows, calls
+):
+    seen = []
 
     def counted(config):
-        calls.append(config)
+        seen.append(config)
         return validate(config)
 
     monkeypatch.setattr(core, "validate", counted)
     monkeypatch.setattr(cli, "validate", counted)
     code, out, err = run(capsys, "sweep", *args)
     assert code == 0 and err == "" and len(out.splitlines()) == rows + 1
-    assert len(calls) == 1
+    assert len(seen) == calls
 
 
 def test_a_steady_sweep_of_an_array_grid_is_one_library_call(capsys, monkeypatch):
@@ -541,21 +545,23 @@ def test_a_steady_sweep_of_an_array_grid_is_one_library_call(capsys, monkeypatch
     assert len(calls) == 1 and np.shape(calls[0]) == (count,)
 
 
-@pytest.mark.parametrize("field", ["detector.omega0", "detector.mu", "thermal.beta",
-                                   "trajectory.alpha"])
-def test_validate_bounds_each_swept_field_from_below(field):
-    # a list grid is validated once, at its least point: that covers every
-    # point only while each check validate makes of a field is a lower bound,
-    # so the finite values it accepts run up from some value to the largest
-    values = [-1e308, -1.0, -1e-300, -5e-324, -0.0, 0.0, 5e-324, 1e-300, 1.0, 1e308]
-    accepted = []
-    for value in values:
-        try:
-            validate({**cli.DEFAULT_CONFIG, field: value})
-            accepted.append(value)
-        except DomainError:
-            pass
-    assert accepted and accepted == values[values.index(accepted[0]):], (field, accepted)
+def test_a_failing_array_sweep_reruns_as_one_list_pass(capsys, monkeypatch):
+    # beta from 1 to -1 at 1001 points is an array that check_beta refuses;
+    # swept again point by point in Python floats, it stops at its first
+    # failing point, beta = 0.0, the 501st
+    calls, steady_state = [], M.steady_state
+
+    def counted(omega0, beta):
+        calls.append(beta)
+        return steady_state(omega0, beta)
+
+    monkeypatch.setattr(M, "steady_state", counted)
+    code, out, err = run(capsys, "sweep", "--sweep.param", "thermal.beta",
+                         "--sweep.start", "1", "--sweep.stop", "-1", "--sweep.count",
+                         str(cli.SMALL_GRID + 1))
+    assert (code, out) == (1, "")
+    assert err == "error: beta must be positive (or +inf), got 0.0\n"
+    assert len(calls) == 500 and all(type(beta) is float for beta in calls)
 
 
 ENUM_FIELDS = {

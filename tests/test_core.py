@@ -22,7 +22,9 @@ from unruh_kinetics.core import (
     DomainError,
     OrderingParam,
     check_beta,
+    _FloatMath,
     fermi,
+    math_or_numpy,
     planck,
     plain,
     require_all,
@@ -367,6 +369,41 @@ def test_python_floats_are_checked_without_numpy():
         "assert core.OrderingParam(0.5).is_symmetric\n"
         "assert not core.OrderingParam(0.25).is_symmetric\n"
         "assert core.plain(1.5) == 1.5 and core.AtomState(-0.5)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(Path(__file__).resolve().parents[1] / "src")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["False"]
+
+
+def test_math_or_numpy_takes_python_floats_and_ints_only():
+    assert math_or_numpy(1.0, 2, -3) is _FloatMath
+    for other in (True, np.float64(1.0), np.int64(1), np.array(1.0)):
+        assert math_or_numpy(1.0, other) is np, other
+
+
+def test_int_arguments_match_their_floats_without_numpy():
+    # an int (not a bool) takes the math path, so each call returns its
+    # float-argument call's bits, as a float, and numpy is never loaded
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from unruh_kinetics.core import AtomState, DetectorParams\n"
+        "from unruh_kinetics.master import steady_state\n"
+        "from unruh_kinetics.rates import atom_total_rate\n"
+        "from unruh_kinetics.response import response_accelerated\n"
+        "pairs = [\n"
+        "    (steady_state(1, 1).sigma_plus, steady_state(1.0, 1.0).sigma_plus),\n"
+        "    (steady_state(1, 1).sigma_minus, steady_state(1.0, 1.0).sigma_minus),\n"
+        "    (response_accelerated(1, 2).rate, response_accelerated(1.0, 2.0).rate),\n"
+        "    (atom_total_rate(DetectorParams(1, 1), 1, AtomState.plus()).total,\n"
+        "     atom_total_rate(DetectorParams(1.0, 1.0), 1.0, AtomState.plus()).total),\n"
+        "]\n"
+        "assert all(type(got) is float and got.hex() == want.hex()\n"
+        "           for got, want in pairs), pairs\n"
         "print('numpy' in sys.modules)\n"
     )
     proc = subprocess.run(

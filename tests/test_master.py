@@ -317,6 +317,20 @@ def test_evolve_samples_are_rows_of_full_trajectory(samples):
     assert np.array_equal(part.sigma_plus, full.sigma_plus[idx])
 
 
+@pytest.mark.parametrize("w0, beta, tau_end", [
+    (1.3, 0.7, 60.0), (0.5, 1.0, 20.0), (1.0, 10.0, 20.0), (2.0, 0.1, 20.0),
+    (1.0, math.inf, 7.5), (3.0, 1e-3, 1e-4),
+])
+def test_evolve_without_samples_is_every_step(w0, beta, tau_end):
+    init = M.PopulationState(0.9, 0.1)
+    steps = max(1, math.ceil(M.relaxation_rate(w0, beta) * tau_end / M.Z_DEFAULT))
+    full = M.evolve(init, w0, beta, tau_end)
+    every = M.evolve(init, w0, beta, tau_end, samples=steps + 1)
+    assert len(full.taus) == steps + 1
+    assert full.taus.tobytes() == every.taus.tobytes()
+    assert full.sigma_plus.tobytes() == every.sigma_plus.tobytes()
+
+
 def test_evolve_rejects_bad_span_and_samples():
     init = M.PopulationState(1.0, 0.0)
     for tau_end in (-1.0, math.inf, math.nan):
