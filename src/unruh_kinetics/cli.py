@@ -276,19 +276,27 @@ def _atom(name) -> AtomState:
     return AtomState(named[name] if isinstance(name, str) else name)
 
 
-def _energy_rates(config: dict, detector: DetectorParams, alpha: float):
-    """The rates section's energy rates: closed form at n = 0, else (or if
-    numeric) the numeric pipeline, which has only the symmetric ordering."""
+def _numeric(config: dict) -> bool:
+    """Whether the rates section's energy rates run the numeric pipeline:
+    if rates.numeric asks for it, or for a derivative coupling (n > 0)."""
+    return config["rates.numeric"] or config["rates.n"] > 0
+
+
+def _energy_rates(config: dict, detector: DetectorParams, alpha: float, field=False):
+    """The rates section's energy rates: closed form unless _numeric, else
+    the numeric pipeline, which has only the symmetric ordering.  field asks
+    for the pipeline's field side, (vf_field, rr_field)."""
     from . import rates as R
 
     lam = OrderingParam(config["rates.lam"])
     atom = _atom(config["rates.atom"])
-    n = config["rates.n"]
-    if not (config["rates.numeric"] or n > 0):
+    if not (field or _numeric(config)):
         return R.atom_total_rate(detector, alpha, atom, lam)
     if not lam.is_symmetric:
         raise DomainError(f"numeric rates need rates.lam 0.5, got {lam.lam}")
-    return R.derivative_coupling_rates(detector, alpha, atom, n)
+    if field:
+        return R.field_rates(detector, alpha, atom)
+    return R.derivative_coupling_rates(detector, alpha, atom, config["rates.n"])
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +420,6 @@ def cmd_steady(config: dict) -> Table:
 
 
 def cmd_rates(config: dict) -> Table:
-    from . import rates as R
-
     detector, _, alpha = validate(config)
     report = _energy_rates(config, detector, alpha)
     record = {
@@ -425,7 +431,7 @@ def cmd_rates(config: dict) -> Table:
         "coupling_order": config["rates.n"],
     }
     if config["rates.field"]:
-        field = R.field_rates(detector, alpha, _atom(config["rates.atom"]))
+        field = _energy_rates(config, detector, alpha, field=True)
         record.update(zip(["vf_field", "rr_field"], field))
     return list(record), [list(record.values())]
 
@@ -519,31 +525,34 @@ def _columns(point: dict) -> list:
     return [rep.vf, rep.rr, rep.total]
 
 
-def _sweep_columns(config: dict, values: list[float] | np.ndarray) -> list:
-    """The sweep's columns after param, with param set to the grid values.
+def _sweep_rows(config: dict, values: list[float] | np.ndarray) -> list | np.ndarray:
+    """The sweep's rows [value, *columns], with param set to each grid value.
 
-    An array is one _columns call.  A list, and an array for the numeric
-    pipeline, which is scalar, is one _columns call per point in grid order,
-    so the first point to fail raises its own error.  A check of an array
-    names the first element it refuses, which need not be the first point
-    to fail, so a failed array call is swept once more as that list; if the
-    list passes, the array's error stands.
+    An array is one _columns call, whose columns make a 2-D array.  A list,
+    and an array for the numeric pipeline, which is scalar (as
+    values.tolist()), is one _columns call per point in grid order, a list
+    of rows, so the first point to fail raises its own error.  A check of an
+    array names the first element it refuses, which need not be the first
+    point to fail, so a failed array call is swept once more as that list;
+    if the list passes, the array's error stands.
     """
     param, swept = config["sweep.param"], dict(config)
     if not isinstance(values, list):
-        if swept["sweep.quantity"] != "rates" or not (
-                swept["rates.numeric"] or swept["rates.n"] > 0):
+        if swept["sweep.quantity"] != "rates" or not _numeric(swept):
             try:
-                return _columns({**swept, param: values})
+                columns = _columns({**swept, param: values})
             except (DomainError, NonConvergence, OverflowError):
-                _sweep_columns(config, values.tolist())
+                _sweep_rows(config, values.tolist())
                 raise
+            import numpy as np
+
+            return np.column_stack(np.broadcast_arrays(values, *columns))
         values = values.tolist()
     rows = []
     for value in values:
         swept[param] = value
-        rows.append(_columns(swept))
-    return list(zip(*rows))
+        rows.append([value, *_columns(swept)])
+    return rows
 
 
 def cmd_sweep(config: dict) -> Table:
@@ -554,13 +563,7 @@ def cmd_sweep(config: dict) -> Table:
             f"sweep.param must be a field sweep.quantity {quantity} reads "
             f"({', '.join(fields)}), got '{param}'"
         )
-    values = _grid(config, "sweep")
-    columns = _sweep_columns(config, values)
-    if isinstance(values, list):
-        return _SWEEP_HEADERS[quantity], [list(row) for row in zip(values, *columns)]
-    import numpy as np
-
-    return _SWEEP_HEADERS[quantity], np.column_stack(np.broadcast_arrays(values, *columns))
+    return _SWEEP_HEADERS[quantity], _sweep_rows(config, _grid(config, "sweep"))
 
 
 # ---------------------------------------------------------------------------

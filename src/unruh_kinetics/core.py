@@ -66,11 +66,19 @@ class _FloatMath:
             return p * math.copysign(math.inf, q) if p else math.nan
 
 
+def _float_range(n: int) -> bool:
+    """True if the int n converts to a float, else DomainError."""
+    if abs(n) > sys.float_info.max:
+        raise DomainError(f"an int of {n.bit_length()} bits is beyond the float range")
+    return True
+
+
 def math_or_numpy(*values):
     """The functions to evaluate values with, under numpy's names: math's if
     each value is a Python float or int (not a bool), so that one formula
-    text serves both, else numpy (imported here)."""
-    if all(type(v) in (float, int) for v in values):
+    text serves both, else numpy (imported here).  An int beyond the float
+    range, which math cannot convert, is refused (DomainError)."""
+    if all(type(v) is float or type(v) is int and _float_range(v) for v in values):
         return _FloatMath
     import numpy
 
@@ -159,6 +167,14 @@ def check_beta(beta):
     return beta
 
 
+def check_alpha(alpha):
+    """|alpha|, if alpha >= 0 (a NaN is refused), so -0.0 is returned as
+    +0.0; alpha = 0 is the inertial worldline.  An array is checked at every
+    element, and the first element refused is named."""
+    require_all(alpha >= 0, alpha, "alpha must be >= 0")
+    return abs(alpha)
+
+
 @dataclass(frozen=True)
 class DetectorParams:
     """Two-level detector: level splitting omega0 > 0 and monopole coupling mu >= 0.
@@ -228,5 +244,4 @@ def validate(config: dict) -> tuple[DetectorParams, float, float]:
     beta = check_beta(config["thermal.beta"])
     alpha = config["trajectory.alpha"]
     require_all(abs(alpha) < math.inf, alpha, "alpha must be finite")
-    require_all(alpha >= 0, alpha, "alpha must be >= 0")
-    return detector, beta, abs(alpha)
+    return detector, beta, check_alpha(alpha)

@@ -29,7 +29,8 @@ import os
 from dataclasses import dataclass
 
 from .core import (_EPS, _TINY, AtomState, DetectorParams, DomainError, NonConvergence,
-                   OrderingParam, _all, math_or_numpy, planck, plain, require_all)
+                   OrderingParam, _all, check_alpha, math_or_numpy, planck, plain,
+                   require_all)
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
@@ -124,7 +125,7 @@ def planck_bracket(omega0, alpha):
     xp = math_or_numpy(omega0, alpha)
     omega0, alpha = xp.float64(omega0), xp.float64(alpha)
     require_all(omega0 > 0, omega0, "omega0 must be positive")
-    require_all(alpha >= 0, alpha, "alpha must be >= 0")
+    alpha = check_alpha(alpha)
     with xp.errstate(over="ignore", divide="ignore"):  # x or 1 / y = inf
         a, b = planck(2.0 * math.pi * xp.divide(omega0, alpha))
         return plain(1.0 + alpha / math.pi / omega0 * (a * b))
@@ -138,9 +139,7 @@ def _closed_form(params: DetectorParams, alpha, r3) -> EnergyRateReport:
     """
     w0 = params.omega0
     xp = math_or_numpy(w0, alpha)
-    alpha = xp.float64(alpha)
-    require_all(alpha >= 0, alpha, "alpha must be >= 0")
-    alpha = abs(alpha)
+    alpha = check_alpha(xp.float64(alpha))
     with xp.errstate(over="ignore", divide="ignore"):  # x = inf gives P = 0
         pa, pb = planck(2.0 * math.pi * xp.divide(w0, alpha))
     nbar = ((alpha, 1), (w0, -1), (2.0 * math.pi, -1), (pa, 1), (pb, 1))
@@ -198,39 +197,30 @@ _HEIGHTS = (1.0, 0.5)
 
 
 @functools.cache
-def _pipeline():
-    """(numpy, kernels), imported on the pipeline's first call: the closed
-    forms of Python floats need neither."""
-    import numpy
+def _pipeline() -> tuple:
+    """(numpy, kernels, h, z, weights), imported and built on the pipeline's
+    first call, so the closed forms of Python floats load none of them: h is
+    _HEIGHTS as an array, z both rays' nodes, a row per h, and weights the
+    weights in s of their shared rule, panels from [0, 1/4] doubling in width
+    out to s = 255.75, 10 panels and 240 nodes."""
+    import numpy as np
 
     from . import kernels
-
-    return numpy, kernels
-
-
-@functools.cache
-def _ray_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(h, z, weights): _HEIGHTS as an array, both rays' nodes, a row per h,
-    and the weights in s of their shared rule, panels from [0, 1/4] doubling
-    in width out to s = 255.75, 10 panels and 240 nodes.  Built on first
-    use."""
     from .numerics import composite_rule
 
-    np, _ = _pipeline()
     h = np.array(_HEIGHTS)
     s, weights = composite_rule(0.25 * (2.0 ** np.arange(11) - 1.0))
-    return h, h[:, None] * (1j + _RAY * s), weights
+    return np, kernels, h, h[:, None] * (1j + _RAY * s), weights
 
 
 @functools.lru_cache(maxsize=1)
 def _ray_values(w: float, a: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(e^{-i w z}, u, v) on `_ray_rule`'s nodes z, with u = (h csch hz)^2
+    """(e^{-i w z}, u, v) on `_pipeline`'s nodes z, with u = (h csch hz)^2
     and v = h coth hz, h = a/2, from which `kernels._inverse_power` forms
     every S_m.  They depend on (w, a) alone, and each caller asks for
     several m at one point, so the last point's values are kept (~23 KB).
     The arrays are read-only: they are shared."""
-    np, K = _pipeline()
-    _, z, _ = _ray_rule()
+    np, K, _, z, _ = _pipeline()
     with np.errstate(all="ignore"):  # a NaN or inf fails _line_integral's check
         phase = np.exp(-1j * w * z)
         u, v = K._inverse_power_uv(z, a)
@@ -249,7 +239,7 @@ def _line_integral(m: int, omega0: float, alpha: float) -> tuple[complex, float]
     h = 1; J_+ = e^{-x} conj J, x = 2 pi w/a.
 
     Both rays, h = 1 and 1/2, run on one rule in s, as the one (2, n) array
-    of nodes that `_ray_rule` builds once.  The node values come from
+    of nodes that `_pipeline` builds once.  The node values come from
     `_ray_values`, shared per (w, a) by every m: the VF/RR split, the field
     side and the other couplings at one point evaluate the nodes once.
     The rule fits every (w, a, h):
@@ -268,11 +258,10 @@ def _line_integral(m: int, omega0: float, alpha: float) -> tuple[complex, float]
     can agree by chance far off.  At small alpha/omega0, S_m tends to its
     one image z^-m and stays accurate down to the smallest positive a.
     """
-    np, K = _pipeline()
+    np, K, h, _, weights = _pipeline()
     d = min(math.pi / alpha, 1.0 / omega0)
     w, a = omega0 * d, alpha * d
     phase, u, v = _ray_values(w, a)
-    h, _, weights = _ray_rule()
     with np.errstate(all="ignore"):  # a NaN or inf fails the check below
         f = phase * K._inverse_power(m, u, v)
         i = h * _RAY * (f @ weights)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import (_FOUR_PI_SQ, AtomState, DetectorParams, DomainError, math_or_numpy,
+from .core import (_FOUR_PI_SQ, AtomState, DetectorParams, check_alpha, math_or_numpy,
                    planck, plain, require_all)
 
 __all__ = [
@@ -57,18 +57,15 @@ def response_accelerated(deltaE, alpha) -> ResponseResult:
     xp = math_or_numpy(deltaE, alpha)
     deltaE, alpha = xp.float64(deltaE), xp.float64(alpha)
     _check_gap(deltaE)
-    require_all(alpha >= 0, alpha, "alpha must be >= 0")
-    alpha = abs(alpha)  # -0.0 is the inertial worldline too
+    alpha = check_alpha(alpha)  # -0.0 is the inertial worldline too
     with xp.errstate(over="ignore", divide="ignore"):  # x = inf gives P = 0
         a, b = planck(2.0 * math.pi * xp.divide(deltaE, alpha))
     return ResponseResult(plain(alpha / _FOUR_PI_SQ * a * b))
 
 
 def unruh_temperature(alpha: float) -> float:
-    """T = alpha / 2 pi in natural units; 0 on the inertial worldline."""
-    if not alpha >= 0:
-        raise DomainError(f"alpha must be >= 0, got {alpha}")
-    return alpha / (2.0 * math.pi)
+    """T = alpha / 2 pi in natural units; +0.0 on the inertial worldline."""
+    return check_alpha(alpha) / (2.0 * math.pi)
 
 
 def inertial_silence_oracle(

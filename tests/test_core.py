@@ -412,3 +412,17 @@ def test_int_arguments_match_their_floats_without_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["False"]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: M.steady_state(10**400, 1),
+     lambda: RS.response_accelerated(10**400, 1),
+     lambda: R.atom_total_rate(DetectorParams(10**400), 1.0, AtomState.plus())],
+    ids=["steady_state", "response_accelerated", "atom_total_rate"],
+)
+def test_an_int_beyond_the_float_range_is_a_domain_error(call):
+    # math cannot convert it: each call raised a bare OverflowError
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert str(exc.value) == "an int of 1329 bits is beyond the float range"

@@ -29,12 +29,14 @@ from unruh_kinetics.core import (
     DomainError,
     NonConvergence,
     OrderingParam,
+    check_alpha,
 )
 from unruh_kinetics import kernels as K
 from unruh_kinetics import rates as R
 from unruh_kinetics.kernels import _inverse_power_uv, image_sum_inverse_power
 from unruh_kinetics.numerics import composite_rule
-from unruh_kinetics.response import planck_response_oracle, response_accelerated
+from unruh_kinetics.response import (planck_response_oracle, response_accelerated,
+                                     unruh_temperature)
 
 PLUS = AtomState.plus()
 MINUS = AtomState.minus()
@@ -48,15 +50,22 @@ def test_planck_bracket_identity():
     assert R.planck_bracket(1.0, 0.0) == R.planck_bracket(1.0, -0.0) == 1.0
 
 
-@pytest.mark.parametrize("alpha", [-1.0, -1e-320, -math.inf, math.nan])
+@pytest.mark.parametrize("alpha", [-1.0, -1e-320, -math.inf, math.nan, -0.0])
 @pytest.mark.parametrize(
     "rate",
     [lambda a: R.planck_bracket(1.0, a),
      lambda a: R.atom_rr_rate(DetectorParams(1.0), a),
-     lambda a: R.atom_total_rate(DetectorParams(1.0), a, PLUS)],
-    ids=["planck_bracket", "atom_rr_rate", "atom_total_rate"],
+     lambda a: R.atom_total_rate(DetectorParams(1.0), a, PLUS),
+     lambda a: response_accelerated(1.0, a).rate,
+     unruh_temperature,
+     check_alpha],
+    ids=["planck_bracket", "atom_rr_rate", "atom_total_rate", "response_accelerated",
+         "unruh_temperature", "check_alpha"],
 )
 def test_closed_forms_refuse_negative_or_nan_alpha(rate, alpha):
+    if alpha == 0:  # -0.0 is the inertial worldline: +0.0's result, sign too
+        assert repr(rate(alpha)) == repr(rate(0.0))
+        return
     # a NaN alpha used to pass alpha < 0 and give a NaN report
     with pytest.raises(DomainError) as exc:
         rate(alpha)
