@@ -40,44 +40,48 @@ if TYPE_CHECKING:
 __all__ = ["main", "DEFAULT_CONFIG"]
 
 # Every field by its dotted name, the name its flag, sweep.param and the
-# error messages use.  A config document may nest these names as objects.
-DEFAULT_CONFIG: dict = {
-    "detector.omega0": 1.0,
-    "detector.mu": 1.0,
-    "thermal.beta": 1.0,
-    "trajectory.alpha": 1.0,
-    "output.format": "csv",
-    "output.path": None,
-    "kernel.u": 1.0,
-    "kernel.sweep.param": "alpha",
-    "kernel.sweep.start": 0.1,
-    "kernel.sweep.stop": 5.0,
-    "kernel.sweep.count": 50,
-    "kernel.sweep.scale": "linear",
-    "populations.sigma_plus": 1.0,
-    "populations.tau_end": 100.0,
-    "populations.samples": 101,
-    "rates.atom": "plus",
-    "rates.lam": 0.5,
-    "rates.n": 0,
-    "rates.numeric": False,
-    "rates.field": False,
-    "response.deltaE.start": 0.5,
-    "response.deltaE.stop": 5.0,
-    "response.deltaE.count": 10,
-    "response.deltaE.scale": "linear",
-    "fermion.spectrum": None,
-    "fermion.dt": 1.0,
-    "fermion.init": [1.0, 0.0],
-    "fermion.v_typ": 0.01,
-    "fermion.tau_c": 1.0,
-    "sweep.param": "detector.omega0",
-    "sweep.start": 0.5,
-    "sweep.stop": 2.0,
-    "sweep.count": 4,
-    "sweep.scale": "linear",
-    "sweep.quantity": "steady",
+# error messages use, as {name: (default, *kinds)}, with the kinds in the
+# order its error message names them.  A quoted kind other than 'inf' is the
+# one string it names: a string field lists its values.  A config document
+# may nest these names as objects.
+_FIELDS = {
+    "detector.omega0": (1.0, "a number"),
+    "detector.mu": (1.0, "a number"),
+    "thermal.beta": (1.0, "a number", "'inf'"),
+    "trajectory.alpha": (1.0, "a number"),
+    "output.format": ("csv", "'csv'", "'json'"),
+    "output.path": (None, "a string", "null"),
+    "kernel.u": (1.0, "a number"),
+    "kernel.sweep.param": ("alpha", "'alpha'", "'beta'"),
+    "kernel.sweep.start": (0.1, "a number"),
+    "kernel.sweep.stop": (5.0, "a number"),
+    "kernel.sweep.count": (50, "an integer"),
+    "kernel.sweep.scale": ("linear", "'linear'", "'log'"),
+    "populations.sigma_plus": (1.0, "a number"),
+    "populations.tau_end": (100.0, "a number"),
+    "populations.samples": (101, "an integer"),
+    "rates.atom": ("plus", "'plus'", "'minus'", "a number"),  # or <R3>
+    "rates.lam": (0.5, "a number"),
+    "rates.n": (0, "an integer"),
+    "rates.numeric": (False, "a boolean"),
+    "rates.field": (False, "a boolean"),
+    "response.deltaE.start": (0.5, "a number"),
+    "response.deltaE.stop": (5.0, "a number"),
+    "response.deltaE.count": (10, "an integer"),
+    "response.deltaE.scale": ("linear", "'linear'", "'log'"),
+    "fermion.spectrum": (None, "a string", "null"),
+    "fermion.dt": (1.0, "a number"),
+    "fermion.init": ([1.0, 0.0], "a list of numbers"),
+    "fermion.v_typ": (0.01, "a number"),
+    "fermion.tau_c": (1.0, "a number"),
+    "sweep.param": ("detector.omega0", "a number field outside sweep"),
+    "sweep.start": (0.5, "a number"),
+    "sweep.stop": (2.0, "a number"),
+    "sweep.count": (4, "an integer"),
+    "sweep.scale": ("linear", "'linear'", "'log'"),
+    "sweep.quantity": ("steady", "'steady'", "'rates'", "'response'"),
 }
+DEFAULT_CONFIG: dict = {name: default for name, (default, *_) in _FIELDS.items()}
 
 
 # The range (low, high) of every integer field.  kernel and response evaluate
@@ -187,37 +191,8 @@ _KINDS = {
     "'inf'": lambda x: isinstance(x, str) and x.lower() in _INF_WORDS,
     "a number field outside sweep": lambda x: isinstance(x, str) and x in _SWEEPABLE,
 }
-_KIND_OF_DEFAULT = {
-    bool: "a boolean",
-    int: "an integer",
-    float: "a number",
-    list: "a list of numbers",
-}
-_SCALES = ("'linear'", "'log'")
-# Fields of no default type, or of more than one kind.  A quoted kind other
-# than 'inf' is the one string it names: a string field lists its values.
-_FIELD_KINDS = {
-    "thermal.beta": ("a number", "'inf'"),
-    "output.format": ("'csv'", "'json'"),
-    "output.path": ("a string", "null"),
-    "kernel.sweep.param": ("'alpha'", "'beta'"),
-    "kernel.sweep.scale": _SCALES,
-    "rates.atom": ("'plus'", "'minus'", "a number"),  # or <R3>
-    "response.deltaE.scale": _SCALES,
-    "fermion.spectrum": ("a string", "null"),
-    "sweep.param": ("a number field outside sweep",),
-    "sweep.scale": _SCALES,
-    "sweep.quantity": ("'steady'", "'rates'", "'response'"),
-}
-
-
-# {dotted name: kinds} of every field, in DEFAULT_CONFIG's order.
-_FIELDS = {
-    name: _FIELD_KINDS.get(name) or (_KIND_OF_DEFAULT[type(default)],)
-    for name, default in DEFAULT_CONFIG.items()
-}
 _SWEEPABLE = frozenset(
-    name for name, kinds in _FIELDS.items()
+    name for name, (_, *kinds) in _FIELDS.items()
     if "a number" in kinds and not name.startswith("sweep.")
 )
 
@@ -234,7 +209,7 @@ def _check_types(config: dict) -> None:
     integer field an int and a list a copy, so no config shares
     DEFAULT_CONFIG's lists.
     """
-    for name, kinds in _FIELDS.items():
+    for name, (_, *kinds) in _FIELDS.items():
         value = config[name]
         kind = next((k for k in kinds if _is_kind(k, value)), None)
         if kind is None:

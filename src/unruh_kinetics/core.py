@@ -77,8 +77,9 @@ def math_or_numpy(*values):
     """The functions to evaluate values with, under numpy's names: math's if
     each value is a Python float or int (not a bool), so that one formula
     text serves both, else numpy (imported here).  An int beyond the float
-    range, which math cannot convert, is refused (DomainError)."""
-    if all(type(v) is float or type(v) is int and _float_range(v) for v in values):
+    range, which neither can convert, is refused (DomainError) on both paths:
+    the list is built in full, so every int is range-checked."""
+    if all([type(v) is float or type(v) is int and _float_range(v) for v in values]):
         return _FloatMath
     import numpy
 
@@ -167,6 +168,19 @@ def check_beta(beta):
     return beta
 
 
+def check_positive(x, what: str):
+    """x, if it is > 0 (a NaN is refused), at every element of an array."""
+    require_all(x > 0, x, f"{what} must be positive")
+    return x
+
+
+def check_positive_finite(x, what: str):
+    """x, if it lies in (0, +inf) (a NaN is refused), at every element of an
+    array."""
+    require_all((x > 0) & (x < math.inf), x, f"{what} must be positive and finite")
+    return x
+
+
 def check_alpha(alpha):
     """|alpha|, if alpha >= 0 (a NaN is refused), so -0.0 is returned as
     +0.0; alpha = 0 is the inertial worldline.  An array is checked at every
@@ -189,7 +203,7 @@ class DetectorParams:
         # abs(x) < inf refuses NaN and +-inf, scalar or array, with no warning
         require_all(abs(self.omega0) < math.inf, self.omega0, "omega0 must be finite")
         require_all(abs(self.mu) < math.inf, self.mu, "mu must be finite")
-        require_all(self.omega0 > 0, self.omega0, "omega0 must be positive")
+        check_positive(self.omega0, "omega0")
         require_all(self.mu >= 0, self.mu, "mu must be non-negative")
 
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import DomainError, check_beta, check_populations, fermi, linspace
+from .core import (DomainError, check_beta, check_populations, check_positive,
+                   check_positive_finite, fermi, linspace)
 
 __all__ = [
     "BathSpectrum",
@@ -35,8 +36,7 @@ class BathSpectrum:
         if len(self.modes) == 0:
             raise DomainError("bath spectrum must contain at least one mode")
         for w, g in self.modes:
-            if not (math.isfinite(w) and w > 0):
-                raise DomainError(f"mode frequency must be positive, got {w}")
+            check_positive_finite(w, "mode frequency")
             if not (math.isfinite(g) and g >= 0):
                 raise DomainError(f"coupling must be finite and >= 0, got {g}")
         check_beta(self.beta)
@@ -93,10 +93,8 @@ def fermion_rates(
 ) -> FermionRates:
     """C = 2 sum_i |g_i|^2 w(omega0 - omega_i, dt); T_F weights each term
     by the Fermi occupancy of the bath mode."""
-    if not omega0 > 0:
-        raise DomainError(f"omega0 must be positive, got {omega0}")
-    if not 0 < dt < math.inf:
-        raise DomainError(f"dt must be positive and finite, got {dt}")
+    check_positive(omega0, "omega0")
+    check_positive_finite(dt, "dt")
     c = 0.0
     tf = 0.0
     for w, g in spectrum.modes:

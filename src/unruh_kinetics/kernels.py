@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (_EPS, _FOUR_PI_SQ, _TINY, DomainError, NonConvergence, SingularInput,
-                   check_beta, planck, require_all)
+                   check_beta, check_positive_finite, planck, require_all)
 
 __all__ = [
     "KernelValue",
@@ -180,9 +180,7 @@ def _check_image_sum(u, alpha) -> None:
     finite: at alpha = +inf every image sits on u and the tail divides by 0."""
     if np.iscomplexobj(u):
         raise DomainError(f"u must be real, got {u}")
-    if not 0.0 < alpha < math.inf:
-        raise DomainError(f"alpha (2 pi / beta of a thermal sum) must be positive "
-                          f"and finite, got {alpha}")
+    check_positive_finite(alpha, "alpha (2 pi / beta of a thermal sum)")
 
 
 def _truncated(terms, tail) -> complex:
@@ -299,7 +297,7 @@ def wightman_vacuum_accelerated(u, alpha) -> KernelValue:
     u and alpha broadcast as arrays.
     """
     u, alpha = np.float64(u), np.float64(alpha)
-    require_all((alpha > 0.0) & (alpha < np.inf), alpha, "alpha must be positive and finite")
+    check_positive_finite(alpha, "alpha")
     if np.any(u == 0.0):
         raise SingularInput("u = 0 is singular")
     with np.errstate(all="ignore"):  # see _vacuum_csch2; ln h is -inf at h = 0
@@ -329,7 +327,7 @@ def _check_inertial(u, beta, v=0.0) -> None:
     """Refuse a speed v outside [0, 1), a beta that is not positive and
     finite, and u = 0, at every element of an array."""
     require_all((v >= 0.0) & (v < 1.0), v, "speed must satisfy 0 <= v < 1")
-    require_all((beta > 0.0) & (beta < math.inf), beta, "beta must be positive and finite")
+    check_positive_finite(beta, "beta")
     if np.any(u == 0.0):
         raise SingularInput("u = 0 is singular")
 

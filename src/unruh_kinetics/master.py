@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import (DomainError, check_beta, check_populations, fermi, planck, plain,
-                   require_all)
+from .core import (DomainError, check_beta, check_populations, check_positive, fermi,
+                   math_or_numpy, planck, plain, require_all)
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
@@ -59,7 +59,8 @@ class PopulationTrajectory:
 
 
 def _check_params(omega0: float, beta: float) -> None:
-    require_all(omega0 > 0, omega0, "omega0 must be positive")
+    math_or_numpy(omega0, beta)  # refuses an int beyond the float range
+    check_positive(omega0, "omega0")
     check_beta(beta)
 
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import (_FOUR_PI_SQ, AtomState, DetectorParams, check_alpha, math_or_numpy,
-                   planck, plain, require_all)
+from .core import (_FOUR_PI_SQ, AtomState, DetectorParams, check_alpha,
+                   check_positive_finite, math_or_numpy, planck, plain, require_all)
 
 __all__ = [
     "ResponseResult",
@@ -38,11 +38,6 @@ class ResponseResult:
         require_all(rate >= 0.0, self.rate, "rate must be non-negative")
 
 
-def _check_gap(deltaE) -> None:
-    require_all((deltaE > 0.0) & (deltaE < math.inf), deltaE,
-                "deltaE must be positive and finite")
-
-
 def response_accelerated(deltaE, alpha) -> ResponseResult:
     """Planck-distributed rate (1/2 pi) deltaE / (e^{2 pi deltaE / alpha} - 1).
 
@@ -56,7 +51,7 @@ def response_accelerated(deltaE, alpha) -> ResponseResult:
     """
     xp = math_or_numpy(deltaE, alpha)
     deltaE, alpha = xp.float64(deltaE), xp.float64(alpha)
-    _check_gap(deltaE)
+    check_positive_finite(deltaE, "deltaE")
     alpha = check_alpha(alpha)  # -0.0 is the inertial worldline too
     with xp.errstate(over="ignore", divide="ignore"):  # x = inf gives P = 0
         a, b = planck(2.0 * math.pi * xp.divide(deltaE, alpha))
@@ -81,7 +76,7 @@ def inertial_silence_oracle(
     """
     from .numerics import damped_line_integral
 
-    _check_gap(deltaE)
+    check_positive_finite(deltaE, "deltaE")
     return -damped_line_integral(deltaE, -eps, eps, u_max) / _FOUR_PI_SQ
 
 
@@ -93,7 +88,7 @@ def planck_response_oracle(deltaE: float, alpha: float) -> float:
     omega0 = deltaE and the same alpha, it evaluates no nodes."""
     from .rates import derivative_coupling_rates
 
-    _check_gap(deltaE)
+    check_positive_finite(deltaE, "deltaE")
     report = derivative_coupling_rates(
         DetectorParams(deltaE, 1.0), alpha, AtomState.minus(), 0
     )

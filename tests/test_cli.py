@@ -135,6 +135,15 @@ def test_fermion_with_spectrum_file(tmp_path, capsys):
     assert rec["C"] == pytest.approx(1.0, rel=1e-9)
 
 
+def test_fermion_spectrum_refuses_an_infinite_mode_frequency(tmp_path, capsys):
+    # inf is positive: the message named half of the positive-and-finite rule
+    spec = tmp_path / "modes.json"
+    spec.write_text('[{"omega": Infinity, "g": 0.1}]')
+    code, out, err = run(capsys, "fermion", "--fermion.spectrum", str(spec))
+    assert (code, out) == (1, "")
+    assert err == "error: mode frequency must be positive and finite, got inf\n"
+
+
 def test_fermion_invalid_coarse_graining_warns(capsys):
     code, _, err = run(capsys, "fermion", "--fermion.v_typ", "2.0")
     assert code == 0
@@ -565,7 +574,7 @@ def test_a_failing_array_sweep_reruns_as_one_list_pass(capsys, monkeypatch):
 
 
 ENUM_FIELDS = {
-    name: kinds for name, kinds in cli._FIELD_KINDS.items()
+    name: kinds for name, (_, *kinds) in cli._FIELDS.items()
     if any(k.startswith("'") and k != "'inf'" for k in kinds)
 }
 

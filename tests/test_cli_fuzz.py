@@ -37,7 +37,7 @@ EDGE_VALUES = [
 SECONDS_PER_EXAMPLE = 10.0
 
 
-KINDS = cli._FIELDS  # {dotted name: kinds}
+KINDS = {name: kinds for name, (_, *kinds) in cli._FIELDS.items()}
 FIELDS = [
     name for name, kinds in KINDS.items() if {"a number", "an integer"} & set(kinds)
 ]

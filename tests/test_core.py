@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from decimal_reference import digits, pi, planck as planck_reference
 from unruh_kinetics import fermion as F
+from unruh_kinetics import kernels as K
 from unruh_kinetics import master as M
 from unruh_kinetics import rates as R
 from unruh_kinetics import response as RS
@@ -20,8 +21,11 @@ from unruh_kinetics.core import (
     AtomState,
     DetectorParams,
     DomainError,
+    NonConvergence,
     OrderingParam,
     check_beta,
+    check_positive,
+    check_positive_finite,
     _FloatMath,
     fermi,
     math_or_numpy,
@@ -102,6 +106,62 @@ def test_every_beta_check_is_check_beta(build, beta):
         build(beta)
     assert str(exc.value) == f"beta must be positive (or +inf), got {beta}"
     assert check_beta(math.inf) == math.inf
+
+
+_BATH = F.default_bath(1.0, 1.0)
+# Every entry point of check_positive and check_positive_finite: (the call at
+# one bad value, the name its message gives the value, the finite rule?).
+# DetectorParams is not listed: its finite check refuses NaN and inf first.
+_POSITIVE_CHECKS = {
+    "check_positive": (lambda x: check_positive(x, "x"), "x", False),
+    "steady_state": (lambda x: M.steady_state(x, 1.0), "omega0", False),
+    "relaxation_rate": (lambda x: M.relaxation_rate(x, 1.0), "omega0", False),
+    "planck_bracket": (lambda x: R.planck_bracket(x, 1.0), "omega0", False),
+    "fermion_rates.omega0": (lambda x: F.fermion_rates(_BATH, x, 1.0), "omega0", False),
+    "derivative_coupling_rates": (
+        lambda x: R.derivative_coupling_rates(DetectorParams(1.0), x, AtomState.minus()),
+        "alpha", False),
+    "field_rates": (lambda x: R.field_rates(DetectorParams(1.0), x, AtomState.plus()),
+                    "alpha", False),
+    "check_positive_finite": (lambda x: check_positive_finite(x, "x"), "x", True),
+    "fermion_rates.dt": (lambda x: F.fermion_rates(_BATH, 1.0, x), "dt", True),
+    "BathSpectrum": (lambda x: F.BathSpectrum(((x, 0.1),), 1.0), "mode frequency", True),
+    "response_accelerated": (lambda x: RS.response_accelerated(x, 1.0), "deltaE", True),
+    "inertial_silence_oracle": (lambda x: RS.inertial_silence_oracle(x, 0.1), "deltaE",
+                                True),
+    "planck_response_oracle": (lambda x: RS.planck_response_oracle(x, 1.0), "deltaE", True),
+    "wightman_vacuum_accelerated": (lambda x: K.wightman_vacuum_accelerated(1.0, x),
+                                    "alpha", True),
+    "wightman_vacuum_accelerated_sum": (
+        lambda x: K.wightman_vacuum_accelerated_sum(1.0, x),
+        "alpha (2 pi / beta of a thermal sum)", True),
+    "thermal_image_closed": (lambda x: K.thermal_image_closed(1.0, x), "beta", True),
+    "thermal_image_sum": (lambda x: K.thermal_image_sum(1.0, x), "beta", True),
+    "g_thermal_inertial": (lambda x: K.g_thermal_inertial(1.0, x, 0.0), "beta", True),
+    "g_thermal_inertial_sum": (lambda x: K.g_thermal_inertial_sum(1.0, x, 0.0), "beta",
+                               True),
+}
+
+
+@pytest.mark.parametrize("name", list(_POSITIVE_CHECKS))
+def test_every_positivity_check_is_one_of_two(name):
+    call, what, finite = _POSITIVE_CHECKS[name]
+    rule = f"{what} must be positive" + (" and finite" if finite else "")
+    for value in [0.0, -1.0, math.nan] + [math.inf] * finite:
+        with pytest.raises(DomainError) as exc:
+            call(value)
+        assert str(exc.value) == f"{rule}, got {value}"
+    # an array is checked at every element, and its first refused is named
+    # (fermion_rates, the numeric rates and the image sum raised numpy's
+    # bare ValueError)
+    with pytest.raises(DomainError) as exc:
+        call(np.array([1.0, -3.0, -4.0]))
+    assert str(exc.value) == f"{rule}, got -3.0"
+    if not finite:  # inf is positive, so the rule lets it through
+        try:
+            call(math.inf)
+        except NonConvergence:  # the numeric rates' line integral at alpha = inf
+            pass
 
 
 def test_negative_omega0_rejected():
@@ -418,11 +478,16 @@ def test_int_arguments_match_their_floats_without_numpy():
     "call",
     [lambda: M.steady_state(10**400, 1),
      lambda: RS.response_accelerated(10**400, 1),
-     lambda: R.atom_total_rate(DetectorParams(10**400), 1.0, AtomState.plus())],
-    ids=["steady_state", "response_accelerated", "atom_total_rate"],
+     lambda: R.atom_total_rate(DetectorParams(10**400), 1.0, AtomState.plus()),
+     lambda: M.steady_state(1.0, 10**400),
+     lambda: M.steady_state(np.array([1.0]), 10**400),
+     lambda: RS.response_accelerated(np.array([1.0]), 10**400)],
+    ids=["steady_state", "response_accelerated", "atom_total_rate",
+         "steady_state_float_omega0", "steady_state_array", "response_accelerated_array"],
 )
 def test_an_int_beyond_the_float_range_is_a_domain_error(call):
-    # math cannot convert it: each call raised a bare OverflowError
+    # neither math nor numpy can convert it: each call raised a bare
+    # OverflowError
     with pytest.raises(DomainError) as exc:
         call()
     assert str(exc.value) == "an int of 1329 bits is beyond the float range"
