@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 domain or usage error, 2 numeric non-convergence
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -546,6 +547,16 @@ def cmd_sweep(config: dict) -> Table:
 # ---------------------------------------------------------------------------
 
 def _verify_checks(config: dict):
+    """(name, check) of each verify record; check() returns (error, tol) and
+    the record passes if error <= tol.  Together the records are the 13
+    acceptance criteria (numbered in tests/test_acceptance.py) and the
+    oracles of the kernels.  A condition that is a count, an ordering or a
+    threshold reports the number of its violations, or the quantity it
+    bounds, against its tol.  energy_decomposition and the fermion records
+    read the config's detector beside their fixed points; every other
+    record runs at fixed points."""
+    import numpy as np
+
     from . import fermion as F
     from . import kernels as K
     from . import master as M
@@ -553,14 +564,22 @@ def _verify_checks(config: dict):
     from . import response as RS
 
     detector, _, _ = validate(config)
+    plus, minus = AtomState.plus(), AtomState.minus()
+    # the energy rates' fixed points: omega0 x alpha at mu = 0.8
+    fixed = [(DetectorParams(w0, 0.8), a)
+             for w0 in (0.5, 1.0, 2.0) for a in (0.0, 0.5, 2.0)]
+    # (omega0, beta) of the steady-state and detailed-balance records
+    balanced = [(0.5, 1.0), (1.0, 2.0), (2.0, 0.5)]
 
     def worst(pairs):
         """The largest relative error |value - ref| / |ref| of the pairs."""
         return max(abs(value - ref) / abs(ref) for value, ref in pairs)
 
     def lattice_sum():
+        # u / beta <= 2: beyond it the sum is exponentially small against its
+        # terms and rounds to noise
         pairs = [(K.thermal_image_sum(u, b), K.thermal_image_closed(u, b))
-                 for u, b in [(0.5, 1.0), (1.0, 2.0), (2.0, 4.0)]]
+                 for u in (0.2, 0.5, 1.0, 1.5, 2.0) for b in (1.0, 1.5, 2.0, 3.0, 4.0)]
         return worst(pairs), 1e-8
 
     def accelerated_image_sum():
@@ -576,17 +595,30 @@ def _verify_checks(config: dict):
     def unruh_correspondence():
         pairs = [(K.g_thermal_accelerated(1.0, 0.0, math.inf, a).value,
                   K.thermal_image_closed(1.0, 2.0 * math.pi / a))
-                 for a in (0.5, 1.375, 2.25, 3.125, 4.0)]
+                 for a in linspace(0.3, 6.0, 20)]
         return worst(pairs), 1e-14
 
+    @functools.cache
+    def relaxations():
+        """sigma_plus of RK4 and of the closed form, at every RK4 step of 45
+        relaxations to tau = 25."""
+        runs = []
+        for w0 in (0.5, 1.0, 2.0):
+            for b in (0.1, 1.0, 10.0):
+                for sp in (0.0, 0.25, 0.5, 0.75, 1.0):
+                    init = M.PopulationState(sp, 1.0 - sp)
+                    traj = M.evolve(init, w0, b, 25.0)
+                    ref = M.closed_form(init, w0, b, traj.taus)
+                    runs.append((traj.sigma_plus, ref.sigma_plus))
+        return runs
+
     def master_oracle():
-        init = M.PopulationState(0.9, 0.1)
-        errors = []
-        for w0, b in [(0.5, 1.0), (1.0, 10.0), (2.0, 0.1)]:
-            traj = M.evolve(init, w0, b, 20.0)
-            ref = M.closed_form(init, w0, b, traj.taus[-1])
-            errors.append(abs(traj.sigma_plus[-1] - ref.sigma_plus))
-        return max(errors), 1e-8
+        return max(float(np.max(abs(num - ref))) for num, ref in relaxations()), 1e-8
+
+    def master_conservation():
+        # sigma_minus = 1 - sigma_plus
+        return max(float(np.max(abs(num + (1.0 - num) - 1.0)))
+                   for num, _ in relaxations()), 1e-12
 
     def steady_fixed_point():
         d_plus, _ = M.rate_rhs(M.steady_state(1.0, 1.0), 1.0, 1.0)
@@ -598,18 +630,21 @@ def _verify_checks(config: dict):
         return worst(pairs), 1e-12
 
     def energy_decomposition():
-        rep = R.atom_total_rate(detector, 1.0, AtomState.plus())
-        return abs(rep.vf + rep.rr - rep.total), 1e-12
+        reps = [R.atom_total_rate(p, a, plus) for p, a in [(detector, 1.0), *fixed]]
+        return max(abs(rep.vf + rep.rr - rep.total) for rep in reps), 1e-12
+
+    @functools.cache
+    def baths():
+        """(cold, hot) fermion rates at the config's omega0 and at 1: beta =
+        inf and beta omega0 = 1e-6, so |T_F / C - 1/2| ~ beta omega0 / 4 at
+        every scale; beta is capped, since at omega0 < 1e-306, 1e-6 / omega0
+        is +inf, a zero-temperature bath."""
+        return [tuple(F.fermion_rates(F.default_bath(w0, b), w0, 1.0)
+                      for b in (math.inf, min(1e-6 / w0, 1e300)))
+                for w0 in (detector.omega0, 1.0)]
 
     def fermion_limits():
-        w0 = detector.omega0
-        cold = F.fermion_rates(F.default_bath(w0, math.inf), w0, 1.0)
-        # beta w0 fixed, so |T_F / C - 1/2| ~ beta w0 / 4 at every scale
-        # capped: at w0 < 1e-306, 1e-6 / w0 is +inf, a zero-temperature bath
-        hot_beta = min(1e-6 / w0, 1e300)
-        hot = F.fermion_rates(F.default_bath(w0, hot_beta), w0, 1.0)
-        err = abs(cold.T_F) + abs(hot.T_F / hot.C - 0.5)
-        return err, 1e-4
+        return max(abs(hot.T_F / hot.C - 0.5) / 0.5 for _, hot in baths()), 1e-4
 
     def planck_response():
         pair = (RS.planck_response_oracle(1.0, 2.0),
@@ -619,15 +654,112 @@ def _verify_checks(config: dict):
     def response_energy_rate():
         # ground-state total energy rate = mu^2 omega0 F / 4; at (5, 1) it is
         # 5e-14 of VF, which RR cancels
-        pairs = [(R.atom_total_rate(DetectorParams(w0), a, AtomState.minus()).total,
+        pairs = [(R.atom_total_rate(DetectorParams(w0), a, minus).total,
                   w0 * RS.response_accelerated(w0, a).rate / 4.0)
                  for w0, a in [(1.0, 1.0), (1.0, 2.0), (0.5, 3.0), (5.0, 1.0)]]
         return worst(pairs), 1e-12
+
+    @functools.cache
+    def silence():
+        """|F| of the inertial detector at eps = 1e-3 / 2^k, k = 0..3."""
+        return [abs(RS.inertial_silence_oracle(1.0, 1e-3 / 2**k)) for k in range(4)]
+
+    def inertial_silence():
+        return silence()[0], 1e-2
+
+    def inertial_silence_decay():
+        # the steps of the eps ladder at which |F| does not fall
+        values = silence()
+        return float(sum(b >= a for a, b in zip(values, values[1:]))), 0.0
+
+    def steady_state_approach():
+        # RK4 from the excited state over ~50 relaxation times
+        errors = [abs(M.evolve(M.PopulationState(1.0, 0.0), w0, b, 400.0 / w0,
+                               samples=2).sigma_plus[-1]
+                      - M.steady_state(w0, b).sigma_plus) for w0, b in balanced]
+        return max(errors), 1e-6
+
+    def detailed_balance():
+        errors = [abs(st.sigma_plus / st.sigma_minus - M.detailed_balance_ratio(w0, b))
+                  for w0, b in balanced for st in [M.steady_state(w0, b)]]
+        return max(errors), 1e-10
+
+    def high_temperature_regime():
+        # figure 1 at omega0 beta = 0.01: RK4 onto the steady state, which is
+        # 1 / (1 + e^0.01), 2.5e-3 below equal filling by construction
+        final = M.evolve(M.PopulationState(0.01, 0.99), 1.0, 0.01, 500.0,
+                         samples=2).sigma_plus[-1]
+        return abs(final - M.steady_state(1.0, 0.01).sigma_plus), 1e-4
+
+    def equal_filling():
+        return abs(M.steady_state(1.0, 0.01).sigma_plus - 0.5), 5e-3
+
+    def low_temperature_regime():
+        # figure 1 at omega0 beta = 5: sigma_plus = 1 - sigma_minus at the end
+        final = M.evolve(M.PopulationState(0.9, 0.1), 1.0, 5.0, 300.0, samples=2)
+        return float(final.sigma_plus[-1]), 1e-2
+
+    def fermion_zero_temperature():
+        return max(cold.T_F for cold, _ in baths()), 0.0
+
+    def fermion_conservation():
+        return max(abs(sum(F.fermion_population_rhs((0.3, 0.7), cold)))
+                   for cold, _ in baths()), 0.0
+
+    def ground_state_absorption():
+        # the ground state absorbs at the Planck rate, total = mu^2 omega0 F / 4
+        # (0 inertially), against the scale omega0^2 mu^2 / 16 pi at which
+        # vf and rr cancel
+        errors = []
+        for p, a in fixed:
+            want = p.mu**2 * p.omega0 * RS.response_accelerated(p.omega0, a).rate / 4.0
+            scale = p.omega0**2 * p.mu**2 / (16.0 * math.pi)
+            errors.append(abs(R.atom_total_rate(p, a, minus).total - want) / scale)
+        return max(errors), 1e-15
+
+    def energy_balance():
+        # the field side's numeric VF and RR against the atom side's closed forms
+        pairs = []
+        for w0 in (1.0, 2.0, 3.0):
+            for a in (0.5, 1.0, 2.0):
+                p = DetectorParams(w0)
+                vf, rr = R.field_rates(p, a, plus)
+                pairs += [(abs(vf), abs(R.atom_vf_rate(p, a, plus))),
+                          (abs(rr), abs(R.atom_rr_rate(p, a)))]
+        return worst(pairs), 1e-4
+
+    def derivative_coupling_invariance():
+        p = DetectorParams(1.0)
+        base, *reps = (R.derivative_coupling_rates(p, 1.0, plus, n) for n in (0, 1, 2))
+        return worst([(rep.vf, base.vf) for rep in reps]
+                     + [(rep.rr, base.rr) for rep in reps]), 1e-3
+
+    def kernel_acceleration_shape():
+        # figure 2, signed g(1, 0) over alpha: the steps at which it does not
+        # rise at T = 0, plus 1 if it never falls at beta = 1
+        alphas = np.linspace(0.1, 5.0, 40)
+        cold, warm = (np.diff(K.g_thermal_accelerated(1.0, 0.0, b, alphas).value.real)
+                      for b in (math.inf, 1.0))
+        return float(np.sum(cold <= 0.0) + (not np.any(warm < 0.0))), 0.0
+
+    def coarse_graining_boundary():
+        # how many of: ratio 2 v tau_c, and validity (v tau_c)^2 < 0.01 on
+        # either side of v tau_c = 0.1, are wrong
+        wrong = [F.coarse_graining_diagnostic(0.01, 1.0) != 2.0 * 0.01 * 1.0,
+                 not F.coarse_graining_valid(0.0999, 1.0),
+                 F.coarse_graining_valid(0.1001, 1.0)]
+        return float(sum(wrong)), 0.0
 
     return [(check.__name__, check) for check in (
         lattice_sum, accelerated_image_sum, inertial_finite_v, unruh_correspondence,
         master_oracle, steady_fixed_point, planck_bracket_identity,
         energy_decomposition, fermion_limits, planck_response, response_energy_rate,
+        inertial_silence, inertial_silence_decay, master_conservation,
+        steady_state_approach, detailed_balance, high_temperature_regime,
+        equal_filling, low_temperature_regime, fermion_zero_temperature,
+        fermion_conservation, ground_state_absorption, energy_balance,
+        derivative_coupling_invariance, kernel_acceleration_shape,
+        coarse_graining_boundary,
     )]
 
 

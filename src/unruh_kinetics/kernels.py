@@ -183,6 +183,14 @@ def _check_image_sum(u, alpha) -> None:
     check_positive_finite(alpha, "alpha (2 pi / beta of a thermal sum)")
 
 
+def _check_u(u) -> None:
+    """Refuse u = NaN (DomainError) and u = 0 (SingularInput), at every
+    element of an array."""
+    require_all(u == u, u, "u must not be NaN")
+    if np.any(u == 0.0):
+        raise SingularInput("u = 0 is singular")
+
+
 def _truncated(terms, tail) -> complex:
     """S_N of `_image_sums`, checked against S_{N/2} and its rounding floor.
 
@@ -217,8 +225,12 @@ def image_sum_inverse_power(m: int, z: complex, alpha: float) -> complex:
     Obtained by repeated differentiation of the m = 2 lattice identity
     S_2(z) = (alpha/2)^2 csch^2(alpha z / 2) via S_{m+1} = -S_m' / m, in
     u = (h csch(h z))^2 and v = h coth(h z), h = alpha/2: no power of h is
-    formed on its own, where it may underflow.  z may be an array.
+    formed on its own, where it may underflow.  z may be an array; z = 0 is
+    singular.
     """
+    check_positive_finite(alpha, "alpha")
+    if np.any(z == 0):
+        raise SingularInput("z = 0 is singular")
     return _inverse_power(m, *_inverse_power_uv(z, alpha))
 
 
@@ -298,8 +310,7 @@ def wightman_vacuum_accelerated(u, alpha) -> KernelValue:
     """
     u, alpha = np.float64(u), np.float64(alpha)
     check_positive_finite(alpha, "alpha")
-    if np.any(u == 0.0):
-        raise SingularInput("u = 0 is singular")
+    _check_u(u)
     with np.errstate(all="ignore"):  # see _vacuum_csch2; ln h is -inf at h = 0
         h = alpha / 2.0
         w = _vacuum_csch2(h * u + 0j, u, h, np.log(h))
@@ -313,8 +324,7 @@ def wightman_vacuum_accelerated_sum(u: float, alpha: float) -> KernelValue:
     _inverse_power_series, at eps = 0 and checked by _truncated.
     """
     _check_image_sum(u, alpha)
-    if u == 0.0:
-        raise SingularInput("u = 0 is singular")
+    _check_u(u)
     s = _truncated(*_inverse_power_series(2, u, alpha))
     return KernelValue(-(1.0 / _FOUR_PI_SQ) * s)
 
@@ -325,11 +335,10 @@ def wightman_vacuum_accelerated_sum(u: float, alpha: float) -> KernelValue:
 
 def _check_inertial(u, beta, v=0.0) -> None:
     """Refuse a speed v outside [0, 1), a beta that is not positive and
-    finite, and u = 0, at every element of an array."""
+    finite, and a u that `_check_u` refuses, at every element of an array."""
     require_all((v >= 0.0) & (v < 1.0), v, "speed must satisfy 0 <= v < 1")
     check_positive_finite(beta, "beta")
-    if np.any(u == 0.0):
-        raise SingularInput("u = 0 is singular")
+    _check_u(u)
 
 
 def thermal_image_closed(u, beta) -> complex:

@@ -77,6 +77,7 @@ def inertial_silence_oracle(
     from .numerics import damped_line_integral
 
     check_positive_finite(deltaE, "deltaE")
+    check_positive_finite(eps, "eps")
     return -damped_line_integral(deltaE, -eps, eps, u_max) / _FOUR_PI_SQ
 
 

@@ -358,7 +358,7 @@ def test_vf_rr_split_at_a_non_symmetric_ordering_is_refused(capsys, args, messag
 def test_numeric_rates_on_an_inertial_trajectory_are_refused(capsys, args):
     code, out, err = run(capsys, *args, "--trajectory.alpha", "0")
     assert (code, out) == (1, "")
-    assert err.splitlines() == ["error: alpha must be positive, got 0.0"]
+    assert err.splitlines() == ["error: alpha must be positive and finite, got 0.0"]
 
 
 @pytest.mark.parametrize(
@@ -1211,7 +1211,7 @@ def test_verify_passes_at_every_level_splitting(capsys, omega0):
     code, out, err = run(capsys, "verify", "--detector.omega0", omega0)
     report = json.loads(out)
     assert code == 0 and err == ""
-    assert report["passed"] == report["total"] == 11
+    assert report["passed"] == report["total"] == 26
 
 
 @pytest.mark.parametrize(
@@ -1225,7 +1225,7 @@ def test_verify_reports_a_check_that_overflows(capsys, field, value):
     code, out, err = run(capsys, "verify", f"--{field}", value)
     assert code == 2 and err == ""
     report = json.loads(out)
-    assert (report["passed"], report["total"]) == (10, 11)
+    assert (report["passed"], report["total"]) == (25, 26)
     [failed] = [c for c in report["checks"] if c["status"] != "pass"]
     assert failed["check"] == "energy_decomposition"
     assert failed["status"] == "nonconvergence"

@@ -30,6 +30,32 @@ def test_accelerated_vacuum_singular_input():
         K.wightman_vacuum_accelerated_sum(0.0, 1.0)
 
 
+_NAN = "u must not be NaN, got nan"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: K.wightman_vacuum_accelerated(math.nan, 1.0), DomainError, _NAN),
+    (lambda: K.wightman_vacuum_accelerated_sum(math.nan, 1.0), DomainError, _NAN),
+    (lambda: K.thermal_image_closed(math.nan, 1.0), DomainError, _NAN),
+    (lambda: K.thermal_image_closed(np.array([1.0, math.nan]), 1.0), DomainError, _NAN),
+    (lambda: K.thermal_image_sum(math.nan, 1.0), DomainError, _NAN),
+    (lambda: K.g_thermal_inertial(math.nan, 1.0, 0.5), DomainError, _NAN),
+    (lambda: K.g_thermal_inertial_sum(math.nan, 1.0, 0.5), DomainError, _NAN),
+    (lambda: K.image_sum_inverse_power(2, 0.0, 1.0), SingularInput, "z = 0 is singular"),
+    (lambda: K.image_sum_inverse_power(3, np.array([1.0, 0j]), 1.0), SingularInput,
+     "z = 0 is singular"),
+], ids=["vacuum", "vacuum_sum", "thermal", "thermal_array", "thermal_sum", "inertial",
+        "inertial_sum", "image_sum", "image_sum_array"])
+def test_out_of_model_input_is_refused_without_a_warning(call, error, message):
+    # u = NaN returned nan + 0j (the sums raised NonConvergence); z = 0 raised
+    # a bare ZeroDivisionError, and gave nan + nanj in an array.  The
+    # positivity rules are rows of test_core.py's positivity table.
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and str(exc.value) == message
+
+
 def test_accelerated_vacuum_refuses_an_infinite_alpha():
     # alpha = +inf returned nan + nanj
     for alpha in (math.inf, np.array([1.0, math.inf])):
@@ -73,8 +99,8 @@ def test_lattice_sum_nonconvergence_on_impossible_tolerance(monkeypatch):
 
 
 def test_oracles_refuse_a_nan_sum_and_a_bad_beta():
-    with pytest.raises(NonConvergence):
-        K.wightman_vacuum_accelerated_sum(math.nan, 1.0)
+    with pytest.raises(NonConvergence, match="differs by nan"):  # u^-2 = inf
+        K.wightman_vacuum_accelerated_sum(1e-200, 1.0)
     # beta = 0 divided by zero, and beta < 0 returned a value; the closed
     # form gave nan + nanj at beta = 0, inf and nan and -0.00187 at beta = -1
     for beta in (0.0, -1.0, math.inf, math.nan):

@@ -84,18 +84,6 @@ def test_unruh_temperature():
     assert RS.unruh_temperature(0.0) == 0.0  # the inertial worldline
 
 
-def test_inertial_silence_oracle_decays():
-    vals = [abs(RS.inertial_silence_oracle(1.0, 1e-3 / 2**k)) for k in range(4)]
-    assert vals[0] < 1e-2
-    assert all(b < a for a, b in zip(vals, vals[1:]))
-
-
-def test_planck_oracle_matches_closed_form():
-    oracle = RS.planck_response_oracle(1.0, 2.0)
-    closed = RS.response_accelerated(1.0, 2.0).rate
-    assert abs(oracle - closed) / closed < 1e-4
-
-
 @pytest.mark.parametrize("de, alpha", [(1.0, 1.0), (0.5, 3.0), (2.0, 0.5)])
 def test_planck_oracle_where_the_image_sum_oracle_failed(de, alpha):
     # the old image-sum oracle was off by 1.7e-3, 2.2e-4 and 7.2e4 here
