@@ -571,9 +571,14 @@ def _verify_checks(config: dict):
     # (omega0, beta) of the steady-state and detailed-balance records
     balanced = [(0.5, 1.0), (1.0, 2.0), (2.0, 0.5)]
 
+    def largest(errors):
+        """The largest of errors, NaN if any is NaN: Python's max keeps
+        whichever of x and NaN comes first, so it can pass a NaN by."""
+        return float(np.max(list(errors)))
+
     def worst(pairs):
         """The largest relative error |value - ref| / |ref| of the pairs."""
-        return max(abs(value - ref) / abs(ref) for value, ref in pairs)
+        return largest(abs(value - ref) / abs(ref) for value, ref in pairs)
 
     def lattice_sum():
         # u / beta <= 2: beyond it the sum is exponentially small against its
@@ -613,12 +618,7 @@ def _verify_checks(config: dict):
         return runs
 
     def master_oracle():
-        return max(float(np.max(abs(num - ref))) for num, ref in relaxations()), 1e-8
-
-    def master_conservation():
-        # sigma_minus = 1 - sigma_plus
-        return max(float(np.max(abs(num + (1.0 - num) - 1.0)))
-                   for num, _ in relaxations()), 1e-12
+        return largest(np.max(abs(num - ref)) for num, ref in relaxations()), 1e-8
 
     def steady_fixed_point():
         d_plus, _ = M.rate_rhs(M.steady_state(1.0, 1.0), 1.0, 1.0)
@@ -631,7 +631,7 @@ def _verify_checks(config: dict):
 
     def energy_decomposition():
         reps = [R.atom_total_rate(p, a, plus) for p, a in [(detector, 1.0), *fixed]]
-        return max(abs(rep.vf + rep.rr - rep.total) for rep in reps), 1e-12
+        return largest(abs(rep.vf + rep.rr - rep.total) for rep in reps), 1e-12
 
     @functools.cache
     def baths():
@@ -644,7 +644,7 @@ def _verify_checks(config: dict):
                 for w0 in (detector.omega0, 1.0)]
 
     def fermion_limits():
-        return max(abs(hot.T_F / hot.C - 0.5) / 0.5 for _, hot in baths()), 1e-4
+        return largest(abs(hot.T_F / hot.C - 0.5) / 0.5 for _, hot in baths()), 1e-4
 
     def planck_response():
         pair = (RS.planck_response_oracle(1.0, 2.0),
@@ -668,21 +668,22 @@ def _verify_checks(config: dict):
         return silence()[0], 1e-2
 
     def inertial_silence_decay():
-        # the steps of the eps ladder at which |F| does not fall
+        # the steps of the eps ladder at which |F| does not fall (a NaN
+        # does not)
         values = silence()
-        return float(sum(b >= a for a, b in zip(values, values[1:]))), 0.0
+        return float(sum(not b < a for a, b in zip(values, values[1:]))), 0.0
 
     def steady_state_approach():
         # RK4 from the excited state over ~50 relaxation times
         errors = [abs(M.evolve(M.PopulationState(1.0, 0.0), w0, b, 400.0 / w0,
                                samples=2).sigma_plus[-1]
                       - M.steady_state(w0, b).sigma_plus) for w0, b in balanced]
-        return max(errors), 1e-6
+        return largest(errors), 1e-6
 
     def detailed_balance():
         errors = [abs(st.sigma_plus / st.sigma_minus - M.detailed_balance_ratio(w0, b))
                   for w0, b in balanced for st in [M.steady_state(w0, b)]]
-        return max(errors), 1e-10
+        return largest(errors), 1e-10
 
     def high_temperature_regime():
         # figure 1 at omega0 beta = 0.01: RK4 onto the steady state, which is
@@ -700,11 +701,11 @@ def _verify_checks(config: dict):
         return float(final.sigma_plus[-1]), 1e-2
 
     def fermion_zero_temperature():
-        return max(cold.T_F for cold, _ in baths()), 0.0
+        return largest(cold.T_F for cold, _ in baths()), 0.0
 
     def fermion_conservation():
-        return max(abs(sum(F.fermion_population_rhs((0.3, 0.7), cold)))
-                   for cold, _ in baths()), 0.0
+        return largest(abs(sum(F.fermion_population_rhs((0.3, 0.7), cold)))
+                       for cold, _ in baths()), 0.0
 
     def ground_state_absorption():
         # the ground state absorbs at the Planck rate, total = mu^2 omega0 F / 4
@@ -715,7 +716,7 @@ def _verify_checks(config: dict):
             want = p.mu**2 * p.omega0 * RS.response_accelerated(p.omega0, a).rate / 4.0
             scale = p.omega0**2 * p.mu**2 / (16.0 * math.pi)
             errors.append(abs(R.atom_total_rate(p, a, minus).total - want) / scale)
-        return max(errors), 1e-15
+        return largest(errors), 1e-15
 
     def energy_balance():
         # the field side's numeric VF and RR against the atom side's closed forms
@@ -736,11 +737,11 @@ def _verify_checks(config: dict):
 
     def kernel_acceleration_shape():
         # figure 2, signed g(1, 0) over alpha: the steps at which it does not
-        # rise at T = 0, plus 1 if it never falls at beta = 1
+        # rise at T = 0 (a NaN does not), plus 1 if it never falls at beta = 1
         alphas = np.linspace(0.1, 5.0, 40)
         cold, warm = (np.diff(K.g_thermal_accelerated(1.0, 0.0, b, alphas).value.real)
                       for b in (math.inf, 1.0))
-        return float(np.sum(cold <= 0.0) + (not np.any(warm < 0.0))), 0.0
+        return float(np.sum(~(cold > 0.0)) + (not np.any(warm < 0.0))), 0.0
 
     def coarse_graining_boundary():
         # how many of: ratio 2 v tau_c, and validity (v tau_c)^2 < 0.01 on
@@ -754,8 +755,7 @@ def _verify_checks(config: dict):
         lattice_sum, accelerated_image_sum, inertial_finite_v, unruh_correspondence,
         master_oracle, steady_fixed_point, planck_bracket_identity,
         energy_decomposition, fermion_limits, planck_response, response_energy_rate,
-        inertial_silence, inertial_silence_decay, master_conservation,
-        steady_state_approach, detailed_balance, high_temperature_regime,
+        inertial_silence, inertial_silence_decay, steady_state_approach, detailed_balance, high_temperature_regime,
         equal_filling, low_temperature_regime, fermion_zero_temperature,
         fermion_conservation, ground_state_absorption, energy_balance,
         derivative_coupling_invariance, kernel_acceleration_shape,

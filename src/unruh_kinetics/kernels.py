@@ -183,12 +183,12 @@ def _check_image_sum(u, alpha) -> None:
     check_positive_finite(alpha, "alpha (2 pi / beta of a thermal sum)")
 
 
-def _check_u(u) -> None:
-    """Refuse u = NaN (DomainError) and u = 0 (SingularInput), at every
-    element of an array."""
-    require_all(u == u, u, "u must not be NaN")
+def _check_u(u, name="u") -> None:
+    """Refuse a NaN (DomainError) and 0 (SingularInput) as the argument
+    `name`, at every element of an array."""
+    require_all(u == u, u, f"{name} must not be NaN")
     if np.any(u == 0.0):
-        raise SingularInput("u = 0 is singular")
+        raise SingularInput(f"{name} = 0 is singular")
 
 
 def _truncated(terms, tail) -> complex:
@@ -229,8 +229,7 @@ def image_sum_inverse_power(m: int, z: complex, alpha: float) -> complex:
     singular.
     """
     check_positive_finite(alpha, "alpha")
-    if np.any(z == 0):
-        raise SingularInput("z = 0 is singular")
+    _check_u(z, "z")
     return _inverse_power(m, *_inverse_power_uv(z, alpha))
 
 

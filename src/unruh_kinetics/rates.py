@@ -29,8 +29,8 @@ import os
 from dataclasses import dataclass
 
 from .core import (_EPS, _TINY, AtomState, DetectorParams, DomainError, NonConvergence,
-                   OrderingParam, _all, check_alpha, check_positive, check_positive_finite,
-                   math_or_numpy, planck, plain)
+                   OrderingParam, _all, check_alpha, check_positive, math_or_numpy,
+                   planck, plain)
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
@@ -282,7 +282,7 @@ def _line_integral(m: int, omega0: float, alpha: float) -> tuple[complex, float]
 def _numeric_split(params: DetectorParams, alpha: float, atom: AtomState, m: int, c):
     """`_split` with a = c(1 - e^{-x}), b = c e^{-x}, x = 2 pi omega0/alpha: c(J)
     ~ 1 + nbar is the source's dimensionless rate, its scale w^(1-m) a term."""
-    check_positive_finite(alpha, "alpha")
+    check_positive(alpha, "alpha")
     j, w = _line_integral(m, params.omega0, alpha)
     x = 2.0 * math.pi * (params.omega0 / alpha)
     terms = ((c(j), 1), (w, 1 - m))

@@ -45,11 +45,14 @@ _NAN = "u must not be NaN, got nan"
     (lambda: K.image_sum_inverse_power(2, 0.0, 1.0), SingularInput, "z = 0 is singular"),
     (lambda: K.image_sum_inverse_power(3, np.array([1.0, 0j]), 1.0), SingularInput,
      "z = 0 is singular"),
+    (lambda: K.image_sum_inverse_power(2, math.nan, 1.0), DomainError,
+     "z must not be NaN, got nan"),
 ], ids=["vacuum", "vacuum_sum", "thermal", "thermal_array", "thermal_sum", "inertial",
-        "inertial_sum", "image_sum", "image_sum_array"])
+        "inertial_sum", "image_sum", "image_sum_array", "image_sum_nan"])
 def test_out_of_model_input_is_refused_without_a_warning(call, error, message):
     # u = NaN returned nan + 0j (the sums raised NonConvergence); z = 0 raised
-    # a bare ZeroDivisionError, and gave nan + nanj in an array.  The
+    # a bare ZeroDivisionError, and gave nan + nanj in an array; z = NaN
+    # returned nan.  The
     # positivity rules are rows of test_core.py's positivity table.
     with pytest.raises(error) as exc:
         call()
