@@ -11,6 +11,8 @@ Run:  python3 demos/population_relaxation.py
 
 import math
 
+import numpy as np
+
 from unruh_kinetics import (
     PopulationState,
     closed_form,
@@ -24,16 +26,17 @@ def show(title, omega0, beta, init_sp, tau_end):
     print(f"\n=== {title} (omega0={omega0}, beta={beta}) ===")
     init = PopulationState(init_sp, 1.0 - init_sp)
     traj = evolve(init, omega0, beta, tau_end)
+    taus, sigma_plus = np.asarray(traj.taus), np.asarray(traj.sigma_plus)
     target = steady_state(omega0, beta)
     print(f"steady state: sigma+ = {target.sigma_plus:.6f}, "
           f"sigma- = {target.sigma_minus:.6f}")
     print(f"detailed balance e^(-omega0 beta) = "
           f"{detailed_balance_ratio(omega0, beta):.6f}")
     print(f"{'tau':>8} {'sigma+':>10} {'sigma-':>10} {'closed-form defect':>20}")
-    defect = abs(traj.sigma_plus - closed_form(init, omega0, beta, traj.taus).sigma_plus)
-    n = len(traj.taus)
+    defect = abs(sigma_plus - closed_form(init, omega0, beta, taus).sigma_plus)
+    n = len(taus)
     for i in range(0, n, max(1, n // 8)):
-        tau, sp = float(traj.taus[i]), float(traj.sigma_plus[i])
+        tau, sp = float(taus[i]), float(sigma_plus[i])
         print(f"{tau:8.2f} {sp:10.6f} {1.0 - sp:10.6f} {defect[i]:20.2e}")
     print(f"largest |RK4 - closed form| along the run: {defect.max():.2e}")
 

@@ -4,9 +4,10 @@ One JSON config document drives every subcommand; any field can be overridden
 on the command line by its dotted name (e.g. --detector.omega0 2.0).  Output
 is deterministic CSV or JSON.  Every float cell of a CSV table is exactly
 CPython's "%.11e" of it (12 significant digits).  A table of Python floats,
-one row or a small linear grid, is formatted cell by cell; for a larger one
-numpy computes the digits, and CPython formats the cells near a rounding tie,
-the non-finite ones and those of magnitude below 1e-99 or from 1e99 on.
+one row, a small linear grid or a small trajectory, is formatted cell by
+cell; for a larger one numpy computes the digits, and CPython formats the
+cells near a rounding tie, the non-finite ones and those of magnitude below
+1e-99 or from 1e99 on.
 
 Exit codes: 0 success, 1 domain or usage error, 2 numeric non-convergence
 (a NaN or inf in the output table or a float overflow included), 3 I/O error.
@@ -22,8 +23,10 @@ import sys
 
 # numpy and the modules of the physics are imported in the commands that run
 # them, so that a process loads only what its command needs: steady, fermion,
-# the closed-form rates and a small linear grid never import numpy.
+# the closed-form rates, a small linear grid and a small populations
+# trajectory (core.SMALL_GRID) never import numpy.
 from .core import (
+    SMALL_GRID,
     AtomState,
     DetectorParams,
     DomainError,
@@ -96,11 +99,6 @@ _INT_RANGES = {
     "populations.samples": (1, MAX_COUNT),
     "rates.n": (0, 2),
 }
-# A linear grid of at most SMALL_GRID points is a list of Python floats,
-# which response and sweep evaluate point by point with math, in less time
-# than numpy takes to import: the closed-form rates, the slowest at ~25 us a
-# point, break even near 3000 points.
-SMALL_GRID = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +358,6 @@ def cmd_kernel(config: dict) -> Table:
 
 
 def cmd_populations(config: dict) -> Table:
-    import numpy as np
-
     from . import master as M
 
     detector, beta, _ = validate(config)
@@ -370,15 +366,19 @@ def cmd_populations(config: dict) -> Table:
     w0 = detector.omega0
     traj = M.evolve(init, w0, beta, config["populations.tau_end"],
                     samples=config["populations.samples"])
-    num = traj.sigma_plus
-    ref = M.closed_form(init, w0, beta, traj.taus)
-    table = np.column_stack([
-        traj.taus, num, ref.sigma_plus, 1.0 - num, ref.sigma_minus,
-        np.abs(num - ref.sigma_plus),
-    ])
+
+    def row(tau, num):  # of a Python float, or of the arrays of the trajectory
+        ref = M.closed_form(init, w0, beta, tau)
+        return [tau, num, ref.sigma_plus, 1.0 - num, ref.sigma_minus,
+                abs(num - ref.sigma_plus)]
+
     header = ["tau", "sigma_plus_numeric", "sigma_plus_closed", "sigma_minus_numeric",
               "sigma_minus_closed", "defect"]
-    return header, table
+    if isinstance(traj.taus, list):
+        return header, [row(tau, num) for tau, num in zip(traj.taus, traj.sigma_plus)]
+    import numpy as np
+
+    return header, np.column_stack(row(traj.taus, traj.sigma_plus))
 
 
 def cmd_steady(config: dict) -> Table:
@@ -613,8 +613,8 @@ def _verify_checks(config: dict):
                 for sp in (0.0, 0.25, 0.5, 0.75, 1.0):
                     init = M.PopulationState(sp, 1.0 - sp)
                     traj = M.evolve(init, w0, b, 25.0)
-                    ref = M.closed_form(init, w0, b, traj.taus)
-                    runs.append((traj.sigma_plus, ref.sigma_plus))
+                    ref = M.closed_form(init, w0, b, np.asarray(traj.taus))
+                    runs.append((np.asarray(traj.sigma_plus), ref.sigma_plus))
         return runs
 
     def master_oracle():

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 # numpy is imported only for an array (or a numpy scalar) and by a failing
 # check: math evaluates Python floats and ints, so steady, fermion and the
-# small tables of rates, response and sweep run without it.
+# small tables of rates, response, sweep and populations run without it.
 
 _TINY = sys.float_info.min  # the smallest normal double
 _EPS = sys.float_info.epsilon  # 2^-52, the spacing of the doubles at 1
@@ -54,7 +54,7 @@ class _FloatMath:
     and fmax where no argument is NaN."""
 
     maximum, minimum, fmax, float64 = max, min, max, float
-    frexp, ldexp, isfinite = math.frexp, math.ldexp, math.isfinite
+    frexp, ldexp, isfinite, log1p = math.frexp, math.ldexp, math.isfinite, math.log1p
     exp, sinh = _inf_on_overflow(math.exp), _inf_on_overflow(math.sinh)
     errstate = staticmethod(lambda **_: nullcontext())
 
@@ -91,6 +91,14 @@ def fermi(x):
     xp = math_or_numpy(x)
     with xp.errstate(over="ignore"):
         return 1.0 / (1.0 + xp.exp(x))
+
+
+# A table of at most SMALL_GRID rows is computed in Python floats, row by
+# row with math, in less time than numpy takes to import (~0.1 s): a linear
+# grid of response or sweep (`cli._grid`) and a populations trajectory
+# (`master.evolve`).  The slowest rows, the closed-form rates' at ~25 us
+# each, break even near 4000; a populations row takes ~10 us.
+SMALL_GRID = 1000
 
 
 def linspace(start: float, stop: float, count: int) -> list[float]:

@@ -183,10 +183,16 @@ def _check_image_sum(u, alpha) -> None:
     check_positive_finite(alpha, "alpha (2 pi / beta of a thermal sum)")
 
 
+def _check_not_nan(u, name: str) -> None:
+    """Refuse a NaN as the argument `name` (DomainError), at every element of
+    an array."""
+    require_all(u == u, u, f"{name} must not be NaN")
+
+
 def _check_u(u, name="u") -> None:
     """Refuse a NaN (DomainError) and 0 (SingularInput) as the argument
     `name`, at every element of an array."""
-    require_all(u == u, u, f"{name} must not be NaN")
+    _check_not_nan(u, name)
     if np.any(u == 0.0):
         raise SingularInput(f"{name} = 0 is singular")
 
@@ -479,9 +485,12 @@ def g_thermal_accelerated(tau1, tau2, beta, alpha) -> KernelValue:
     F and exponential of them has saturated.
     """
     tau1, tau2, beta, alpha = map(np.float64, (tau1, tau2, beta, alpha))
+    _check_not_nan(alpha, "alpha")
     require_all((alpha >= 0.0) & (alpha <= ARG_MAX), alpha,
                 f"alpha must lie in [0, {ARG_MAX:g}]")
     check_beta(beta)
+    _check_not_nan(tau1, "tau1")
+    _check_not_nan(tau2, "tau2")
     t_max = np.maximum(abs(tau1), abs(tau2))
     require_all(t_max <= ARG_MAX, t_max, f"|tau1| and |tau2| must be <= {ARG_MAX:g}")
     s = tau1 + tau2

@@ -12,8 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import (DomainError, check_beta, check_populations, check_positive, fermi,
-                   math_or_numpy, planck, plain, require_all)
+from .core import (SMALL_GRID, DomainError, _FloatMath, check_beta, check_populations,
+                   check_positive, fermi, linspace, math_or_numpy, planck, plain,
+                   require_all)
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
@@ -52,10 +53,11 @@ class PopulationState:
 @dataclass(frozen=True, eq=False)
 class PopulationTrajectory:
     """sigma_plus (and sigma_minus = 1 - sigma_plus) at the strictly
-    increasing proper times taus: two float arrays of one length."""
+    increasing proper times taus: two lists of Python floats of one length,
+    or two float arrays past SMALL_GRID samples (see evolve)."""
 
-    taus: np.ndarray
-    sigma_plus: np.ndarray
+    taus: list[float] | np.ndarray
+    sigma_plus: list[float] | np.ndarray
 
 
 def _check_params(omega0: float, beta: float) -> None:
@@ -64,22 +66,13 @@ def _check_params(omega0: float, beta: float) -> None:
     check_beta(beta)
 
 
-def _planck_product(x: float) -> float:
-    """P = a b of `core.planck` at x, evaluated by numpy for a Python float
-    too: the populations tables print rounding-level defects, which math's
-    last bits would move."""
-    import numpy as np
-
-    a, b = planck(np.float64(x))
-    return float(a * b)
-
-
 def relaxation_rate(omega0: float, beta: float) -> float:
     """Gamma = (omega0 / 8 pi) coth(omega0 beta / 2) = (omega0 + 2 P / beta) / 8 pi,
     P = a b of `core.planck` at x = omega0 beta: 1 / (4 pi beta) where x
     underflows, omega0 / 8 pi at beta = +inf."""
     _check_params(omega0, beta)
-    return (omega0 + 2.0 * (_planck_product(omega0 * beta) / beta)) / (8.0 * math.pi)
+    a, b = planck(omega0 * beta)
+    return (omega0 + 2.0 * (a * b / beta)) / (8.0 * math.pi)
 
 
 def rate_rhs(
@@ -94,8 +87,8 @@ def rate_rhs(
     of `core.planck` at x = omega0 beta, finite where x underflows.
     """
     _check_params(omega0, beta)
-    p, gap = _planck_product(omega0 * beta), state.sigma_plus - state.sigma_minus
-    d_plus = -(omega0 * state.sigma_plus + p * (gap / beta)) / (8.0 * math.pi)
+    (a, b), gap = planck(omega0 * beta), state.sigma_plus - state.sigma_minus
+    d_plus = -(omega0 * state.sigma_plus + a * b * (gap / beta)) / (8.0 * math.pi)
     return d_plus, -d_plus
 
 
@@ -117,17 +110,19 @@ def closed_form(
     init: PopulationState, omega0: float, beta: float, tau
 ) -> PopulationState:
     """Exact populations: exponential relaxation onto the Fermi-Dirac pair.
-    tau may be an array; at tau = 0 the populations are init's own."""
-    import numpy as np
-
+    tau may be an array; at tau = 0 the populations are init's own.  A Python
+    float or int tau is evaluated with math, anything else with numpy."""
     _check_params(omega0, beta)
     require_all(tau >= 0, tau, "tau must be non-negative")
+    xp = math_or_numpy(tau)
     sp_inf = steady_state(omega0, beta).sigma_plus
-    with np.errstate(over="ignore"):  # Gamma tau = inf decays to 0
-        decay = np.exp(-relaxation_rate(omega0, beta) * tau)
+    with xp.errstate(over="ignore"):  # Gamma tau = inf decays to 0
+        decay = xp.exp(-relaxation_rate(omega0, beta) * tau)
     sp = sp_inf + (init.sigma_plus - sp_inf) * decay
+    if xp is _FloatMath:
+        return init if tau == 0 else PopulationState(sp, 1.0 - sp)
     at_0 = tau == 0
-    sp, sm = np.where(at_0, init.sigma_plus, sp), np.where(at_0, init.sigma_minus, 1.0 - sp)
+    sp, sm = xp.where(at_0, init.sigma_plus, sp), xp.where(at_0, init.sigma_minus, 1.0 - sp)
     return PopulationState(plain(sp[()]), plain(sm[()]))
 
 
@@ -155,12 +150,12 @@ def evolve(
 
     Only steps round(linspace(0, steps, samples)) are evaluated (duplicates
     dropped), so the cost scales with ``samples``, not with ``steps``;
-    ``samples=None`` is samples = steps + 1, every step 0..steps.
+    ``samples=None`` is samples = steps + 1, every step 0..steps.  At most
+    SMALL_GRID samples are evaluated point by point with math and returned
+    as lists of Python floats, more with numpy as arrays.
 
     Conservation holds by construction: sigma_minus = 1 - sigma_plus.
     """
-    import numpy as np
-
     _check_params(omega0, beta)
     if not (math.isfinite(tau_end) and tau_end >= 0):
         raise DomainError(
@@ -169,7 +164,7 @@ def evolve(
     if samples is not None and samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
     if tau_end == 0:
-        return PopulationTrajectory(np.zeros(1), np.array([init.sigma_plus], dtype=float))
+        return PopulationTrajectory([0.0], [init.sigma_plus])
 
     gamma = relaxation_rate(omega0, beta)
     sp_inf = steady_state(omega0, beta).sigma_plus
@@ -179,15 +174,28 @@ def evolve(
     steps = max(1, math.ceil(need))
 
     h = tau_end / steps
-    k = np.linspace(0, steps, steps + 1 if samples is None else samples).round()
-    # k is nondecreasing, so a repeat follows its first copy; np.unique would
-    # sort it again and import numpy.ma on its first call
-    k = k[np.append(True, k[1:] != k[:-1])]
     z = gamma * h
     # R(z)^k as exp(k log1p(R(z) - 1)): rounding R(z) itself to a double
     # would put a relative error ~k * 1e-16 on R(z)^k.
     r_minus_1 = z * (-1.0 + z * (0.5 + z * (-1.0 / 6.0 + z / 24.0)))
-    growth = np.exp(k * np.log1p(r_minus_1))
-    sigma_plus = sp_inf + (init.sigma_plus - sp_inf) * growth
+
+    def at(k):
+        """sigma_plus at step k, an int or an array of them."""
+        xp = math_or_numpy(k)
+        return sp_inf + (init.sigma_plus - sp_inf) * xp.exp(k * xp.log1p(r_minus_1))
+
+    # k is nondecreasing, so a repeat follows its first copy; np.unique would
+    # sort it again and import numpy.ma on its first call
+    count = steps + 1 if samples is None else samples
+    if count <= SMALL_GRID:
+        k = [round(i) for i in linspace(0.0, float(steps), count)]
+        k = k[:1] + [j for i, j in zip(k, k[1:]) if j != i]
+        taus, sigma_plus = [i * h for i in k], [at(i) for i in k]
+    else:
+        import numpy as np
+
+        k = np.linspace(0, steps, count).round()
+        k = k[np.append(True, k[1:] != k[:-1])]
+        taus, sigma_plus = k * h, at(k)
     sigma_plus[0] = init.sigma_plus
-    return PopulationTrajectory(k * h, sigma_plus)
+    return PopulationTrajectory(taus, sigma_plus)

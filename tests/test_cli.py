@@ -1038,7 +1038,10 @@ def numpy_imports():
 # integrates
 @pytest.mark.parametrize("argv, modules, numpy, integrates", [
     (["kernel"], {"cli", "core", "kernels"} | _TABLE, True, False),
-    (["populations"], _STEADY_MODULES | _TABLE, True, False),
+    (["populations"], _STEADY_MODULES, False, False),
+    # one sample past a small trajectory: arrays, and the vectorised formatter
+    (["populations", "--populations.samples", str(cli.SMALL_GRID + 1)],
+     _STEADY_MODULES | _TABLE, True, False),
     (["steady"], _STEADY_MODULES, False, False),
     (["rates"], {"cli", "core", "rates"}, False, False),
     (["rates", "--rates.numeric", "true"], _RATES_MODULES, True, True),
@@ -1096,7 +1099,8 @@ def _stdout(argv: list[str], hide_numpy: bool) -> str:
     return proc.stdout
 
 
-@pytest.mark.parametrize("command", ["steady", "fermion", "sweep", "response", "rates"])
+@pytest.mark.parametrize("command",
+                         ["steady", "fermion", "sweep", "response", "rates", "populations"])
 def test_default_commands_run_where_numpy_cannot_be_imported(command):
     assert _stdout([command], hide_numpy=True) == _stdout([command], hide_numpy=False)
 
@@ -1536,13 +1540,22 @@ def test_integer_inputs_print_as_floats(capsys):
     assert '"omega0": 2.0' in out
 
 
-def test_populations_closed_column_is_closed_form_on_the_trajectory():
+@pytest.mark.parametrize("samples", [17, cli.SMALL_GRID + 1])
+def test_populations_closed_column_is_closed_form_on_the_trajectory(samples):
     config = load_config(None, ["--populations.sigma_plus", "0.9", "--thermal.beta", "0.3",
-                                "--populations.samples", "17"])
+                                "--populations.samples", str(samples)])
     header, table = cli.cmd_populations(config)
     init = M.PopulationState(0.9, 1.0 - 0.9)
-    traj = M.evolve(init, 1.0, 0.3, config["populations.tau_end"], samples=17)
-    ref = M.closed_form(init, 1.0, 0.3, traj.taus)
+    traj = M.evolve(init, 1.0, 0.3, config["populations.tau_end"], samples=samples)
+    # a small trajectory is a list, whose rows call closed_form one tau at a time
+    assert isinstance(table, list) == isinstance(traj.taus, list) == (samples <= cli.SMALL_GRID)
+    if isinstance(traj.taus, list):
+        refs = [M.closed_form(init, 1.0, 0.3, tau) for tau in traj.taus]
+        ref = M.PopulationState(np.array([r.sigma_plus for r in refs]),
+                                np.array([r.sigma_minus for r in refs]))
+    else:
+        ref = M.closed_form(init, 1.0, 0.3, traj.taus)
+    table = np.asarray(table)
     assert header[2] == "sigma_plus_closed" and header[4] == "sigma_minus_closed"
     assert np.array_equal(table[:, 0], traj.taus)
     assert np.array_equal(table[:, 2], ref.sigma_plus)

@@ -270,12 +270,25 @@ def _coth_half(x):
     return 1 + 2 * planck_reference(x) / x
 
 
+def _closed_form_reference(beta, tau):
+    """sigma_plus at tau from the excited state at omega0 = 1: the Fermi
+    pair's 1 / (1 + e^beta) plus its complement decayed by e^{-Gamma tau}.
+    1 / (1 + e^beta) is 0 where e^beta overflows, as `core.fermi` has it."""
+    e = (-beta).exp()
+    sp_inf = e / (1 + e) if beta <= Decimal(sys.float_info.max).ln() else 0
+    gamma = _coth_half(beta) / (8 * pi())
+    return sp_inf + (1 - sp_inf) * (-gamma * tau).exp()
+
+
 # name: (closed form, its reference at Decimal arguments, relative bound)
 _PLANCK_CLOSED_FORMS = {
     "planck_bracket": (R.planck_bracket,
                        lambda w0, alpha: _coth_half(2 * pi() * w0 / alpha), 6e-16),
     "relaxation_rate": (M.relaxation_rate,
                         lambda w0, beta: w0 / (8 * pi()) * _coth_half(w0 * beta), 6e-16),
+    "closed_form": (
+        lambda beta, tau: M.closed_form(M.PopulationState(1.0, 0.0), 1.0, beta, tau).sigma_plus,
+        _closed_form_reference, 3e-13),
     "response_accelerated": (
         lambda de, alpha: RS.response_accelerated(de, alpha).rate,
         lambda de, alpha: alpha / (4 * pi() ** 2) * planck_reference(2 * pi() * de / alpha),
@@ -292,6 +305,8 @@ def test_planck_closed_forms_over_the_float_range(name, x, y):
     # x / (e^x - 1).  Measured on 48000 points: the bracket and the
     # relaxation rate are within 4.0e-16; the response carries the x 2^-53
     # conditioning of e^-x up to x ~ 1400, where it is still normal: 1.4e-13.
+    # closed_form, of Python floats, carries that of e^{-Gamma tau} up to
+    # Gamma tau ~ 708: 9.3e-14 on 50000 points.
     # A subnormal value carries 2^-1074 absolute; beyond the float range
     # the bracket is inf; no call warns
     call, reference, bound = _PLANCK_CLOSED_FORMS[name]

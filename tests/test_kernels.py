@@ -47,8 +47,16 @@ _NAN = "u must not be NaN, got nan"
      "z = 0 is singular"),
     (lambda: K.image_sum_inverse_power(2, math.nan, 1.0), DomainError,
      "z must not be NaN, got nan"),
+    # a NaN named the bound |tau| <= 1e150 or alpha in [0, 1e150]; tau = 0 is legal
+    (lambda: K.g_thermal_accelerated(math.nan, 0.0, 1.0, 1.0), DomainError,
+     "tau1 must not be NaN, got nan"),
+    (lambda: K.g_thermal_accelerated(1.0, np.array([0.0, math.nan]), 1.0, 1.0), DomainError,
+     "tau2 must not be NaN, got nan"),
+    (lambda: K.g_thermal_accelerated(1.0, 0.0, 1.0, math.nan), DomainError,
+     "alpha must not be NaN, got nan"),
 ], ids=["vacuum", "vacuum_sum", "thermal", "thermal_array", "thermal_sum", "inertial",
-        "inertial_sum", "image_sum", "image_sum_array", "image_sum_nan"])
+        "inertial_sum", "image_sum", "image_sum_array", "image_sum_nan", "accelerated_tau1",
+        "accelerated_tau2_array", "accelerated_alpha"])
 def test_out_of_model_input_is_refused_without_a_warning(call, error, message):
     # u = NaN returned nan + 0j (the sums raised NonConvergence); z = 0 raised
     # a bare ZeroDivisionError, and gave nan + nanj in an array; z = NaN

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from decimal_reference import digits
-from unruh_kinetics.core import DomainError
+from unruh_kinetics.core import SMALL_GRID, DomainError
 from unruh_kinetics import master as M
 
 
@@ -167,7 +167,8 @@ def test_closed_form_on_an_array_is_its_scalar_calls(sp, w0, beta, taus):
     init = M.PopulationState(sp, 1.0 - sp)
     got = M.closed_form(init, w0, beta, np.array(taus))
     for i, tau in enumerate(taus):
-        one = M.closed_form(init, w0, beta, tau)
+        # a numpy scalar, so that both calls evaluate with numpy
+        one = M.closed_form(init, w0, beta, np.float64(tau))
         assert type(one.sigma_plus) is float and type(one.sigma_minus) is float
         if tau == 0.0:
             assert one == init
@@ -188,8 +189,8 @@ def test_closed_form_refuses_a_negative_tau():
 def test_evolve_zero_span_returns_init():
     init = M.PopulationState(0.4, 0.6)
     traj = M.evolve(init, 1.0, 1.0, 0.0)
-    assert traj.taus.tolist() == [0.0]
-    assert traj.sigma_plus.tolist() == [init.sigma_plus]
+    assert traj.taus == [0.0]
+    assert traj.sigma_plus == [init.sigma_plus]
 
 
 def test_evolve_matches_closed_form_over_grid():
@@ -199,22 +200,22 @@ def test_evolve_matches_closed_form_over_grid():
             for sp in init_sps:
                 init = M.PopulationState(sp, 1.0 - sp)
                 traj = M.evolve(init, w0, beta, 25.0)
-                ref = M.closed_form(init, w0, beta, traj.taus)
+                ref = M.closed_form(init, w0, beta, np.asarray(traj.taus))
                 assert np.max(np.abs(traj.sigma_plus - ref.sigma_plus)) < 1e-8
 
 
 def test_evolve_conservation():
-    traj = M.evolve(M.PopulationState(0.9, 0.1), 1.0, 0.5, 50.0)
-    sigma_minus = 1.0 - traj.sigma_plus
-    assert np.max(np.abs(traj.sigma_plus + sigma_minus - 1.0)) < 1e-12
-    M.PopulationState(traj.sigma_plus, sigma_minus)  # every sample is a state
+    sigma_plus = np.asarray(M.evolve(M.PopulationState(0.9, 0.1), 1.0, 0.5, 50.0).sigma_plus)
+    sigma_minus = 1.0 - sigma_plus
+    assert np.max(np.abs(sigma_plus + sigma_minus - 1.0)) < 1e-12
+    M.PopulationState(sigma_plus, sigma_minus)  # every sample is a state
 
 
 def test_evolve_monotone_approach_to_steady_state():
     init = M.PopulationState(1.0, 0.0)
     traj = M.evolve(init, 1.0, 2.0, 40.0)
     target = M.steady_state(1.0, 2.0).sigma_plus
-    dists = np.abs(traj.sigma_plus - target)
+    dists = np.abs(np.asarray(traj.sigma_plus) - target)
     assert np.all(np.diff(dists) <= 1e-15)
 
 
@@ -306,20 +307,27 @@ def test_evolve_matches_stepwise_rk4(sp, w0, beta, tau_end):
     assert np.array_equal(traj.taus, np.arange(n + 1) * h)
 
 
-@pytest.mark.parametrize("samples", [1, 2, 7, 101, 5000])
-def test_evolve_samples_are_rows_of_full_trajectory(samples):
+# tau_end = 60 takes 730 steps and 120 takes 1460: the full trajectory and
+# its samples lie on the same side of SMALL_GRID, lists or arrays, and 1000
+# and 5000 samples repeat steps, which each side drops
+@pytest.mark.parametrize("samples, tau_end", [
+    (1, 60.0), (2, 60.0), (7, 60.0), (101, 60.0), (1000, 60.0), (5000, 120.0),
+])
+def test_evolve_samples_are_rows_of_full_trajectory(samples, tau_end):
     init = M.PopulationState(0.8, 0.2)
-    full = M.evolve(init, 1.3, 0.7, 60.0)
-    part = M.evolve(init, 1.3, 0.7, 60.0, samples=samples)
+    full = M.evolve(init, 1.3, 0.7, tau_end)
+    part = M.evolve(init, 1.3, 0.7, tau_end, samples=samples)
     steps = len(full.taus) - 1
+    assert (steps + 1 <= SMALL_GRID) == (samples <= SMALL_GRID)
+    assert type(part.sigma_plus) is type(full.sigma_plus)
     idx = np.unique(np.linspace(0, steps, samples).round().astype(int))
-    assert np.array_equal(part.taus, full.taus[idx])
-    assert np.array_equal(part.sigma_plus, full.sigma_plus[idx])
+    assert np.array_equal(part.taus, np.asarray(full.taus)[idx])
+    assert np.array_equal(part.sigma_plus, np.asarray(full.sigma_plus)[idx])
 
 
 @pytest.mark.parametrize("w0, beta, tau_end", [
     (1.3, 0.7, 60.0), (0.5, 1.0, 20.0), (1.0, 10.0, 20.0), (2.0, 0.1, 20.0),
-    (1.0, math.inf, 7.5), (3.0, 1e-3, 1e-4),
+    (1.0, math.inf, 7.5), (3.0, 1e-3, 1e-4), (1.3, 0.7, 120.0),
 ])
 def test_evolve_without_samples_is_every_step(w0, beta, tau_end):
     init = M.PopulationState(0.9, 0.1)
@@ -327,8 +335,8 @@ def test_evolve_without_samples_is_every_step(w0, beta, tau_end):
     full = M.evolve(init, w0, beta, tau_end)
     every = M.evolve(init, w0, beta, tau_end, samples=steps + 1)
     assert len(full.taus) == steps + 1
-    assert full.taus.tobytes() == every.taus.tobytes()
-    assert full.sigma_plus.tobytes() == every.sigma_plus.tobytes()
+    assert np.asarray(full.taus).tobytes() == np.asarray(every.taus).tobytes()
+    assert np.asarray(full.sigma_plus).tobytes() == np.asarray(every.sigma_plus).tobytes()
 
 
 def test_evolve_rejects_bad_span_and_samples():

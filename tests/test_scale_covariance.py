@@ -89,7 +89,7 @@ def _populations(lam: float) -> list[float]:
     cf = M.closed_form(init, lam, beta, tau)
     traj = M.evolve(init, lam, beta, tau, samples=5)
     return [steady.sigma_plus, steady.sigma_minus, cf.sigma_plus, cf.sigma_minus,
-            *traj.sigma_plus.tolist()]
+            *traj.sigma_plus]
 
 
 @COVARIANCE
