@@ -291,6 +291,17 @@ def _fmt(x) -> str:
 Table = tuple
 
 
+def _table(row, *columns) -> list | np.ndarray:
+    """The table of row over columns that are all lists or all arrays: for
+    lists, row(*point) per point in order, a list of rows; for arrays, one
+    row(*columns) call, whose cells (a scalar broadcast) stack into a 2-D array."""
+    if isinstance(columns[0], list):
+        return list(map(row, *columns))
+    import numpy as np
+
+    return np.column_stack(np.broadcast_arrays(*row(*columns)))
+
+
 def _write(text: str, config: dict) -> None:
     path = config["output.path"]
     if path is None:
@@ -346,14 +357,14 @@ def cmd_kernel(config: dict) -> Table:
     from . import kernels as K
 
     _, beta, alpha = validate(config)
-    u = config["kernel.u"]
-    param = config["kernel.sweep.param"]
-    values = np.asarray(_grid(config, "kernel.sweep"))
-    if param == "alpha":
-        g = K.g_thermal_accelerated(u, 0.0, beta, values).value
-    else:
-        g = K.g_thermal_accelerated(u, 0.0, values, alpha).value
-    table = np.column_stack([np.full(len(values), u), values, g.real, g.imag])
+    u, param = config["kernel.u"], config["kernel.sweep.param"]
+
+    def row(value):  # g(u, 0) with param, alpha or beta, set to value
+        point = {"beta": beta, "alpha": alpha, param: value}
+        g = K.g_thermal_accelerated(u, 0.0, **point).value
+        return [u, value, g.real, g.imag]
+
+    table = _table(row, np.asarray(_grid(config, "kernel.sweep")))
     return ["tau_diff", param, "re_g", "im_g"], table
 
 
@@ -374,11 +385,7 @@ def cmd_populations(config: dict) -> Table:
 
     header = ["tau", "sigma_plus_numeric", "sigma_plus_closed", "sigma_minus_numeric",
               "sigma_minus_closed", "defect"]
-    if isinstance(traj.taus, list):
-        return header, [row(tau, num) for tau, num in zip(traj.taus, traj.sigma_plus)]
-    import numpy as np
-
-    return header, np.column_stack(row(traj.taus, traj.sigma_plus))
+    return header, _table(row, traj.taus, traj.sigma_plus)
 
 
 def cmd_steady(config: dict) -> Table:
@@ -416,14 +423,9 @@ def cmd_response(config: dict) -> Table:
     from . import response as RS
 
     _, _, alpha = validate(config)
-    grid = _grid(config, "response.deltaE")
-    header = ["deltaE", "alpha", "rate"]
-    if isinstance(grid, list):
-        return header, [[e, alpha, RS.response_accelerated(e, alpha).rate] for e in grid]
-    import numpy as np
-
-    rate = RS.response_accelerated(grid, alpha).rate
-    return header, np.column_stack([grid, np.full(len(grid), alpha), rate])
+    table = _table(lambda e: [e, alpha, RS.response_accelerated(e, alpha).rate],
+                   _grid(config, "response.deltaE"))
+    return ["deltaE", "alpha", "rate"], table
 
 
 def cmd_fermion(config: dict) -> Table:
@@ -502,33 +504,27 @@ def _columns(point: dict) -> list:
 
 
 def _sweep_rows(config: dict, values: list[float] | np.ndarray) -> list | np.ndarray:
-    """The sweep's rows [value, *columns], with param set to each grid value.
-
-    An array is one _columns call, whose columns make a 2-D array.  A list,
-    and an array for the numeric pipeline, which is scalar (as
-    values.tolist()), is one _columns call per point in grid order, a list
-    of rows, so the first point to fail raises its own error.  A check of an
-    array names the first element it refuses, which need not be the first
-    point to fail, so a failed array call is swept once more as that list;
-    if the list passes, the array's error stands.
-    """
+    """The _table of rows [value, *columns], param set to each grid value, so
+    a list's first point to fail raises its own error.  The numeric pipeline
+    is scalar: it sweeps an array as its list of floats.  A check of an array
+    names the first element it refuses, which need not be the first point to
+    fail, so a failed array call is swept once more as that list; if the
+    list passes, the array's error stands."""
     param, swept = config["sweep.param"], dict(config)
-    if not isinstance(values, list):
-        if swept["sweep.quantity"] != "rates" or not _numeric(swept):
-            try:
-                columns = _columns({**swept, param: values})
-            except (DomainError, NonConvergence, OverflowError):
-                _sweep_rows(config, values.tolist())
-                raise
-            import numpy as np
 
-            return np.column_stack(np.broadcast_arrays(values, *columns))
-        values = values.tolist()
-    rows = []
-    for value in values:
+    def row(value):
         swept[param] = value
-        rows.append([value, *_columns(swept)])
-    return rows
+        return [value, *_columns(swept)]
+
+    to_list = getattr(values, "tolist", None)  # an array grid's; a list has none
+    if to_list and swept["sweep.quantity"] == "rates" and _numeric(swept):
+        values, to_list = to_list(), None
+    try:
+        return _table(row, values)
+    except (DomainError, NonConvergence, OverflowError):
+        if to_list:
+            _table(row, to_list())
+        raise
 
 
 def cmd_sweep(config: dict) -> Table:

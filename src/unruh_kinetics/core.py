@@ -182,6 +182,13 @@ def check_positive(x, what: str):
     return x
 
 
+def check_finite(x, what: str):
+    """x, if abs(x) < inf (NaN and +-inf are refused, with no warning), at
+    every element of an array."""
+    require_all(abs(x) < math.inf, x, f"{what} must be finite")
+    return x
+
+
 def check_positive_finite(x, what: str):
     """x, if it lies in (0, +inf) (a NaN is refused), at every element of an
     array."""
@@ -190,11 +197,11 @@ def check_positive_finite(x, what: str):
 
 
 def check_alpha(alpha):
-    """|alpha|, if alpha >= 0 (a NaN is refused), so -0.0 is returned as
-    +0.0; alpha = 0 is the inertial worldline.  An array is checked at every
-    element, and the first element refused is named."""
+    """|alpha|, if alpha >= 0 (a NaN is refused) and finite, so -0.0 is
+    returned as +0.0; alpha = 0 is the inertial worldline.  An array is
+    checked at every element, and the first element refused is named."""
     require_all(alpha >= 0, alpha, "alpha must be >= 0")
-    return abs(alpha)
+    return abs(check_finite(alpha, "alpha"))
 
 
 @dataclass(frozen=True)
@@ -208,9 +215,8 @@ class DetectorParams:
     mu: float = 1.0
 
     def __post_init__(self) -> None:
-        # abs(x) < inf refuses NaN and +-inf, scalar or array, with no warning
-        require_all(abs(self.omega0) < math.inf, self.omega0, "omega0 must be finite")
-        require_all(abs(self.mu) < math.inf, self.mu, "mu must be finite")
+        check_finite(self.omega0, "omega0")
+        check_finite(self.mu, "mu")
         check_positive(self.omega0, "omega0")
         require_all(self.mu >= 0, self.mu, "mu must be non-negative")
 
@@ -264,6 +270,5 @@ def validate(config: dict) -> tuple[DetectorParams, float, float]:
     """
     detector = DetectorParams(config["detector.omega0"], config["detector.mu"])
     beta = check_beta(config["thermal.beta"])
-    alpha = config["trajectory.alpha"]
-    require_all(abs(alpha) < math.inf, alpha, "alpha must be finite")
+    alpha = check_finite(config["trajectory.alpha"], "alpha")
     return detector, beta, check_alpha(alpha)

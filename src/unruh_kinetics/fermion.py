@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import (DomainError, check_beta, check_populations, check_positive,
-                   check_positive_finite, fermi, linspace)
+from .core import (DomainError, check_beta, check_finite, check_populations,
+                   check_positive, check_positive_finite, fermi, linspace)
 
 __all__ = [
     "BathSpectrum",
@@ -132,10 +132,7 @@ def coarse_graining_diagnostic(v_typ: float, tau_c: float) -> float:
     """Third-to-second-order ratio 2 v tau_c of the coarse-grained expansion."""
     if v_typ < 0 or tau_c < 0:
         raise DomainError("interaction strength and correlation time must be >= 0")
-    ratio = 2.0 * v_typ * tau_c
-    if not math.isfinite(ratio):
-        raise DomainError(f"coarse-graining ratio 2 v tau_c must be finite, got {ratio}")
-    return ratio
+    return check_finite(2.0 * v_typ * tau_c, "coarse-graining ratio 2 v tau_c")
 
 
 def coarse_graining_valid(v_typ: float, tau_c: float) -> bool:

@@ -63,9 +63,10 @@ def unruh_temperature(alpha: float) -> float:
     return check_alpha(alpha) / (2.0 * math.pi)
 
 
-def inertial_silence_oracle(
-    deltaE: float, eps: float, u_max: float = 1.0e3
-) -> float:
+_SILENCE_U_MAX = 1.0e3  # the half-width of inertial_silence_oracle's integral
+
+
+def inertial_silence_oracle(deltaE: float, eps: float) -> float:
     """Damped-quadrature estimate of the inertial response at finite eps.
 
     -(1/4 pi^2) int e^{-i deltaE u} e^{-eps |u|} (u - i eps)^-2 du.
@@ -78,7 +79,7 @@ def inertial_silence_oracle(
 
     check_positive_finite(deltaE, "deltaE")
     check_positive_finite(eps, "eps")
-    return -damped_line_integral(deltaE, -eps, eps, u_max) / _FOUR_PI_SQ
+    return -damped_line_integral(deltaE, -eps, eps, _SILENCE_U_MAX) / _FOUR_PI_SQ
 
 
 def planck_response_oracle(deltaE: float, alpha: float) -> float:

@@ -97,6 +97,34 @@ def test_emit_array_rows_match_list_rows(capsys):
     assert capsys.readouterr().out == from_list
 
 
+def _recorded(calls):
+    """A row of a two-column table that records its arguments: [x, 7, x y]."""
+    def row(x, y):
+        calls.append((x, y))
+        return [x, 7.0, x * y]
+    return row
+
+
+def test_a_table_of_lists_is_one_row_call_per_point_in_grid_order():
+    calls = []
+    rows = cli._table(_recorded(calls), [3.0, 1.0, 2.0], [0.5, 4.0, -1.0])
+    assert calls == [(3.0, 0.5), (1.0, 4.0), (2.0, -1.0)]
+    assert rows == [[3.0, 7.0, 1.5], [1.0, 7.0, 4.0], [2.0, 7.0, -2.0]]
+    assert type(rows) is list and all(type(row) is list for row in rows)
+
+
+def test_a_table_of_arrays_is_one_row_call_with_scalar_cells_broadcast():
+    calls = []
+    x, y = np.array([3.0, 1.0, 2.0, 5.0]), np.array([0.5, 4.0, -1.0, 2.0])
+    table = cli._table(_recorded(calls), x, y)
+    assert len(calls) == 1 and calls[0][0] is x and calls[0][1] is y
+    assert table.shape == (4, 3) and table.dtype == np.float64
+    assert np.array_equal(table, np.column_stack([x, np.full(4, 7.0), x * y]))
+    # one column, as kernel and response have
+    table = cli._table(lambda e: [e, 2.0, e * e], x)
+    assert table.shape == (4, 3) and np.array_equal(table[:, 1], np.full(4, 2.0))
+
+
 def test_rates_json_record(capsys):
     code, out, _ = run(capsys, "rates", "--format", "json")
     assert code == 0

@@ -73,6 +73,45 @@ def test_closed_forms_refuse_negative_or_nan_alpha(rate, alpha):
 
 
 @pytest.mark.parametrize(
+    "rate",
+    [lambda a: R.planck_bracket(1.0, a),
+     lambda a: R.atom_vf_rate(DetectorParams(1.0), a, PLUS),
+     lambda a: R.atom_rr_rate(DetectorParams(1.0), a),
+     lambda a: R.atom_total_rate(DetectorParams(1.0), a, PLUS),
+     lambda a: R.derivative_coupling_rates(DetectorParams(1.0), a, MINUS, 1),
+     lambda a: R.field_rates(DetectorParams(1.0), a, PLUS),
+     lambda a: response_accelerated(1.0, a),
+     lambda a: planck_response_oracle(1.0, a),
+     unruh_temperature,
+     check_alpha],
+    ids=["planck_bracket", "atom_vf_rate", "atom_rr_rate", "atom_total_rate",
+         "derivative_coupling_rates", "field_rates", "response_accelerated",
+         "planck_response_oracle", "unruh_temperature", "check_alpha"],
+)
+def test_the_library_refuses_an_infinite_alpha(rate):
+    # atom_total_rate and atom_rr_rate raised OverflowError, planck_bracket,
+    # the response and the temperature returned inf, and the numeric rates
+    # raised NonConvergence
+    with pytest.raises(DomainError) as exc:
+        rate(math.inf)
+    assert str(exc.value) == "alpha must be finite, got inf"
+
+
+@pytest.mark.parametrize(
+    "alpha, message",
+    [([1.0, math.inf, 2.0], "alpha must be finite, got inf"),
+     ([1.0, math.inf, -1.0], "alpha must be >= 0, got -1.0"),
+     ([1.0, math.nan, math.inf], "alpha must be >= 0, got nan")],
+)
+def test_an_alpha_array_names_its_first_refused_element(alpha, message):
+    # the >= 0 rule is checked first, over the whole array
+    for call in (check_alpha, lambda a: response_accelerated(1.0, a)):
+        with pytest.raises(DomainError) as exc:
+            call(np.array(alpha))
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
     "total, vf, rr",
     [(math.nan, 1.0, 0.0), (1.0, math.nan, 0.0), (1.0, 1.0, math.nan),
      (1.0, 2.0, 0.0)],
